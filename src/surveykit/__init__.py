@@ -22,7 +22,7 @@ from .core import (
 )
 from .designs import (
     select, select_srs, select_srswr, select_bernoulli, select_poisson,
-    select_systematic, select_pps_wr, select_pips, select_stratified,
+    select_systematic, select_pps_wr, select_stratified,
     select_one_stage_cluster, select_two_stage, select_two_phase,
     reservoir_stream, chao_stream,
 )

@@ -1,6 +1,5 @@
 """Sample data model, inclusion probabilities, and exact design enumeration."""
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -251,339 +250,24 @@ def calibrate_rejective_working_probs(target_pi, n, tol=1e-8, max_iter=200):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form inclusion probabilities
-
-def _brewer_joint(p):
-    p = np.asarray(p, dtype=float)
-    K = np.sum(p / (1 - 2 * p))
-    pij = np.zeros((p.size, p.size))
-    for i in range(p.size):
-        for j in range(p.size):
-            if i == j:
-                pij[i, j] = 2 * p[i]
-            else:
-                pij[i, j] = (2 * p[i] * p[j] / (1 + K)) * (
-                    1 / (1 - 2 * p[i]) + 1 / (1 - 2 * p[j])
-                )
-    return pij
-
-
-def _n2_draw_probs(mos):
-    p = np.asarray(mos, dtype=float)
-    p = p / p.sum()
-    if np.any(p >= 0.5):
-        raise ValueError("n=2 pi-ps methods need every draw probability below 1/2")
-    return p
-
+# Entry points; each design class in surveykit.design owns the behaviour.
 
 def first_order_pips(design, frame):
     """First-order inclusion probabilities (draw probabilities for
     with-replacement designs) for every unit in the frame."""
-    N = frame.n_units
-    if isinstance(design, dz.SRS):
-        _check_srs_size(design.n, N)
-        return InclusionProbs(np.full(N, design.n / N))
-    if isinstance(design, dz.SRSWR):
-        return InclusionProbs(np.full(N, 1.0 / N), kind="draw_prob")
-    if isinstance(design, dz.Bernoulli):
-        return InclusionProbs(np.full(N, design.pi))
-    if isinstance(design, dz.Poisson):
-        pi = np.asarray(design.pi, dtype=float)
-        if pi.size != N:
-            raise ValueError("Poisson design needs one probability per frame unit")
-        return InclusionProbs(pi)
-    if isinstance(design, dz.Systematic):
-        G = _systematic_interval(design.n, N)
-        return InclusionProbs(np.full(N, 1.0 / G))
-    if isinstance(design, dz.SystematicPPS):
-        pi = design.n * frame.mos / frame.mos.sum()
-        _name_zero_units(pi, frame)
-        if np.any(pi > 1 + 1e-12):
-            raise ValueError(
-                "systematic pi-ps has units above certainty; extract them with compute_pips first"
-            )
-        return InclusionProbs(pi)
-    if isinstance(design, dz.PPSWR):
-        p = frame.mos / frame.mos.sum()
-        _name_zero_units(p, frame)
-        return InclusionProbs(p, kind="draw_prob")
-    if isinstance(design, (dz.Brewer2, dz.Durbin2)):
-        p = _n2_draw_probs(frame.mos)
-        _name_zero_units(p, frame)
-        return InclusionProbs(2 * p)
-    if isinstance(design, dz.Chao):
-        x = frame.mos
-        _name_zero_units(x, frame)
-        n = design.n
-        total = x.sum()
-        pi = n * x / total
-        pi[:n] = x[:n].sum() / total
-        return InclusionProbs(pi)
-    if isinstance(design, dz.RejectivePoisson):
-        work = _rejective_working(design, frame)
-        return InclusionProbs(conditional_poisson_pips(work, design.n))
-    if isinstance(design, dz.Stratified):
-        pi = np.empty(N)
-        for label, idx in frame.strata():
-            child = design.child(label)
-            pi[idx] = first_order_pips(child, frame.restrict(idx)).first_order
-        return InclusionProbs(pi)
-    if isinstance(design, dz.OneStageCluster):
-        cframe = _cluster_frame(frame)
-        cpi = first_order_pips(design.psu, cframe).first_order
-        pi = np.empty(N)
-        for k, (_, members) in enumerate(frame.clusters()):
-            pi[members] = cpi[k]
-        return InclusionProbs(pi)
-    if isinstance(design, dz.TwoStage):
-        cframe = _cluster_frame(frame)
-        cpi = first_order_pips(design.psu, cframe).first_order
-        pi = np.empty(N)
-        for k, (label, members) in enumerate(frame.clusters()):
-            sub = first_order_pips(design.ssu_for(label), frame.restrict(members))
-            pi[members] = cpi[k] * sub.first_order
-        return InclusionProbs(pi)
-    raise NonEnumerableError(
-        f"no closed-form inclusion probabilities for {type(design).__name__}"
-    )
+    dz.Design.require(design, NonEnumerableError, "no closed-form inclusion probabilities for {}")
+    return design.first_order(frame)
 
 
 def joint_pips(design, frame, cap=DEFAULT_SUPPORT_CAP):
     """Full symmetric joint-inclusion matrix; the diagonal equals the
     first-order probabilities.  Systematic designs come back flagged as
     non-measurable with their structural zeros kept in place."""
-    N = frame.n_units
-    first = first_order_pips(design, frame)
-    if isinstance(design, dz.SRS):
-        n = design.n
-        pij = np.full((N, N), n * (n - 1) / (N * (N - 1)) if N > 1 else 1.0)
-        np.fill_diagonal(pij, n / N)
-        return InclusionProbs(first.first_order, pij)
-    if isinstance(design, (dz.Bernoulli, dz.Poisson)):
-        pi = first.first_order
-        pij = np.outer(pi, pi)
-        np.fill_diagonal(pij, pi)
-        return InclusionProbs(pi, pij)
-    if isinstance(design, (dz.Brewer2, dz.Durbin2)):
-        p = _n2_draw_probs(frame.mos)
-        return InclusionProbs(first.first_order, _brewer_joint(p))
-    if isinstance(design, (dz.Systematic, dz.SystematicPPS)):
-        dist = enumerate_design(design, frame, cap=cap)
-        pij = dist.joint()
-        off = pij[~np.eye(N, dtype=bool)]
-        measurable = bool(np.all(off > 0))
-        return InclusionProbs(first.first_order, pij, measurable=measurable)
-    if isinstance(design, dz.Stratified):
-        pij = np.empty((N, N))
-        pi = first.first_order
-        pij[:] = np.outer(pi, pi)  # independence across strata
-        measurable = True
-        for label, idx in frame.strata():
-            child = joint_pips(design.child(label), frame.restrict(idx), cap=cap)
-            pij[np.ix_(idx, idx)] = child.joint
-            measurable &= child.measurable
-        return InclusionProbs(pi, pij, measurable=measurable)
-    dist = enumerate_design(design, frame, cap=cap)
-    pij = dist.joint()
-    off = pij[~np.eye(N, dtype=bool)] if N > 1 else np.array([1.0])
-    return InclusionProbs(first.first_order, pij, measurable=bool(np.all(off > 0)))
-
-
-# ---------------------------------------------------------------------------
-# Exact enumeration
-
-def _check_cap(size, cap):
-    if size > cap:
-        raise SupportTooLargeError(f"design support holds {size} sets, cap is {cap}")
-
-
-def _sorted_support(entries):
-    merged = {}
-    for ids, p in entries:
-        key = tuple(sorted(ids))
-        merged[key] = merged.get(key, 0.0) + p
-    return tuple(sorted(merged.items(), key=lambda kv: kv[0]))
+    dz.Design.require(design, NonEnumerableError, "no closed-form inclusion probabilities for {}")
+    return design.joint(frame, cap)
 
 
 def enumerate_design(design, frame, cap=DEFAULT_SUPPORT_CAP):
     """Exact sampling distribution of an enumerable design."""
-    N = frame.n_units
-    ids = frame.ids
-    if isinstance(design, dz.SRS):
-        _check_srs_size(design.n, N)
-        _check_cap(math.comb(N, design.n), cap)
-        prob = 1.0 / math.comb(N, design.n)
-        entries = [(tuple(ids[i] for i in combo), prob)
-                   for combo in itertools.combinations(range(N), design.n)]
-        return DesignDistribution(_sorted_support(entries), frame)
-    if isinstance(design, (dz.Bernoulli, dz.Poisson)):
-        pi = first_order_pips(design, frame).first_order
-        _check_cap(2 ** N, cap)
-        entries = []
-        for r in range(N + 1):
-            for combo in itertools.combinations(range(N), r):
-                inside = set(combo)
-                p = 1.0
-                for i in range(N):
-                    p *= pi[i] if i in inside else 1 - pi[i]
-                if p > 0:
-                    entries.append((tuple(ids[i] for i in combo), p))
-        return DesignDistribution(_sorted_support(entries), frame)
-    if isinstance(design, dz.Systematic):
-        G = _systematic_interval(design.n, N)
-        entries = [
-            (tuple(ids[r + k * G] for k in range((N - 1 - r) // G + 1)), 1.0 / G)
-            for r in range(G)
-        ]
-        return DesignDistribution(_sorted_support(entries), frame)
-    if isinstance(design, dz.SystematicPPS):
-        return _enumerate_systematic_pps(design.n, frame)
-    if isinstance(design, (dz.Brewer2, dz.Durbin2)):
-        return _enumerate_n2(design, frame)
-    if isinstance(design, dz.RejectivePoisson):
-        work = _rejective_working(design, frame)
-        _check_cap(math.comb(N, design.n), cap)
-        entries = []
-        for combo in itertools.combinations(range(N), design.n):
-            inside = set(combo)
-            p = 1.0
-            for i in range(N):
-                p *= work[i] if i in inside else 1 - work[i]
-            entries.append((tuple(ids[i] for i in combo), p))
-        total = math.fsum(p for _, p in entries)
-        entries = [(s, p / total) for s, p in entries]
-        return DesignDistribution(_sorted_support(entries), frame)
-    if isinstance(design, dz.Stratified):
-        parts = []
-        size = 1
-        for label, idx in frame.strata():
-            child = enumerate_design(design.child(label), frame.restrict(idx), cap=cap)
-            parts.append(child.support)
-            size *= len(child.support)
-            _check_cap(size, cap)
-        entries = []
-        for combo in itertools.product(*parts):
-            sample = tuple(itertools.chain.from_iterable(s for s, _ in combo))
-            p = math.prod(p for _, p in combo)
-            entries.append((sample, p))
-        return DesignDistribution(_sorted_support(entries), frame)
-    if isinstance(design, dz.OneStageCluster):
-        cframe = _cluster_frame(frame)
-        cdist = enumerate_design(design.psu, cframe, cap=cap)
-        members = dict(frame.clusters())
-        entries = []
-        for labels, p in cdist.support:
-            sample = tuple(
-                itertools.chain.from_iterable(
-                    (ids[i] for i in members[c]) for c in labels
-                )
-            )
-            entries.append((sample, p))
-        return DesignDistribution(_sorted_support(entries), frame)
-    raise NonEnumerableError(f"{type(design).__name__} designs cannot be enumerated")
-
-
-def _enumerate_n2(design, frame):
-    p = _n2_draw_probs(frame.mos)
-    N = p.size
-    ids = frame.ids
-    if isinstance(design, dz.Brewer2):
-        theta = p * (1 - p) / (1 - 2 * p)
-        theta = theta / theta.sum()
-        cond = lambda i, j: p[j] / (1 - p[i])
-    else:
-        theta = p.copy()
-        cond_raw = lambda i, j: p[j] * (1 / (1 - 2 * p[i]) + 1 / (1 - 2 * p[j]))
-        norms = np.array(
-            [math.fsum(cond_raw(i, j) for j in range(N) if j != i) for i in range(N)]
-        )
-        cond = lambda i, j: cond_raw(i, j) / norms[i]
-    entries = []
-    for i in range(N):
-        for j in range(N):
-            if i < j:
-                prob = theta[i] * cond(i, j) + theta[j] * cond(j, i)
-                entries.append(((ids[i], ids[j]), prob))
-    return DesignDistribution(_sorted_support(entries), frame)
-
-
-def _enumerate_systematic_pps(n, frame):
-    x = frame.mos
-    total = x.sum()
-    a = total / n
-    if np.any(x > a + 1e-12):
-        raise ValueError(
-            "systematic pi-ps has units above certainty; extract them with compute_pips first"
-        )
-    bounds = np.concatenate([[0.0], np.cumsum(x)])
-    cuts = sorted({round(float(b % a), 15) for b in bounds} | {0.0, float(a)})
-    entries = {}
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo <= 1e-15:
-            continue
-        start = 0.5 * (lo + hi)
-        chosen = []
-        j = 0
-        upper = x[0]
-        for k in range(n):
-            pos = start + k * a
-            while pos > upper:
-                j += 1
-                upper += x[j]
-            chosen.append(j)
-        key = tuple(sorted(frame.ids[i] for i in chosen))
-        entries[key] = entries.get(key, 0.0) + (hi - lo) / a
-    return DesignDistribution(tuple(sorted(entries.items())), frame)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-
-def _check_srs_size(n, N):
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    if n > N:
-        raise ValueError(f"cannot draw {n} distinct units from {N}")
-
-
-def _systematic_interval(n, N):
-    if n >= N:
-        raise ValueError("systematic sampling needs n < N")
-    return N // n
-
-
-def _name_zero_units(pi, frame):
-    zero = np.nonzero(np.asarray(pi) <= 0)[0]
-    if zero.size:
-        raise NonProbabilityDesignError(
-            f"unit {frame.ids[int(zero[0])]!r} has zero selection probability"
-        )
-
-
-def _rejective_working(design, frame):
-    if design.working_pi is not None:
-        work = np.asarray(design.working_pi, dtype=float)
-        if work.size != frame.n_units:
-            raise ValueError("working probabilities must cover the frame")
-    else:
-        work = compute_pips(frame.mos, design.n)
-    if np.any(work >= 1):
-        raise ValueError("rejective sampling needs working probabilities below 1")
-    return work
-
-
-def _cluster_frame(frame):
-    """One row per cluster; mos is the cluster's total mos (or its size when
-    the frame carries no explicit mos).  Memoized on the frame."""
-    if "cluster_frame" not in frame._cache:
-        labels, cluster_mos = [], []
-        default_mos = bool(np.all(frame.mos == 1.0))
-        for label, members in frame.clusters():
-            labels.append(label)
-            cluster_mos.append(
-                members.size if default_mos else frame.mos[members].sum()
-            )
-        frame._cache["cluster_frame"] = Frame(
-            ids=tuple(labels), mos=np.asarray(cluster_mos, dtype=float)
-        )
-    return frame._cache["cluster_frame"]
+    dz.Design.require(design, NonEnumerableError, "{} designs cannot be enumerated")
+    return design.support(frame, cap)

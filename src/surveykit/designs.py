@@ -1,26 +1,18 @@
-"""Sample selection: equal- and unequal-probability schemes plus the
-stratified / cluster / two-stage / two-phase drivers."""
-
-import numpy as np
+"""Sample selection: `select` draws from any declarative design, and the
+select_* helpers draw from one design family with plain arguments."""
 
 from . import design as dz
-from . import kernels
-from .core import (
-    NonProbabilityDesignError,
-    Sample,
-    _cluster_frame,
-    _n2_draw_probs,
-    _systematic_interval,
-    compute_pips,
-    conditional_poisson_pips,
-    first_order_pips,
-)
+from .core import NonProbabilityDesignError
 from .design import as_generator
-from .frame import Frame
+
+# importable from here: phase-2 rules written as functions draw with
+# designs.kernels, and tools look up designs.conditional_poisson_pips
+from . import kernels  # noqa: F401
+from .core import conditional_poisson_pips  # noqa: F401
 
 __all__ = [
     "select", "select_srs", "select_srswr", "select_bernoulli",
-    "select_poisson", "select_systematic", "select_pps_wr", "select_pips",
+    "select_poisson", "select_systematic", "select_pps_wr",
     "select_stratified", "select_one_stage_cluster", "select_two_stage",
     "select_two_phase", "reservoir_stream", "chao_stream",
 ]
@@ -29,67 +21,13 @@ __all__ = [
 def select(design, frame, rng):
     """Draw one sample from `frame` according to the declarative `design`."""
     rng = as_generator(rng)
-    if isinstance(design, dz.SRS):
-        return select_srs(frame, design.n, design.method, rng)
-    if isinstance(design, dz.SRSWR):
-        return select_srswr(frame, design.n, rng)
-    if isinstance(design, dz.Bernoulli):
-        return select_bernoulli(frame, design.pi, rng)
-    if isinstance(design, dz.Poisson):
-        return select_poisson(frame, np.asarray(design.pi), rng)
-    if isinstance(design, dz.Systematic):
-        return select_systematic(frame, design.n, rng)
-    if isinstance(design, dz.SystematicPPS):
-        return select_pips(frame, design.n * frame.mos / frame.mos.sum(),
-                           "systematic_pips", rng)
-    if isinstance(design, dz.PPSWR):
-        return select_pps_wr(frame, frame.mos, design.n, design.method, rng,
-                             bound=design.bound)
-    if isinstance(design, dz.Brewer2):
-        return select_pips(frame, 2 * _n2_draw_probs(frame.mos), "brewer2", rng)
-    if isinstance(design, dz.Durbin2):
-        return select_pips(frame, 2 * _n2_draw_probs(frame.mos), "durbin2", rng)
-    if isinstance(design, dz.Chao):
-        return select_pips(frame, first_order_pips(design, frame).first_order,
-                           "chao", rng, n=design.n)
-    if isinstance(design, dz.RejectivePoisson):
-        from .core import _rejective_working
-
-        work = _rejective_working(design, frame)
-        return select_pips(frame, work, "rejective_poisson", rng, n=design.n,
-                           max_tries=design.max_tries)
-    if isinstance(design, dz.Stratified):
-        return select_stratified(frame, dict(design.designs), rng)
-    if isinstance(design, dz.OneStageCluster):
-        return select_one_stage_cluster(frame, design.psu, rng)
-    if isinstance(design, dz.TwoStage):
-        return select_two_stage(frame, design.psu, design.ssu, rng,
-                                per_cluster=design.per_cluster)
-    if isinstance(design, dz.TwoPhase):
-        return select_two_phase(frame, design.phase1, design.phase2, rng)
-    raise dz.DesignError(f"cannot select from {type(design).__name__}")
+    dz.Design.require(design, dz.DesignError, "cannot select from {}")
+    return design.draw(frame, rng)
 
 
 def select_srs(frame, n, method="selection_rejection", rng=None):
-    """Simple random sample without replacement; every unit gets pi = n/N.
-    All four methods draw from the uniform distribution over n-subsets."""
-    rng = as_generator(rng)
-    N = frame.n_units
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    if n > N:
-        raise ValueError(f"cannot draw {n} distinct units from {N}")
-    if method == "draw_by_draw":
-        idx = kernels.srs_draw_by_draw(n, N, rng)
-    elif method == "selection_rejection":
-        idx = kernels.srs_selection_rejection(n, N, rng)
-    elif method == "reservoir":
-        idx = kernels.srs_reservoir(n, N, rng)
-    elif method == "random_sort":
-        idx = kernels.srs_random_sort(n, N, rng)
-    else:
-        raise ValueError(f"unknown SRS method {method!r}")
-    return Sample(frame, idx, np.full(n, n / N), design_tag=f"srs:{method}")
+    """Simple random sample without replacement; every unit gets pi = n/N."""
+    return dz.SRS(n, method).draw(frame, as_generator(rng))
 
 
 def reservoir_stream(stream, n, rng):
@@ -135,279 +73,46 @@ def chao_stream(stream, n, rng):
 
 
 def select_srswr(frame, n, rng):
-    """Simple random sampling with replacement: n independent draws, each
-    with draw probability 1/N; multiplicities are recorded."""
-    rng = as_generator(rng)
-    N = frame.n_units
-    if n < 1:
-        raise ValueError("need at least one draw")
-    draws = kernels.srswr_draws(n, N, rng)
-    idx, mult = np.unique(draws, return_counts=True)
-    return Sample(frame, idx, np.full(idx.size, 1.0 / N), multiplicity=mult,
-                  with_replacement=True, design_tag="srswr")
+    """Simple random sampling with replacement: n draws, multiplicities kept."""
+    return dz.SRSWR(n).draw(frame, as_generator(rng))
 
 
 def select_bernoulli(frame, pi, rng):
-    if not 0 < pi <= 1:
-        raise ValueError("Bernoulli probability must be in (0, 1]")
-    return select_poisson(frame, np.full(frame.n_units, float(pi)), rng,
-                          tag="bernoulli")
+    return dz.Bernoulli(pi).draw(frame, as_generator(rng))
 
 
 def select_poisson(frame, pi_vec, rng, tag="poisson"):
     """Independent inclusion; the realized sample size is random."""
-    rng = as_generator(rng)
-    pi = np.asarray(pi_vec, dtype=float)
-    if pi.size != frame.n_units:
-        raise ValueError("need one probability per frame unit")
-    if np.any((pi <= 0) | (pi > 1)):
-        raise ValueError("Poisson probabilities must be in (0, 1]")
-    mask = kernels.poisson_select(pi, rng)
-    idx = np.nonzero(mask)[0].astype(np.int64)
-    return Sample(frame, idx, pi[idx], design_tag=tag)
+    sample = dz.Poisson(pi_vec).draw(frame, as_generator(rng))
+    sample.design_tag = tag
+    return sample
 
 
 def select_systematic(frame, n, rng):
-    """Every G-th unit from a random start, G = floor(N/n); realized size is
-    n or n+1 depending on the start.  pi = 1/G for every unit."""
-    rng = as_generator(rng)
-    N = frame.n_units
-    G = _systematic_interval(n, N)
-    idx = kernels.systematic_select(N, G, rng)
-    return Sample(frame, idx, np.full(idx.size, 1.0 / G), design_tag="systematic")
+    """Every G-th unit from a random start, G = floor(N/n)."""
+    return dz.Systematic(n).draw(frame, as_generator(rng))
 
 
 def select_pps_wr(frame, mos, n, method="cumulative", rng=None, bound=None):
-    """PPS with replacement: n independent draws with P(draw = i)
-    proportional to the measure of size."""
-    rng = as_generator(rng)
-    x = np.asarray(mos, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("measure of size must be nonnegative")
-    if x.sum() <= 0:
-        raise ValueError("measure of size sums to zero")
-    if method == "cumulative":
-        draws = kernels.ppswr_cumulative(np.cumsum(x), n, rng)
-    elif method == "lahiri":
-        if bound is None:
-            bound = float(x.max()) * (1 + 1e-12) if float(x.max()) > 0 else 1.0
-        if bound <= x.max():
-            raise ValueError("Lahiri bound must exceed every measure of size")
-        draws = kernels.ppswr_lahiri(x, float(bound), n, rng)
-    else:
-        raise ValueError(f"unknown PPSWR method {method!r}")
-    p = x / x.sum()
-    idx, mult = np.unique(draws, return_counts=True)
-    return Sample(frame, idx, p[idx], multiplicity=mult, with_replacement=True,
-                  design_tag=f"ppswr:{method}")
-
-
-def select_pips(frame, pi, method, rng, n=None, max_tries=1_000_000):
-    """Fixed-size unequal-probability sampling without replacement.
-
-    brewer2 / durbin2    n = 2, draw probabilities below 1/2
-    systematic_pips      frame order is honoured; pi from compute_pips
-    chao                 streaming reservoir with unequal probabilities
-    rejective_poisson    Poisson resampled until the target size comes up;
-                         pi is the exact conditional-Poisson marginal, which
-                         only approximates the working probabilities
-    """
-    rng = as_generator(rng)
-    pi = np.asarray(pi, dtype=float)
-    x = frame.mos
-    if method in ("brewer2", "durbin2"):
-        p = pi / 2
-        if np.any(p >= 0.5):
-            raise ValueError("n=2 pi-ps methods need every p_i below 1/2; "
-                             "extract certainty units with compute_pips first")
-        kern = kernels.brewer2_select if method == "brewer2" else kernels.durbin2_select
-        idx = kern(p, rng)
-        return Sample(frame, idx, pi[idx], design_tag=method)
-    if method == "systematic_pips":
-        if n is None:
-            n = int(round(pi.sum()))
-        a = x.sum() / n
-        if np.any(x > a + 1e-12):
-            raise ValueError("certainty units must be pre-extracted via compute_pips")
-        if np.any(x <= 0):
-            bad = frame.ids[int(np.argmin(x))]
-            raise NonProbabilityDesignError(f"unit {bad!r} has zero selection probability")
-        idx = kernels.systematic_pps_select(x, n, rng)
-        return Sample(frame, idx, pi[idx], design_tag="systematic_pips")
-    if method == "chao":
-        if n is None:
-            raise ValueError("chao needs a target sample size")
-        if np.any(x <= 0):
-            bad = frame.ids[int(np.argmin(x))]
-            raise NonProbabilityDesignError(f"unit {bad!r} has zero selection probability")
-        running = np.cumsum(x)
-        stream_pi = n * x[n:] / running[n:]
-        if np.any(stream_pi > 1 + 1e-12):
-            raise ValueError("certainty units must be pre-extracted via compute_pips")
-        idx = kernels.chao_select(x, n, rng)
-        return Sample(frame, idx, pi[idx], design_tag="chao")
-    if method == "rejective_poisson":
-        if n is None:
-            raise ValueError("rejective sampling needs a target sample size")
-        idx = kernels.rejective_poisson_select(pi, n, max_tries, rng)
-        if idx.size == 0:
-            raise RuntimeError(f"rejective sampling failed after {max_tries} tries")
-        exact = conditional_poisson_pips(pi, n)
-        return Sample(frame, idx, exact[idx], design_tag="rejective_poisson",
-                      flags=("pi_is_conditional_marginal",))
-    raise ValueError(f"unknown pi-ps method {method!r}")
+    """PPS with replacement: n draws with P(draw = i) proportional to mos."""
+    return dz.PPSWR(n, method, bound)._draw(frame, mos, as_generator(rng))
 
 
 def select_stratified(frame, per_stratum_designs, rng):
     """Independent draws within each stratum; the union is returned."""
-    rng = as_generator(rng)
-    designs = {str(k): d for k, d in dict(per_stratum_designs).items()}
-    parts = []
-    for k, (label, idx) in enumerate(frame.strata()):
-        if label not in designs:
-            raise dz.DesignError(f"stratum {label!r} has no design")
-        sub = select(designs[label], frame.restrict(idx), rng)
-        _check_child_fits(designs[label], idx.size, label)
-        parts.append((idx, sub))
-    return _merge_parts(frame, parts, "stratified")
-
-
-def _check_child_fits(design, size, label):
-    if isinstance(design, dz.SRS) and design.n > size:
-        raise ValueError(f"stratum {label!r} holds {size} units, cannot draw {design.n}")
-
-
-def _merge_parts(frame, parts, tag):
-    idx = np.concatenate([idx_local[s.idx] for idx_local, s in parts])
-    pi = np.concatenate([s.pi for _, s in parts])
-    mult = np.concatenate([s.multiplicity for _, s in parts])
-    order = np.argsort(idx, kind="stable")
-    wr = any(s.with_replacement for _, s in parts)
-    return Sample(frame, idx[order], pi[order], multiplicity=mult[order],
-                  with_replacement=wr, design_tag=tag)
+    return dz.Stratified(per_stratum_designs).draw(frame, as_generator(rng))
 
 
 def select_one_stage_cluster(frame, psu_design, rng):
     """Draw whole clusters and observe every element inside them."""
-    rng = as_generator(rng)
-    cframe = _cluster_frame(frame)
-    cs = select(psu_design, cframe, rng)
-    members = dict(frame.clusters())
-    chosen = [members[label] for label in cs.ids]
-    idx = np.concatenate(chosen)
-    pi = np.repeat(cs.pi, [m.size for m in chosen])
-    labels = tuple(np.repeat(cs.ids, [m.size for m in chosen]))
-    return Sample(frame, idx, pi, design_tag="one_stage_cluster",
-                  psu_labels=labels)
+    return dz.OneStageCluster(psu_design).draw(frame, as_generator(rng))
 
 
 def select_two_stage(frame, psu_design, ssu_design, rng, per_cluster=None):
-    """Two-stage sampling under invariance (the SSU design attached to a
-    cluster never depends on the realized PSU set) and independence (the
-    within-cluster draws for distinct clusters use disjoint stretches of
-    the stream, in cluster-frame order, so they are mutually independent)."""
-    rng = as_generator(rng)
-    if frame.cluster is None:
-        raise ValueError("two-stage sampling needs cluster labels on the frame")
-    cframe = _cluster_frame(frame)
-    cs = select(psu_design, cframe, rng)
-    members = dict(frame.clusters())
-    ts = dz.TwoStage(psu_design, ssu_design, per_cluster)
-    idx, pi, cond, labels = [], [], [], []
-    for pos_in_cs, label in enumerate(cs.ids):
-        sub_frame = frame.restrict(members[label])
-        child = ts.ssu_for(label)
-        if isinstance(child, dz.SRS) and child.n > sub_frame.n_units:
-            raise ValueError(
-                f"cluster {label!r} holds {sub_frame.n_units} units, cannot draw {child.n}"
-            )
-        sub = select(child, sub_frame, rng)
-        take = members[label][sub.idx]
-        idx.append(take)
-        cond.append(sub.pi)
-        pi.append(cs.pi[pos_in_cs] * sub.pi)
-        labels.extend([label] * take.size)
-    idx = np.concatenate(idx)
-    pi = np.concatenate(pi)
-    cond = np.concatenate(cond)
-    order = np.argsort(idx, kind="stable")
-    return Sample(
-        frame,
-        idx[order],
-        pi[order],
-        conditional_pi=cond[order],
-        design_tag="two_stage",
-        psu_labels=tuple(labels[k] for k in order),
-    )
-
-
-def _phase2_conditional(rule, phase1_sample, frame, rng):
-    """Conditional second-phase draw inside the phase-1 sample.  Returns
-    local positions into phase1_sample.idx, their conditional probabilities,
-    the realized phase-2 stratum labels, and the stratum labels the rule
-    assigned to every phase-1 unit (None when the rule does not stratify)."""
-    n1 = phase1_sample.idx.size
-    if isinstance(rule, dz.KeepAll):
-        return np.arange(n1, dtype=np.int64), np.ones(n1), None, None
-    if callable(rule) and not isinstance(rule, (dz.StratifyOnAux, dz.PoissonOnAux)):
-        out = rule(phase1_sample, frame, rng)
-        return out if len(out) == 4 else (*out, None, None)[:4]
-    if isinstance(rule, dz.PoissonOnAux):
-        x = frame.aux[phase1_sample.idx, rule.column]
-        if np.any(x <= 0):
-            raise ValueError("Poisson phase-2 rule needs positive observed values")
-        p2 = compute_pips(x, rule.r)
-        if np.any(p2 >= 1):
-            p2 = np.clip(p2, None, 1.0)
-        mask = kernels.poisson_select(p2, rng)
-        local = np.nonzero(mask)[0].astype(np.int64)
-        return local, p2[local], None, None
-    if isinstance(rule, dz.StratifyOnAux):
-        labels = _phase2_strata(rule, phase1_sample, frame)
-        rates = None if rule.rates is None else dict(rule.rates)
-        locals_, conds, out_labels = [], [], []
-        groups = {}
-        for pos, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(pos)
-        for lab in sorted(groups):
-            pos = np.asarray(groups[lab], dtype=np.int64)
-            nu = rule.rate if rates is None else float(rates[lab])
-            r_h = max(1, int(round(nu * pos.size)))
-            if r_h > pos.size:
-                raise ValueError(f"phase-2 stratum {lab!r}: r_h={r_h} exceeds n_h={pos.size}")
-            chosen = kernels.srs_selection_rejection(r_h, pos.size, rng)
-            locals_.append(pos[chosen])
-            conds.append(np.full(chosen.size, r_h / pos.size))
-            out_labels.extend([lab] * chosen.size)
-        local = np.concatenate(locals_)
-        cond = np.concatenate(conds)
-        order = np.argsort(local, kind="stable")
-        sel_labels = tuple(np.asarray(out_labels)[order])
-        return local[order], cond[order], sel_labels, tuple(labels)
-    raise dz.DesignError(f"unknown phase-2 rule {rule!r}")
-
-
-def _phase2_strata(rule, phase1_sample, frame):
-    if rule.column == "stratum":
-        return phase1_sample.stratum_labels()
-    x = frame.aux[phase1_sample.idx, int(rule.column)]
-    if rule.boundaries is None:
-        raise dz.DesignError("numeric phase-2 stratification needs boundaries")
-    cuts = np.asarray(rule.boundaries, dtype=float)
-    return tuple(str(int(k)) for k in np.searchsorted(cuts, x, side="left"))
+    """Two-stage sampling under the invariance and independence of `TwoStage`."""
+    return dz.TwoStage(psu_design, ssu_design, per_cluster).draw(frame, as_generator(rng))
 
 
 def select_two_phase(frame, phase1_design, phase2_rule, rng):
-    """Two-phase sampling: the phase-2 rule may read phase-1 observations,
-    which breaks invariance on purpose.  The sample records pi^(1), the
-    conditional pi_{2|1}, and their product as the overall pi*."""
-    rng = as_generator(rng)
-    s1 = select(phase1_design, frame, rng)
-    local, cond, labels, all_labels = _phase2_conditional(phase2_rule, s1, frame, rng)
-    if np.any(local >= s1.idx.size):
-        raise ValueError("phase-2 rule selected a unit outside the phase-1 sample")
-    idx = s1.idx[local]
-    pi_star = s1.pi[local] * cond
-    return Sample(frame, idx, pi_star, conditional_pi=cond,
-                  design_tag="two_phase", phase1=s1,
-                  psu_labels=labels, phase1_labels=all_labels)
+    """Two-phase sampling: the phase-2 rule may read phase-1 observations."""
+    return dz.TwoPhase(phase1_design, phase2_rule).draw(frame, as_generator(rng))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from .core import Sample, enumerate_design, first_order_pips
-from .design import RngStream
+from .design import Design, DesignError, RngStream, as_generator
 from .designs import select
 
 __all__ = ["exact_expectation", "monte_carlo", "sample_from_ids"]
@@ -42,86 +42,9 @@ def design_consistency_mc(design, frame, R, rng):
     the replicate HT (or Hansen-Hurwitz) totals of the frame's y.
 
     Leaf designs run through one batched kernel call; nested designs fall
-    back to the generic selection loop."""
-    from . import design as dz
-    from . import kernels
-    from .core import (_cluster_frame, _n2_draw_probs, _rejective_working,
-                       _systematic_interval, first_order_pips)
-    from .estimators import ht_total
-    from .frame import Frame
-
-    y = frame.y_column()
-    N = frame.n_units
-    if isinstance(design, dz.Stratified):
-        # strata draw independently, so the replicate law factorizes:
-        # adding per-stratum replicate totals from disjoint stream
-        # stretches reproduces the stratified estimator's distribution
-        hits = np.zeros(N)
-        vals = np.zeros(R)
-        for label, idx in frame.strata():
-            h, v = design_consistency_mc(design.child(label),
-                                         frame.restrict(idx), R, rng)
-            hits[idx] += h
-            vals += v
-        return hits, vals
-    if isinstance(design, dz.OneStageCluster):
-        # observing every element of each drawn cluster is exactly a
-        # single-stage draw of the cluster totals
-        cframe = _cluster_frame(frame)
-        members = frame.clusters()
-        totals = np.array([y[m].sum() for _, m in members])
-        cf = Frame(ids=cframe.ids, mos=cframe.mos, y=totals)
-        h, v = design_consistency_mc(design.psu, cf, R, rng)
-        hits = np.zeros(N)
-        for k, (_, m) in enumerate(members):
-            hits[m] = h[k]
-        return hits, v
-    srs_codes = {"draw_by_draw": 0, "selection_rejection": 1,
-                 "reservoir": 2, "random_sort": 3}
-    if isinstance(design, dz.SRS):
-        w = y / (design.n / N)
-        return kernels.mc_srs(srs_codes[design.method], design.n, N, R, w, rng)
-    if isinstance(design, dz.SRSWR):
-        w = y * N / design.n
-        return kernels.mc_wr_draws(0, design.n, N, np.cumsum(frame.mos), 0.0,
-                                   R, w, rng)
-    if isinstance(design, dz.PPSWR):
-        p = frame.mos / frame.mos.sum()
-        w = y / (design.n * p)
-        bound = design.bound
-        if bound is None:
-            bound = float(frame.mos.max()) * (1 + 1e-12)
-        kind = 1 if design.method == "cumulative" else 2
-        return kernels.mc_wr_draws(kind, design.n, N, np.cumsum(frame.mos),
-                                   float(bound), R, w, rng)
-    if isinstance(design, (dz.Bernoulli, dz.Poisson)):
-        pi = first_order_pips(design, frame).first_order
-        return kernels.mc_poisson(pi, R, y / pi, rng)
-    if isinstance(design, dz.Systematic):
-        G = _systematic_interval(design.n, N)
-        return kernels.mc_systematic(N, G, R, y * G, rng)
-    if isinstance(design, dz.SystematicPPS):
-        pi = first_order_pips(design, frame).first_order
-        return kernels.mc_systematic_pps(frame.mos, design.n, R, y / pi, rng)
-    if isinstance(design, (dz.Brewer2, dz.Durbin2)):
-        p = _n2_draw_probs(frame.mos)
-        kind = 0 if isinstance(design, dz.Brewer2) else 1
-        return kernels.mc_n2(kind, p, R, y / (2 * p), rng)
-    if isinstance(design, dz.Chao):
-        pi = first_order_pips(design, frame).first_order
-        return kernels.mc_chao(frame.mos, design.n, R, y / pi, rng)
-    if isinstance(design, dz.RejectivePoisson):
-        work = _rejective_working(design, frame)
-        pi = first_order_pips(design, frame).first_order
-        return kernels.mc_rejective(work, design.n, design.max_tries, R,
-                                    y / pi, rng)
-    hits = np.zeros(N)
-    vals = np.empty(R)
-    for r in range(R):
-        s = select(design, frame, rng)
-        hits[s.idx] += 1
-        vals[r] = ht_total(s, y[s.idx]).value
-    return hits, vals
+    back to the generic selection loop (`Design.mc_batch`)."""
+    Design.require(design, DesignError, "cannot select from {}")
+    return design.mc_batch(frame, R, as_generator(rng))
 
 
 def monte_carlo(design, frame, estimator, R, seed, stream=0):

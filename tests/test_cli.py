@@ -45,6 +45,44 @@ def frame_path(tmp_path):
     return str(p)
 
 
+# every design type once, the three phase-2 rules inside two-phase designs,
+# and every optional field set (per_cluster, max_tries, bound, rates, ...)
+ROUND_TRIP_CASES = {
+    "srs": sk.SRS(3, "reservoir"),
+    "srswr": sk.SRSWR(4),
+    "bernoulli": sk.Bernoulli(0.25),
+    "poisson": sk.Poisson((0.5, 0.25, 1.0)),
+    "systematic": sk.Systematic(2),
+    "systematic_pps": sk.SystematicPPS(2),
+    "ppswr": sk.PPSWR(3, "lahiri", 12.5),
+    "brewer2": sk.Brewer2(),
+    "durbin2": sk.Durbin2(),
+    "chao": sk.Chao(2),
+    "rejective_poisson": sk.RejectivePoisson(2, (0.2, 0.5, 0.3), max_tries=10),
+    "stratified": sk.Stratified({"a": sk.SRS(1), "b": sk.Chao(2)}),
+    "one_stage_cluster": sk.OneStageCluster(sk.SystematicPPS(2)),
+    "two_stage": sk.TwoStage(sk.SRS(2), sk.SRS(1), per_cluster={"c1": sk.Bernoulli(0.5)}),
+    "two_phase": sk.TwoPhase(sk.SRS(3), sk.StratifyOnAux(column="stratum", rate=0.5)),
+    "two_phase-stratify-numeric": sk.TwoPhase(sk.SRS(3), sk.StratifyOnAux(
+        column=0, rates={"0": 0.5, "1": 0.25}, boundaries=(2.0,))),
+    "two_phase-keep_all": sk.TwoPhase(sk.PPSWR(3), sk.KeepAll()),
+    "two_phase-poisson": sk.TwoPhase(sk.SRS(3), sk.PoissonOnAux(2, column=1)),
+}
+
+MALFORMED_DOCUMENTS = {
+    "phase2-list": {"two_phase": {"phase1": {"srs": {"n": 2}}, "phase2": []}},
+    "phase2-empty": {"two_phase": {"phase1": {"srs": {"n": 2}}, "phase2": {}}},
+    "two_stage-no-ssu": {"two_stage": {"psu": {"srs": {"n": 1}}}},
+    "poisson-rule-no-r": {"two_phase": {"phase1": {"srs": {"n": 2}},
+                                        "phase2": {"poisson": {"column": 0}}}},
+    "stratified-list": {"stratified": [1]},
+    "srs-bad-method": {"srs": {"n": 2, "method": "bogus"}},
+    "srs-misspelled-field": {"srs": {"n": 2, "methd": "reservoir"}},
+    "unknown-key": {"warp": {}},
+    "not-a-mapping": [],
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -63,14 +101,61 @@ class TestDraw:
         assert payload["schema"] == 1
         assert len(payload["ids"]) == 2
 
-    def test_design_file_round_trip(self):
-        from surveykit.design import design_from_dict, design_to_dict
+    @pytest.mark.parametrize("design", ROUND_TRIP_CASES.values(), ids=ROUND_TRIP_CASES)
+    def test_design_file_round_trip(self, design, tmp_path):
+        from surveykit.design import design_from_dict, design_to_dict, load_design
 
-        design = design_from_dict({"two_phase": {
-            "phase1": {"srs": {"n": 3}},
-            "phase2": {"stratify": {"column": "stratum", "rate": 0.5}},
-        }})
-        assert design_from_dict(design_to_dict(design)) == design
+        doc = design_to_dict(design)
+        assert design_from_dict(doc) == design
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_design(str(path)) == design
+
+    def test_documents_keep_their_form(self):
+        from surveykit.design import design_to_dict
+
+        srs = {"srs": {"n": 2, "method": "selection_rejection"}}
+        assert design_to_dict(sk.Stratified({"a": sk.SRS(2)})) == {"stratified": {"a": srs}}
+        assert design_to_dict(sk.TwoStage(sk.SRS(2), sk.SRS(2))) == {
+            "two_stage": {"psu": srs, "ssu": srs}}
+        assert design_to_dict(sk.PPSWR(3)) == {"ppswr": {"n": 3, "method": "cumulative"}}
+        assert design_to_dict(sk.TwoPhase(sk.SRS(2), sk.StratifyOnAux(
+            rates={"a": 0.5}, boundaries=(1.0, 2.0)))) == {"two_phase": {
+                "phase1": srs, "phase2": {"stratify": {
+                    "column": "stratum", "rates": {"a": 0.5}, "boundaries": [1.0, 2.0]}}}}
+
+    def test_callable_rule_cannot_be_written(self):
+        from surveykit.design import DesignError, design_to_dict
+
+        with pytest.raises(DesignError):
+            design_to_dict(sk.TwoPhase(sk.SRS(2), lambda s1, frame, rng: None))
+
+    @pytest.mark.parametrize("doc", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS)
+    def test_malformed_document_raises_design_error(self, doc):
+        from surveykit.design import DesignError, design_from_dict
+
+        with pytest.raises(DesignError):
+            design_from_dict(doc)
+
+    def test_malformed_design_file_exit_2(self, frame_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"two_stage": {"psu": {"srs": {"n": 1}}}}', encoding="utf-8")
+        code, _, err = run_cli(capsys, "draw", "--frame", frame_path,
+                               "--design-file", str(bad), "--seed", "1")
+        assert code == 2 and "two_stage" in err
+        bad.write_text('{"srs": ', encoding="utf-8")
+        code, _, _ = run_cli(capsys, "draw", "--frame", frame_path,
+                             "--design-file", str(bad), "--seed", "1")
+        assert code == 2
+
+    def test_toml_without_tomllib_is_a_design_error(self, tmp_path, monkeypatch):
+        from surveykit.design import DesignError, load_design
+
+        path = tmp_path / "design.toml"
+        path.write_text("[srs]\nn = 2\n", encoding="utf-8")
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        with pytest.raises(DesignError, match="3.11"):
+            load_design(str(path))
 
     def test_invalid_nesting_rejected(self):
         from surveykit.design import DesignError, design_from_dict

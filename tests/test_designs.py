@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import surveykit as sk
-from surveykit.design import RngStream
+from surveykit.design import DesignError, RngStream
 
 R_SMALL = 20_000
 
@@ -42,6 +42,16 @@ class TestDeterminism:
         draws = {tuple(sk.select(sk.SRS(2), mos_frame, RngStream(7, s)).idx)
                  for s in range(40)}
         assert len(draws) > 1
+
+
+@pytest.mark.parametrize("make", [
+    sk.SRS, sk.SRSWR, sk.Systematic, sk.SystematicPPS, sk.PPSWR, sk.Chao,
+    sk.RejectivePoisson,
+], ids=lambda make: make.__name__)
+@pytest.mark.parametrize("n", [0, -1])
+def test_fixed_size_below_one_rejected_at_construction(make, n):
+    with pytest.raises(DesignError, match="n >= 1"):
+        make(n)
 
 
 class TestSRS:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import surveykit as sk
+from surveykit.simulate import design_consistency_mc
 
 from conftest import example_design_distribution
 
@@ -112,3 +113,34 @@ class TestMonteCarlo:
         reps = out["replicates"]
         shuffled = reps[np.random.default_rng(1).permutation(500)]
         assert math.fsum(shuffled) / 500 == pytest.approx(out["mean"], abs=1e-12)
+
+
+class TestDesignConsistencyMC:
+    @pytest.fixture
+    def frame(self):
+        return sk.Frame(ids=tuple("abcdefgh"), cluster=tuple("aabbccdd"),
+                        y=np.arange(1.0, 9.0))
+
+    def test_exhausted_rejective_tries_raise(self, frame):
+        # with one try per replicate most replicates fail; none may be
+        # counted as an empty sample
+        with pytest.raises(RuntimeError, match="1 tries"):
+            design_consistency_mc(sk.RejectivePoisson(3, max_tries=1), frame, 200,
+                                  np.random.default_rng(1))
+
+    def test_oversized_srs_raises(self, frame):
+        with pytest.raises(ValueError, match="cannot draw 9"):
+            design_consistency_mc(sk.SRS(9), frame, 10, np.random.default_rng(1))
+
+    def test_chao_certainty_units_raise(self):
+        frame = sk.Frame(ids=tuple("abcd"), mos=np.array([1.0, 1.0, 1.0, 9.0]),
+                         y=np.ones(4))
+        with pytest.raises(ValueError, match="certainty"):
+            design_consistency_mc(sk.Chao(2), frame, 10, np.random.default_rng(1))
+
+    def test_rng_stream_is_one_stream_for_the_whole_loop(self, frame):
+        # nested designs draw replicate by replicate; every replicate must
+        # continue the stream, not restart it
+        _, values = design_consistency_mc(sk.TwoStage(sk.SRS(2), sk.SRS(1)), frame,
+                                          50, sk.RngStream(3))
+        assert len(set(values)) > 1
