@@ -158,12 +158,14 @@ class Design(_Document):
                             the frame's y
     to_dict() / from_dict   the document form, {key: {field: value}}
 
-    Defaults: `joint` builds the matrix from the support, `first_order` and
-    `support` raise NonEnumerableError, and `mc_batch` loops over
-    `designs.select`.  The public entry points (`core.first_order_pips`,
-    `joint_pips`, `enumerate_design`, `designs.select`,
-    `simulate.design_consistency_mc`) delegate here, and nested designs
-    reach their children through those entry points.
+    A leaf design (`_Leaf`) supplies its kernel binding instead of `draw`
+    and `mc_batch`, which both follow from it.  Defaults: `joint` builds the
+    matrix from the support, `first_order` and `support` raise
+    NonEnumerableError, and `mc_batch` loops over `designs.select`.  The
+    public entry points (`core.first_order_pips`, `joint_pips`,
+    `enumerate_design`, `designs.select`, `simulate.design_consistency_mc`)
+    delegate here, and nested designs reach their children through those
+    entry points.
     """
 
     registry = {}
@@ -203,7 +205,41 @@ class Design(_Document):
         return hits, vals
 
 
-class _Sized(Design):
+class _Leaf(Design):
+    """A design drawn by one kernel call.  `_bind(frame)` runs every check
+    the design makes on the frame and returns its kernel binding
+
+        (kernel, args, p, tag)
+
+    where kernel(*args, rng) draws one sample's frame indices (every draw,
+    repeats included, for with-replacement designs), p holds each unit's
+    inclusion probability (draw probability with replacement) and tag is
+    the Sample's design tag.  `draw` and `mc_batch` follow from the
+    binding, so a Monte Carlo replicate is exactly one `select`."""
+
+    with_replacement = False
+    flags = ()
+
+    def draw(self, frame, rng):
+        return self._sample(frame, self._bind(frame), rng)
+
+    def _sample(self, frame, binding, rng):
+        kernel, args, p, tag = binding
+        idx = kernel(*args, rng)
+        if not self.with_replacement:
+            return Sample(frame, idx, p[idx], design_tag=tag, flags=self.flags)
+        idx, mult = np.unique(idx, return_counts=True)
+        return Sample(frame, idx, p[idx], multiplicity=mult, with_replacement=True,
+                      design_tag=tag, flags=self.flags)
+
+    def mc_batch(self, frame, R, rng):
+        kernel, args, p, _ = self._bind(frame)
+        y = frame.y_column()
+        wvec = y / (self.n * p) if self.with_replacement else y / p
+        return kernels.mc_draws(kernel, args, self.with_replacement, R, wvec, rng)
+
+
+class _Sized(_Leaf):
     """A design with a fixed sample size (or number of draws) n >= 1."""
 
     def __post_init__(self):
@@ -213,6 +249,8 @@ class _Sized(Design):
 
 @dataclass(frozen=True)
 class SRS(_Sized):
+    """All four methods draw from the uniform law over n-subsets."""
+
     n: int
     method: str = "selection_rejection"
     key = "srs"
@@ -243,18 +281,11 @@ class SRS(_Sized):
                    for combo in itertools.combinations(range(N), self.n)]
         return DesignDistribution(_sorted_support(entries), frame)
 
-    def draw(self, frame, rng):
-        """All four methods draw from the uniform law over n-subsets."""
-        N, n = frame.n_units, self.n
-        _check_srs_size(n, N)
-        idx = getattr(kernels, f"srs_{self.method}")(n, N, rng)
-        return Sample(frame, idx, np.full(n, n / N), design_tag=f"srs:{self.method}")
-
-    def mc_batch(self, frame, R, rng):
+    def _bind(self, frame):
         N = frame.n_units
         _check_srs_size(self.n, N)
-        return kernels.mc_srs(SRS_METHODS.index(self.method), self.n, N, R,
-                              frame.y_column() / (self.n / N), rng)
+        return (getattr(kernels, f"srs_{self.method}"), (self.n, N), np.full(N, self.n / N),
+                f"srs:{self.method}")
 
 
 @dataclass(frozen=True)
@@ -264,21 +295,15 @@ class SRSWR(_Sized):
 
     n: int
     key = "srswr"
+    with_replacement = True
 
     def first_order(self, frame):
         N = frame.n_units
         return InclusionProbs(np.full(N, 1.0 / N), kind="draw_prob")
 
-    def draw(self, frame, rng):
-        N = frame.n_units
-        idx, mult = np.unique(kernels.srswr_draws(self.n, N, rng), return_counts=True)
-        return Sample(frame, idx, np.full(idx.size, 1.0 / N), multiplicity=mult,
-                      with_replacement=True, design_tag="srswr")
-
-    def mc_batch(self, frame, R, rng):
-        N = frame.n_units
-        return kernels.mc_wr_draws(0, self.n, N, np.cumsum(frame.mos), 0.0, R,
-                                   frame.y_column() * N / self.n, rng)
+    def _bind(self, frame):
+        return (kernels.srswr_draws, (self.n, frame.n_units),
+                self.first_order(frame).first_order, "srswr")
 
 
 class _Independent(Design):
@@ -364,16 +389,10 @@ class Systematic(_Sized):
                    for r in range(G)]
         return DesignDistribution(_sorted_support(entries), frame)
 
-    def draw(self, frame, rng):
+    def _bind(self, frame):
         N = frame.n_units
         G = self._interval(N)
-        idx = kernels.systematic_select(N, G, rng)
-        return Sample(frame, idx, np.full(idx.size, 1.0 / G), design_tag="systematic")
-
-    def mc_batch(self, frame, R, rng):
-        N = frame.n_units
-        G = self._interval(N)
-        return kernels.mc_systematic(N, G, R, frame.y_column() * G, rng)
+        return kernels.systematic_select, (N, G), np.full(N, 1.0 / G), "systematic"
 
 
 @dataclass(frozen=True)
@@ -420,18 +439,12 @@ class SystematicPPS(_Sized):
             entries[key] = entries.get(key, 0.0) + (hi - lo) / a
         return DesignDistribution(tuple(sorted(entries.items())), frame)
 
-    def draw(self, frame, rng):
+    def _bind(self, frame):
         x = frame.mos
-        pi = self.n * x / x.sum()
         self._interval(x)
         _name_zero_units(x, frame)
-        idx = kernels.systematic_pps_select(x, self.n, rng)
-        return Sample(frame, idx, pi[idx], design_tag="systematic_pips")
-
-    def mc_batch(self, frame, R, rng):
-        pi = self.first_order(frame).first_order
-        return kernels.mc_systematic_pps(frame.mos, self.n, R,
-                                         frame.y_column() / pi, rng)
+        return (kernels.systematic_pps_select, (x, self.n), self.n * x / x.sum(),
+                "systematic_pips")
 
 
 @dataclass(frozen=True)
@@ -443,6 +456,7 @@ class PPSWR(_Sized):
     method: str = "cumulative"
     bound: float = None  # Lahiri upper bound M > max mos
     key = "ppswr"
+    with_replacement = True
 
     def __post_init__(self):
         if self.method not in PPSWR_METHODS:
@@ -454,42 +468,30 @@ class PPSWR(_Sized):
         _name_zero_units(p, frame)
         return InclusionProbs(p, kind="draw_prob")
 
-    def draw(self, frame, rng):
-        return self._draw(frame, frame.mos, rng)
-
-    def _draw(self, frame, mos, rng):
-        """A draw with sizes `mos`, which need not be the frame's."""
-        x = np.asarray(mos, dtype=float)
+    def _bind(self, frame, mos=None):
+        """The binding with sizes `mos`, which need not be the frame's."""
+        x = np.asarray(frame.mos if mos is None else mos, dtype=float)
         if np.any(x < 0):
             raise ValueError("measure of size must be nonnegative")
         if x.sum() <= 0:
             raise ValueError("measure of size sums to zero")
-        if self.method == "cumulative":
-            draws = kernels.ppswr_cumulative(np.cumsum(x), self.n, rng)
-        else:
-            bound = self.bound
-            if bound is None:
-                bound = float(x.max()) * (1 + 1e-12) if float(x.max()) > 0 else 1.0
-            if bound <= x.max():
-                raise ValueError("Lahiri bound must exceed every measure of size")
-            draws = kernels.ppswr_lahiri(x, float(bound), self.n, rng)
-        p = x / x.sum()
-        idx, mult = np.unique(draws, return_counts=True)
-        return Sample(frame, idx, p[idx], multiplicity=mult, with_replacement=True,
-                      design_tag=f"ppswr:{self.method}")
+        kernel = getattr(kernels, f"ppswr_{self.method}")
+        args = getattr(self, f"_{self.method}_args")(x)
+        return kernel, args, x / x.sum(), f"ppswr:{self.method}"
 
-    def mc_batch(self, frame, R, rng):
-        mos = frame.mos
-        p = mos / mos.sum()
+    def _cumulative_args(self, x):
+        return np.cumsum(x), self.n
+
+    def _lahiri_args(self, x):
         bound = self.bound
         if bound is None:
-            bound = float(mos.max()) * (1 + 1e-12)
-        return kernels.mc_wr_draws(PPSWR_METHODS.index(self.method) + 1, self.n,
-                                   frame.n_units, np.cumsum(mos), float(bound), R,
-                                   frame.y_column() / (self.n * p), rng)
+            bound = float(x.max()) * (1 + 1e-12) if float(x.max()) > 0 else 1.0
+        if bound <= x.max():
+            raise ValueError("Lahiri bound must exceed every measure of size")
+        return x, float(bound), self.n
 
 
-class _N2(Design):
+class _N2(_Leaf):
     """Fixed size n = 2 with draw probabilities p = mos / sum(mos), every p
     below 1/2 (extract certainty units with compute_pips first)."""
 
@@ -510,20 +512,14 @@ class _N2(Design):
                    for i in range(p.size) for j in range(i + 1, p.size)]
         return DesignDistribution(_sorted_support(entries), frame)
 
-    def draw(self, frame, rng):
+    def _bind(self, frame):
         p = _n2_draw_probs(frame.mos)
-        idx = getattr(kernels, f"{self.key}_select")(p, rng)
-        return Sample(frame, idx, (2 * p)[idx], design_tag=self.key)
-
-    def mc_batch(self, frame, R, rng):
-        p = _n2_draw_probs(frame.mos)
-        return kernels.mc_n2(self.mc_kind, p, R, frame.y_column() / (2 * p), rng)
+        return getattr(kernels, f"{self.key}_select"), (p,), 2 * p, self.key
 
 
 @dataclass(frozen=True)
 class Brewer2(_N2):
     key = "brewer2"
-    mc_kind = 0
 
     def _two_draws(self, p):
         """First-draw probabilities and P(second = j | first = i)."""
@@ -534,7 +530,6 @@ class Brewer2(_N2):
 @dataclass(frozen=True)
 class Durbin2(_N2):
     key = "durbin2"
-    mc_kind = 1
 
     def _two_draws(self, p):
         """First-draw probabilities and P(second = j | first = i)."""
@@ -560,20 +555,12 @@ class Chao(_Sized):
         pi[:n] = x[:n].sum() / total
         return InclusionProbs(pi)
 
-    def _check_stream(self, x):
+    def _bind(self, frame):
+        pi = self.first_order(frame).first_order
+        x = frame.mos
         if np.any(self.n * x[self.n:] / np.cumsum(x)[self.n:] > 1 + 1e-12):
             raise ValueError(_ABOVE_CERTAINTY)
-
-    def draw(self, frame, rng):
-        pi = self.first_order(frame).first_order
-        self._check_stream(frame.mos)
-        idx = kernels.chao_select(frame.mos, self.n, rng)
-        return Sample(frame, idx, pi[idx], design_tag="chao")
-
-    def mc_batch(self, frame, R, rng):
-        pi = self.first_order(frame).first_order
-        self._check_stream(frame.mos)
-        return kernels.mc_chao(frame.mos, self.n, R, frame.y_column() / pi, rng)
+        return kernels.chao_select, (x, self.n), pi, "chao"
 
 
 @dataclass(frozen=True)
@@ -586,6 +573,7 @@ class RejectivePoisson(_Sized):
     working_pi: tuple = None  # defaults to compute_pips(mos, n)
     max_tries: int = 1_000_000
     key = "rejective_poisson"
+    flags = ("pi_is_conditional_marginal",)
 
     def __post_init__(self):
         super().__post_init__()
@@ -617,22 +605,24 @@ class RejectivePoisson(_Sized):
         entries = [(s, p / total) for s, p in entries]
         return DesignDistribution(_sorted_support(entries), frame)
 
-    def draw(self, frame, rng):
+    def _bind(self, frame):
         work = self._working(frame)
-        idx = kernels.rejective_poisson_select(work, self.n, self.max_tries, rng)
-        if idx.size == 0:
-            raise RuntimeError(f"rejective sampling failed after {self.max_tries} tries")
-        exact = conditional_poisson_pips(work, self.n)
-        return Sample(frame, idx, exact[idx], design_tag="rejective_poisson",
-                      flags=("pi_is_conditional_marginal",))
+        return (kernels.rejective_poisson_select, (work, self.n, self.max_tries),
+                conditional_poisson_pips(work, self.n), "rejective_poisson")
+
+    def _ran_out(self):
+        return RuntimeError(f"rejective sampling failed after {self.max_tries} tries")
+
+    def draw(self, frame, rng):
+        sample = super().draw(frame, rng)
+        if sample.idx.size == 0:  # the kernel ran out of tries
+            raise self._ran_out()
+        return sample
 
     def mc_batch(self, frame, R, rng):
-        work = self._working(frame)
-        pi = self.first_order(frame).first_order
-        hits, vals = kernels.mc_rejective(work, self.n, self.max_tries, R,
-                                          frame.y_column() / pi, rng)
+        hits, vals = super().mc_batch(frame, R, rng)
         if hits.sum() < R * self.n:  # a replicate ran out of tries
-            raise RuntimeError(f"rejective sampling failed after {self.max_tries} tries")
+            raise self._ran_out()
         return hits, vals
 
 
@@ -846,6 +836,14 @@ class StratifyOnAux(Phase2Rule):
     boundaries: tuple = None  # cut points when stratifying a numeric column
     key = "stratify"
 
+    def __post_init__(self):
+        super().__post_init__()
+        if (self.rate is None) == (self.rates is None):
+            raise DesignError("a stratify rule needs exactly one of rate and rates")
+        fractions = [self.rate] if self.rates is None else [v for _, v in self.rates]
+        if any(not 0 < nu <= 1 for nu in fractions):
+            raise DesignError("phase-2 subsampling fractions must be in (0, 1]")
+
     def _strata(self, phase1_sample, frame):
         if self.column == "stratum":
             return phase1_sample.stratum_labels()
@@ -885,6 +883,10 @@ class PoissonOnAux(Phase2Rule):
     r: int
     column: int = 0
     key = "poisson"
+
+    def __post_init__(self):
+        if self.r < 1:
+            raise DesignError("a poisson rule needs expected size r >= 1")
 
     def __call__(self, phase1_sample, frame, rng):
         x = frame.aux[phase1_sample.idx, self.column]

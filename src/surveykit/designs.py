@@ -95,7 +95,8 @@ def select_systematic(frame, n, rng):
 
 def select_pps_wr(frame, mos, n, method="cumulative", rng=None, bound=None):
     """PPS with replacement: n draws with P(draw = i) proportional to mos."""
-    return dz.PPSWR(n, method, bound)._draw(frame, mos, as_generator(rng))
+    design = dz.PPSWR(n, method, bound)
+    return design._sample(frame, design._bind(frame, mos), as_generator(rng))
 
 
 def select_stratified(frame, per_stratum_designs, rng):

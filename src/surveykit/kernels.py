@@ -232,63 +232,36 @@ def rejective_poisson_select(pi, n, max_tries, rng):
 
 
 # ---------------------------------------------------------------------------
-# Batched Monte Carlo drivers.  One compiled call runs R replicates of a
-# leaf design, accumulating per-unit selection counts and the replicate
-# values of sum(wvec) over the sample (with wvec = y/pi this is the HT
-# total, with wvec = y/(n p) the with-replacement form).  These exist
-# because replicate loops are the package's hot path; a per-replicate
-# Python round trip would swamp the kernels.
+# Batched Monte Carlo loops.  One call runs R replicates of a leaf design
+# and returns per-unit appearance counts and the replicate values of
+# sum(wvec) over each sample (with wvec = y/pi the HT total, with
+# wvec = y/(n p) the Hansen-Hurwitz form).  They exist because replicate
+# loops are the package's hot path: compiled, the whole loop stays out of
+# Python, where a round trip through `select` per replicate would swamp
+# the kernels.
 
 @jit
-def _accumulate(idx, wvec, hits):
-    total = 0.0
-    for k in idx:
-        hits[k] += 1.0
-        total += wvec[k]
-    return total
-
-
-@jit
-def mc_srs(method, n, N, R, wvec, rng):
-    hits = np.zeros(N)
-    vals = np.empty(R)
-    for r in range(R):
-        if method == 0:
-            idx = srs_draw_by_draw(n, N, rng)
-        elif method == 1:
-            idx = srs_selection_rejection(n, N, rng)
-        elif method == 2:
-            idx = srs_reservoir(n, N, rng)
-        else:
-            idx = srs_random_sort(n, N, rng)
-        vals[r] = _accumulate(idx, wvec, hits)
-    return hits, vals
-
-
-@jit
-def mc_wr_draws(kind, n, N, cum, bound, R, wvec, rng):
-    # kind 0: SRSWR; 1: PPS cumulative; 2: PPS Lahiri.  wvec is per draw;
-    # hits counts distinct appearances per replicate.
+def mc_draws(select, args, with_replacement, R, wvec, rng):
+    """R replicates of `select(*args, rng)`, the kernel a design draws with.
+    With replacement, a unit drawn twice in a replicate appears once in
+    `hits` but adds its weight per draw."""
+    N = wvec.shape[0]
     hits = np.zeros(N)
     vals = np.empty(R)
     seen = np.zeros(N, dtype=np.int64)
-    x = np.empty(N)
-    x[0] = cum[0]
-    for i in range(1, N):
-        x[i] = cum[i] - cum[i - 1]
     for r in range(R):
-        if kind == 0:
-            idx = srswr_draws(n, N, rng)
-        elif kind == 1:
-            idx = ppswr_cumulative(cum, n, rng)
-        else:
-            idx = ppswr_lahiri(x, bound, n, rng)
         total = 0.0
-        for k in idx:
-            total += wvec[k]
-            if seen[k] != r + 1:
-                seen[k] = r + 1
+        idx = select(*args, rng)
+        if with_replacement:
+            for k in idx:
+                total += wvec[k]
+                if seen[k] != r + 1:
+                    seen[k] = r + 1
+                    hits[k] += 1.0
+        else:
+            for k in idx:
                 hits[k] += 1.0
+                total += wvec[k]
         vals[r] = total
     return hits, vals
 
@@ -305,54 +278,4 @@ def mc_poisson(pi, R, wvec, rng):
                 hits[i] += 1.0
                 total += wvec[i]
         vals[r] = total
-    return hits, vals
-
-
-@jit
-def mc_systematic(N, G, R, wvec, rng):
-    hits = np.zeros(N)
-    vals = np.empty(R)
-    for r in range(R):
-        idx = systematic_select(N, G, rng)
-        vals[r] = _accumulate(idx, wvec, hits)
-    return hits, vals
-
-
-@jit
-def mc_systematic_pps(x, n, R, wvec, rng):
-    hits = np.zeros(x.shape[0])
-    vals = np.empty(R)
-    for r in range(R):
-        idx = systematic_pps_select(x, n, rng)
-        vals[r] = _accumulate(idx, wvec, hits)
-    return hits, vals
-
-
-@jit
-def mc_n2(kind, p, R, wvec, rng):
-    hits = np.zeros(p.shape[0])
-    vals = np.empty(R)
-    for r in range(R):
-        idx = brewer2_select(p, rng) if kind == 0 else durbin2_select(p, rng)
-        vals[r] = _accumulate(idx, wvec, hits)
-    return hits, vals
-
-
-@jit
-def mc_chao(x, n, R, wvec, rng):
-    hits = np.zeros(x.shape[0])
-    vals = np.empty(R)
-    for r in range(R):
-        idx = chao_select(x, n, rng)
-        vals[r] = _accumulate(idx, wvec, hits)
-    return hits, vals
-
-
-@jit
-def mc_rejective(pi, n, max_tries, R, wvec, rng):
-    hits = np.zeros(pi.shape[0])
-    vals = np.empty(R)
-    for r in range(R):
-        idx = rejective_poisson_select(pi, n, max_tries, rng)
-        vals[r] = _accumulate(idx, wvec, hits)
     return hits, vals

@@ -41,8 +41,9 @@ def design_consistency_mc(design, frame, R, rng):
     counts distinct appearances per unit over R replicates and values holds
     the replicate HT (or Hansen-Hurwitz) totals of the frame's y.
 
-    Leaf designs run through one batched kernel call; nested designs fall
-    back to the generic selection loop (`Design.mc_batch`)."""
+    Leaf designs run through one batched call (`kernels.mc_draws` or
+    `mc_poisson`) over the kernel, checks and weights that `select` uses; nested designs fall back to the
+    generic selection loop (`Design.mc_batch`)."""
     Design.require(design, DesignError, "cannot select from {}")
     return design.mc_batch(frame, R, as_generator(rng))
 

@@ -80,6 +80,15 @@ MALFORMED_DOCUMENTS = {
     "srs-misspelled-field": {"srs": {"n": 2, "methd": "reservoir"}},
     "unknown-key": {"warp": {}},
     "not-a-mapping": [],
+    "stratify-rule-no-rate": {"two_phase": {"phase1": {"srs": {"n": 3}},
+                                            "phase2": {"stratify": {}}}},
+    "stratify-rule-rate-above-one": {"two_phase": {
+        "phase1": {"srs": {"n": 3}}, "phase2": {"stratify": {"rate": 1.5}}}},
+    "stratify-rule-rate-and-rates": {"two_phase": {
+        "phase1": {"srs": {"n": 3}},
+        "phase2": {"stratify": {"rate": 0.5, "rates": {"a": 0.5}}}}},
+    "poisson-rule-r-0": {"two_phase": {"phase1": {"srs": {"n": 3}},
+                                       "phase2": {"poisson": {"r": 0}}}},
 }
 
 
@@ -131,11 +140,17 @@ class TestDraw:
             design_to_dict(sk.TwoPhase(sk.SRS(2), lambda s1, frame, rng: None))
 
     @pytest.mark.parametrize("doc", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS)
-    def test_malformed_document_raises_design_error(self, doc):
+    def test_malformed_document_raises_design_error(self, doc, frame_path, tmp_path,
+                                                    capsys):
         from surveykit.design import DesignError, design_from_dict
 
         with pytest.raises(DesignError):
             design_from_dict(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "draw", "--frame", frame_path,
+                               "--design-file", str(bad), "--seed", "1")
+        assert code == 2 and out == ""
 
     def test_malformed_design_file_exit_2(self, frame_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"

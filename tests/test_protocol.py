@@ -65,6 +65,14 @@ def test_design_honours_the_protocol(cls):
             sk.enumerate_design(design, FRAME)
     hits, values = design_consistency_mc(design, FRAME, R, np.random.default_rng(7))
     assert hits.shape == (N,) and values.shape == (R,)
+    # one Monte Carlo replicate is exactly one select on the same stream
+    for seed in range(5):
+        sample = sk.select(design, FRAME, np.random.default_rng(seed))
+        hits, values = design_consistency_mc(design, FRAME, 1, np.random.default_rng(seed))
+        np.testing.assert_array_equal(np.flatnonzero(hits), sample.idx)
+        assert set(hits[sample.idx]) == {1.0}
+        total = sk.ht_total(sample, FRAME.y[sample.idx]).value
+        assert values[0] == pytest.approx(total, rel=1e-12, abs=0)
 
 
 def test_non_designs_are_rejected_by_every_entry_point():

@@ -132,6 +132,17 @@ class TestDesignConsistencyMC:
         with pytest.raises(ValueError, match="cannot draw 9"):
             design_consistency_mc(sk.SRS(9), frame, 10, np.random.default_rng(1))
 
+    def test_lahiri_bound_below_the_largest_size_raises(self):
+        # the batch must refuse what select refuses
+        frame = sk.Frame(ids=tuple("abcd"), mos=np.array([1.0, 2.0, 3.0, 4.0]),
+                         y=np.ones(4))
+        design = sk.PPSWR(2, "lahiri", bound=2.0)
+        with pytest.raises(ValueError, match="Lahiri bound") as drawn:
+            sk.select(design, frame, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="Lahiri bound") as batched:
+            design_consistency_mc(design, frame, 20000, np.random.default_rng(1))
+        assert str(batched.value) == str(drawn.value)
+
     def test_chao_certainty_units_raise(self):
         frame = sk.Frame(ids=tuple("abcd"), mos=np.array([1.0, 1.0, 1.0, 9.0]),
                          y=np.ones(4))
