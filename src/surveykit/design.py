@@ -469,12 +469,16 @@ class PPSWR(_Sized):
         return InclusionProbs(p, kind="draw_prob")
 
     def _bind(self, frame, mos=None):
-        """The binding with sizes `mos`, which need not be the frame's."""
+        """The binding with sizes `mos`, which need not be the frame's and
+        may hold zeros (units never drawn); the frame's own sizes may not,
+        as in `first_order`."""
         x = np.asarray(frame.mos if mos is None else mos, dtype=float)
         if np.any(x < 0):
             raise ValueError("measure of size must be nonnegative")
         if x.sum() <= 0:
             raise ValueError("measure of size sums to zero")
+        if mos is None:
+            _name_zero_units(x, frame)
         kernel = getattr(kernels, f"ppswr_{self.method}")
         args = getattr(self, f"_{self.method}_args")(x)
         return kernel, args, x / x.sum(), f"ppswr:{self.method}"
@@ -514,6 +518,7 @@ class _N2(_Leaf):
 
     def _bind(self, frame):
         p = _n2_draw_probs(frame.mos)
+        _name_zero_units(p, frame)
         return getattr(kernels, f"{self.key}_select"), (p,), 2 * p, self.key
 
 
@@ -550,6 +555,7 @@ class Chao(_Sized):
 
     def first_order(self, frame):
         n, x, total = self.n, frame.mos, frame.mos.sum()
+        _check_srs_size(n, frame.n_units)
         _name_zero_units(x, frame)
         pi = n * x / total
         pi[:n] = x[:n].sum() / total

@@ -5,11 +5,18 @@ are compiled with numba when the numba backend is active and run as plain
 Python otherwise; both paths consume the Generator identically (randomness
 enters only through ``rng.random()``), so the selected indices are
 bit-for-bit reproducible across backends.
+
+The batched Monte Carlo functions `mc_draws` and `mc_poisson` run R replicates
+in one call.  On numpy they also draw uniforms as ``rng.random(shape)``
+blocks of the same stream, which hold exactly the doubles the scalar calls
+would return, so their output matches the scalar loops bit for bit too.
 """
+
+import inspect
 
 import numpy as np
 
-from ._backend import jit
+from ._backend import ACTIVE_BACKEND, jit
 
 __all__ = [
     "srs_draw_by_draw", "srs_selection_rejection", "srs_reservoir",
@@ -232,16 +239,29 @@ def rejective_poisson_select(pi, n, max_tries, rng):
 
 
 # ---------------------------------------------------------------------------
-# Batched Monte Carlo loops.  One call runs R replicates of a leaf design
-# and returns per-unit appearance counts and the replicate values of
-# sum(wvec) over each sample (with wvec = y/pi the HT total, with
-# wvec = y/(n p) the Hansen-Hurwitz form).  They exist because replicate
-# loops are the package's hot path: compiled, the whole loop stays out of
-# Python, where a round trip through `select` per replicate would swamp
-# the kernels.
+# Batched Monte Carlo.  One call runs R replicates of a leaf design and
+# returns per-unit appearance counts and the replicate values of sum(wvec)
+# over each sample (with wvec = y/pi the HT total, with wvec = y/(n p) the
+# Hansen-Hurwitz form).  Replicate loops are the package's hot path, where
+# a round trip through `select` per replicate would swamp the kernels:
+#
+# - compiled (numba), the scalar loops `_mc_draws_loop` and
+#   `_mc_poisson_loop` keep the whole run out of Python;
+# - on numpy, a kernel that takes a fixed number k of uniforms per draw has
+#   a batched form that draws one `rng.random((rows, k))` block per chunk of
+#   replicates.  A block holds exactly the doubles of rows * k scalar calls,
+#   replicate after replicate, and leaves the Generator where those calls
+#   would, so hits, values and the stream afterwards are bit-identical to
+#   the scalar loop.  Every sum keeps the scalar loops' order, left to right
+#   from 0.0 (`np.cumsum`, never the pairwise `x.sum()`).  Kernels with a
+#   random uniform count (selection-rejection, Lahiri, Chao, rejective
+#   Poisson) run the scalar loop.
+
+_CHUNK_CELLS = 1 << 16  # the most cells one table of a batch holds
+
 
 @jit
-def mc_draws(select, args, with_replacement, R, wvec, rng):
+def _mc_draws_loop(select, args, with_replacement, R, wvec, rng):
     """R replicates of `select(*args, rng)`, the kernel a design draws with.
     With replacement, a unit drawn twice in a replicate appears once in
     `hits` but adds its weight per draw."""
@@ -267,7 +287,7 @@ def mc_draws(select, args, with_replacement, R, wvec, rng):
 
 
 @jit
-def mc_poisson(pi, R, wvec, rng):
+def _mc_poisson_loop(pi, R, wvec, rng):
     N = pi.shape[0]
     hits = np.zeros(N)
     vals = np.empty(R)
@@ -278,4 +298,185 @@ def mc_poisson(pi, R, wvec, rng):
                 hits[i] += 1.0
                 total += wvec[i]
         vals[r] = total
+    return hits, vals
+
+
+def _chunks(R, width):
+    """Row counts of the chunks R replicates run in, so that a table of
+    `width` columns holds at most _CHUNK_CELLS cells."""
+    step = max(1, _CHUNK_CELLS // max(width, 1))
+    for start in range(0, R, step):
+        yield min(step, R - start)
+
+
+def _row_totals(w):
+    """Each row of w added left to right from 0.0, as the scalar loops add.
+    A cumsum row starting at -0.0 may end at -0.0 where the loop, starting
+    at +0.0, ends at +0.0; adding 0.0 maps it there and changes nothing
+    else."""
+    return np.cumsum(w, axis=1)[:, -1] + 0.0
+
+
+def _unit_indices(u, m):
+    # _unit_index over an array of uniforms; m may vary by column
+    return np.minimum((u * m).astype(np.int64), m - 1)
+
+
+def _in_frame(idx, N):
+    # where the scalar kernel would step past the last unit, fail as it does
+    if idx.size and idx.max() >= N:
+        raise IndexError(f"index {N} is out of bounds for axis 0 with size {N}")
+    return idx
+
+
+# Batched forms: `form(*args, R, rng)` yields, chunk by chunk, the index rows
+# kernel(*args, rng) returns for consecutive replicates, in its output order.
+
+def _srs_draw_by_draw_rows(n, N, R, rng):
+    for rows in _chunks(R, N):
+        u = rng.random((rows, n))
+        pool = np.tile(np.arange(N, dtype=np.int64), (rows, 1))
+        out = np.empty((rows, n), dtype=np.int64)
+        r = np.arange(rows)
+        for k in range(n):
+            m = N - k
+            j = _unit_indices(u[:, k], m)
+            out[:, k] = pool[r, j]
+            pool[r, j] = pool[:, m - 1]
+        yield np.sort(out, axis=1)
+
+
+def _srs_reservoir_rows(n, N, R, rng):
+    stream = np.arange(n, N)
+    for rows in _chunks(R, N):
+        j = _unit_indices(rng.random((rows, N - n)), stream + 1)
+        res = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
+        # the loop's last write to slot j wins, and it writes the largest k
+        r, c = np.nonzero(j < n)
+        np.maximum.at(res, (r, j[r, c]), stream[c])
+        yield np.sort(res, axis=1)
+
+
+def _srs_random_sort_rows(n, N, R, rng):
+    for rows in _chunks(R, N):
+        order = np.argsort(-rng.random((rows, N)), axis=1)
+        yield np.sort(order[:, :n], axis=1)
+
+
+def _srswr_draws_rows(n, N, R, rng):
+    for rows in _chunks(R, n):
+        yield _unit_indices(rng.random((rows, n)), N)
+
+
+def _systematic_select_rows(N, G, R, rng):
+    # rows are ragged (n or n+1 units); index N pads the short ones
+    steps = np.arange((N - 1) // G + 1) * G
+    for rows in _chunks(R, steps.size):
+        idx = _unit_indices(rng.random((rows, 1)), G) + steps
+        idx[idx >= N] = N
+        yield idx
+
+
+def _systematic_pps_select_rows(x, n, R, rng):
+    cum = np.cumsum(x)  # the loop's running `upper`
+    a = cum[-1] / n
+    steps = np.arange(n) * a
+    for rows in _chunks(R, n):
+        start = (1.0 - rng.random((rows, 1))) * a
+        # the loop stops at the first j with pos <= upper
+        yield _in_frame(np.searchsorted(cum, start + steps), x.shape[0])
+
+
+def _ppswr_cumulative_rows(cum, n, R, rng):
+    total = cum[cum.shape[0] - 1]
+    for rows in _chunks(R, n):
+        u = rng.random((rows, n)) * total
+        yield _in_frame(np.searchsorted(cum, u, side="right"), cum.shape[0])
+
+
+def _categorical(cum, u):
+    """_draw_categorical for each uniform in u, given the running totals of
+    the weights it keeps: the first i with u * total < cum[i], else the
+    last."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.shape[0] - 1)
+
+
+def _n2_rows(theta, cond, R, rng):
+    """The two draws of Brewer's and Durbin's methods: the first from theta,
+    the second from cond(first) without the first unit.  Replicates are
+    grouped by their first draw, so no N x N table is built."""
+    cum = np.cumsum(theta)
+    for rows in _chunks(R, 2):
+        u = rng.random((rows, 2))
+        first = _categorical(cum, u[:, 0])
+        second = np.empty(rows, dtype=np.int64)
+        for f in np.unique(first):
+            at = first == f
+            j = _categorical(np.cumsum(np.delete(cond(f), f)), u[at, 1])
+            second[at] = j + (j >= f)
+        yield np.sort(np.stack([first, second], axis=1), axis=1)
+
+
+def _brewer2_select_rows(p, R, rng):
+    theta = p * (1.0 - p) / (1.0 - 2.0 * p)
+    return _n2_rows(theta, lambda f: p, R, rng)
+
+
+def _durbin2_select_rows(p, R, rng):
+    return _n2_rows(p, lambda f: p * (1.0 / (1.0 - 2.0 * p[f]) + 1.0 / (1.0 - 2.0 * p)),
+                    R, rng)
+
+
+# kernel -> batched form; none on numba, which runs the compiled loops
+_BATCHED = {} if ACTIVE_BACKEND == "numba" else {
+    srs_draw_by_draw: _srs_draw_by_draw_rows,
+    srs_reservoir: _srs_reservoir_rows,
+    srs_random_sort: _srs_random_sort_rows,
+    srswr_draws: _srswr_draws_rows,
+    systematic_select: _systematic_select_rows,
+    systematic_pps_select: _systematic_pps_select_rows,
+    ppswr_cumulative: _ppswr_cumulative_rows,
+    brewer2_select: _brewer2_select_rows,
+    durbin2_select: _durbin2_select_rows,
+}
+
+
+def mc_draws(select, args, with_replacement, R, wvec, rng):
+    """R replicates of `select(*args, rng)`, the kernel a design draws with:
+    (hits, vals) as `_mc_draws_loop` returns them, from the kernel's batched
+    form when it has one.  A wrapped kernel (functools.wraps, as a tracer
+    installs) is matched by the function it wraps."""
+    rows_of = _BATCHED.get(inspect.unwrap(select))
+    if rows_of is None:
+        return _mc_draws_loop(select, args, with_replacement, R, wvec, rng)
+    N = wvec.shape[0]
+    w = np.append(wvec, 0.0)  # index N pads ragged rows and weighs nothing
+    counts = np.zeros(N + 1, dtype=np.int64)
+    vals = np.empty(R)
+    done = 0
+    for idx in rows_of(*args, R, rng):
+        vals[done:done + idx.shape[0]] = _row_totals(w[idx])
+        done += idx.shape[0]
+        if with_replacement:  # a unit counts once per replicate
+            idx = np.sort(idx, axis=1)
+            idx[:, 1:][idx[:, 1:] == idx[:, :-1]] = N
+        counts += np.bincount(idx.ravel(), minlength=N + 1)
+    return counts[:N].astype(float), vals
+
+
+def mc_poisson(pi, R, wvec, rng):
+    """R replicates of independent inclusion with probabilities pi, as
+    `_mc_poisson_loop` runs them; on numpy, one (rows, N) block of uniforms
+    per chunk."""
+    if ACTIVE_BACKEND == "numba":
+        return _mc_poisson_loop(pi, R, wvec, rng)
+    N = pi.shape[0]
+    hits = np.zeros(N)
+    vals = np.empty(R)
+    done = 0
+    for rows in _chunks(R, N):
+        mask = rng.random((rows, N)) < pi
+        hits += mask.sum(axis=0)
+        vals[done:done + rows] = _row_totals(np.where(mask, wvec, 0.0))
+        done += rows
     return hits, vals

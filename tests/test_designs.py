@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import surveykit as sk
+from surveykit.core import NonProbabilityDesignError
 from surveykit.design import DesignError, RngStream
+from surveykit.simulate import design_consistency_mc
 
 R_SMALL = 20_000
 
@@ -52,6 +54,21 @@ class TestDeterminism:
 def test_fixed_size_below_one_rejected_at_construction(make, n):
     with pytest.raises(DesignError, match="n >= 1"):
         make(n)
+
+
+@pytest.mark.parametrize("design, mos", [
+    (sk.PPSWR(2, "cumulative"), (1, 0, 3, 4)), (sk.PPSWR(2, "lahiri"), (1, 0, 3, 4)),
+    (sk.Brewer2(), (1, 0, 3, 4, 2.5)), (sk.Durbin2(), (1, 0, 3, 4, 2.5)),
+], ids=["ppswr-cumulative", "ppswr-lahiri", "brewer2", "durbin2"])
+def test_zero_size_unit_rejected_by_every_entry_point(design, mos):
+    # select and the Monte Carlo batch refuse what first_order_pips refuses,
+    # so no weight y / p with p = 0 is ever built
+    frame = sk.Frame(ids=tuple("abcde"[:len(mos)]), mos=np.array(mos, dtype=float))
+    for entry in (lambda: sk.first_order_pips(design, frame),
+                  lambda: sk.select(design, frame, RngStream(2)),
+                  lambda: design_consistency_mc(design, frame, 10, RngStream(2))):
+        with pytest.raises(NonProbabilityDesignError, match="unit 'b'"):
+            entry()
 
 
 class TestSRS:
@@ -282,6 +299,13 @@ class TestPips:
         frame = sk.Frame(ids=("a", "b", "c"), mos=np.array([1.0, 1.0, 50.0]))
         with pytest.raises(ValueError, match="certainty"):
             sk.select(sk.Chao(2), frame, RngStream(3))
+
+    def test_chao_more_units_than_frame_rejected(self, mos_frame):
+        for entry in (lambda: sk.select(sk.Chao(5), mos_frame, RngStream(3)),
+                      lambda: design_consistency_mc(sk.Chao(5), mos_frame, 10,
+                                                    RngStream(3))):
+            with pytest.raises(ValueError, match="cannot draw 5 distinct units from 4"):
+                entry()
 
     def test_chao_stream_matches_array_kernel(self):
         frame = sk.Frame(ids=tuple("abcdefgh"),
