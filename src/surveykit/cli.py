@@ -12,10 +12,7 @@ import sys
 
 import numpy as np
 
-from . import (
-    AllocationProblem, Bernoulli, Brewer2, Chao, Durbin2, PPSWR, Poisson,
-    RejectivePoisson, SRS, SRSWR, Systematic, SystematicPPS,
-)
+from . import AllocationProblem
 from . import allocation as alc
 from . import calibration as cal
 from . import diagnostics as diag
@@ -24,7 +21,8 @@ from . import nonresponse as nr
 from . import smallarea as sa
 from . import simulate as sim
 from . import variance as var
-from .design import DesignError, RngStream, load_design
+from .core import compute_pips
+from .design import Design, DesignError, RngStream, load_design
 from .designs import select
 from .frame import FrameError, read_frame_csv
 
@@ -84,45 +82,27 @@ def _estimate_payload(e):
     return out
 
 
-def _leaf_design(args, frame):
-    name = args.design
-    n = args.n
-    if name == "srs":
-        return SRS(n, args.method or "selection_rejection")
-    if name == "srswr":
-        return SRSWR(n)
-    if name == "bernoulli":
-        return Bernoulli(args.pi)
-    if name == "poisson":
-        if args.pi is not None:
-            return Poisson(tuple([args.pi] * frame.n_units))
-        from .core import compute_pips
-
-        return Poisson(tuple(compute_pips(frame.mos, n)))
-    if name == "systematic":
-        return Systematic(n)
-    if name == "systematic_pps":
-        return SystematicPPS(n)
-    if name == "ppswr":
-        return PPSWR(n, args.method or "cumulative")
-    if name == "brewer2":
-        return Brewer2()
-    if name == "durbin2":
-        return Durbin2()
-    if name == "chao":
-        return Chao(n)
-    if name == "rejective":
-        return RejectivePoisson(n)
-    raise UsageError(f"unknown design {name!r}")
+def _design(args, frame):
+    """The design of --design-file, or the one named by --design with its
+    fields taken from the flags that are set.  Poisson's per-unit vector
+    comes from --pi (every unit) or from --n (compute_pips(mos, n))."""
+    if args.design_file:
+        return load_design(args.design_file)
+    body = {f: getattr(args, f) for f in ("n", "pi", "method")
+            if getattr(args, f) is not None}
+    if args.design == "poisson":
+        n = body.pop("n", None)
+        if "pi" in body:
+            body["pi"] = [body["pi"]] * frame.n_units
+        elif n is not None:
+            body["pi"] = compute_pips(frame.mos, n).tolist()
+    name = {"rejective": "rejective_poisson"}.get(args.design, args.design)
+    return Design.from_dict({name: body})
 
 
 def cmd_draw(args):
     frame = read_frame_csv(args.frame)
-    if args.design_file:
-        design = load_design(args.design_file)
-    else:
-        design = _leaf_design(args, frame)
-    sample = select(design, frame, RngStream(args.seed))
+    sample = select(_design(args, frame), frame, RngStream(args.seed))
     _emit({
         "design": sample.design_tag,
         "ids": list(sample.ids),
@@ -132,8 +112,13 @@ def cmd_draw(args):
     }, args.out)
 
 
+def _read_rows(path):
+    with open(path, encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
 def cmd_allocate(args):
-    rows = list(csv.DictReader(open(args.strata, encoding="utf-8")))
+    rows = _read_rows(args.strata)
     if not rows:
         raise DataError("strata CSV is empty")
     try:
@@ -296,7 +281,7 @@ def cmd_diagnose(args):
 
 
 def cmd_nonresponse(args):
-    rows = list(csv.DictReader(open(args.frame, encoding="utf-8")))
+    rows = _read_rows(args.frame)
     if not rows:
         raise DataError("respondent CSV is empty")
     try:
@@ -322,7 +307,9 @@ def cmd_nonresponse(args):
 
 
 def cmd_smallarea(args):
-    rows = list(csv.DictReader(open(args.frame, encoding="utf-8")))
+    rows = _read_rows(args.frame)
+    if not rows:
+        raise DataError("area CSV is empty")
     try:
         direct = np.array([float(r["ghat"]) for r in rows])
         vg = np.array([float(r["vg"]) for r in rows])
@@ -342,7 +329,7 @@ def cmd_smallarea(args):
 
 def cmd_simulate(args):
     frame = read_frame_csv(args.frame)
-    design = load_design(args.design_file) if args.design_file else _leaf_design(args, frame)
+    design = _design(args, frame)
 
     def statistic(sample):
         return est.ht_total(sample, sample.y_values()).value
@@ -364,14 +351,18 @@ def build_parser():
     parser.add_argument("--out", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("draw", help="draw one sample from a design")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--design")
-    p.add_argument("--design-file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--pi", type=float)
-    p.add_argument("--method")
-    p.add_argument("--seed", type=int, required=True)
+    # --design names a design-document key; --n, --pi and --method set the
+    # design fields of the same names
+    drawing = argparse.ArgumentParser(add_help=False)
+    drawing.add_argument("--frame", required=True)
+    drawing.add_argument("--design")
+    drawing.add_argument("--design-file")
+    drawing.add_argument("--n", type=int)
+    drawing.add_argument("--pi", type=float)
+    drawing.add_argument("--method")
+    drawing.add_argument("--seed", type=int, required=True)
+
+    p = sub.add_parser("draw", parents=[drawing], help="draw one sample from a design")
     p.set_defaults(func=cmd_draw)
 
     p = sub.add_parser("allocate", help="allocate a stratified sample size")
@@ -418,14 +409,7 @@ def build_parser():
     p.add_argument("--frame", required=True)
     p.set_defaults(func=cmd_smallarea)
 
-    p = sub.add_parser("simulate")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--design")
-    p.add_argument("--design-file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--pi", type=float)
-    p.add_argument("--method")
-    p.add_argument("--seed", type=int, required=True)
+    p = sub.add_parser("simulate", parents=[drawing])
     p.add_argument("--replicates", type=int, default=1000)
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -1034,7 +1035,7 @@ def load_design(path):
                               "write the design as JSON") from exc
         parse = tomllib.loads
     try:
-        doc = parse(open(path, "rb").read().decode("utf-8"))
+        doc = parse(Path(path).read_bytes().decode("utf-8"))
     except ValueError as exc:
         raise DesignError(f"cannot parse design document {path}: {exc}") from exc
     return design_from_dict(doc)

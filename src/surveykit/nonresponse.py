@@ -7,6 +7,7 @@ import numpy as np
 
 from .calibration import CalibrationProblem, get_entropy, solve_entropy
 from .estimators import Estimate
+from .variance import _pair_coefficients, simplified_variance
 
 __all__ = [
     "ResponseData", "fit_propensity", "ps_estimator",
@@ -108,13 +109,10 @@ def ps_variance(data, p_hat, joint=None, pi=None):
     eta = fitted.copy()
     eta[r] += (y[r] - fitted[r]) / p[r]
     if joint is not None and pi is not None:
-        coef = (joint - np.outer(pi, pi)) / joint
         t = eta / pi
-        v1 = float(t @ coef @ t)
+        v1 = float(t @ _pair_coefficients(pi, joint) @ t)
     else:
-        wt = w * eta
-        n = wt.size
-        v1 = float(n / (n - 1) * np.sum((wt - wt.sum() / n) ** 2))
+        v1 = simplified_variance(None, weighted_totals=w * eta).value
     v2 = float(np.sum(w[r] * (1 - p[r]) / p[r] ** 2 * (y[r] - fitted[r]) ** 2))
     return Estimate(v1 + v2, method="ps_reverse"), v1, v2
 

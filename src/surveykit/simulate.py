@@ -45,9 +45,10 @@ def design_consistency_mc(design, frame, R, rng):
     `mc_poisson`) over the kernel, checks and weights that `select` uses.
     On numpy, kernels with a fixed uniform count draw each chunk of
     replicates from one uniform block, with the same draws, totals and
-    stream position as the scalar replicate loop.  Stratified and one-stage cluster designs combine
-    their children's batches; two-stage and two-phase designs fall back to
-    the generic selection loop (`Design.mc_batch`)."""
+    stream position as the scalar replicate loop.  Stratified and one-stage
+    cluster designs combine their children's batches; two-stage and
+    two-phase designs fall back to the generic selection loop
+    (`Design.mc_batch`)."""
     Design.require(design, DesignError, "cannot select from {}")
     return design.mc_batch(frame, R, as_generator(rng))
 

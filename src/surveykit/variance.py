@@ -17,6 +17,15 @@ class NotMeasurableError(ValueError):
     pass
 
 
+def _pair_coefficients(pi, pij):
+    """The Horvitz-Thompson pair coefficients (pi_ij - pi_i pi_j) / pi_ij
+    over the realized units; NotMeasurableError when a pair has pi_ij <= 0."""
+    pij = np.asarray(pij, dtype=float)
+    if np.any(pij <= 0):
+        raise NotMeasurableError("a realized pair has zero joint inclusion probability")
+    return (pij - np.outer(pi, pi)) / pij
+
+
 def ht_variance_est(sample, y, joint, form="SYG"):
     """Unbiased variance estimators for the HT total.
 
@@ -25,14 +34,10 @@ def ht_variance_est(sample, y, joint, form="SYG"):
                     * (y_i/pi_i - y_j/pi_j)^2   (fixed-size designs)
 
     The HT form may come back negative; it is flagged, never clamped."""
-    y = np.asarray(y, dtype=float)
     idx = sample.idx
-    pij = joint.joint[np.ix_(idx, idx)]
     pi = joint.first_order[idx]
-    if np.any(pij <= 0):
-        raise NotMeasurableError("a realized pair has zero joint inclusion probability")
-    t = y / pi
-    coef = (pij - np.outer(pi, pi)) / pij
+    coef = _pair_coefficients(pi, joint.joint[np.ix_(idx, idx)])
+    t = np.asarray(y, dtype=float) / pi
     if form == "HT":
         value = float(t @ coef @ t)
         return Estimate(value, variance=None, method="ht_variance",
@@ -193,20 +198,25 @@ def jackknife_variance(weights, estimator_fn, structure="iid", strata=None,
         unit_labels = np.asarray(groups)
     else:
         raise ValueError(f"unknown jackknife structure {structure!r}")
+    if strata_labels.shape != (n,) or unit_labels.shape != (n,):
+        raise ValueError("jackknife strata and groups need one label per weight")
     value = 0.0
     for h in sorted(set(strata_labels.tolist())):
-        mask = strata_labels == h
-        units = sorted(set(unit_labels[mask].tolist()))
-        n_h = len(units)
+        rows = np.flatnonzero(strata_labels == h)
+        _, unit_of, sizes = np.unique(unit_labels[rows], return_inverse=True,
+                                      return_counts=True)
+        n_h = sizes.size
         if n_h < 2:
             raise ValueError(f"stratum {h!r} holds a single deletion unit")
+        # the positions of each deletion unit, in sorted unit order
+        deleted = np.split(rows[np.argsort(unit_of, kind="stable")],
+                           np.cumsum(sizes)[:-1])
+        base = w.copy()
+        base[rows] *= n_h / (n_h - 1)
         reps = np.empty(n_h)
-        for j, unit in enumerate(units):
-            wk = w.copy()
-            deleted = mask & (unit_labels == unit)
-            wk[deleted] = 0.0
-            survivors = mask & ~deleted
-            wk[survivors] *= n_h / (n_h - 1)
+        for j in range(n_h):
+            wk = base.copy()
+            wk[deleted[j]] = 0.0
             reps[j] = estimator_fn(wk)
         contrib = (n_h - 1) / n_h * float(np.sum((reps - reps.mean()) ** 2))
         if fpc is not None:
@@ -255,13 +265,17 @@ def brr_variance(W_h, y1, y2, hadamard=None, estimator_fn=None):
 
     Half-sample g keeps PSU 1 of stratum h when eps_h^(g) = +1, doubling its
     weight; eps columns come from columns 2..H+1 of the Hadamard matrix so
-    the balance condition sum_g eps_h eps_h' = 0 holds.  For the linear
-    estimator sum W_h ybar_h the result equals
+    the balance condition sum_g eps_h eps_h' = 0 holds.
+    `estimator_fn(weights)` gets the 2H weights of PSU 1 in every stratum,
+    then PSU 2 in every stratum; by default it is the linear estimator
+    sum W_h ybar_h on concatenate([y1, y2]), whose result equals
     sum W_h^2 (y_h1 - y_h2)^2 / 4 exactly."""
     W = np.asarray(W_h, dtype=float)
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     H = W.size
+    if y1.shape != (H,) or y2.shape != (H,):
+        raise ValueError("brr_variance needs one y1 and one y2 value per stratum")
     if hadamard is None:
         hadamard = make_hadamard(smallest_hadamard_order(H))
     M = np.asarray(hadamard, dtype=float)
@@ -272,17 +286,16 @@ def brr_variance(W_h, y1, y2, hadamard=None, estimator_fn=None):
         raise ValueError(f"order-{G} matrix cannot balance {H} strata")
     eps = M[:, 1:H + 1]  # one column per stratum, skipping the constant one
     if estimator_fn is None:
-        theta_full = float(np.sum(W * (y1 + y2) / 2))
-        reps = np.array([
-            float(np.sum(W * np.where(eps[g] > 0, y1, y2))) for g in range(G)
-        ])
-    else:
-        theta_full = estimator_fn(np.concatenate([W / 2, W / 2]))
-        reps = np.empty(G)
-        for g in range(G):
-            w1 = np.where(eps[g] > 0, W, 0.0)
-            w2 = np.where(eps[g] > 0, 0.0, W)
-            reps[g] = estimator_fn(np.concatenate([w1, w2]))
+        y = np.concatenate([y1, y2])
+
+        def estimator_fn(wts):
+            return float(np.sum(wts * y))
+    theta_full = estimator_fn(np.concatenate([W / 2, W / 2]))
+    reps = np.empty(G)
+    for g in range(G):
+        w1 = np.where(eps[g] > 0, W, 0.0)
+        w2 = np.where(eps[g] > 0, 0.0, W)
+        reps[g] = estimator_fn(np.concatenate([w1, w2]))
     value = float(np.mean((reps - theta_full) ** 2))
     return Estimate(value, method="brr")
 
@@ -292,15 +305,9 @@ def two_stage_variance(psu_pi, psu_joint, yhat_i, vhat_i):
     applied to the estimated cluster totals, plus the HT total of the
     conditionally unbiased within-cluster variance estimates."""
     pi = np.asarray(psu_pi, dtype=float)
-    pij = np.asarray(psu_joint, dtype=float)
-    yh = np.asarray(yhat_i, dtype=float)
-    vh = np.asarray(vhat_i, dtype=float)
-    if np.any(pij <= 0):
-        raise NotMeasurableError("a realized PSU pair has zero joint probability")
-    t = yh / pi
-    coef = (pij - np.outer(pi, pi)) / pij
-    first = float(t @ coef @ t)
-    second = float(np.sum(vh / pi))
+    t = np.asarray(yhat_i, dtype=float) / pi
+    first = float(t @ _pair_coefficients(pi, psu_joint) @ t)
+    second = float(np.sum(np.asarray(vhat_i, dtype=float) / pi))
     return Estimate(first + second, method="two_stage",
                     flags=("negative_variance_estimate",) if first + second < 0 else ())
 
@@ -366,12 +373,9 @@ def two_phase_variance(sample2p, y, mode="stratified", x=None, beta=None,
             if int(i) in local:
                 k = local[int(i)]
                 eta[pos] += resid[k] / sample2p.conditional_pi[k]
-        w1 = s1.weights
-        wt = w1 * eta
-        n1 = wt.size
-        base = float(n1 / (n1 - 1) * np.sum((wt - wt.sum() / n1) ** 2))
+        base = simplified_variance(None, weighted_totals=s1.weights * eta).value
         if N is not None:
-            base *= (1 - n1 / N)  # phase-1 SRS finite-population correction
+            base *= (1 - eta.size / N)  # phase-1 SRS finite-population correction
         if poisson_phase2:
             cond = sample2p.conditional_pi
             w1_on_2 = sample2p.weights * cond  # w_1 restricted to A_2

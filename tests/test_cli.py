@@ -192,6 +192,36 @@ class TestDraw:
                                "--design", "warp", "--n", "2", "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["draw", "simulate"])
+    @pytest.mark.parametrize("design", ["srs", "systematic", "chao", "bernoulli",
+                                        "poisson", "rejective"])
+    def test_design_without_its_size_exit_2(self, command, design, frame_path, capsys):
+        code, out, err = run_cli(capsys, command, "--frame", frame_path,
+                                 "--design", design, "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_flag_the_design_lacks_exit_2(self, frame_path, capsys):
+        code, out, err = run_cli(capsys, "draw", "--frame", frame_path,
+                                 "--design", "brewer2", "--n", "2", "--seed", "1")
+        assert code == 2 and out == "" and "unknown fields ['n']" in err
+
+    def test_flags_are_design_fields(self, frame_path, capsys):
+        from surveykit.cli import _design, build_parser
+
+        frame = sk.read_frame_csv(frame_path)
+        cases = {
+            ("srs", "--n", "2", "--method", "reservoir"): sk.SRS(2, "reservoir"),
+            ("rejective", "--n", "2"): sk.RejectivePoisson(2),
+            ("poisson", "--pi", "0.5"): sk.Poisson((0.5,) * 4),
+            ("poisson", "--n", "2"): sk.Poisson(tuple(sk.compute_pips(frame.mos, 2))),
+            ("brewer2",): sk.Brewer2(),
+        }
+        for flags, design in cases.items():
+            args = build_parser().parse_args(
+                ["draw", "--frame", frame_path, "--seed", "1", "--design", *flags])
+            assert _design(args, frame) == design
+
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "draw", "--frame", "/nope.csv",
                                "--design", "srs", "--n", "2", "--seed", "1")
@@ -286,6 +316,13 @@ class TestSmallArea:
         payload = json.loads(out)
         assert len(payload["eblup"]) == 40
         assert all(m >= 0 for m in payload["prasad_rao_mse"])
+
+    @pytest.mark.parametrize("text", ["", "ghat,vg,x1\n"], ids=["no-header", "header-only"])
+    def test_empty_area_csv_exit_3(self, text, tmp_path, capsys):
+        p = tmp_path / "areas.csv"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "smallarea", "--frame", str(p))
+        assert code == 3 and out == "" and err.startswith("data error:")
 
 
 class TestSimulateCmd:

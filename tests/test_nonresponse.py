@@ -5,6 +5,7 @@ import pytest
 
 import surveykit as sk
 from surveykit.nonresponse import propensities
+from surveykit.variance import NotMeasurableError
 
 
 def mar_population(seed=3, N=800, phi=(-0.3, 0.8)):
@@ -170,6 +171,39 @@ class TestPSVariance:
         expected = float(np.sum((1 - p[delta]) / p[delta] ** 2
                                 * (y[delta] - fitted) ** 2))
         assert v2 == pytest.approx(expected, rel=1e-9)
+
+    @staticmethod
+    def _srs_joint_case(n=6, N=20, seed=31):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([np.ones(n), rng.uniform(-1, 1, n)])
+        delta = np.array([True, True, False, True, True, False])
+        data = sk.ResponseData(delta, x, rng.normal(3, 1, n), np.full(n, N / n))
+        pi = np.full(n, n / N)
+        joint = np.full((n, n), n * (n - 1) / (N * (N - 1)))
+        np.fill_diagonal(joint, pi)
+        return data, rng.uniform(0.4, 0.9, n), pi, joint
+
+    def test_joint_branch_is_the_ht_form_of_eta(self):
+        data, p, pi, joint = self._srs_joint_case()
+        _, v1, v2 = sk.ps_variance(data, p, joint=joint, pi=pi)
+        _, _, v2_wr = sk.ps_variance(data, p)
+        r, y = data.delta, data.y
+        h = data.x * p[:, None]
+        scale = (data.w * (1 - p) / p ** 2)[r]
+        bstar = np.linalg.solve((h[r] * scale[:, None]).T @ h[r],
+                                (h[r] * scale[:, None]).T @ y[r])
+        eta = h @ bstar + np.where(r, (y - h @ bstar) / p, 0.0)
+        expected = sum(
+            (joint[i, j] - pi[i] * pi[j]) / joint[i, j] * eta[i] / pi[i] * eta[j] / pi[j]
+            for i in range(eta.size) for j in range(eta.size))
+        assert v1 == pytest.approx(expected, rel=1e-9)
+        assert v2 == v2_wr  # the response component ignores the design
+
+    def test_zero_joint_pair_not_measurable(self):
+        data, p, pi, joint = self._srs_joint_case()
+        joint[0, 1] = joint[1, 0] = 0.0
+        with pytest.raises(NotMeasurableError):
+            sk.ps_variance(data, p, joint=joint, pi=pi)
 
     def test_mc_coverage(self):
         # draw a real first-phase SRS so the design component is genuine;

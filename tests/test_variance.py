@@ -315,6 +315,17 @@ class TestJackknife:
                                   structure="stratified_psu",
                                   strata=np.array(["a", "a", "b"]))
 
+    @pytest.mark.parametrize("structure, labels", [
+        ("stratified_psu", {"strata": [0, 0, 1, 1]}),
+        ("stratified_psu", {}),
+        ("grouped", {"groups": [0, 1, 2, 3, 4, 5]}),
+        ("grouped", {}),
+    ])
+    def test_labels_must_match_the_weights(self, structure, labels):
+        with pytest.raises(ValueError, match="one label per weight"):
+            sk.jackknife_variance(np.ones(5), lambda w: float(np.sum(w)),
+                                  structure=structure, **labels)
+
     def test_grouped_jackknife(self):
         rng = np.random.default_rng(109)
         y = rng.normal(size=12)
@@ -353,6 +364,33 @@ class TestBRR:
         full = acc / 4
         closed = float(np.sum(W ** 2 * (y1 - y2) ** 2 / 4))
         assert full == pytest.approx(closed, abs=1e-12)
+
+    def test_callback_matches_a_hand_loop_over_half_samples(self):
+        W = np.array([0.2, 0.5, 0.3])
+        y1, y2 = np.array([4.0, 9.0, 1.0]), np.array([6.0, 5.0, 3.0])
+        x1, x2 = np.array([2.0, 3.0, 1.5]), np.array([2.5, 2.0, 1.0])
+        y, x = np.concatenate([y1, y2]), np.concatenate([x1, x2])
+
+        def ratio(wts):
+            return float(np.sum(wts * y) / np.sum(wts * x))
+
+        M = sk.make_hadamard(4)
+        est = sk.brr_variance(W, y1, y2, hadamard=M, estimator_fn=ratio)
+        full = float(np.sum(W * (y1 + y2)) / np.sum(W * (x1 + x2)))
+        acc = 0.0
+        for g in range(4):
+            num = den = 0.0
+            for h in range(3):
+                keep_first = M[g, h + 1] > 0  # columns 1..H, one per stratum
+                num += W[h] * (y1[h] if keep_first else y2[h])
+                den += W[h] * (x1[h] if keep_first else x2[h])
+            acc += (num / den - full) ** 2
+        assert est.value == pytest.approx(acc / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("y1, y2", [([1.0, 2.0, 3.0], [4.0]), ([1.0], [2.0])])
+    def test_one_value_per_stratum(self, y1, y2):
+        with pytest.raises(ValueError, match="per stratum"):
+            sk.brr_variance(np.array([0.5, 0.5]), np.array(y1), np.array(y2))
 
     def test_constant_y_zero(self):
         est = sk.brr_variance(np.array([0.5, 0.5]), np.array([3.0, 3.0]),
