@@ -226,7 +226,7 @@ class _Leaf(Design):
 
     def _sample(self, frame, binding, rng):
         kernel, args, p, tag = binding
-        idx = kernel(*args, rng)
+        idx = kernels._one_draw(kernel, args, p.size, rng)
         if not self.with_replacement:
             return Sample(frame, idx, p[idx], design_tag=tag, flags=self.flags)
         idx, mult = np.unique(idx, return_counts=True)
@@ -327,7 +327,8 @@ class _Independent(Design):
 
     def draw(self, frame, rng):
         pi = self.first_order(frame).first_order
-        idx = np.nonzero(kernels.poisson_select(pi, rng))[0].astype(np.int64)
+        mask = kernels._one_draw(kernels.poisson_select, (pi,), pi.size, rng)
+        idx = np.nonzero(mask)[0].astype(np.int64)
         return Sample(frame, idx, pi[idx], design_tag=self.key)
 
     def mc_batch(self, frame, R, rng):

@@ -152,6 +152,9 @@ class Frame:
         return self._cache[key]
 
 
+_CSV_BLOCK = 1 << 12  # rows parsed per numpy call, which bounds the rows held
+
+
 def _read_frame_rows(rows, header):
     cols = {name: j for j, name in enumerate(header)}
     if "id" not in cols:
@@ -160,34 +163,60 @@ def _read_frame_rows(rows, header):
         (name for name in cols if name.startswith("x") and name[1:].isdigit()),
         key=lambda name: int(name[1:]),
     )
-    ids, mos, stratum, cluster, aux, y = [], [], [], [], [], []
-    for lineno, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise FrameError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
+    labels = {name: [] for name in ("id", "stratum", "cluster") if name in cols}
+    numeric = [name for name in ("mos", "y", *xcols) if name in cols]
+    js = [cols[name] for name in numeric]
+    blocks = []
+    for lines, block in _row_blocks(rows, len(header)):
+        columns = list(zip(*block))
+        for name, out in labels.items():
+            out.extend(columns[cols[name]])
         try:
-            ids.append(row[cols["id"]])
-            if "mos" in cols:
-                mos.append(float(row[cols["mos"]]))
-            if "stratum" in cols:
-                stratum.append(row[cols["stratum"]])
-            if "cluster" in cols:
-                cluster.append(row[cols["cluster"]])
-            if "y" in cols:
-                y.append(float(row[cols["y"]]))
-            if xcols:
-                aux.append([float(row[cols[c]]) for c in xcols])
-        except ValueError as exc:
-            raise FrameError(f"row {lineno}: {exc}") from exc
+            values = np.array([columns[j] for j in js], dtype=float)
+        except ValueError:  # parse cell by cell, so that the error names the row
+            values = np.array([_floats(lineno, row, js)
+                               for lineno, row in zip(lines, block)]).T
+        blocks.append(values.reshape(len(js), len(block)))
+    if not blocks:
+        return Frame(ids=())
+    parsed = dict(zip(numeric, np.concatenate(blocks, axis=1)))
     return Frame(
-        ids=tuple(ids),
-        mos=np.asarray(mos) if mos else None,
-        stratum=tuple(stratum) if stratum else None,
-        cluster=tuple(cluster) if cluster else None,
-        aux=np.asarray(aux) if aux else None,
-        y=np.asarray(y) if y else None,
+        ids=tuple(labels["id"]),
+        mos=parsed.get("mos"),
+        stratum=tuple(labels["stratum"]) if "stratum" in labels else None,
+        cluster=tuple(labels["cluster"]) if "cluster" in labels else None,
+        aux=np.column_stack([parsed[c] for c in xcols]) if xcols else None,
+        y=parsed.get("y"),
     )
+
+
+def _row_blocks(rows, width):
+    """The CSV's non-blank rows as (line numbers, rows) blocks of at most
+    _CSV_BLOCK rows; a row of another width raises once the rows above it
+    are parsed, so that a bad cell above it is reported first."""
+    lines, block = [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not "".join(row).strip():  # blank, or whitespace only
+            continue
+        if len(row) != width:
+            if block:
+                yield lines, block
+            raise FrameError(f"row {lineno}: expected {width} fields, got {len(row)}")
+        lines.append(lineno)
+        block.append(row)
+        if len(block) == _CSV_BLOCK:
+            yield lines, block
+            lines, block = [], []
+    if block:
+        yield lines, block
+
+
+def _floats(lineno, row, js):
+    """The cells js of a CSV row as floats; a bad cell names the row."""
+    try:
+        return [float(row[j]) for j in js]
+    except ValueError as exc:
+        raise FrameError(f"row {lineno}: {exc}") from exc
 
 
 def read_frame_csv(path_or_text):

@@ -7,12 +7,17 @@ enters only through ``rng.random()``), so the selected indices are
 bit-for-bit reproducible across backends.
 
 The batched Monte Carlo functions `mc_draws` and `mc_poisson` run R replicates
-in one call.  On numpy they also draw uniforms as ``rng.random(shape)``
-blocks of the same stream, which hold exactly the doubles the scalar calls
-would return, so their output matches the scalar loops bit for bit too.
+in one call.  On numpy they draw uniforms as ``rng.random(shape)`` blocks of
+the same stream, which hold exactly the doubles the scalar calls would
+return, so their output matches the scalar loops bit for bit too.  A kernel
+whose uniform count is random runs on a speculative block of a PCG64 stream,
+after which the Generator is rewound and advanced by the doubles the kernel
+used; the same trick serves single draws on large frames (`_one_draw`).
 """
 
 import inspect
+import math
+import operator
 
 import numpy as np
 
@@ -253,9 +258,19 @@ def rejective_poisson_select(pi, n, max_tries, rng):
 #   replicate after replicate, and leaves the Generator where those calls
 #   would, so hits, values and the stream afterwards are bit-identical to
 #   the scalar loop.  Every sum keeps the scalar loops' order, left to right
-#   from 0.0 (`np.cumsum`, never the pairwise `x.sum()`).  Kernels with a
-#   random uniform count (selection-rejection, Lahiri, Chao, rejective
-#   Poisson) run the scalar loop.
+#   from 0.0 (`np.cumsum`, never the pairwise `x.sum()`);
+# - on numpy with a PCG64 stream, a kernel with a random uniform count
+#   (selection-rejection, Lahiri, Chao, rejective Poisson) runs on a
+#   speculative block: save the bit generator's state, draw the block, run
+#   the kernel's logic on it, then restore the state and `advance` by the
+#   doubles that logic used (`_rewind`).  Lahiri takes the first R * n
+#   accepted pairs of a pair block; selection-rejection and Chao run their
+#   step machine in lockstep from every start offset of the block and chain
+#   the replicate starts, s += used[s] (`_chained`).  On a frame above the
+#   lockstep cutoff in `_SPECULATIVE`, and for rejective Poisson, whose try
+#   chains would make the lockstep table R * tries * N wide, the scalar loop
+#   runs on a `_Buffered` source instead of the Generator.  Other bit
+#   generators keep the scalar loop.
 
 _CHUNK_CELLS = 1 << 16  # the most cells one table of a batch holds
 
@@ -327,6 +342,67 @@ def _in_frame(idx, N):
     if idx.size and idx.max() >= N:
         raise IndexError(f"index {N} is out of bounds for axis 0 with size {N}")
     return idx
+
+
+# Stream-exact speculation.  A PCG64 or PCG64DXSM double takes exactly one
+# step of the generator, so `advance(used)` from a saved state lands where
+# `used` scalar calls would.  Not so elsewhere: a Philox step is one 4-word
+# counter block, and MT19937 and SFC64 have no `advance`.
+
+_ONE_STEP_PER_DOUBLE = (np.random.PCG64, np.random.PCG64DXSM)
+_BLOCK = 1 << 12        # the doubles a buffered scalar loop draws at a time
+_BUFFERED_MIN_N = 24    # the smallest frame a single draw is buffered on
+# A buffered single draw of a frame-scanning kernel pays back its state save
+# and rewind from N = 16-24 (1.1-1.3x at N = 24, 3x at N = 1000) and loses
+# on small frames (0.3-0.4x at N = 3), measured with numpy 2.4.6 on one
+# core of a Xeon VM.
+
+
+def _rewinds(rng):
+    """Whether rng's stream can be rewound double by double (numpy kernels
+    only: a compiled kernel cannot read a Python source)."""
+    return (ACTIVE_BACKEND != "numba" and type(rng) is np.random.Generator
+            and type(rng.bit_generator) in _ONE_STEP_PER_DOUBLE)
+
+
+def _rewind(rng, state, used):
+    """Put rng `used` doubles past the saved bit-generator `state`.
+    `advance` drops a pending 32-bit half, so the saved half is put back."""
+    bits = rng.bit_generator
+    bits.state = state
+    bits.advance(used)
+    if state["has_uint32"]:
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": state["uinteger"]}
+
+
+class _Buffered:
+    """A stand-in for a PCG64 Generator inside a `with` block: `random()`
+    serves the stream's doubles from blocks of `block` drawn ahead, and on
+    leaving the block the Generator is rewound to the first double not
+    served, as if the kernel had called it."""
+
+    __slots__ = ("_rng", "_block", "_state", "_drawn", "_ahead")
+
+    def __init__(self, rng, block):
+        self._rng, self._block = rng, max(int(block), 1)
+
+    def __enter__(self):
+        self._state = self._rng.bit_generator.state
+        self._drawn = 0
+        self._ahead = iter(())
+        return self
+
+    def random(self):
+        try:
+            return next(self._ahead)
+        except StopIteration:
+            self._ahead = iter(self._rng.random(self._block).tolist())
+            self._drawn += self._block
+            return next(self._ahead)
+
+    def __exit__(self, *exc):
+        _rewind(self._rng, self._state,
+                self._drawn - operator.length_hint(self._ahead))
 
 
 # Batched forms: `form(*args, R, rng)` yields, chunk by chunk, the index rows
@@ -427,6 +503,112 @@ def _durbin2_select_rows(p, R, rng):
                     R, rng)
 
 
+# Lockstep forms of the variable-count kernels, for a stream that `_rewinds`.
+
+def _chained(R, used_by, max_used, mean_used, rows_at, rng):
+    """Rows of R replicates of a kernel that takes a random number of
+    uniforms, at most max_used and mean_used on average.  Per block of S
+    candidate starts, used_by(u, S) gives the uniforms each start would take,
+    the replicates start at 0, s + used[s], ... while s < S, and
+    rows_at(u, starts) gives their index rows; the Generator is then rewound
+    to the end of the last replicate."""
+    left = R
+    while left:
+        # 10% over the mean, so that one block mostly covers what is left
+        S = max(1, min(_CHUNK_CELLS - max_used, math.ceil(left * mean_used * 1.1)))
+        state = rng.bit_generator.state
+        u = rng.random(S + max_used)
+        used = used_by(u, S).tolist()
+        starts = []
+        s = 0
+        while s < S and len(starts) < left:
+            starts.append(s)
+            s += used[s]
+        _rewind(rng, state, s)
+        left -= len(starts)
+        yield rows_at(u, np.array(starts, dtype=np.int64))
+
+
+def _selection_rejection_steps(n, N, col, size, out=None):
+    """srs_selection_rejection's step machine for `size` replicates at once,
+    col(k) holding their step-k uniforms: the uniforms each takes, and, into
+    out (size, n), the units each selects."""
+    chosen = np.zeros(size, dtype=np.int64)
+    used = np.zeros(size, dtype=np.int64)
+    for k in range(N):
+        used += chosen < n  # the loop stops after the n-th selection
+        take = col(k) * (N - k) < n - chosen
+        if out is not None:
+            r = np.nonzero(take)[0]
+            out[r, chosen[r]] = k
+        chosen += take
+    return used
+
+
+def _srs_selection_rejection_rows(n, N, R, rng):
+    def used_by(u, S):
+        return _selection_rejection_steps(n, N, lambda k: u[k:k + S], S)
+
+    def rows_at(u, starts):
+        out = np.empty((starts.size, n), dtype=np.int64)
+        _selection_rejection_steps(n, N, lambda k: u[starts + k], starts.size, out)
+        return out
+
+    return _chained(R, used_by, N, n * (N + 1) / (n + 1), rows_at, rng)
+
+
+def _chao_steps(n, prob, u, pos, res=None):
+    """chao_select's step machine for replicates starting at stream
+    positions pos, prob[k - n] being stream unit k's entry probability: the
+    positions where they end, and, into res (rows, n), their reservoirs."""
+    pos = pos.copy()
+    for k, q in enumerate(prob, start=n):
+        enter = u[pos] < q  # an entering unit takes a second uniform
+        if res is not None:
+            r = np.nonzero(enter)[0]
+            res[r, _unit_indices(u[pos[r] + 1], n)] = k
+        pos += 1 + enter
+    return pos
+
+
+def _chao_select_rows(x, n, R, rng):
+    N = x.shape[0]
+    prob = n * x[n:] / np.cumsum(x)[n:]  # the loop's running total
+
+    def used_by(u, S):
+        start = np.arange(S)
+        return _chao_steps(n, prob, u, start) - start
+
+    def rows_at(u, starts):
+        res = np.tile(np.arange(n, dtype=np.int64), (starts.size, 1))
+        _chao_steps(n, prob, u, starts, res)
+        return np.sort(res, axis=1)
+
+    mean_used = N - n + float(np.minimum(prob, 1.0).sum())
+    return _chained(R, used_by, 2 * (N - n), mean_used, rows_at, rng)
+
+
+def _ppswr_lahiri_rows(x, bound, n, R, rng):
+    # every attempt takes two uniforms, so replicate r is accepted pairs
+    # r*n .. r*n + n - 1 of one pair stream; no lockstep table is needed
+    N = x.shape[0]
+    accept = x / bound
+    rate = max(float(np.minimum(accept, 1.0).mean()), 1.0 / _CHUNK_CELLS)
+    for rows in _chunks(R, n):
+        need = rows * n
+        state = rng.bit_generator.state
+        picks, pairs = [], 0
+        while need:
+            u = rng.random((min(_CHUNK_CELLS // 2, math.ceil(need / rate * 1.1)), 2))
+            j = _unit_indices(u[:, 0], N)
+            hit = np.nonzero(u[:, 1] <= accept[j])[0][:need]
+            picks.append(j[hit])
+            need -= hit.size
+            pairs += int(hit[-1]) + 1 if need == 0 else u.shape[0]
+        _rewind(rng, state, 2 * pairs)
+        yield np.concatenate(picks).reshape(rows, n)
+
+
 # kernel -> batched form; none on numba, which runs the compiled loops
 _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
     srs_draw_by_draw: _srs_draw_by_draw_rows,
@@ -440,16 +622,49 @@ _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
     durbin2_select: _durbin2_select_rows,
 }
 
+# variable-count kernel -> (lockstep form, the largest frame it runs on);
+# above that frame, or with no form, the scalar loop runs `_Buffered`.  A
+# lockstep form does about N vector steps per block of starts, so its cost
+# per replicate grows with N^2; at R = 1000 (same machine as above) it
+# beats the buffered loop up to N = 32-48 for selection-rejection and
+# N = 192-256 for Chao, whose scalar steps cost more.
+_SPECULATIVE = {
+    srs_selection_rejection: (_srs_selection_rejection_rows, 32),
+    chao_select: (_chao_select_rows, 128),
+    ppswr_lahiri: (_ppswr_lahiri_rows, math.inf),  # two uniforms an attempt on any N
+    rejective_poisson_select: (None, 0),
+}
+
+# kernels that take one uniform per frame unit (or more), buffered on a
+# single draw from a frame of at least _BUFFERED_MIN_N units
+_SCANS = frozenset((srs_selection_rejection, srs_reservoir, srs_random_sort,
+                    poisson_select, chao_select, rejective_poisson_select))
+
+
+def _one_draw(select, args, N, rng):
+    """select(*args, rng), a kernel's draw on a frame of N units, served from
+    a `_Buffered` block when the kernel scans a large frame."""
+    if N < _BUFFERED_MIN_N or inspect.unwrap(select) not in _SCANS or not _rewinds(rng):
+        return select(*args, rng)
+    with _Buffered(rng, N) as source:
+        return select(*args, source)
+
 
 def mc_draws(select, args, with_replacement, R, wvec, rng):
     """R replicates of `select(*args, rng)`, the kernel a design draws with:
     (hits, vals) as `_mc_draws_loop` returns them, from the kernel's batched
-    form when it has one.  A wrapped kernel (functools.wraps, as a tracer
-    installs) is matched by the function it wraps."""
-    rows_of = _BATCHED.get(inspect.unwrap(select))
+    or lockstep form when it has one.  A wrapped kernel (functools.wraps, as
+    a tracer installs) is matched by the function it wraps."""
+    kernel = inspect.unwrap(select)
+    N = wvec.shape[0]
+    rows_of = _BATCHED.get(kernel)
+    if kernel in _SPECULATIVE and _rewinds(rng):
+        rows_of, max_N = _SPECULATIVE[kernel]
+        if rows_of is None or N > max_N:
+            with _Buffered(rng, _BLOCK) as source:
+                return _mc_draws_loop(select, args, with_replacement, R, wvec, source)
     if rows_of is None:
         return _mc_draws_loop(select, args, with_replacement, R, wvec, rng)
-    N = wvec.shape[0]
     w = np.append(wvec, 0.0)  # index N pads ragged rows and weighs nothing
     counts = np.zeros(N + 1, dtype=np.int64)
     vals = np.empty(R)

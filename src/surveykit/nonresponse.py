@@ -96,8 +96,10 @@ def ps_variance(data, p_hat, joint=None, pi=None):
     V1 treats the response indicators as fixed and applies the design
     variance to the influence values eta_i = b'B* + (delta/p)(y - b'B*);
     V2 = sum w (1-p)/p^2 (y - b'B*)^2 is the response variance.  The score
-    case b = h = p x is used."""
+    case b = h = p x is used.  With `joint` alone, pi is its diagonal."""
     p = np.asarray(p_hat, dtype=float)
+    if joint is not None and pi is None:
+        pi = np.diag(joint)
     x, r, w, y = data.x, data.delta, data.w, data.y
     h = x * p[:, None]
     b = h
@@ -108,7 +110,7 @@ def ps_variance(data, p_hat, joint=None, pi=None):
     fitted = b @ bstar
     eta = fitted.copy()
     eta[r] += (y[r] - fitted[r]) / p[r]
-    if joint is not None and pi is not None:
+    if joint is not None:
         t = eta / pi
         v1 = float(t @ _pair_coefficients(pi, joint) @ t)
     else:

@@ -45,7 +45,11 @@ def design_consistency_mc(design, frame, R, rng):
     `mc_poisson`) over the kernel, checks and weights that `select` uses.
     On numpy, kernels with a fixed uniform count draw each chunk of
     replicates from one uniform block, with the same draws, totals and
-    stream position as the scalar replicate loop.  Stratified and one-stage
+    stream position as the scalar replicate loop.  On a PCG64 stream, the
+    kernels with a random uniform count (selection-rejection SRS, Lahiri
+    PPSWR, Chao, rejective Poisson) run on speculative blocks that are then
+    rewound to the doubles used, with the same result; other bit
+    generators keep the scalar loop for them.  Stratified and one-stage
     cluster designs combine their children's batches; two-stage and
     two-phase designs fall back to the generic selection loop
     (`Design.mc_batch`)."""

@@ -248,14 +248,9 @@ def test_criterion_9_monte_carlo_design_consistency():
             failures.append(f"{name}: HT mean {mean:.3f} vs {total:.3f} "
                             f"(z={abs(mean - total) / se:.2f})")
     elapsed = time.perf_counter() - t0
-    ok = not failures
-    if sk.ACTIVE_BACKEND == "numba":
-        ok = ok and elapsed < 60.0
-        budget_note = f"in {elapsed:.1f}s (budget 60s)"
-    else:
-        # the pure-numpy fallback trades speed for dependency freedom; the
-        # statistical checks still bind, the budget is reported only
-        budget_note = f"in {elapsed:.1f}s (numpy fallback, budget waived)"
+    # the budget binds on both backends
+    ok = not failures and elapsed < 60.0
+    budget_note = f"in {elapsed:.1f}s ({sk.ACTIVE_BACKEND} backend, budget 60s)"
     detail = (f"{len(designs)} designs x {R} replicates {budget_note}"
               + ("" if not failures else f"; failures: {failures}"))
     report(9, ok, detail)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import surveykit as sk
 from surveykit.core import NonProbabilityDesignError, SupportTooLargeError
+from surveykit.frame import FrameError
 
 from conftest import example_design_distribution
 
@@ -217,6 +218,25 @@ class TestFrameCSV:
     def test_bad_row_reports_line(self):
         with pytest.raises(Exception, match="row 3"):
             sk.read_frame_csv("id,y\nu1,1.0\nu2,oops\n")
+
+    @pytest.mark.parametrize("column", ["mos", "y", "x2"])
+    def test_bad_cell_in_a_large_frame_reports_its_row(self, column):
+        # columns parse in one numpy call; a bad cell still names its row
+        header = ["id", "mos", "y", "x1", "x2"]
+        rows = [[f"u{i}", "1.5", f"{i}.25", "0.5", "-0"] for i in range(5000)]
+        rows[3456][header.index(column)] = "1.0.0"
+        text = "\n".join(",".join(r) for r in [header, *rows]) + "\n\n"
+        with pytest.raises(FrameError, match=r"^row 3458: .*'1\.0\.0'"):
+            sk.read_frame_csv(text)
+        rows[3456][header.index(column)] = " 1_000 "
+        frame = sk.read_frame_csv("\n".join(",".join(r) for r in [header, *rows]))
+        value = frame.aux[3456, 1] if column == "x2" else getattr(frame, column)[3456]
+        assert value == 1000.0
+        assert frame.aux.flags.c_contiguous and frame.aux.shape == (5000, 2)
+
+    def test_bad_cell_above_a_short_row_is_reported_first(self):
+        with pytest.raises(FrameError, match="row 3: could not convert"):
+            sk.read_frame_csv("id,y\nu1,1.0\nu2,oops\nu3\n")
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(Exception, match="unique"):

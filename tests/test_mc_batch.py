@@ -3,7 +3,12 @@ kernel with a fixed uniform count runs R replicates from one uniform block
 per chunk, and `mc_poisson` does the same.  Hits, replicate values and the
 Generator state afterwards must equal the scalar reference loops bit for
 bit, because a block of rng.random((rows, k)) holds exactly the doubles of
-rows * k scalar calls."""
+rows * k scalar calls.
+
+Kernels with a random uniform count run on a speculative block of a PCG64
+stream, after which the Generator is rewound and advanced by the doubles
+used; they must match the scalar loops bit for bit as well, and every other
+bit generator must keep the scalar loop."""
 
 import functools
 
@@ -185,3 +190,180 @@ def test_design_entry_point_matches_select_loop():
             assert vals[r] == pytest.approx(sk.ht_total(s, y[s.idx]).value, rel=1e-12)
         assert np.array_equal(hits, expect_hits)
         assert rng_mc.random() == rng_sel.random()
+
+
+# ---------------------------------------------------------------------------
+# Variable-count kernels: lockstep forms, the buffered scalar loop, and
+# buffered single draws.
+
+def lahiri_args(x, n):
+    return x, float(x.max()) * (1 + 1e-12), n  # the bound barely above the largest mos
+
+
+def variable_bindings(N, n):
+    """(label, kernel, args, with_replacement) of every kernel whose uniform
+    count is random."""
+    x = size_measures(N)
+    return [
+        ("srs_selection_rejection", kernels.srs_selection_rejection, (n, N), False),
+        ("chao_select", kernels.chao_select, (x, n), False),
+        ("ppswr_lahiri", kernels.ppswr_lahiri, lahiri_args(x, n), True),
+        ("rejective_poisson_select", kernels.rejective_poisson_select,
+         (sk.compute_pips(x, n), n, 10_000), False),
+    ]
+
+
+# both sides of each lockstep cutoff: 32 units for selection-rejection and
+# 128 for Chao; Lahiri's form and rejective Poisson's buffered loop take
+# any N
+VARIABLE_SHAPES = [(12, 3), (32, 4), (33, 4), (128, 8), (129, 8), (1000, 50)]
+VARIABLE_CASES = [(N, n, b, R) for N, n in VARIABLE_SHAPES for b in variable_bindings(N, n)
+                  for R in (1, 7, 1000)
+                  if R < 1000 or N < 1000 and b[0] != "rejective_poisson_select"
+                  or b[0] == "ppswr_lahiri"]
+
+
+def path_taken(monkeypatch, kernel, N):
+    """Run mc_draws once and tell which path it took: "batched" when the
+    scalar loop never ran, else what the loop was fed."""
+    fed = []
+    loop = kernels._mc_draws_loop
+
+    def spy(select, args, with_replacement, R, wvec, rng):
+        fed.append(type(rng).__name__)
+        return loop(select, args, with_replacement, R, wvec, rng)
+
+    monkeypatch.setattr(kernels, "_mc_draws_loop", spy)
+    args = dict((b[0], b[2]) for b in variable_bindings(N, 4))[kernel.__name__]
+    kernels.mc_draws(kernel, args, False, 3, weights(N), np.random.default_rng(1))
+    return fed[0] if fed else "batched"
+
+
+@pytest.mark.parametrize("N, n, binding, R", VARIABLE_CASES,
+                         ids=[f"{b[0]}-N{N}-R{R}" for N, n, b, R in VARIABLE_CASES])
+def test_variable_count_kernel_matches_scalar_loop(N, n, binding, R):
+    _, kernel, args, with_replacement = binding
+    check_kernel(kernel, args, with_replacement, R, weights(N), seed=R + N)
+
+
+@pytest.mark.parametrize("cells", [40, 200])
+@pytest.mark.parametrize("binding", variable_bindings(12, 4), ids=lambda b: b[0])
+def test_variable_count_batches_spanning_several_blocks(monkeypatch, binding, cells):
+    monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+    _, kernel, args, with_replacement = binding
+    check_kernel(kernel, args, with_replacement, 203, weights(12), seed=cells)
+
+
+@pytest.mark.parametrize("kernel, N, path", [
+    (kernels.srs_selection_rejection, 32, "batched"),
+    (kernels.srs_selection_rejection, 33, "_Buffered"),
+    (kernels.chao_select, 128, "batched"),
+    (kernels.chao_select, 129, "_Buffered"),
+    (kernels.ppswr_lahiri, 1000, "batched"),
+    (kernels.rejective_poisson_select, 12, "_Buffered"),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_lockstep_cutoff_picks_the_path(monkeypatch, kernel, N, path):
+    assert path_taken(monkeypatch, kernel, N) == path
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937],
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("binding", variable_bindings(12, 3), ids=lambda b: b[0])
+def test_other_bit_generators_keep_the_scalar_loop(monkeypatch, bit_generator, binding):
+    # Philox has `advance`, but one of its steps is a 4-word counter block,
+    # not one double
+    _, kernel, args, with_replacement = binding
+    wvec = weights(12)
+    runs = []
+    for run in (kernels.mc_draws, kernels._mc_draws_loop):
+        rng = np.random.Generator(bit_generator(77))
+        hits, vals = run(kernel, args, with_replacement, 300, wvec, rng)
+        runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
+    assert runs[0] == runs[1]
+    monkeypatch.setattr(kernels, "_mc_draws_loop", lambda *a: a[-1])
+    rng = np.random.Generator(bit_generator(77))
+    assert kernels.mc_draws(kernel, args, with_replacement, 5, wvec, rng) is rng
+
+
+HALF_CASES = [(12, b) for b in variable_bindings(12, 3)] + [
+    (1000, b) for b in variable_bindings(1000, 50)[:2]]
+
+
+@pytest.mark.parametrize("N, binding", HALF_CASES, ids=[f"{b[0]}-N{N}" for N, b in HALF_CASES])
+def test_pending_32_bit_half_survives_the_rewind(N, binding):
+    # `advance` drops a buffered 32-bit half, so the rewind writes it back
+    _, kernel, args, with_replacement = binding
+    runs = []
+    for run in (kernels.mc_draws, kernels._mc_draws_loop):
+        rng = np.random.default_rng(N)
+        rng.integers(0, 2 ** 32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"]
+        hits, vals = run(kernel, args, with_replacement, 7, weights(N), rng)
+        runs.append((hits.tobytes(), vals.tobytes(), rng.bit_generator.state,
+                     rng.integers(0, 2 ** 32, dtype=np.uint32), rng.random()))
+    assert runs[0] == runs[1]
+
+
+def test_pcg64dxsm_is_rewound_too():
+    kernel, args = kernels.srs_selection_rejection, (4, 12)
+    runs = []
+    for run in (kernels.mc_draws, kernels._mc_draws_loop):
+        rng = np.random.Generator(np.random.PCG64DXSM(3))
+        hits, vals = run(kernel, args, False, 500, weights(12), rng)
+        runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
+    assert runs[0] == runs[1]
+
+
+def test_rejective_out_of_tries_still_raises():
+    # one try per replicate: most replicates come back empty, and both entry
+    # points must report it, on a small frame (plain path) and a large one
+    # (buffered path)
+    for N, n in ((12, 3), (200, 20)):
+        x = size_measures(N)
+        frame = sk.Frame(ids=tuple(map(str, range(N))), mos=x, y=weights(N))
+        work = sk.compute_pips(x, n) * 0.9
+        design = sk.RejectivePoisson(n, tuple(work), max_tries=1)
+        seed = next(s for s in range(200) if kernels.rejective_poisson_select(
+            work, n, 1, np.random.default_rng(s)).size == 0)
+        with pytest.raises(RuntimeError, match="after 1 tries"):
+            sk.select(design, frame, np.random.default_rng(seed))
+        with pytest.raises(RuntimeError, match="after 1 tries"):
+            design_consistency_mc(design, frame, 50, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("kernel", sorted(kernels._SCANS, key=lambda k: k.__name__),
+                         ids=lambda k: k.__name__)
+def test_buffered_single_draws_match_the_kernel(kernel):
+    N, n = 1000, 50
+    x = size_measures(N)
+    args = {
+        "srs_selection_rejection": (n, N), "srs_reservoir": (n, N),
+        "srs_random_sort": (n, N), "poisson_select": (sk.compute_pips(x, n),),
+        "chao_select": (np.sort(x), 20),
+        "rejective_poisson_select": (sk.compute_pips(x, n), n, 10_000),
+    }[kernel.__name__]
+    rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(5):
+        a = kernels._one_draw(kernel, args, N, rng_a)
+        b = kernel(*args, rng_b)
+        assert a.tobytes() == b.tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert rng_a.random() == rng_b.random()
+
+
+def test_variable_count_designs_match_select_loop():
+    # a leaf design's MC replicate is one select(), also for the lockstep
+    # forms and on both sides of the buffered single-draw cutoff
+    for N in (12, 40):
+        x, y = size_measures(N), weights(N)
+        frame = sk.Frame(ids=tuple(map(str, range(N))), mos=np.sort(x), y=y)
+        for design in (sk.SRS(4), sk.Chao(3), sk.PPSWR(4, "lahiri"), sk.RejectivePoisson(3)):
+            rng_mc, rng_sel = RngStream(9).generator(), RngStream(9).generator()
+            hits, vals = design_consistency_mc(design, frame, 25, rng_mc)
+            expect_hits = np.zeros(N)
+            for r in range(25):
+                s = sk.select(design, frame, rng_sel)
+                expect_hits[s.idx] += 1
+                assert vals[r] == pytest.approx(sk.ht_total(s, y[s.idx]).value, rel=1e-12)
+            assert np.array_equal(hits, expect_hits)
+            assert rng_mc.random() == rng_sel.random()

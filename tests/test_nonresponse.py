@@ -205,6 +205,14 @@ class TestPSVariance:
         with pytest.raises(NotMeasurableError):
             sk.ps_variance(data, p, joint=joint, pi=pi)
 
+    def test_joint_alone_reads_pi_from_its_diagonal(self):
+        data, p, _, joint = self._srs_joint_case()
+        full = sk.ps_variance(data, p, joint=joint, pi=np.diag(joint))
+        alone = sk.ps_variance(data, p, joint=joint)
+        assert alone[0].value == full[0].value
+        assert alone[1:] == full[1:]
+        assert alone[1] != sk.ps_variance(data, p)[1]  # not the with-replacement V1
+
     def test_mc_coverage(self):
         # draw a real first-phase SRS so the design component is genuine;
         # the with-replacement V1 formula is mildly conservative at f = 0.1
