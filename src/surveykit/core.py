@@ -93,6 +93,10 @@ class Sample:
 
     @property
     def weights(self):
+        """Expansion weights: m / pi, or with replacement the Hansen-Hurwitz
+        m / (n p), so that weights @ y is the HT or HH total."""
+        if self.with_replacement:
+            return self.multiplicity / (self.n * self.pi)
         return self.multiplicity / self.pi
 
     def y_values(self, j=0):
@@ -200,7 +204,7 @@ def conditional_poisson_pips(working_pi, n):
     """Exact first-order inclusion probabilities of Poisson sampling
     conditioned on realized size n (rejective sampling), via the
     Poisson-binomial recursion.  Memoized: the marginals are reused on
-    every draw from the same design."""
+    every draw from the same design, and come back read-only."""
     p = np.asarray(working_pi, dtype=float)
     N = p.size
     if not 0 < n <= N:
@@ -226,6 +230,7 @@ def conditional_poisson_pips(working_pi, n):
         pi[i] = p[i] * rest[n - 1] / full[n]
     if len(_COND_POISSON_CACHE) > 1024:
         _COND_POISSON_CACHE.clear()
+    pi.setflags(write=False)  # handed out on every call, so nobody may write it
     _COND_POISSON_CACHE[key] = pi
     return pi
 

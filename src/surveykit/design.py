@@ -307,7 +307,7 @@ class SRSWR(_Sized):
                 self.first_order(frame).first_order, "srswr")
 
 
-class _Independent(Design):
+class _Independent(_Leaf):
     """Independent inclusion with probabilities `first_order`; the realized
     sample size is random."""
 
@@ -325,13 +325,14 @@ class _Independent(Design):
                    for r in range(N + 1) for combo in itertools.combinations(range(N), r)]
         return DesignDistribution(_sorted_support([e for e in entries if e[1] > 0]), frame)
 
-    def draw(self, frame, rng):
+    def _bind(self, frame):
         pi = self.first_order(frame).first_order
-        mask = kernels._one_draw(kernels.poisson_select, (pi,), pi.size, rng)
-        idx = np.nonzero(mask)[0].astype(np.int64)
-        return Sample(frame, idx, pi[idx], design_tag=self.key)
+        return kernels._poisson_indices, (pi,), pi, self.key
 
     def mc_batch(self, frame, R, rng):
+        # what `_Leaf.mc_batch` computes, called through kernels.mc_poisson:
+        # perfbench's wrong-answer test patches that name and expects it to
+        # bias exactly Bernoulli and Poisson
         pi = self.first_order(frame).first_order
         return kernels.mc_poisson(pi, R, frame.y_column() / pi, rng)
 
@@ -419,24 +420,16 @@ class SystematicPPS(_Sized):
         return a
 
     def support(self, frame, cap):
-        n, x = self.n, frame.mos
+        x = frame.mos
         a = self._interval(x)
         bounds = np.concatenate([[0.0], np.cumsum(x)])
         cuts = sorted({round(float(b % a), 15) for b in bounds} | {0.0, float(a)})
+        # each piece of (0, a] between two cuts draws one set: the walk's
+        # from the piece's midpoint
+        pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 1e-15]
+        mids = np.array([[0.5 * (lo + hi)] for lo, hi in pieces])
         entries = {}
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo <= 1e-15:
-                continue
-            start = 0.5 * (lo + hi)
-            chosen = []
-            j = 0
-            upper = x[0]
-            for k in range(n):
-                pos = start + k * a
-                while pos > upper:
-                    j += 1
-                    upper += x[j]
-                chosen.append(j)
+        for (lo, hi), chosen in zip(pieces, kernels._systematic_pps_walk(x, a, self.n, mids)):
             key = tuple(sorted(frame.ids[i] for i in chosen))
             entries[key] = entries.get(key, 0.0) + (hi - lo) / a
         return DesignDistribution(tuple(sorted(entries.items())), frame)
@@ -634,8 +627,19 @@ class RejectivePoisson(_Sized):
         return hits, vals
 
 
+class _Nesting(Design):
+    """A design built from child designs, none of which may draw with
+    replacement: the union would need each child's own Hansen-Hurwitz
+    weights, which a Sample does not carry."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if any(getattr(d, "with_replacement", False) for d in _nested(self)):
+            raise DesignError(f"{type(self).__name__} cannot nest a with-replacement design")
+
+
 @dataclass(frozen=True)
-class Stratified(Design):
+class Stratified(_Nesting):
     """Independent draws within each stratum; the union is the sample."""
 
     designs: tuple = _mapping(Design)  # ((stratum label, child design), ...)
@@ -678,16 +682,12 @@ class Stratified(Design):
         return DesignDistribution(_sorted_support(entries), frame)
 
     def draw(self, frame, rng):
-        parts = []
-        for label, idx in frame.strata():
-            parts.append((idx, designs.select(self.child(label), frame.restrict(idx), rng)))
+        parts = [(idx, designs.select(self.child(label), frame.restrict(idx), rng))
+                 for label, idx in frame.strata()]
         idx = np.concatenate([idx_local[s.idx] for idx_local, s in parts])
         pi = np.concatenate([s.pi for _, s in parts])
-        mult = np.concatenate([s.multiplicity for _, s in parts])
         order = np.argsort(idx, kind="stable")
-        return Sample(frame, idx[order], pi[order], multiplicity=mult[order],
-                      with_replacement=any(s.with_replacement for _, s in parts),
-                      design_tag="stratified")
+        return Sample(frame, idx[order], pi[order], design_tag="stratified")
 
     def mc_batch(self, frame, R, rng):
         # strata draw independently, so the replicate law factorizes:
@@ -704,7 +704,7 @@ class Stratified(Design):
 
 
 @dataclass(frozen=True)
-class OneStageCluster(Design):
+class OneStageCluster(_Nesting):
     """Draw whole clusters and observe every element inside them."""
 
     psu: Design  # design applied to the cluster frame
@@ -750,7 +750,7 @@ class OneStageCluster(Design):
 
 
 @dataclass(frozen=True)
-class TwoStage(Design):
+class TwoStage(_Nesting):
     """Two-stage sampling under invariance (the SSU design attached to a
     cluster never depends on the realized PSU set) and independence (the
     within-cluster draws for distinct clusters use disjoint stretches of
@@ -901,12 +901,12 @@ class PoissonOnAux(Phase2Rule):
         if np.any(x <= 0):
             raise ValueError("Poisson phase-2 rule needs positive observed values")
         p2 = np.minimum(compute_pips(x, self.r), 1.0)
-        local = np.nonzero(kernels.poisson_select(p2, rng))[0].astype(np.int64)
+        local = kernels._poisson_indices(p2, rng)
         return local, p2[local], None, None
 
 
 @dataclass(frozen=True)
-class TwoPhase(Design):
+class TwoPhase(_Nesting):
     """Two-phase sampling: the phase-2 rule may read phase-1 observations,
     which breaks invariance on purpose.  The sample records pi^(1), the
     conditional pi_{2|1}, and their product as the overall pi*."""
@@ -918,6 +918,7 @@ class TwoPhase(Design):
     def __post_init__(self):
         if not callable(self.phase2):
             raise DesignError(f"unknown phase-2 rule {self.phase2!r}")
+        super().__post_init__()
 
     def draw(self, frame, rng):
         s1 = designs.select(self.phase1, frame, rng)
@@ -986,19 +987,13 @@ def _brewer_joint(p):
 
 
 def _cluster_frame(frame):
-    """One row per cluster; mos is the cluster's total mos (or its size when
+    """One row per cluster; mos is the cluster's total mos (its size when
     the frame carries no explicit mos).  Memoized on the frame."""
     if "cluster_frame" not in frame._cache:
-        labels, cluster_mos = [], []
-        default_mos = bool(np.all(frame.mos == 1.0))
-        for label, members in frame.clusters():
-            labels.append(label)
-            cluster_mos.append(
-                members.size if default_mos else frame.mos[members].sum()
-            )
+        clusters = frame.clusters()
         frame._cache["cluster_frame"] = Frame(
-            ids=tuple(labels), mos=np.asarray(cluster_mos, dtype=float)
-        )
+            ids=tuple(label for label, _ in clusters),
+            mos=np.array([frame.mos[members].sum() for _, members in clusters]))
     return frame._cache["cluster_frame"]
 
 

@@ -81,11 +81,9 @@ def select_bernoulli(frame, pi, rng):
     return dz.Bernoulli(pi).draw(frame, as_generator(rng))
 
 
-def select_poisson(frame, pi_vec, rng, tag="poisson"):
+def select_poisson(frame, pi_vec, rng):
     """Independent inclusion; the realized sample size is random."""
-    sample = dz.Poisson(pi_vec).draw(frame, as_generator(rng))
-    sample.design_tag = tag
-    return sample
+    return dz.Poisson(pi_vec).draw(frame, as_generator(rng))
 
 
 def select_systematic(frame, n, rng):

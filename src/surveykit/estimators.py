@@ -63,14 +63,12 @@ def _weights(sample):
 
 def ht_total(sample, y):
     """Horvitz-Thompson total: sum of y_i / pi_i over the sample.  For
-    with-replacement draws the multiplicities make this the Hansen-Hurwitz
-    form (1/n) sum y/p."""
+    with-replacement draws the weights make this the Hansen-Hurwitz form
+    (1/n) sum y/p."""
     if not isinstance(y, np.ndarray):
         y = np.asarray(y, dtype=float)
-    w = sample.multiplicity / sample.pi
-    if sample.with_replacement:
-        return Estimate(float(w @ y) / sample.n, method="hansen_hurwitz")
-    return Estimate(float(w @ y), method="horvitz_thompson")
+    return Estimate(float(sample.weights @ y), method="hansen_hurwitz"
+                    if sample.with_replacement else "horvitz_thompson")
 
 
 def ht_mean(sample, y, N):

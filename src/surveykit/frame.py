@@ -103,34 +103,23 @@ class Frame:
 
     def clusters(self):
         """Cluster labels in frame order of first appearance, with index sets."""
-        if self.cluster is None:
-            raise FrameError("frame carries no cluster labels")
-        if "clusters" not in self._cache:
-            order, members = [], {}
-            for i, c in enumerate(self.cluster):
-                if c not in members:
-                    members[c] = []
-                    order.append(c)
-                members[c].append(i)
-            self._cache["clusters"] = [
-                (c, np.asarray(members[c], dtype=np.int64)) for c in order
-            ]
-        return self._cache["clusters"]
+        return self._groups("cluster")
 
     def strata(self):
-        if self.stratum is None:
-            raise FrameError("frame carries no stratum labels")
-        if "strata" not in self._cache:
-            order, members = [], {}
-            for i, s in enumerate(self.stratum):
-                if s not in members:
-                    members[s] = []
-                    order.append(s)
-                members[s].append(i)
-            self._cache["strata"] = [
-                (s, np.asarray(members[s], dtype=np.int64)) for s in order
-            ]
-        return self._cache["strata"]
+        """Stratum labels in frame order of first appearance, with index sets."""
+        return self._groups("stratum")
+
+    def _groups(self, name):
+        labels = getattr(self, name)
+        if labels is None:
+            raise FrameError(f"frame carries no {name} labels")
+        if name not in self._cache:
+            members = {}  # keeps first-appearance order
+            for i, label in enumerate(labels):
+                members.setdefault(label, []).append(i)
+            self._cache[name] = [(label, np.asarray(m, dtype=np.int64))
+                                 for label, m in members.items()]
+        return self._cache[name]
 
     def restrict(self, idx):
         """Sub-frame of the given dense indices (used for per-stratum and
@@ -223,11 +212,10 @@ def read_frame_csv(path_or_text):
     """Load a frame from CSV: required column ``id``; optional ``mos``,
     ``stratum``, ``cluster``, ``y`` and ``x1..xk``.  UTF-8, '.' decimal."""
     if isinstance(path_or_text, str) and "\n" in path_or_text:
-        handle = io.StringIO(path_or_text)
-        reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader)]
-        return _read_frame_rows(reader, header)
-    with open(path_or_text, newline="", encoding="utf-8") as handle:
+        source = io.StringIO(path_or_text)
+    else:
+        source = open(path_or_text, newline="", encoding="utf-8")
+    with source as handle:
         reader = csv.reader(handle)
         header = [h.strip() for h in next(reader)]
         return _read_frame_rows(reader, header)

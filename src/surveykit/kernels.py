@@ -6,10 +6,10 @@ Python otherwise; both paths consume the Generator identically (randomness
 enters only through ``rng.random()``), so the selected indices are
 bit-for-bit reproducible across backends.
 
-The batched Monte Carlo functions `mc_draws` and `mc_poisson` run R replicates
-in one call.  On numpy they draw uniforms as ``rng.random(shape)`` blocks of
-the same stream, which hold exactly the doubles the scalar calls would
-return, so their output matches the scalar loops bit for bit too.  A kernel
+The batched Monte Carlo function `mc_draws` runs R replicates in one call.
+On numpy it draws uniforms as ``rng.random(shape)`` blocks of the same
+stream, which hold exactly the doubles the scalar calls would return, so
+its output matches the scalar loop bit for bit too.  A kernel
 whose uniform count is random runs on a speculative block of a PCG64 stream,
 after which the Generator is rewound and advanced by the doubles the kernel
 used; the same trick serves single draws on large frames (`_one_draw`).
@@ -102,6 +102,12 @@ def poisson_select(pi, rng):
         if rng.random() < pi[i]:
             mask[i] = True
     return mask
+
+
+@jit
+def _poisson_indices(pi, rng):
+    # the units poisson_select includes, as the frame indices a design draws
+    return np.nonzero(poisson_select(pi, rng))[0]
 
 
 @jit
@@ -250,8 +256,8 @@ def rejective_poisson_select(pi, n, max_tries, rng):
 # Hansen-Hurwitz form).  Replicate loops are the package's hot path, where
 # a round trip through `select` per replicate would swamp the kernels:
 #
-# - compiled (numba), the scalar loops `_mc_draws_loop` and
-#   `_mc_poisson_loop` keep the whole run out of Python;
+# - compiled (numba), the scalar loop `_mc_draws_loop` keeps the whole run
+#   out of Python;
 # - on numpy, a kernel that takes a fixed number k of uniforms per draw has
 #   a batched form that draws one `rng.random((rows, k))` block per chunk of
 #   replicates.  A block holds exactly the doubles of rows * k scalar calls,
@@ -297,21 +303,6 @@ def _mc_draws_loop(select, args, with_replacement, R, wvec, rng):
             for k in idx:
                 hits[k] += 1.0
                 total += wvec[k]
-        vals[r] = total
-    return hits, vals
-
-
-@jit
-def _mc_poisson_loop(pi, R, wvec, rng):
-    N = pi.shape[0]
-    hits = np.zeros(N)
-    vals = np.empty(R)
-    for r in range(R):
-        total = 0.0
-        for i in range(N):
-            if rng.random() < pi[i]:
-                hits[i] += 1.0
-                total += wvec[i]
         vals[r] = total
     return hits, vals
 
@@ -444,6 +435,14 @@ def _srswr_draws_rows(n, N, R, rng):
         yield _unit_indices(rng.random((rows, n)), N)
 
 
+def _poisson_indices_rows(pi, R, rng):
+    # rows are ragged (a random size); index N pads the units left out
+    N = pi.shape[0]
+    units = np.arange(N)
+    for rows in _chunks(R, N):
+        yield np.where(rng.random((rows, N)) < pi, units, N)
+
+
 def _systematic_select_rows(N, G, R, rng):
     # rows are ragged (n or n+1 units); index N pads the short ones
     steps = np.arange((N - 1) // G + 1) * G
@@ -453,14 +452,19 @@ def _systematic_select_rows(N, G, R, rng):
         yield idx
 
 
+def _systematic_pps_walk(x, a, n, starts):
+    """The units systematic_pps_select takes from each start, at interval
+    a: starts of shape (..., 1) give index rows of shape (..., n)."""
+    # the loop's running `upper` is the cumsum, and it stops at the first j
+    # with pos <= upper
+    pos = starts + np.arange(n) * a
+    return _in_frame(np.searchsorted(np.cumsum(x), pos), x.shape[0])
+
+
 def _systematic_pps_select_rows(x, n, R, rng):
-    cum = np.cumsum(x)  # the loop's running `upper`
-    a = cum[-1] / n
-    steps = np.arange(n) * a
+    a = np.cumsum(x)[-1] / n  # the loop's running total
     for rows in _chunks(R, n):
-        start = (1.0 - rng.random((rows, 1))) * a
-        # the loop stops at the first j with pos <= upper
-        yield _in_frame(np.searchsorted(cum, start + steps), x.shape[0])
+        yield _systematic_pps_walk(x, a, n, (1.0 - rng.random((rows, 1))) * a)
 
 
 def _ppswr_cumulative_rows(cum, n, R, rng):
@@ -615,6 +619,7 @@ _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
     srs_reservoir: _srs_reservoir_rows,
     srs_random_sort: _srs_random_sort_rows,
     srswr_draws: _srswr_draws_rows,
+    _poisson_indices: _poisson_indices_rows,
     systematic_select: _systematic_select_rows,
     systematic_pps_select: _systematic_pps_select_rows,
     ppswr_cumulative: _ppswr_cumulative_rows,
@@ -638,7 +643,7 @@ _SPECULATIVE = {
 # kernels that take one uniform per frame unit (or more), buffered on a
 # single draw from a frame of at least _BUFFERED_MIN_N units
 _SCANS = frozenset((srs_selection_rejection, srs_reservoir, srs_random_sort,
-                    poisson_select, chao_select, rejective_poisson_select))
+                    _poisson_indices, chao_select, rejective_poisson_select))
 
 
 def _one_draw(select, args, N, rng):
@@ -680,18 +685,5 @@ def mc_draws(select, args, with_replacement, R, wvec, rng):
 
 
 def mc_poisson(pi, R, wvec, rng):
-    """R replicates of independent inclusion with probabilities pi, as
-    `_mc_poisson_loop` runs them; on numpy, one (rows, N) block of uniforms
-    per chunk."""
-    if ACTIVE_BACKEND == "numba":
-        return _mc_poisson_loop(pi, R, wvec, rng)
-    N = pi.shape[0]
-    hits = np.zeros(N)
-    vals = np.empty(R)
-    done = 0
-    for rows in _chunks(R, N):
-        mask = rng.random((rows, N)) < pi
-        hits += mask.sum(axis=0)
-        vals[done:done + rows] = _row_totals(np.where(mask, wvec, 0.0))
-        done += rows
-    return hits, vals
+    """R replicates of independent inclusion with probabilities pi."""
+    return mc_draws(_poisson_indices, (pi,), False, R, wvec, rng)

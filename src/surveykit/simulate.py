@@ -41,8 +41,8 @@ def design_consistency_mc(design, frame, R, rng):
     counts distinct appearances per unit over R replicates and values holds
     the replicate HT (or Hansen-Hurwitz) totals of the frame's y.
 
-    Leaf designs run through one batched call (`kernels.mc_draws` or
-    `mc_poisson`) over the kernel, checks and weights that `select` uses.
+    Leaf designs run through one batched call (`kernels.mc_draws`) over
+    the kernel, checks and weights that `select` uses.
     On numpy, kernels with a fixed uniform count draw each chunk of
     replicates from one uniform block, with the same draws, totals and
     stream position as the scalar replicate loop.  On a PCG64 stream, the

@@ -93,7 +93,7 @@ def hh_variance(sample_wr, y):
 
 def linearized_variance(sample, kind, joint=None, y=None, x=None,
                         x_total=None, beta=None, g_weights=None,
-                        domain=None, groups=None, N_g=None, strata=None):
+                        domain=None, groups=None, strata=None):
     """Taylor-linearization variance: build the residual transform for the
     requested estimator and push it through the HT/SYG machinery (or the
     simplified estimator when joint probabilities are unavailable).
@@ -325,7 +325,7 @@ def srs_within_cluster_vhat(y_cluster, M_i):
 
 
 def two_phase_variance(sample2p, y, mode="stratified", x=None, beta=None,
-                       N=None, joint1=None, poisson_phase2=False):
+                       N=None, poisson_phase2=False):
     """Variance estimation for two-phase samples.
 
     stratified          (1/n) sum w_h (ybar_h2 - est)^2

@@ -65,7 +65,7 @@ ROUND_TRIP_CASES = {
     "two_phase": sk.TwoPhase(sk.SRS(3), sk.StratifyOnAux(column="stratum", rate=0.5)),
     "two_phase-stratify-numeric": sk.TwoPhase(sk.SRS(3), sk.StratifyOnAux(
         column=0, rates={"0": 0.5, "1": 0.25}, boundaries=(2.0,))),
-    "two_phase-keep_all": sk.TwoPhase(sk.PPSWR(3), sk.KeepAll()),
+    "two_phase-keep_all": sk.TwoPhase(sk.Systematic(3), sk.KeepAll()),
     "two_phase-poisson": sk.TwoPhase(sk.SRS(3), sk.PoissonOnAux(2, column=1)),
 }
 
@@ -89,6 +89,8 @@ MALFORMED_DOCUMENTS = {
         "phase2": {"stratify": {"rate": 0.5, "rates": {"a": 0.5}}}}},
     "poisson-rule-r-0": {"two_phase": {"phase1": {"srs": {"n": 3}},
                                        "phase2": {"poisson": {"r": 0}}}},
+    "stratified-ppswr-child": {"stratified": {"a": {"srs": {"n": 1}},
+                                              "b": {"ppswr": {"n": 2}}}},
 }
 
 

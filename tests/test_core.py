@@ -197,6 +197,18 @@ class TestRejective:
         dist = sk.enumerate_design(sk.RejectivePoisson(3, tuple(work)), frame)
         assert np.max(np.abs(dp - dist.first_order())) < 1e-12
 
+    def test_memoized_marginals_are_read_only(self):
+        # the cache hands out one array; a write into it would change the
+        # pi every later draw reports
+        frame = sk.Frame(ids=tuple("abcdef"), mos=np.arange(1.0, 7.0))
+        design = sk.RejectivePoisson(2)
+        before = sk.select(design, frame, np.random.default_rng(3))
+        pi = sk.first_order_pips(design, frame).first_order
+        with pytest.raises(ValueError, match="read-only"):
+            pi[:] = 0.5
+        after = sk.select(design, frame, np.random.default_rng(3))
+        assert after.pi.tobytes() == before.pi.tobytes()
+
     def test_working_prob_calibration(self):
         target = sk.compute_pips([5, 10, 15, 20, 25], 2)
         work = sk.calibrate_rejective_working_probs(target, 2, tol=1e-8)

@@ -198,6 +198,45 @@ class TestSystematic:
         assert expected == pytest.approx(10 / 3)
 
 
+class _FixedUniform:
+    """A stand-in Generator whose every random() is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_systematic_pps_support_matches_the_kernel_walk(n):
+    # every piece of (0, a] between two cuts of the support draws one set;
+    # the scalar kernel started at the piece's midpoint must take that set,
+    # so the kernel's mass per set adds up to the support's probabilities
+    checked = 0
+    for seed in range(10):
+        mos = np.round(np.random.default_rng(seed).uniform(1.0, 4.0, 12), 3)
+        frame = sk.Frame(ids=tuple(f"u{i}" for i in range(12)), mos=mos)
+        try:
+            support = dict(sk.enumerate_design(sk.SystematicPPS(n), frame))
+        except IndexError:
+            continue  # the rounding sliver of perfbench's strict xfail
+        a = mos.sum() / n
+        bounds = np.concatenate([[0.0], np.cumsum(mos)])
+        cuts = sorted({float(b % a) for b in bounds} | {0.0, float(a)})
+        mass = Counter()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi - lo > 1e-9:
+                mid = 0.5 * (lo + hi)
+                idx = sk.kernels.systematic_pps_select(mos, n, _FixedUniform(1 - mid / a))
+                mass[tuple(sorted(frame.ids[i] for i in idx))] += (hi - lo) / a
+        assert set(mass) == set(support)
+        for key, p in support.items():
+            assert mass[key] == pytest.approx(p, abs=1e-9 * len(cuts))
+        checked += 1
+    assert checked >= 5
+
+
 class TestPPSWR:
     def test_single_positive_mos(self):
         frame = sk.Frame(ids=("a", "b"), mos=np.array([0.0, 3.0]))
@@ -377,6 +416,26 @@ class TestStratified:
         with pytest.raises(ValueError):
             sk.select_stratified(stratified_frame,
                                  {"s1": sk.SRS(3), "s2": sk.SRS(1)}, RngStream(1))
+
+
+WR_NESTINGS = {
+    "stratified": lambda wr: sk.Stratified({"a": sk.SRS(1), "b": wr}),
+    "one_stage_cluster": lambda wr: sk.OneStageCluster(wr),
+    "two_stage-psu": lambda wr: sk.TwoStage(wr, sk.SRS(1)),
+    "two_stage-ssu": lambda wr: sk.TwoStage(sk.SRS(1), wr),
+    "two_stage-per_cluster": lambda wr: sk.TwoStage(sk.SRS(1), sk.SRS(1),
+                                                    per_cluster={"c1": wr}),
+    "two_phase": lambda wr: sk.TwoPhase(wr, sk.KeepAll()),
+    "stratified-cluster": lambda wr: sk.Stratified({"a": sk.OneStageCluster(wr)}),
+}
+
+
+@pytest.mark.parametrize("wr", [sk.SRSWR(2), sk.PPSWR(2)], ids=["srswr", "ppswr"])
+@pytest.mark.parametrize("make", WR_NESTINGS.values(), ids=WR_NESTINGS)
+def test_nested_designs_refuse_with_replacement_children(make, wr):
+    # a nested Sample has one weight per unit, not each child's HH factor
+    with pytest.raises(DesignError, match="with-replacement"):
+        make(wr)
 
 
 class TestClusterAndTwoStage:

@@ -517,3 +517,22 @@ class TestComposite:
         v_m = 1 / (n - n_u)
         _, alpha = sk.composite(sk.Estimate(0, v_u), sk.Estimate(0, v_m), 0.0)
         assert alpha == pytest.approx(n_u / n)
+
+
+def test_with_replacement_weights_are_hansen_hurwitz():
+    # weights m / (n p): the difference estimator with zero proxies is the
+    # HH total, and both average to the true total 24
+    frame = sk.Frame(ids=tuple("abcd"), mos=np.array([1.0, 2.0, 3.0, 4.0]),
+                     y=np.array([3.0, 5.0, 7.0, 9.0]))
+    base = RngStream(13)
+    for design in (sk.PPSWR(3), sk.SRSWR(3)):
+        totals = []
+        for r in range(200):
+            s = sk.select(design, frame, base.substream(r))
+            y = s.y_values()
+            assert np.allclose(s.weights, s.multiplicity / (3 * s.pi))
+            ht = sk.ht_total(s, y).value
+            assert sk.difference_estimator(s, y, np.zeros(4)).value == pytest.approx(ht)
+            totals.append(ht)
+        se = np.std(totals, ddof=1) / math.sqrt(len(totals))
+        assert abs(np.mean(totals) - 24.0) < 4 * se

@@ -1,9 +1,9 @@
 """Batched Monte Carlo parity without numba: on the numpy backend every
 kernel with a fixed uniform count runs R replicates from one uniform block
-per chunk, and `mc_poisson` does the same.  Hits, replicate values and the
-Generator state afterwards must equal the scalar reference loops bit for
-bit, because a block of rng.random((rows, k)) holds exactly the doubles of
-rows * k scalar calls.
+per chunk.  Hits, replicate values and the Generator state afterwards must
+equal the scalar reference loop `_mc_draws_loop` bit for bit, because a
+block of rng.random((rows, k)) holds exactly the doubles of rows * k scalar
+calls.
 
 Kernels with a random uniform count run on a speculative block of a PCG64
 stream, after which the Generator is rewound and advanced by the doubles
@@ -46,6 +46,8 @@ def bindings(N, n):
         ("srs_reservoir", kernels.srs_reservoir, (n, N), False),
         ("srs_random_sort", kernels.srs_random_sort, (n, N), False),
         ("srswr_draws", kernels.srswr_draws, (n, N), True),
+        ("_poisson_indices", kernels._poisson_indices,
+         (np.clip(sk.compute_pips(x, n), 0.05, 1.0),), False),
         ("systematic_select", kernels.systematic_select, (N, N // n), False),
         ("systematic_pps_select", kernels.systematic_pps_select, (x, n), False),
         ("ppswr_cumulative", kernels.ppswr_cumulative, (np.cumsum(x), n), True),
@@ -125,7 +127,8 @@ def test_mc_poisson_matches_scalar_loop(N, R):
     pi = np.clip(sk.compute_pips(size_measures(N), N // 4), 0.05, 1.0)
     wvec = weights(N) / pi
     assert_same_run(lambda rng: kernels.mc_poisson(pi, R, wvec, rng),
-                    lambda rng: kernels._mc_poisson_loop(pi, R, wvec, rng), seed=R)
+                    lambda rng: kernels._mc_draws_loop(kernels._poisson_indices, (pi,),
+                                                       False, R, wvec, rng), seed=R)
 
 
 def test_mc_poisson_spanning_several_chunks(monkeypatch):
@@ -133,7 +136,8 @@ def test_mc_poisson_spanning_several_chunks(monkeypatch):
     pi = np.linspace(0.1, 0.9, 12)
     wvec = weights(12) / pi
     assert_same_run(lambda rng: kernels.mc_poisson(pi, 101, wvec, rng),
-                    lambda rng: kernels._mc_poisson_loop(pi, 101, wvec, rng), seed=9)
+                    lambda rng: kernels._mc_draws_loop(kernels._poisson_indices, (pi,),
+                                                       False, 101, wvec, rng), seed=9)
 
 
 def test_wrapped_kernel_keeps_the_batched_path():
@@ -338,7 +342,7 @@ def test_buffered_single_draws_match_the_kernel(kernel):
     x = size_measures(N)
     args = {
         "srs_selection_rejection": (n, N), "srs_reservoir": (n, N),
-        "srs_random_sort": (n, N), "poisson_select": (sk.compute_pips(x, n),),
+        "srs_random_sort": (n, N), "_poisson_indices": (sk.compute_pips(x, n),),
         "chao_select": (np.sort(x), 20),
         "rejective_poisson_select": (sk.compute_pips(x, n), n, 10_000),
     }[kernel.__name__]

@@ -224,6 +224,50 @@ class TestLinearized:
         assert 0.92 <= cover / R <= 0.98
 
 
+class TestLinearizedKinds:
+    """Each residual transform under SRS(n) of N, where the HT-scale
+    variance of a centred residual is N^2 (1 - f) s^2 / n."""
+
+    N, n = 20, 6
+
+    @pytest.fixture
+    def srs(self):
+        y = np.random.default_rng(29).normal(10.0, 3.0, self.N)
+        frame = sk.Frame(ids=tuple(map(str, range(self.N))), y=y)
+        s = sk.select_srs(frame, self.n, rng=RngStream(31))
+        joint = sk.joint_pips(sk.SRS(self.n), frame)
+        return s, joint, s.y_values(), float(np.var(s.y_values(), ddof=1))
+
+    def mean_scale(self, s2):
+        return (1 - self.n / self.N) * s2 / self.n
+
+    def test_hajek(self, srs):
+        s, joint, y, s2 = srs
+        est = sk.linearized_variance(s, "hajek", joint=joint, y=y)
+        assert est.value == pytest.approx(self.mean_scale(s2), rel=1e-12)
+
+    def test_domain_of_everyone(self, srs):
+        s, joint, y, s2 = srs
+        est = sk.linearized_variance(s, "domain", joint=joint, y=y, domain=np.ones(self.n))
+        assert est.value == pytest.approx(self.mean_scale(s2), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["regression", "greg_g", "post_stratified"])
+    def test_total_scale(self, srs, kind):
+        s, joint, y, s2 = srs
+        extra = {
+            "regression": dict(x=np.ones(self.n), beta=np.array([y.mean()])),
+            "greg_g": dict(g_weights=np.ones(self.n)),
+            "post_stratified": dict(groups=["g"] * self.n),
+        }[kind]
+        est = sk.linearized_variance(s, kind, joint=joint, y=y, **extra)
+        assert est.value == pytest.approx(self.N ** 2 * self.mean_scale(s2), rel=1e-12)
+
+    def test_hajek_without_joint_is_with_replacement(self, srs):
+        s, _, y, s2 = srs
+        est = sk.linearized_variance(s, "hajek", y=y)
+        assert est.value == pytest.approx(s2 / self.n, rel=1e-12)
+
+
 class TestRandomGroups:
     def test_identical_replicates_zero(self):
         assert sk.random_group_variance([5.0] * 6).value == 0.0
