@@ -22,7 +22,7 @@ from .core import (
     conditional_poisson_pips,
 )
 from .estimators import ht_total
-from .frame import Frame
+from .frame import Frame, FrameError
 
 __all__ = [
     "Design", "SRS", "SRSWR", "Bernoulli", "Poisson", "Systematic",
@@ -157,16 +157,21 @@ class Design(_Document):
     mc_batch(frame, R, rng) (hits, values) over R replicates: appearances
                             per unit and the HT (or Hansen-Hurwitz) totals of
                             the frame's y
+    mc_rows(frame, R, rng)  (idx, pi), the Sample.idx and Sample.pi of R
+                            replicates as (R, w) tables: row r, without its
+                            pads (index N, pi 1.0, anywhere in the row), is
+                            replicate r's sample
     to_dict() / from_dict   the document form, {key: {field: value}}
 
-    A leaf design (`_Leaf`) supplies its kernel binding instead of `draw`
-    and `mc_batch`, which both follow from it.  Defaults: `joint` builds the
-    matrix from the support, `first_order` and `support` raise
-    NonEnumerableError, and `mc_batch` loops over `designs.select`.  The
-    public entry points (`core.first_order_pips`, `joint_pips`,
-    `enumerate_design`, `designs.select`, `simulate.design_consistency_mc`)
-    delegate here, and nested designs reach their children through those
-    entry points.
+    A leaf design (`_Leaf`) supplies its kernel binding instead of `draw`,
+    `mc_batch` and `mc_rows`, which follow from it.  Defaults: `joint`
+    builds the matrix from the support, `first_order` and `support` raise
+    NonEnumerableError, and `mc_batch` and `mc_rows` loop over
+    `designs.select`.  The public entry points (`core.first_order_pips`,
+    `joint_pips`, `enumerate_design`, `designs.select`,
+    `simulate.design_consistency_mc`) delegate here, and nested designs
+    reach their children through those entry points, or through a child's
+    `mc_rows` when a batch must know which replicates drew what.
     """
 
     registry = {}
@@ -205,6 +210,11 @@ class Design(_Document):
             vals[r] = ht_total(s, y[s.idx]).value
         return hits, vals
 
+    def mc_rows(self, frame, R, rng):
+        samples = [designs.select(self, frame, rng) for _ in range(R)]
+        return (kernels._stack([s.idx[None] for s in samples], frame.n_units),
+                kernels._stack([s.pi[None] for s in samples], 1.0))
+
 
 class _Leaf(Design):
     """A design drawn by one kernel call.  `_bind(frame)` runs every check
@@ -238,6 +248,14 @@ class _Leaf(Design):
         y = frame.y_column()
         wvec = y / (self.n * p) if self.with_replacement else y / p
         return kernels.mc_draws(kernel, args, self.with_replacement, R, wvec, rng)
+
+    def mc_rows(self, frame, R, rng):
+        kernel, args, p, _ = self._bind(frame)
+        N = p.size
+        idx = kernels._stack(list(kernels._mc_rows(kernel, args, N, R, rng)), N)
+        if self.with_replacement:  # a Sample holds each drawn unit once
+            idx = kernels._distinct(idx, N)
+        return idx, np.append(p, 1.0)[idx]
 
 
 class _Sized(_Leaf):
@@ -626,6 +644,12 @@ class RejectivePoisson(_Sized):
             raise self._ran_out()
         return hits, vals
 
+    def mc_rows(self, frame, R, rng):
+        idx, pi = super().mc_rows(frame, R, rng)
+        if np.count_nonzero(idx < frame.n_units) < R * self.n:
+            raise self._ran_out()
+        return idx, pi
+
 
 class _Nesting(Design):
     """A design built from child designs, none of which may draw with
@@ -730,7 +754,9 @@ class OneStageCluster(_Nesting):
         members = dict(frame.clusters())
         chosen = [members[label] for label in cs.ids]
         sizes = [m.size for m in chosen]
-        return Sample(frame, np.concatenate(chosen), np.repeat(cs.pi, sizes),
+        # the empty array stands in when a random-size PSU design draws none
+        return Sample(frame, np.concatenate([np.empty(0, dtype=np.int64), *chosen]),
+                      np.repeat(cs.pi, sizes),
                       design_tag="one_stage_cluster",
                       psu_labels=tuple(np.repeat(cs.ids, sizes)))
 
@@ -780,17 +806,18 @@ class TwoStage(_Nesting):
         return InclusionProbs(pi)
 
     def draw(self, frame, rng):
-        if frame.cluster is None:
-            raise ValueError("two-stage sampling needs cluster labels on the frame")
         cs = designs.select(self.psu, _cluster_frame(frame), rng)
-        members = dict(frame.clusters())
-        idx, pi, cond, labels = [], [], [], []
-        for pos_in_cs, label in enumerate(cs.ids):
-            sub = designs.select(self.ssu_for(label), frame.restrict(members[label]), rng)
-            take = members[label][sub.idx]
+        clusters = frame.clusters()
+        # the empty arrays stand in when a random-size PSU design draws none
+        idx, pi, cond, labels = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)], []
+        # SSUs are drawn in cluster-frame order, as `mc_batch` draws them
+        for k, pi_c in sorted(zip(cs.idx.tolist(), cs.pi.tolist())):
+            label, members = clusters[k]
+            sub = designs.select(self.ssu_for(label), frame.restrict(members), rng)
+            take = members[sub.idx]
             idx.append(take)
             cond.append(sub.pi)
-            pi.append(cs.pi[pos_in_cs] * sub.pi)
+            pi.append(pi_c * sub.pi)
             labels.extend([label] * take.size)
         idx = np.concatenate(idx)
         order = np.argsort(idx, kind="stable")
@@ -798,6 +825,26 @@ class TwoStage(_Nesting):
                       conditional_pi=np.concatenate(cond)[order],
                       design_tag="two_stage",
                       psu_labels=tuple(labels[k] for k in order))
+
+    def mc_batch(self, frame, R, rng):
+        # Invariance and independence make a replicate's SSU sample in a
+        # drawn cluster a fresh draw of that cluster's SSU design, from its
+        # own stretch of the stream.  So the PSU rows come first, then each
+        # cluster, in cluster-frame order as `draw` takes them, runs one
+        # batch over the replicates that drew it, adding t_c / pi_c.
+        frame.y_column()  # a frame without study values fails as the select loop does
+        Design.require(self.psu, DesignError, "cannot select from {}")
+        cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, rng)
+        hits, vals = np.zeros(frame.n_units), np.zeros(R)
+        for k, (label, members) in enumerate(frame.clusters()):
+            drew = cidx == k
+            reps = np.nonzero(drew.any(axis=1))[0]
+            if reps.size:
+                h, v = simulate.design_consistency_mc(
+                    self.ssu_for(label), frame.restrict(members), reps.size, rng)
+                hits[members] += h
+                vals[reps] += v / cpi[drew]
+        return hits, vals
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +859,13 @@ class Phase2Rule(_Document):
     probabilities, the realized phase-2 stratum labels, and the stratum
     labels it assigned to every phase-1 unit (None when it does not
     stratify).  Any callable with that signature is a rule too; it may
-    return the first two only."""
+    return the first two only.
+
+    A rule may also have a batched form, mc_cond(idx, frame, rng): given
+    the phase-1 index table of `Design.mc_rows` (pad: frame.n_units), the
+    conditional phase-2 probability of every cell, 0 where the unit is not
+    subsampled.  A two-phase design whose rule has none runs its Monte
+    Carlo batches through the select loop."""
 
     registry = {}
     noun = "phase-2 rule"
@@ -825,6 +878,9 @@ class KeepAll(Phase2Rule):
     def __call__(self, phase1_sample, frame, rng):
         n1 = phase1_sample.idx.size
         return np.arange(n1, dtype=np.int64), np.ones(n1), None, None
+
+    def mc_cond(self, idx, frame, rng):
+        return (idx < frame.n_units).astype(float)
 
 
 @dataclass(frozen=True)
@@ -852,28 +908,38 @@ class StratifyOnAux(Phase2Rule):
         if any(not 0 < nu <= 1 for nu in fractions):
             raise DesignError("phase-2 subsampling fractions must be in (0, 1]")
 
-    def _strata(self, phase1_sample, frame):
+    def _labels(self, frame, idx):
+        """The phase-2 stratum label of each frame unit in idx."""
         if self.column == "stratum":
-            return phase1_sample.stratum_labels()
-        x = frame.aux[phase1_sample.idx, int(self.column)]
+            if frame.stratum is None:
+                raise FrameError("frame carries no stratum labels")
+            return [frame.stratum[i] for i in idx]
+        x = frame.aux[idx, int(self.column)]
         if self.boundaries is None:
             raise DesignError("numeric phase-2 stratification needs boundaries")
         cuts = np.asarray(self.boundaries, dtype=float)
-        return tuple(str(int(k)) for k in np.searchsorted(cuts, x, side="left"))
+        return [str(int(k)) for k in np.searchsorted(cuts, x, side="left")]
+
+    def _subsample_size(self, label, n_h):
+        """r_h of a phase-2 stratum that holds n_h phase-1 units."""
+        nu = self.rate
+        if nu is None:
+            nu = dict(self.rates).get(label)
+            if nu is None:
+                raise FrameError(f"phase-2 stratum {label!r} has no rate in the "
+                                 f"stratify rule {self.to_dict()}")
+        return max(1, int(round(float(nu) * n_h)))
 
     def __call__(self, phase1_sample, frame, rng):
-        labels = self._strata(phase1_sample, frame)
-        rates = None if self.rates is None else dict(self.rates)
-        locals_, conds, out_labels = [], [], []
+        labels = self._labels(frame, phase1_sample.idx)
         groups = {}
         for pos, lab in enumerate(labels):
             groups.setdefault(lab, []).append(pos)
+        # the empty arrays stand in when the phase-1 sample is empty
+        locals_, conds, out_labels = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
         for lab in sorted(groups):
             pos = np.asarray(groups[lab], dtype=np.int64)
-            nu = self.rate if rates is None else float(rates[lab])
-            r_h = max(1, int(round(nu * pos.size)))
-            if r_h > pos.size:
-                raise ValueError(f"phase-2 stratum {lab!r}: r_h={r_h} exceeds n_h={pos.size}")
+            r_h = self._subsample_size(lab, pos.size)
             chosen = kernels.srs_selection_rejection(r_h, pos.size, rng)
             locals_.append(pos[chosen])
             conds.append(np.full(chosen.size, r_h / pos.size))
@@ -881,6 +947,28 @@ class StratifyOnAux(Phase2Rule):
         local, cond = np.concatenate(locals_), np.concatenate(conds)
         order = np.argsort(local, kind="stable")
         return local[order], cond[order], tuple(np.asarray(out_labels)[order]), tuple(labels)
+
+    def mc_cond(self, idx, frame, rng):
+        # Strata run in __call__'s sorted label order.  Within one, the
+        # replicates with the same n_h share one selection-rejection batch
+        # over their stratum cells, taken in row order as __call__ takes
+        # them, so a one-replicate batch draws exactly what __call__ draws.
+        labels = self._labels(frame, np.arange(frame.n_units))
+        names = sorted(set(labels))
+        code = {name: h for h, name in enumerate(names)}
+        cell = np.array([code[lab] for lab in labels] + [-1])[idx]  # -1: a pad
+        cond = np.zeros(idx.shape)
+        for h, name in enumerate(names):
+            inside = cell == h
+            n_h = inside.sum(axis=1)
+            for n in np.unique(n_h[n_h > 0]).tolist():
+                reps = np.nonzero(n_h == n)[0]
+                r = self._subsample_size(name, n)
+                chosen = kernels._stack(list(kernels._mc_rows(
+                    kernels.srs_selection_rejection, (r, n), n, reps.size, rng)), n)
+                cols = np.nonzero(inside[reps])[1].reshape(reps.size, n)
+                cond[reps[:, None], np.take_along_axis(cols, chosen, axis=1)] = r / n
+        return cond
 
 
 @dataclass(frozen=True)
@@ -929,6 +1017,21 @@ class TwoPhase(_Nesting):
         return Sample(frame, s1.idx[local], s1.pi[local] * cond, conditional_pi=cond,
                       design_tag="two_phase", phase1=s1,
                       psu_labels=labels, phase1_labels=all_labels)
+
+    def mc_batch(self, frame, R, rng):
+        cond_of = getattr(self.phase2, "mc_cond", None)
+        if cond_of is None:  # a rule without a batched form
+            return super().mc_batch(frame, R, rng)
+        y = np.append(frame.y_column(), 0.0)  # index N pads and weighs nothing
+        Design.require(self.phase1, DesignError, "cannot select from {}")
+        idx, pi = self.phase1.mc_rows(frame, R, rng)
+        cond = cond_of(idx, frame, rng)
+        kept = cond > 0
+        w = np.zeros(idx.shape)
+        w[kept] = y[idx[kept]] / (pi[kept] * cond[kept])
+        # summed left to right, so that where the pads sit changes nothing
+        return (np.bincount(idx[kept], minlength=frame.n_units).astype(float),
+                kernels._row_totals(w))
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,9 @@ def rejective_poisson_select(pi, n, max_tries, rng):
 #   chains would make the lockstep table R * tries * N wide, the scalar loop
 #   runs on a `_Buffered` source instead of the Generator.  Other bit
 #   generators keep the scalar loop.
+#
+# `_path` picks among these, and `_mc_rows` yields the replicates' index
+# tables on any of them, for designs that compose their children's batches.
 
 _CHUNK_CELLS = 1 << 16  # the most cells one table of a batch holds
 
@@ -319,7 +322,9 @@ def _row_totals(w):
     """Each row of w added left to right from 0.0, as the scalar loops add.
     A cumsum row starting at -0.0 may end at -0.0 where the loop, starting
     at +0.0, ends at +0.0; adding 0.0 maps it there and changes nothing
-    else."""
+    else.  Rows of no cells sum to 0.0."""
+    if not w.shape[1]:
+        return np.zeros(w.shape[0])
     return np.cumsum(w, axis=1)[:, -1] + 0.0
 
 
@@ -655,31 +660,79 @@ def _one_draw(select, args, N, rng):
         return select(*args, source)
 
 
+def _path(select, N, rng):
+    """How R replicates of `select` on a frame of N units run: (form,
+    buffered), form being the kernel's batched or lockstep rows form, or
+    None for the scalar loop, which runs on a `_Buffered` source when
+    buffered is true.  A wrapped kernel (functools.wraps, as a tracer
+    installs) is matched by the function it wraps."""
+    kernel = inspect.unwrap(select)
+    if kernel in _SPECULATIVE and _rewinds(rng):
+        form, max_N = _SPECULATIVE[kernel]
+        return (form, False) if form is not None and N <= max_N else (None, True)
+    return _BATCHED.get(kernel), False
+
+
+def _stack(tables, pad):
+    """Tables of index (or probability) rows stacked into one, every row
+    filled up at its end with `pad` to the widest table's width."""
+    width = max((t.shape[1] for t in tables), default=0)
+    out = np.full((sum(t.shape[0] for t in tables), width), pad,
+                  dtype=np.result_type(pad, *tables))
+    top = 0
+    for t in tables:
+        out[top:top + t.shape[0], :t.shape[1]] = t
+        top += t.shape[0]
+    return out
+
+
+def _mc_rows(select, args, N, R, rng):
+    """R replicates of `select(*args, rng)` on a frame of N units, chunk by
+    chunk: int64 tables whose row r, without the pads (index N, anywhere in
+    the row), is replicate r's draw in kernel output order.  The stream is
+    consumed as R scalar calls would consume it."""
+    form, buffered = _path(select, N, rng)
+    if form is not None:
+        yield from form(*args, R, rng)
+        return
+    for rows in _chunks(R, N):
+        if buffered:
+            with _Buffered(rng, _BLOCK) as source:
+                draws = [select(*args, source) for _ in range(rows)]
+        else:
+            draws = [select(*args, rng) for _ in range(rows)]
+        yield _stack([d[None] for d in draws], N)
+
+
+def _distinct(idx, N):
+    """Rows of with-replacement draws as their distinct units, ascending:
+    a repeat becomes the pad N, which sorts last."""
+    idx = np.sort(idx, axis=1)
+    idx[:, 1:][idx[:, 1:] == idx[:, :-1]] = N
+    return np.sort(idx, axis=1)
+
+
 def mc_draws(select, args, with_replacement, R, wvec, rng):
     """R replicates of `select(*args, rng)`, the kernel a design draws with:
-    (hits, vals) as `_mc_draws_loop` returns them, from the kernel's batched
-    or lockstep form when it has one.  A wrapped kernel (functools.wraps, as
-    a tracer installs) is matched by the function it wraps."""
-    kernel = inspect.unwrap(select)
+    (hits, vals) as `_mc_draws_loop` returns them, summed from the index
+    tables of the kernel's batched or lockstep form when `_path` picks one;
+    the scalar loop runs as it is (compiled on numba)."""
     N = wvec.shape[0]
-    rows_of = _BATCHED.get(kernel)
-    if kernel in _SPECULATIVE and _rewinds(rng):
-        rows_of, max_N = _SPECULATIVE[kernel]
-        if rows_of is None or N > max_N:
+    form, buffered = _path(select, N, rng)
+    if form is None:
+        if buffered:
             with _Buffered(rng, _BLOCK) as source:
                 return _mc_draws_loop(select, args, with_replacement, R, wvec, source)
-    if rows_of is None:
         return _mc_draws_loop(select, args, with_replacement, R, wvec, rng)
     w = np.append(wvec, 0.0)  # index N pads ragged rows and weighs nothing
     counts = np.zeros(N + 1, dtype=np.int64)
     vals = np.empty(R)
     done = 0
-    for idx in rows_of(*args, R, rng):
+    for idx in form(*args, R, rng):
         vals[done:done + idx.shape[0]] = _row_totals(w[idx])
         done += idx.shape[0]
         if with_replacement:  # a unit counts once per replicate
-            idx = np.sort(idx, axis=1)
-            idx[:, 1:][idx[:, 1:] == idx[:, :-1]] = N
+            idx = _distinct(idx, N)
         counts += np.bincount(idx.ravel(), minlength=N + 1)
     return counts[:N].astype(float), vals
 

@@ -50,9 +50,15 @@ def design_consistency_mc(design, frame, R, rng):
     PPSWR, Chao, rejective Poisson) run on speculative blocks that are then
     rewound to the doubles used, with the same result; other bit
     generators keep the scalar loop for them.  Stratified and one-stage
-    cluster designs combine their children's batches; two-stage and
-    two-phase designs fall back to the generic selection loop
-    (`Design.mc_batch`)."""
+    cluster designs combine their children's batches.  Two-stage and
+    two-phase designs compose them through `Design.mc_rows`, which tells
+    which replicate drew which units: a two-stage batch draws the PSU rows,
+    then one SSU batch per cluster over the replicates that drew it; a
+    two-phase batch draws the phase-1 rows, then its rule's batched form
+    (`mc_cond`; the keep-all and stratify rules have one).  These keep the
+    design's law, but only a one-replicate batch draws what one `select`
+    draws.  A two-phase design whose rule has no batched form runs the
+    generic selection loop (`Design.mc_batch`)."""
     Design.require(design, DesignError, "cannot select from {}")
     return design.mc_batch(frame, R, as_generator(rng))
 

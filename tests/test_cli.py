@@ -229,6 +229,35 @@ class TestDraw:
                                "--design", "srs", "--n", "2", "--seed", "1")
         assert code == 3
 
+    def test_frame_without_the_labels_a_design_reads_exit_3(self, frame_path, tmp_path,
+                                                            capsys):
+        # one FrameError for every design that reads cluster or stratum
+        # labels, not a numerical failure
+        doc = tmp_path / "design.json"
+        for design, labels in (
+                (sk.TwoStage(sk.SRS(1), sk.SRS(1)), "cluster"),
+                (sk.OneStageCluster(sk.SRS(1)), "cluster"),
+                (sk.TwoPhase(sk.SRS(3), sk.StratifyOnAux(rate=0.5)), "stratum"),
+                (sk.Stratified({"a": sk.SRS(1)}), "stratum")):
+            doc.write_text(json.dumps(design.to_dict()), encoding="utf-8")
+            code, out, err = run_cli(capsys, "draw", "--frame", frame_path,
+                                     "--design-file", str(doc), "--seed", "1")
+            assert code == 3 and out == ""
+            assert err == f"data error: frame carries no {labels} labels\n"
+
+    def test_stratum_without_a_rate_exit_3(self, tmp_path, capsys):
+        frame = tmp_path / "frame.csv"
+        frame.write_text("id,stratum,y\n" + "".join(
+            f"u{i},{'abc'[i // 3]},{i}\n" for i in range(9)), encoding="utf-8")
+        doc = tmp_path / "design.json"
+        doc.write_text(json.dumps(sk.TwoPhase(sk.SRS(6), sk.StratifyOnAux(
+            rates={"a": 0.5, "c": 0.5})).to_dict()), encoding="utf-8")
+        code, out, err = run_cli(capsys, "draw", "--frame", str(frame),
+                                 "--design-file", str(doc), "--seed", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("data error: phase-2 stratum 'b' has no rate in the "
+                              "stratify rule")
+
     def test_numerical_failure_exit_4(self, frame_path, capsys):
         code, _, err = run_cli(capsys, "draw", "--frame", frame_path,
                                "--design", "srs", "--n", "9", "--seed", "1")

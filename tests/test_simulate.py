@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import surveykit as sk
+from surveykit.design import Design
+from surveykit.frame import FrameError
 from surveykit.simulate import design_consistency_mc
 
 from conftest import example_design_distribution
@@ -128,6 +130,14 @@ class TestDesignConsistencyMC:
             design_consistency_mc(sk.RejectivePoisson(3, max_tries=1), frame, 200,
                                   np.random.default_rng(1))
 
+    def test_exhausted_rejective_tries_raise_inside_nested_batches(self, frame):
+        # the PSU and phase-1 tables must not pass an exhausted replicate on
+        # as an empty sample either
+        for design in (sk.TwoStage(sk.RejectivePoisson(2, max_tries=1), sk.SRS(1)),
+                       sk.TwoPhase(sk.RejectivePoisson(3, max_tries=1), sk.KeepAll())):
+            with pytest.raises(RuntimeError, match="1 tries"):
+                design_consistency_mc(design, frame, 200, np.random.default_rng(1))
+
     def test_oversized_srs_raises(self, frame):
         with pytest.raises(ValueError, match="cannot draw 9"):
             design_consistency_mc(sk.SRS(9), frame, 10, np.random.default_rng(1))
@@ -155,3 +165,181 @@ class TestDesignConsistencyMC:
         _, values = design_consistency_mc(sk.TwoStage(sk.SRS(2), sk.SRS(1)), frame,
                                           50, sk.RngStream(3))
         assert len(set(values)) > 1
+
+
+# ---------------------------------------------------------------------------
+# Batched two-stage and two-phase Monte Carlo: the nested designs compose
+# their children's batches (`Design.mc_rows`), keeping the design's law but
+# not the select loop's draws, except for a one-replicate batch.
+
+NESTED_N = 12
+NESTED_MOS = np.round(np.random.default_rng(11).uniform(1.0, 4.0, NESTED_N), 3)
+NESTED_FRAME = sk.Frame(
+    ids=tuple(map(str, range(NESTED_N))), mos=NESTED_MOS,
+    stratum=tuple("a" if i < 6 else "b" for i in range(NESTED_N)),
+    cluster=tuple(f"c{i // 3}" for i in range(NESTED_N)),
+    aux=NESTED_MOS[:, None], y=np.round(np.random.default_rng(12).normal(8, 3, NESTED_N), 3))
+
+NESTED_CASES = {
+    "two_stage-per_cluster": sk.TwoStage(
+        sk.SRS(2), sk.SRS(2), per_cluster={"c1": sk.Bernoulli(0.5), "c3": sk.Systematic(1)}),
+    "two_stage-bernoulli_psu": sk.TwoStage(sk.Bernoulli(0.4), sk.SRS(1, "reservoir")),
+    "two_stage-stratified_ssu": sk.TwoStage(
+        sk.SRS(3), sk.Stratified({"a": sk.SRS(1), "b": sk.SRS(1)})),
+    "two_phase-keep_all": sk.TwoPhase(sk.SRS(6, "draw_by_draw"), sk.KeepAll()),
+    "two_phase-rate": sk.TwoPhase(sk.SRS(6), sk.StratifyOnAux(rate=0.5)),
+    "two_phase-rates": sk.TwoPhase(sk.Bernoulli(0.5),
+                                   sk.StratifyOnAux(rates={"a": 0.5, "b": 0.3})),
+    # eleven cut points give labels "0".."11", which sort as strings
+    "two_phase-numeric": sk.TwoPhase(sk.Poisson(tuple(np.linspace(0.2, 0.9, NESTED_N))),
+                                     sk.StratifyOnAux(column=0, rate=0.4, boundaries=(
+                                         1.5, 2.0, 2.5, 3.0, 3.2, 3.4, 3.6, 3.7, 3.8,
+                                         3.9, 3.95))),
+    "two_phase-numeric-rates": sk.TwoPhase(sk.SRS(8), sk.StratifyOnAux(
+        column=0, rates={"0": 0.5, "1": 0.7, "2": 1.0}, boundaries=(2.0, 3.0))),
+}
+
+
+def select_loop(design, frame, R, rng):
+    """The generic replicate loop: one designs.select per replicate."""
+    return Design.mc_batch(design, frame, R, rng)
+
+
+class TestNestedBatches:
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox],
+                             ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("design", NESTED_CASES.values(), ids=NESTED_CASES)
+    def test_one_replicate_is_one_select(self, design, bit_generator):
+        # Philox cannot be rewound, so the children run the scalar rows path
+        y = NESTED_FRAME.y
+        for seed in range(10):
+            rng_mc, rng_sel = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            sample = sk.select(design, NESTED_FRAME, rng_sel)
+            hits, values = design_consistency_mc(design, NESTED_FRAME, 1, rng_mc)
+            np.testing.assert_array_equal(np.flatnonzero(hits), sample.idx)
+            assert values[0] == pytest.approx(sk.ht_total(sample, y[sample.idx]).value,
+                                              rel=1e-12, abs=1e-12)
+            assert rng_mc.random() == rng_sel.random()
+
+    @pytest.mark.parametrize("design", NESTED_CASES.values(), ids=NESTED_CASES)
+    def test_scalar_rows_path_gives_the_same_batch(self, design, monkeypatch):
+        # every kernel on its scalar loop draws what its batched or lockstep
+        # form draws, so the nested batch cannot tell the paths apart
+        from surveykit import kernels
+
+        runs = []
+        for path in (kernels._path, lambda select, N, rng: (None, False)):
+            monkeypatch.setattr(kernels, "_path", path)
+            rng = sk.RngStream(4).generator()
+            hits, values = design_consistency_mc(design, NESTED_FRAME, 300, rng)
+            runs.append((hits.tobytes(), values.tobytes(), rng.random()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("design", NESTED_CASES.values(), ids=NESTED_CASES)
+    def test_batches_never_call_select(self, design, monkeypatch):
+        from surveykit import designs
+
+        def refuse(*args):
+            raise AssertionError("the batch fell back to the select loop")
+
+        monkeypatch.setattr(designs, "select", refuse)
+        hits, values = design_consistency_mc(design, NESTED_FRAME, 50,
+                                             np.random.default_rng(2))
+        assert hits.shape == (NESTED_N,) and values.shape == (50,)
+
+    def test_two_stage_frequencies_and_mean(self):
+        design = NESTED_CASES["two_stage-per_cluster"]
+        R = 100_000
+        hits, values = design_consistency_mc(design, NESTED_FRAME, R, sk.RngStream(31))
+        target = sk.first_order_pips(design, NESTED_FRAME).first_order
+        band = 6 * np.sqrt(target * (1 - target) / R)
+        assert np.all(np.abs(hits / R - target) <= band)
+        se = values.std(ddof=1) / math.sqrt(R)
+        assert abs(values.mean() - NESTED_FRAME.y.sum()) <= 6 * se
+
+    @pytest.mark.parametrize("case", ["two_phase-rate", "two_phase-numeric-rates"])
+    def test_two_phase_matches_the_select_loop(self, case):
+        design = NESTED_CASES[case]
+        R, R_loop = 100_000, 20_000
+        hits, values = design_consistency_mc(design, NESTED_FRAME, R, sk.RngStream(32))
+        loop_hits, loop_values = select_loop(design, NESTED_FRAME, R_loop,
+                                             sk.RngStream(33).generator())
+        p = (hits + loop_hits) / (R + R_loop)
+        band = 6 * np.sqrt(p * (1 - p) * (1 / R + 1 / R_loop))
+        assert np.all(np.abs(hits / R - loop_hits / R_loop) <= band)
+        se = math.sqrt(values.var(ddof=1) / R + loop_values.var(ddof=1) / R_loop)
+        assert abs(values.mean() - loop_values.mean()) <= 6 * se
+        assert abs(values.mean() - NESTED_FRAME.y.sum()) <= 6 * values.std(ddof=1) / math.sqrt(R)
+
+    def test_rule_without_batched_form_keeps_the_select_loop(self):
+        design = sk.TwoPhase(sk.SRS(6), sk.PoissonOnAux(3))
+        batch = design_consistency_mc(design, NESTED_FRAME, 40, np.random.default_rng(5))
+        loop = select_loop(design, NESTED_FRAME, 40, np.random.default_rng(5))
+        assert batch[0].tobytes() == loop[0].tobytes()
+        assert batch[1].tobytes() == loop[1].tobytes()
+
+
+EMPTY_FRAME = sk.Frame(ids=tuple(f"u{i}" for i in range(9)),
+                       cluster=tuple(f"c{i // 3}" for i in range(9)),
+                       stratum=tuple("aaabbbccc"), aux=np.arange(9.0)[:, None],
+                       y=np.arange(1.0, 10.0))
+
+
+EMPTY_CASES = {
+    "one_stage_cluster": sk.OneStageCluster(sk.Bernoulli(0.05)),
+    "two_stage": sk.TwoStage(sk.Bernoulli(0.05), sk.SRS(2)),
+    "two_phase-stratify": sk.TwoPhase(sk.Bernoulli(0.05), sk.StratifyOnAux(rate=0.5)),
+    "two_phase-stratify-numeric": sk.TwoPhase(sk.Bernoulli(0.05), sk.StratifyOnAux(
+        column=0, rate=0.5, boundaries=(4.0,))),
+    "two_phase-keep_all": sk.TwoPhase(sk.Bernoulli(0.05), sk.KeepAll()),
+}
+
+
+@pytest.mark.parametrize("design", EMPTY_CASES.values(), ids=EMPTY_CASES)
+@pytest.mark.parametrize("scalar", [False, True], ids=["batched", "scalar_rows"])
+def test_random_size_designs_that_draw_nothing(design, scalar, monkeypatch):
+    if scalar:  # on the scalar rows path a chunk of empty draws has no columns
+        from surveykit import kernels
+
+        monkeypatch.setattr(kernels, "_path", lambda select, N, rng: (None, False))
+    # on this stream Bernoulli(0.05) draws no cluster and no phase-1 unit
+    sample = sk.select(design, EMPTY_FRAME, np.random.default_rng(1))
+    assert sample.idx.size == 0 and sample.pi.size == 0
+    assert sk.ht_total(sample, EMPTY_FRAME.y[sample.idx]).value == 0.0
+    hits, values = design_consistency_mc(design, EMPTY_FRAME, 1, np.random.default_rng(1))
+    assert not hits.any() and values.tolist() == [0.0]
+    # most replicates of a larger batch are empty and count as 0
+    hits, values = design_consistency_mc(design, EMPTY_FRAME, 400, np.random.default_rng(1))
+    assert (values == 0).sum() > 200 and hits.sum() > 0
+
+
+def test_stratum_without_a_rate_is_named():
+    design = sk.TwoPhase(sk.SRS(6), sk.StratifyOnAux(rates={"a": 0.5, "c": 0.5}))
+    with pytest.raises(FrameError, match="stratum 'b' has no rate") as drawn:
+        sk.select(design, EMPTY_FRAME, np.random.default_rng(1))
+    with pytest.raises(FrameError, match="stratum 'b' has no rate") as batched:
+        design_consistency_mc(design, EMPTY_FRAME, 50, np.random.default_rng(1))
+    assert str(batched.value) == str(drawn.value)
+    assert "stratify" in str(drawn.value) and "'a': 0.5" in str(drawn.value)
+
+
+@pytest.mark.parametrize("design", [sk.TwoStage("srs", sk.SRS(1)),
+                                    sk.TwoPhase("srs", sk.KeepAll())],
+                         ids=["two_stage", "two_phase"])
+def test_child_that_is_not_a_design_is_refused_by_the_batch(design):
+    from surveykit.design import DesignError
+
+    with pytest.raises(DesignError, match="cannot select from str"):
+        sk.select(design, NESTED_FRAME, 1)
+    with pytest.raises(DesignError, match="cannot select from str"):
+        design_consistency_mc(design, NESTED_FRAME, 10, 1)
+
+
+def test_two_stage_without_cluster_labels_is_a_frame_error():
+    frame = sk.Frame(ids=tuple("abcd"), y=np.ones(4))
+    design = sk.TwoStage(sk.SRS(1), sk.SRS(1))
+    for entry in (lambda: sk.select(design, frame, 1),
+                  lambda: design_consistency_mc(design, frame, 10, 1),
+                  lambda: sk.first_order_pips(design, frame)):
+        with pytest.raises(FrameError, match="no cluster labels"):
+            entry()
