@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import design as dz
+from . import kernels
 from .frame import Frame
 
 __all__ = [
@@ -202,9 +203,15 @@ _COND_POISSON_CACHE = {}
 
 def conditional_poisson_pips(working_pi, n):
     """Exact first-order inclusion probabilities of Poisson sampling
-    conditioned on realized size n (rejective sampling), via the
-    Poisson-binomial recursion.  Memoized: the marginals are reused on
-    every draw from the same design, and come back read-only."""
+    conditioned on realized size n (rejective sampling; Chen, Dempster &
+    Liu 1994).  With L[i, j] = P(units 0..i-1 take j) and T[i, j] =
+    P(units i..N-1 take j), the Poisson-binomial laws of a prefix and a
+    suffix of the frame cut at n,
+
+        pi_i = p_i * sum_j L[i, j] T[i+1, n-1-j] / L[N, n],
+
+    a sum of nonnegative products, in O(N n).  Memoized: the marginals are
+    reused on every draw from the same design, and come back read-only."""
     p = np.asarray(working_pi, dtype=float)
     N = p.size
     if not 0 < n <= N:
@@ -212,22 +219,12 @@ def conditional_poisson_pips(working_pi, n):
     key = (p.tobytes(), n)
     if key in _COND_POISSON_CACHE:
         return _COND_POISSON_CACHE[key]
-
-    def pb_pmf(probs):
-        out = np.zeros(probs.size + 1)
-        out[0] = 1.0
-        for k, q in enumerate(probs):
-            out[1:k + 2] = out[1:k + 2] * (1 - q) + out[:k + 1] * q
-            out[0] *= 1 - q
-        return out
-
-    full = pb_pmf(p)
-    if full[n] <= 0:
+    prefix = kernels._size_pmfs(p, n)
+    if prefix[N, n] <= 0:
         raise ValueError("target size has zero probability under the working design")
-    pi = np.empty(N)
-    for i in range(N):
-        rest = pb_pmf(np.delete(p, i))
-        pi[i] = p[i] * rest[n - 1] / full[n]
+    suffix = kernels._size_pmfs(p[::-1], n)[::-1]
+    rest = (prefix[:N, :n] * suffix[1:, n - 1::-1]).sum(axis=1)
+    pi = p * rest / prefix[N, n]
     if len(_COND_POISSON_CACHE) > 1024:
         _COND_POISSON_CACHE.clear()
     pi.setflags(write=False)  # handed out on every call, so nobody may write it

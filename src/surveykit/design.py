@@ -726,6 +726,21 @@ class Stratified(_Nesting):
             vals += v
         return hits, vals
 
+    def mc_rows(self, frame, R, rng):
+        # one batch per stratum, in draw's order, as in mc_batch; each row's
+        # units are then sorted, as draw sorts them
+        N = frame.n_units
+        idx, pi = [np.empty((R, 0), dtype=np.int64)], [np.empty((R, 0))]
+        for label, units in frame.strata():
+            child = self.child(label)
+            Design.require(child, DesignError, "cannot select from {}")
+            cidx, cpi = child.mc_rows(frame.restrict(units), R, rng)
+            idx.append(np.append(units, N)[cidx])
+            pi.append(cpi)
+        idx, pi = np.concatenate(idx, axis=1), np.concatenate(pi, axis=1)
+        order = np.argsort(idx, axis=1, kind="stable")  # the pads N sort last
+        return np.take_along_axis(idx, order, axis=1), np.take_along_axis(pi, order, axis=1)
+
 
 @dataclass(frozen=True)
 class OneStageCluster(_Nesting):
@@ -773,6 +788,22 @@ class OneStageCluster(_Nesting):
         for k, (_, m) in enumerate(members):
             hits[m] = h[k]
         return hits, v
+
+    def mc_rows(self, frame, R, rng):
+        # each drawn cluster expands into its members, clusters in the PSU
+        # rows' order, as draw takes them
+        Design.require(self.psu, DesignError, "cannot select from {}")
+        cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, rng)
+        # the pad, cluster index K, holds no units
+        members = [m for _, m in frame.clusters()] + [np.empty(0, dtype=np.int64)]
+        cells = [members[c] for c in cidx.ravel().tolist()]  # row after row
+        width = np.array([m.size for m in members])[cidx].sum(axis=1)
+        idx = np.full((R, int(width.max(initial=0))), frame.n_units, dtype=np.int64)
+        pi = np.ones(idx.shape)
+        filled = np.arange(idx.shape[1]) < width[:, None]  # row-major, as the cells run
+        idx[filled] = np.concatenate([members[-1], *cells])
+        pi[filled] = np.repeat(cpi.ravel(), [m.size for m in cells])
+        return idx, pi
 
 
 @dataclass(frozen=True)
@@ -914,7 +945,7 @@ class StratifyOnAux(Phase2Rule):
             if frame.stratum is None:
                 raise FrameError("frame carries no stratum labels")
             return [frame.stratum[i] for i in idx]
-        x = frame.aux[idx, int(self.column)]
+        x = _aux_column(frame, self.column, idx)
         if self.boundaries is None:
             raise DesignError("numeric phase-2 stratification needs boundaries")
         cuts = np.asarray(self.boundaries, dtype=float)
@@ -985,7 +1016,7 @@ class PoissonOnAux(Phase2Rule):
             raise DesignError("a poisson rule needs expected size r >= 1")
 
     def __call__(self, phase1_sample, frame, rng):
-        x = frame.aux[phase1_sample.idx, self.column]
+        x = _aux_column(frame, self.column, phase1_sample.idx)
         if np.any(x <= 0):
             raise ValueError("Poisson phase-2 rule needs positive observed values")
         p2 = np.minimum(compute_pips(x, self.r), 1.0)
@@ -1036,6 +1067,16 @@ class TwoPhase(_Nesting):
 
 # ---------------------------------------------------------------------------
 # helpers
+
+def _aux_column(frame, column, idx):
+    """frame.aux[idx, column] for a phase-2 rule, or a FrameError when the
+    frame has no such aux column."""
+    width = 0 if frame.aux is None else frame.aux.shape[1]
+    if not -width <= int(column) < width:
+        raise FrameError(f"phase-2 rule reads aux column {column}, but the frame "
+                         f"has {width} aux column(s)")
+    return frame.aux[idx, int(column)]
+
 
 def _check_srs_size(n, N):
     if n > N:

@@ -270,13 +270,14 @@ def rejective_poisson_select(pi, n, max_tries, rng):
 #   speculative block: save the bit generator's state, draw the block, run
 #   the kernel's logic on it, then restore the state and `advance` by the
 #   doubles that logic used (`_rewind`).  Lahiri takes the first R * n
-#   accepted pairs of a pair block; selection-rejection and Chao run their
-#   step machine in lockstep from every start offset of the block and chain
-#   the replicate starts, s += used[s] (`_chained`).  On a frame above the
-#   lockstep cutoff in `_SPECULATIVE`, and for rejective Poisson, whose try
-#   chains would make the lockstep table R * tries * N wide, the scalar loop
-#   runs on a `_Buffered` source instead of the Generator.  Other bit
-#   generators keep the scalar loop.
+#   accepted pairs of a pair block; selection-rejection, Chao and rejective
+#   Poisson run their step machine in lockstep from every start offset of
+#   the block and chain the starts, s += used[s] (`_chained`): one try per
+#   replicate for the first two, and for rejective Poisson the tries of a
+#   replicate until one draws exactly n units.  On a frame above the
+#   lockstep cutoff in `_SPECULATIVE` the scalar loop runs on a `_Buffered`
+#   source instead of the Generator.  Other bit generators keep the scalar
+#   loop.
 #
 # `_path` picks among these, and `_mc_rows` yields the replicates' index
 # tables on any of them, for designs that compose their children's batches.
@@ -514,28 +515,42 @@ def _durbin2_select_rows(p, R, rng):
 
 # Lockstep forms of the variable-count kernels, for a stream that `_rewinds`.
 
-def _chained(R, used_by, max_used, mean_used, rows_at, rng):
+def _chained(R, scan, max_used, mean_used, rows_at, rng, max_tries=1):
     """Rows of R replicates of a kernel that takes a random number of
-    uniforms, at most max_used and mean_used on average.  Per block of S
-    candidate starts, used_by(u, S) gives the uniforms each start would take,
-    the replicates start at 0, s + used[s], ... while s < S, and
-    rows_at(u, starts) gives their index rows; the Generator is then rewound
-    to the end of the last replicate."""
-    left = R
+    uniforms: tries of at most max_used uniforms each, until a try hits or
+    max_tries tries have missed, mean_used uniforms a replicate on average.
+    Per block of S candidate starts, scan(u, S) gives the uniforms a try
+    from each start takes, plus max_used where the try misses (small ints,
+    which Python does not allocate); the tries run at 0, s + used[s], ...
+    while s < S, and rows_at(u, ends) gives the rows of the replicates whose
+    hitting tries start at `ends` (-1: it ran out of tries).  The Generator
+    is then rewound to the first try not run, where a replicate cut short
+    by the block's end goes on with the tries it has left."""
+    left, tries = R, 0
     while left:
         # 10% over the mean, so that one block mostly covers what is left
         S = max(1, min(_CHUNK_CELLS - max_used, math.ceil(left * mean_used * 1.1)))
         state = rng.bit_generator.state
         u = rng.random(S + max_used)
-        used = used_by(u, S).tolist()
-        starts = []
+        used = scan(u, S).tolist()
+        ends = []
         s = 0
-        while s < S and len(starts) < left:
-            starts.append(s)
-            s += used[s]
+        while s < S and len(ends) < left:
+            step = used[s]
+            if step <= max_used:
+                ends.append(s)
+                tries = 0
+                s += step
+            else:
+                tries += 1
+                if tries == max_tries:
+                    ends.append(-1)
+                    tries = 0
+                s += step - max_used
         _rewind(rng, state, s)
-        left -= len(starts)
-        yield rows_at(u, np.array(starts, dtype=np.int64))
+        left -= len(ends)
+        if ends:
+            yield rows_at(u, np.array(ends, dtype=np.int64))
 
 
 def _selection_rejection_steps(n, N, col, size, out=None):
@@ -555,7 +570,7 @@ def _selection_rejection_steps(n, N, col, size, out=None):
 
 
 def _srs_selection_rejection_rows(n, N, R, rng):
-    def used_by(u, S):
+    def scan(u, S):
         return _selection_rejection_steps(n, N, lambda k: u[k:k + S], S)
 
     def rows_at(u, starts):
@@ -563,7 +578,7 @@ def _srs_selection_rejection_rows(n, N, R, rng):
         _selection_rejection_steps(n, N, lambda k: u[starts + k], starts.size, out)
         return out
 
-    return _chained(R, used_by, N, n * (N + 1) / (n + 1), rows_at, rng)
+    return _chained(R, scan, N, n * (N + 1) / (n + 1), rows_at, rng)
 
 
 def _chao_steps(n, prob, u, pos, res=None):
@@ -584,7 +599,7 @@ def _chao_select_rows(x, n, R, rng):
     N = x.shape[0]
     prob = n * x[n:] / np.cumsum(x)[n:]  # the loop's running total
 
-    def used_by(u, S):
+    def scan(u, S):
         start = np.arange(S)
         return _chao_steps(n, prob, u, start) - start
 
@@ -594,7 +609,55 @@ def _chao_select_rows(x, n, R, rng):
         return np.sort(res, axis=1)
 
     mean_used = N - n + float(np.minimum(prob, 1.0).sum())
-    return _chained(R, used_by, 2 * (N - n), mean_used, rows_at, rng)
+    return _chained(R, scan, 2 * (N - n), mean_used, rows_at, rng)
+
+
+def _size_pmfs(p, n):
+    """Row i, for i = 0..N: P(independent inclusion with probabilities p
+    takes j of units 0..i-1), j = 0..n; the Poisson-binomial recursion cut
+    at n."""
+    table = np.zeros((p.shape[0] + 1, n + 1))
+    table[0, 0] = 1.0
+    for i, q in enumerate(p.tolist()):
+        table[i + 1] = table[i] * (1 - q)
+        table[i + 1, 1:] += table[i, :-1] * q
+    return table
+
+
+def _rejective_steps(pi, n, u, S):
+    """rejective_poisson_select's try from each start s < S of u: the
+    uniforms it takes (N, or up to the unit that would overfill the sample),
+    plus N unless it draws exactly n units."""
+    dtype = np.min_scalar_type(pi.shape[0])
+    count, used = np.zeros(S, dtype), np.zeros(S, dtype)
+    take = np.empty(S, dtype=bool)
+    for i, q in enumerate(pi.tolist()):  # in place: this loop is the hot path
+        np.add(used, np.less_equal(count, n, out=take), out=used)
+        np.add(count, np.less(u[i:i + S], q, out=take), out=count)
+    used = used.astype(np.int64)
+    return np.where(count == n, used, used + pi.shape[0])
+
+
+def _rejective_poisson_select_rows(pi, n, max_tries, R, rng):
+    N = pi.shape[0]
+    if max_tries < 1:  # the kernel gives up before its first try
+        return (np.full((rows, n), N, dtype=np.int64) for rows in _chunks(R, n))
+    sizes = _size_pmfs(pi, n)
+    # a try reaches unit i when units 0..i-1 took at most n, and a replicate
+    # makes 1 / P(n units) tries on average
+    hit = float(sizes[N, n])
+    tries = max_tries if hit * max_tries <= 1 else 1 / hit
+    units = np.arange(N)
+
+    def rows_at(u, ends):
+        rows = np.full((ends.size, n), N, dtype=np.int64)  # ran out: all pads
+        ok = ends >= 0
+        drawn = u[ends[ok, None] + units] < pi  # exactly n per row
+        rows[ok] = np.nonzero(drawn)[1].reshape(-1, n)
+        return rows
+
+    return _chained(R, lambda u, S: _rejective_steps(pi, n, u, S), N,
+                    float(sizes[:N].sum()) * tries, rows_at, rng, max_tries)
 
 
 def _ppswr_lahiri_rows(x, bound, n, R, rng):
@@ -633,16 +696,18 @@ _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
 }
 
 # variable-count kernel -> (lockstep form, the largest frame it runs on);
-# above that frame, or with no form, the scalar loop runs `_Buffered`.  A
-# lockstep form does about N vector steps per block of starts, so its cost
-# per replicate grows with N^2; at R = 1000 (same machine as above) it
-# beats the buffered loop up to N = 32-48 for selection-rejection and
-# N = 192-256 for Chao, whose scalar steps cost more.
+# above that frame the scalar loop runs `_Buffered`.  A lockstep form does
+# about N vector steps per block of starts, so its cost per replicate grows
+# with N^2; at R = 1000 (same machine as above) it beats the buffered loop
+# up to N = 32-48 for selection-rejection, and up to N = 192-256 for Chao
+# and for rejective Poisson, whose scalar steps cost more (rejective
+# Poisson: 4.3 against 17.7 ms at N = 12, 1.4-1.6x as fast at N = 192,
+# 0.6-1.1x at N = 256).
 _SPECULATIVE = {
     srs_selection_rejection: (_srs_selection_rejection_rows, 32),
     chao_select: (_chao_select_rows, 128),
     ppswr_lahiri: (_ppswr_lahiri_rows, math.inf),  # two uniforms an attempt on any N
-    rejective_poisson_select: (None, 0),
+    rejective_poisson_select: (_rejective_poisson_select_rows, 192),
 }
 
 # kernels that take one uniform per frame unit (or more), buffered on a
@@ -669,7 +734,7 @@ def _path(select, N, rng):
     kernel = inspect.unwrap(select)
     if kernel in _SPECULATIVE and _rewinds(rng):
         form, max_N = _SPECULATIVE[kernel]
-        return (form, False) if form is not None and N <= max_N else (None, True)
+        return (form, False) if N <= max_N else (None, True)
     return _BATCHED.get(kernel), False
 
 

@@ -258,6 +258,23 @@ class TestDraw:
         assert err.startswith("data error: phase-2 stratum 'b' has no rate in the "
                               "stratify rule")
 
+    @pytest.mark.parametrize("x1", [True, False], ids=["one_aux", "no_aux"])
+    @pytest.mark.parametrize("rule", [
+        {"stratify": {"column": 3, "rate": 0.5, "boundaries": [5]}},
+        {"poisson": {"r": 2, "column": 4}},
+    ], ids=["stratify", "poisson"])
+    def test_phase2_rule_past_the_aux_columns_exit_3(self, tmp_path, capsys, rule, x1):
+        frame = tmp_path / "frame.csv"
+        frame.write_text("id,y" + ",x1" * x1 + "\n" + "".join(
+            f"u{i},{i}" + f",{i + 1}" * x1 + "\n" for i in range(6)), encoding="utf-8")
+        doc = tmp_path / "design.json"
+        doc.write_text(json.dumps({"two_phase": {"phase1": {"srs": {"n": 4}},
+                                                 "phase2": rule}}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "draw", "--frame", str(frame),
+                                 "--design-file", str(doc), "--seed", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("data error: phase-2 rule reads aux column")
+
     def test_numerical_failure_exit_4(self, frame_path, capsys):
         code, _, err = run_cli(capsys, "draw", "--frame", frame_path,
                                "--design", "srs", "--n", "9", "--seed", "1")

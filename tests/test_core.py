@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -214,6 +215,51 @@ class TestRejective:
         work = sk.calibrate_rejective_working_probs(target, 2, tol=1e-8)
         achieved = sk.conditional_poisson_pips(work, 2)
         assert np.max(np.abs(achieved - target)) < 1e-8
+
+    @pytest.mark.parametrize("N, n", [(1, 1), (4, 1), (8, 4), (12, 3), (16, 5), (16, 15)])
+    def test_marginals_match_enumeration(self, N, n):
+        work = np.random.default_rng(N + n).uniform(0.05, 0.95, N)
+        frame = sk.Frame(ids=tuple(map(str, range(N))))
+        exact = sk.enumerate_design(sk.RejectivePoisson(n, tuple(work)), frame).first_order()
+        assert np.max(np.abs(sk.conditional_poisson_pips(work, n) - exact)) < 1e-12
+
+    def test_marginals_within_ulps_of_the_leave_one_out_form(self):
+        # P(the other units take n - 1) from a full Poisson-binomial pass
+        # without each unit in turn: the O(N^3) form the tables replace
+        def pmf(p):
+            out = np.zeros(p.size + 1)
+            out[0] = 1.0
+            for k, q in enumerate(p):
+                out[1:k + 2] = out[1:k + 2] * (1 - q) + out[:k + 1] * q
+                out[0] *= 1 - q
+            return out
+
+        work = sk.compute_pips(np.random.default_rng(4).uniform(1, 4, 60), 12) * 0.9
+        pi = sk.conditional_poisson_pips(work, 12)
+        loo = np.array([work[i] * pmf(np.delete(work, i))[11] for i in range(60)])
+        assert np.max(np.abs(pi / (loo / pmf(work)[12]) - 1)) < 1e-13
+
+    def test_marginals_sum_to_n_on_a_large_frame(self):
+        work = sk.compute_pips(np.random.default_rng(2).uniform(1, 4, 2000), 200) * 0.9
+        pi = sk.conditional_poisson_pips(work, 200)
+        assert abs(pi.sum() - 200) < 1e-12
+        assert np.all((pi > 0) & (pi < 1))
+
+    def test_marginals_time_budget(self):
+        # the leave-one-out form takes about 16 s here; the tables about 30 ms
+        work = sk.compute_pips(np.random.default_rng(3).uniform(1, 4, 2000), 200) * 0.95
+        start = time.perf_counter()
+        sk.conditional_poisson_pips(work, 200)
+        assert time.perf_counter() - start < 2.0
+
+    def test_size_of_zero_probability_raises(self):
+        with pytest.raises(ValueError, match="zero probability"):
+            sk.conditional_poisson_pips([0.5, 0.5, 0.0, 0.0], 3)
+
+    def test_working_prob_calibration_on_a_large_frame(self):
+        target = sk.compute_pips(np.random.default_rng(5).uniform(1, 4, 400), 40)
+        work = sk.calibrate_rejective_working_probs(target, 40, tol=1e-8)
+        assert np.max(np.abs(sk.conditional_poisson_pips(work, 40) - target)) < 1e-8
 
 
 class TestFrameCSV:

@@ -217,14 +217,15 @@ def variable_bindings(N, n):
     ]
 
 
-# both sides of each lockstep cutoff: 32 units for selection-rejection and
-# 128 for Chao; Lahiri's form and rejective Poisson's buffered loop take
-# any N
-VARIABLE_SHAPES = [(12, 3), (32, 4), (33, 4), (128, 8), (129, 8), (1000, 50)]
+# both sides of each lockstep cutoff: 32 units for selection-rejection,
+# 128 for Chao and 192 for rejective Poisson; Lahiri's form takes any N.
+# R = 1000 runs where the loop it is checked against is quick enough.
+VARIABLE_SHAPES = [(12, 3), (32, 4), (33, 4), (128, 8), (129, 8), (192, 8), (193, 8),
+                   (1000, 50)]
 VARIABLE_CASES = [(N, n, b, R) for N, n in VARIABLE_SHAPES for b in variable_bindings(N, n)
                   for R in (1, 7, 1000)
-                  if R < 1000 or N < 1000 and b[0] != "rejective_poisson_select"
-                  or b[0] == "ppswr_lahiri"]
+                  if R < 1000 or b[0] == "ppswr_lahiri" or N <= 192
+                  or N < 1000 and b[0] != "rejective_poisson_select"]
 
 
 def path_taken(monkeypatch, kernel, N):
@@ -264,7 +265,8 @@ def test_variable_count_batches_spanning_several_blocks(monkeypatch, binding, ce
     (kernels.chao_select, 128, "batched"),
     (kernels.chao_select, 129, "_Buffered"),
     (kernels.ppswr_lahiri, 1000, "batched"),
-    (kernels.rejective_poisson_select, 12, "_Buffered"),
+    (kernels.rejective_poisson_select, 192, "batched"),
+    (kernels.rejective_poisson_select, 193, "_Buffered"),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_lockstep_cutoff_picks_the_path(monkeypatch, kernel, N, path):
     assert path_taken(monkeypatch, kernel, N) == path
@@ -333,6 +335,14 @@ def test_rejective_out_of_tries_still_raises():
             sk.select(design, frame, np.random.default_rng(seed))
         with pytest.raises(RuntimeError, match="after 1 tries"):
             design_consistency_mc(design, frame, 50, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("max_tries", [0, 1, 2])
+def test_rejective_few_tries_match_scalar_loop(max_tries):
+    # replicates that run out of tries come back empty, as the kernel's do
+    pi = sk.compute_pips(size_measures(12), 4) * 0.8
+    check_kernel(kernels.rejective_poisson_select, (pi, 4, max_tries), False, 300,
+                 weights(12), seed=max_tries)
 
 
 @pytest.mark.parametrize("kernel", sorted(kernels._SCANS, key=lambda k: k.__name__),

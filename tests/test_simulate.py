@@ -197,6 +197,14 @@ NESTED_CASES = {
                                          3.9, 3.95))),
     "two_phase-numeric-rates": sk.TwoPhase(sk.SRS(8), sk.StratifyOnAux(
         column=0, rates={"0": 0.5, "1": 0.7, "2": 1.0}, boundaries=(2.0, 3.0))),
+    # nested phase-1 designs compose their own children's rows
+    "two_phase-stratified": sk.TwoPhase(sk.Stratified(
+        {"a": sk.SRS(3, "draw_by_draw"), "b": sk.Bernoulli(0.5)}), sk.KeepAll()),
+    "two_phase-stratified-rejective": sk.TwoPhase(sk.Stratified(
+        {"a": sk.RejectivePoisson(2), "b": sk.Chao(3)}), sk.StratifyOnAux(rate=0.5)),
+    "two_phase-cluster": sk.TwoPhase(sk.OneStageCluster(sk.SRS(2)), sk.KeepAll()),
+    "two_phase-cluster-bernoulli": sk.TwoPhase(sk.OneStageCluster(sk.Bernoulli(0.4)),
+                                               sk.StratifyOnAux(rate=0.5)),
 }
 
 
@@ -292,6 +300,7 @@ EMPTY_CASES = {
     "two_phase-stratify-numeric": sk.TwoPhase(sk.Bernoulli(0.05), sk.StratifyOnAux(
         column=0, rate=0.5, boundaries=(4.0,))),
     "two_phase-keep_all": sk.TwoPhase(sk.Bernoulli(0.05), sk.KeepAll()),
+    "two_phase-cluster": sk.TwoPhase(sk.OneStageCluster(sk.Bernoulli(0.05)), sk.KeepAll()),
 }
 
 
@@ -343,3 +352,35 @@ def test_two_stage_without_cluster_labels_is_a_frame_error():
                   lambda: sk.first_order_pips(design, frame)):
         with pytest.raises(FrameError, match="no cluster labels"):
             entry()
+
+
+@pytest.mark.parametrize("rows", [
+    {"two_phase-stratified": sk.Stratified({"a": sk.SRS(2), "b": sk.Bernoulli(0.5)})},
+    {"two_phase-cluster": sk.OneStageCluster(sk.Poisson(tuple(np.linspace(0.2, 0.8, 4))))},
+], ids=lambda d: next(iter(d)))
+def test_nested_rows_of_one_replicate_are_one_select(rows):
+    design = next(iter(rows.values()))
+    for seed in range(10):
+        rng_rows, rng_sel = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx, pi = design.mc_rows(NESTED_FRAME, 1, rng_rows)
+        sample = sk.select(design, NESTED_FRAME, rng_sel)
+        kept = idx[0] < NESTED_N
+        assert idx[0, kept].tolist() == sample.idx.tolist()
+        assert pi[0, kept].tobytes() == sample.pi.tobytes() and np.all(pi[0, ~kept] == 1.0)
+        assert rng_rows.random() == rng_sel.random()
+
+
+AUX_FRAME = sk.Frame(ids=tuple("abcdef"), mos=np.arange(1.0, 7.0),
+                     aux=np.arange(1.0, 7.0)[:, None], y=np.arange(6.0))
+NO_AUX_FRAME = sk.Frame(ids=tuple("abcdef"), mos=np.arange(1.0, 7.0), y=np.arange(6.0))
+
+
+@pytest.mark.parametrize("frame", [AUX_FRAME, NO_AUX_FRAME], ids=["one_aux", "no_aux"])
+@pytest.mark.parametrize("rule", [sk.StratifyOnAux(column=3, rate=0.5, boundaries=(5.0,)),
+                                  sk.PoissonOnAux(2, column=4)], ids=["stratify", "poisson"])
+def test_phase2_rule_past_the_aux_columns_is_a_frame_error(rule, frame):
+    design = sk.TwoPhase(sk.SRS(4), rule)
+    with pytest.raises(FrameError, match=r"aux column \d, but the frame has [01] aux"):
+        sk.select(design, frame, np.random.default_rng(1))
+    with pytest.raises(FrameError, match=r"aux column \d, but the frame has [01] aux"):
+        design_consistency_mc(design, frame, 20, np.random.default_rng(1))
