@@ -1,7 +1,8 @@
 """Sample data model, inclusion probabilities, and exact design enumeration."""
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
 ]
 
 DEFAULT_SUPPORT_CAP = 10 ** 6
+_JOINT_CHUNK = 1 << 22  # (row, unit, unit) triples DesignDistribution.joint holds at once
 
 
 class SupportTooLargeError(ValueError):
@@ -80,6 +82,31 @@ class Sample:
                 and np.any(self.multiplicity != 1)):
             raise ValueError("without-replacement samples must have multiplicity 1")
 
+    @classmethod
+    def _of_rows(cls, frame, rows, pi):
+        """One Sample per row of an index table (frame indices ascending,
+        then pads N), each unit i with probability pi[i]: what
+        `Sample(frame, idx, pi[idx])` gives for the row, with the checks
+        made once on the whole table.  idx is a view of the row, and
+        multiplicity a view of one read-only row of ones."""
+        N = frame.n_units
+        pi = np.asarray(pi, dtype=float)
+        used = np.zeros(N + 1, dtype=bool)
+        used[rows] = True
+        seen = pi[used[:N]]
+        if np.any((seen <= 0) | (seen > 1 + 1e-12)):
+            for row in rows:  # the first failing row raises as its Sample would
+                idx = row[row < N]
+                cls(frame, idx, pi[idx])
+        ones = np.ones(rows.shape[1], dtype=np.int64)
+        ones.setflags(write=False)
+        defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        for w, row in zip(np.count_nonzero(rows < N, axis=1).tolist(), rows):
+            idx = row[:w]
+            s = cls.__new__(cls)
+            s.__dict__.update(defaults, frame=frame, idx=idx, pi=pi[idx], multiplicity=ones[:w])
+            yield s
+
     @property
     def ids(self):
         return tuple(self.frame.ids[i] for i in self.idx)
@@ -129,47 +156,130 @@ class InclusionProbs:
 
 @dataclass(frozen=True)
 class DesignDistribution:
-    """Exact support of an enumerable design, ordered lexicographically by
-    the sorted id tuples; probabilities sum to one."""
+    """Exact support of an enumerable design; probabilities sum to one.
+
+    `support` holds ((ids tuple, probability), ...): each ids tuple sorted
+    as strings, and the tuples sorted lexicographically, so "u10" < "u2"
+    and a prefix sorts before any longer set.  A design builds the
+    distribution from an index table (`_from_table`): one int64 row of
+    frame indices per set, padded with N, and one probability per row; a
+    set drawn twice is merged, its probabilities added in table order.
+    `first_order` and `joint` add up the table in support order, and the
+    id tuples of `support` are written from it when first read.  A
+    distribution built from tuples keeps them as given and gets its table
+    from `frame.index_of` once."""
 
     support: tuple  # ((ids tuple, probability), ...)
     frame: Frame = field(compare=False, default=None)
 
+    _rows = None  # the index table, in support order
+    _prob = None
+    _lookup = None  # {ids tuple: probability}, built by probability_of
+
     def __post_init__(self):
-        total = math.fsum(p for _, p in self.support)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"support probabilities sum to {total}, not 1")
+        _check_total(p for _, p in self.support)
+
+    @classmethod
+    def _from_table(cls, rows, prob, frame):
+        """The distribution of the sets rows[k] (frame indices, pads N, in
+        any order within a row) drawn with probability prob[k]."""
+        keys, by_rank = _string_keys(rows, frame)
+        del rows  # the keys hold the sets in fewer bytes; a caller's temporary can go
+        order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        merged = np.zeros(np.count_nonzero(first))
+        # lexsort is stable: each set's entries add up in table order
+        np.add.at(merged, np.cumsum(first) - 1, prob[order])
+        _check_total(merged.tolist())
+        rows = np.array([frame.n_units] + by_rank, dtype=np.int64)[keys[first]]
+        rows.sort(axis=1)  # in place; the pads N go last
+        rows.setflags(write=False)  # Samples of exact_expectation hold views of it
+        dist = cls.__new__(cls)
+        object.__setattr__(dist, "frame", frame)
+        object.__setattr__(dist, "_rows", rows)
+        object.__setattr__(dist, "_prob", merged)
+        return dist
+
+    def __getattr__(self, name):
+        # a distribution built from a table writes its id tuples on first use
+        if name != "support" or self._rows is None:
+            raise AttributeError(name)
+        keys, by_rank = _string_keys(self._rows, self.frame)
+        names = np.array([None] + [self.frame.ids[i] for i in by_rank], dtype=object)
+        flat = iter(names[keys[keys > 0]])  # the sets' ids, row after row
+        sets = [tuple(itertools.islice(flat, w))
+                for w in np.count_nonzero(keys, axis=1).tolist()]
+        support = tuple(zip(sets, self._prob.tolist()))
+        object.__setattr__(self, "support", support)
+        return support
+
+    def _table(self):
+        """(rows, prob): the support as an index table, one row per set in
+        support order, its frame indices ascending and then pads N."""
+        if self._rows is None:
+            N = self.frame.n_units
+            pos = [sorted(self.frame.index_of(u) for u in ids) for ids, _ in self.support]
+            rows = np.full((len(pos), max(map(len, pos), default=0)), N, dtype=np.int64)
+            for row, p in zip(rows, pos):
+                row[:len(p)] = p
+            rows.setflags(write=False)
+            object.__setattr__(self, "_rows", rows)
+            object.__setattr__(self, "_prob", np.array([p for _, p in self.support], dtype=float))
+        return self._rows, self._prob
 
     def __iter__(self):
         return iter(self.support)
 
     def __len__(self):
-        return len(self.support)
+        return len(self.support if self._prob is None else self._prob)
 
     def probability_of(self, ids):
-        key = tuple(sorted(str(i) for i in ids))
-        for s, p in self.support:
-            if s == key:
-                return p
-        return 0.0
+        if self._lookup is None:
+            lookup = {}
+            for s, p in self.support:
+                lookup.setdefault(s, p)  # the first of repeated sets, as a scan finds it
+            object.__setattr__(self, "_lookup", lookup)
+        return self._lookup.get(tuple(sorted(str(i) for i in ids)), 0.0)
 
     def first_order(self):
-        n = self.frame.n_units
-        pi = np.zeros(n)
-        for ids, p in self.support:
-            for u in ids:
-                pi[self.frame.index_of(u)] += p
-        return pi
+        rows, prob = self._table()
+        pi = np.zeros(self.frame.n_units + 1)
+        np.add.at(pi, rows.ravel(), np.repeat(prob, rows.shape[1]))
+        return pi[:-1]
 
     def joint(self):
-        n = self.frame.n_units
-        pij = np.zeros((n, n))
-        for ids, p in self.support:
-            pos = [self.frame.index_of(u) for u in ids]
-            for a in pos:
-                for b in pos:
-                    pij[a, b] += p
-        return pij
+        rows, prob = self._table()
+        n = self.frame.n_units + 1
+        w = rows.shape[1]
+        pij = np.zeros(n * n)
+        step = max(1, _JOINT_CHUNK // max(1, w * w))  # rows per chunk
+        for k in range(0, len(rows), step):
+            r = rows[k:k + step]
+            np.add.at(pij, (r[:, :, None] * n + r[:, None, :]).ravel(),
+                      np.repeat(prob[k:k + step], w * w))
+        return pij.reshape(n, n)[:-1, :-1].copy()
+
+
+def _check_total(probs):
+    total = math.fsum(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"support probabilities sum to {total}, not 1")
+
+
+def _string_keys(rows, frame):
+    """The sets of an index table (pads N) as 1 + each id's place in string
+    order, ascending along each row and then 0 for the pads; and the frame
+    indices in that order."""
+    N = frame.n_units
+    by_rank = sorted(range(N), key=frame.ids.__getitem__)
+    rank = np.empty(N + 1, dtype=np.min_scalar_type(N + 1))
+    rank[by_rank] = np.arange(1, N + 1)
+    rank[N] = N + 1  # last in its row
+    keys = np.sort(rank[rows], axis=1)
+    keys[keys > N] = 0  # and then before every unit, when rows are compared
+    return keys, by_rank
 
 
 def compute_pips(mos, n):

@@ -152,7 +152,10 @@ class Design(_Document):
     first_order(frame)      InclusionProbs of every frame unit (draw
                             probabilities for with-replacement designs)
     joint(frame, cap)       InclusionProbs with the joint matrix
-    support(frame, cap)     DesignDistribution: the exact sampling law
+    support(frame, cap)     DesignDistribution: the exact sampling law,
+                            built from an index table of its sets
+                            (`DesignDistribution._from_table`) once the
+                            set count has passed the cap
     draw(frame, rng)        one Sample, rng a numpy Generator
     mc_batch(frame, R, rng) (hits, values) over R replicates: appearances
                             per unit and the HT (or Hansen-Hurwitz) totals of
@@ -292,13 +295,12 @@ class SRS(_Sized):
         return InclusionProbs(first, pij)
 
     def support(self, frame, cap):
-        N, ids = frame.n_units, frame.ids
+        N = frame.n_units
         _check_srs_size(self.n, N)
         _check_cap(math.comb(N, self.n), cap)
-        prob = 1.0 / math.comb(N, self.n)
-        entries = [(tuple(ids[i] for i in combo), prob)
-                   for combo in itertools.combinations(range(N), self.n)]
-        return DesignDistribution(_sorted_support(entries), frame)
+        K = math.comb(N, self.n)
+        return DesignDistribution._from_table(_combinations(N, self.n), np.full(K, 1.0 / K),
+                                              frame)
 
     def _bind(self, frame):
         N = frame.n_units
@@ -336,12 +338,14 @@ class _Independent(_Leaf):
         return InclusionProbs(pi, pij)
 
     def support(self, frame, cap):
-        N, ids = frame.n_units, frame.ids
+        N = frame.n_units
         pi = self.first_order(frame).first_order
         _check_cap(2 ** N, cap)
-        entries = [(tuple(ids[i] for i in combo), _poisson_prob(combo, pi))
-                   for r in range(N + 1) for combo in itertools.combinations(range(N), r)]
-        return DesignDistribution(_sorted_support([e for e in entries if e[1] > 0]), frame)
+        member = (np.arange(2 ** N)[:, None] & (1 << np.arange(N))) != 0  # a row per subset
+        prob = _independent_prob(member, pi)
+        keep = prob > 0
+        return DesignDistribution._from_table(
+            np.where(member[keep], np.arange(N), N), prob[keep], frame)
 
     def _bind(self, frame):
         pi = self.first_order(frame).first_order
@@ -404,11 +408,11 @@ class Systematic(_Sized):
         return InclusionProbs(np.full(N, 1.0 / self._interval(N)))
 
     def support(self, frame, cap):
-        N, ids = frame.n_units, frame.ids
+        N = frame.n_units
         G = self._interval(N)
-        entries = [(tuple(ids[r + k * G] for k in range((N - 1 - r) // G + 1)), 1.0 / G)
-                   for r in range(G)]
-        return DesignDistribution(_sorted_support(entries), frame)
+        rows = np.arange(G)[:, None] + G * np.arange((N - 1) // G + 1)
+        return DesignDistribution._from_table(
+            np.where(rows < N, rows, N), np.full(G, 1.0 / G), frame)
 
     def _bind(self, frame):
         N = frame.n_units
@@ -441,16 +445,14 @@ class SystematicPPS(_Sized):
         x = frame.mos
         a = self._interval(x)
         bounds = np.concatenate([[0.0], np.cumsum(x)])
-        cuts = sorted({round(float(b % a), 15) for b in bounds} | {0.0, float(a)})
+        cuts = np.array(sorted({round(float(b % a), 15) for b in bounds} | {0.0, float(a)}))
         # each piece of (0, a] between two cuts draws one set: the walk's
         # from the piece's midpoint
-        pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 1e-15]
-        mids = np.array([[0.5 * (lo + hi)] for lo, hi in pieces])
-        entries = {}
-        for (lo, hi), chosen in zip(pieces, kernels._systematic_pps_walk(x, a, self.n, mids)):
-            key = tuple(sorted(frame.ids[i] for i in chosen))
-            entries[key] = entries.get(key, 0.0) + (hi - lo) / a
-        return DesignDistribution(tuple(sorted(entries.items())), frame)
+        lo, hi = cuts[:-1], cuts[1:]
+        keep = hi - lo > 1e-15
+        lo, hi = lo[keep], hi[keep]
+        chosen = kernels._systematic_pps_walk(x, a, self.n, (0.5 * (lo + hi))[:, None])
+        return DesignDistribution._from_table(chosen, (hi - lo) / a, frame)
 
     def _bind(self, frame):
         x = frame.mos
@@ -523,11 +525,10 @@ class _N2(_Leaf):
 
     def support(self, frame, cap):
         p = _n2_draw_probs(frame.mos)
-        ids = frame.ids
         theta, cond = self._two_draws(p)
-        entries = [((ids[i], ids[j]), theta[i] * cond(i, j) + theta[j] * cond(j, i))
-                   for i in range(p.size) for j in range(i + 1, p.size)]
-        return DesignDistribution(_sorted_support(entries), frame)
+        i, j = np.triu_indices(p.size, 1)
+        return DesignDistribution._from_table(
+            np.stack([i, j], axis=1), theta[i] * cond(i, j) + theta[j] * cond(j, i), frame)
 
     def _bind(self, frame):
         p = _n2_draw_probs(frame.mos)
@@ -551,11 +552,11 @@ class Durbin2(_N2):
 
     def _two_draws(self, p):
         """First-draw probabilities and P(second = j | first = i)."""
-        N = p.size
         cond_raw = lambda i, j: p[j] * (1 / (1 - 2 * p[i]) + 1 / (1 - 2 * p[j]))
-        norms = np.array(
-            [math.fsum(cond_raw(i, j) for j in range(N) if j != i) for i in range(N)]
-        )
+        units = np.arange(p.size)
+        raw = cond_raw(units[:, None], units)
+        np.fill_diagonal(raw, 0.0)  # j != i; an exact zero leaves fsum unchanged
+        norms = np.array([math.fsum(row) for row in raw.tolist()])
         return p.copy(), lambda i, j: cond_raw(i, j) / norms[i]
 
 
@@ -596,6 +597,8 @@ class RejectivePoisson(_Sized):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.max_tries < 1:
+            raise DesignError("RejectivePoisson needs max_tries >= 1")
         if self.working_pi is not None:
             object.__setattr__(self, "working_pi",
                                tuple(float(p) for p in np.atleast_1d(self.working_pi)))
@@ -615,14 +618,14 @@ class RejectivePoisson(_Sized):
         return InclusionProbs(conditional_poisson_pips(self._working(frame), self.n))
 
     def support(self, frame, cap):
-        N, ids = frame.n_units, frame.ids
+        N = frame.n_units
         work = self._working(frame)
         _check_cap(math.comb(N, self.n), cap)
-        entries = [(tuple(ids[i] for i in combo), _poisson_prob(combo, work))
-                   for combo in itertools.combinations(range(N), self.n)]
-        total = math.fsum(p for _, p in entries)
-        entries = [(s, p / total) for s, p in entries]
-        return DesignDistribution(_sorted_support(entries), frame)
+        rows = _combinations(N, self.n)
+        member = np.zeros((len(rows), N), dtype=bool)
+        np.put_along_axis(member, rows, True, axis=1)
+        prob = _independent_prob(member, work)
+        return DesignDistribution._from_table(rows, prob / math.fsum(prob.tolist()), frame)
 
     def _bind(self, frame):
         work = self._working(frame)
@@ -697,13 +700,18 @@ class Stratified(_Nesting):
         size = 1
         for label, idx in frame.strata():
             child = core.enumerate_design(self.child(label), frame.restrict(idx), cap=cap)
-            parts.append(child.support)
-            size *= len(child.support)
+            parts.append((np.append(idx, frame.n_units), *child._table()))
+            size *= len(child)
             _check_cap(size, cap)
-        entries = [(tuple(itertools.chain.from_iterable(s for s, _ in combo)),
-                    math.prod(p for _, p in combo))
-                   for combo in itertools.product(*parts)]
-        return DesignDistribution(_sorted_support(entries), frame)
+        # every combination of one set per stratum, in itertools.product
+        # order, its probability multiplied in stratum order
+        picks = np.indices([len(cprob) for _, _, cprob in parts]).reshape(len(parts), size)
+        rows = np.concatenate([units[crows[k]] for (units, crows, _), k in zip(parts, picks)],
+                              axis=1)
+        prob = np.ones(size)
+        for (_, _, cprob), k in zip(parts, picks):
+            prob = prob * cprob[k]
+        return DesignDistribution._from_table(rows, prob, frame)
 
     def draw(self, frame, rng):
         parts = [(idx, designs.select(self.child(label), frame.restrict(idx), rng))
@@ -757,12 +765,8 @@ class OneStageCluster(_Nesting):
         return InclusionProbs(pi)
 
     def support(self, frame, cap):
-        cdist = core.enumerate_design(self.psu, _cluster_frame(frame), cap=cap)
-        members = dict(frame.clusters())
-        entries = [(tuple(itertools.chain.from_iterable(
-                        (frame.ids[i] for i in members[c]) for c in labels)), p)
-                   for labels, p in cdist.support]
-        return DesignDistribution(_sorted_support(entries), frame)
+        crows, cprob = core.enumerate_design(self.psu, _cluster_frame(frame), cap=cap)._table()
+        return DesignDistribution._from_table(_member_rows(frame, crows)[0], cprob, frame)
 
     def draw(self, frame, rng):
         cs = designs.select(self.psu, _cluster_frame(frame), rng)
@@ -794,15 +798,9 @@ class OneStageCluster(_Nesting):
         # rows' order, as draw takes them
         Design.require(self.psu, DesignError, "cannot select from {}")
         cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, rng)
-        # the pad, cluster index K, holds no units
-        members = [m for _, m in frame.clusters()] + [np.empty(0, dtype=np.int64)]
-        cells = [members[c] for c in cidx.ravel().tolist()]  # row after row
-        width = np.array([m.size for m in members])[cidx].sum(axis=1)
-        idx = np.full((R, int(width.max(initial=0))), frame.n_units, dtype=np.int64)
+        idx, sizes = _member_rows(frame, cidx)
         pi = np.ones(idx.shape)
-        filled = np.arange(idx.shape[1]) < width[:, None]  # row-major, as the cells run
-        idx[filled] = np.concatenate([members[-1], *cells])
-        pi[filled] = np.repeat(cpi.ravel(), [m.size for m in cells])
+        pi[idx < frame.n_units] = np.repeat(cpi.ravel(), sizes.ravel())
         return idx, pi
 
 
@@ -1088,12 +1086,12 @@ def _check_cap(size, cap):
         raise SupportTooLargeError(f"design support holds {size} sets, cap is {cap}")
 
 
-def _sorted_support(entries):
-    merged = {}
-    for ids, p in entries:
-        key = tuple(sorted(ids))
-        merged[key] = merged.get(key, 0.0) + p
-    return tuple(sorted(merged.items(), key=lambda kv: kv[0]))
+def _combinations(N, n):
+    """Every n-subset of range(N) as a row of ascending indices, in
+    itertools.combinations order."""
+    K = math.comb(N, n)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(N), n))
+    return np.fromiter(flat, dtype=np.int64, count=K * n).reshape(K, n)
 
 
 def _name_zero_units(pi, frame):
@@ -1104,14 +1102,14 @@ def _name_zero_units(pi, frame):
         )
 
 
-def _poisson_prob(combo, pi):
+def _independent_prob(member, pi):
     """Probability that independent inclusion with probabilities pi selects
-    exactly the units in combo."""
-    inside = set(combo)
-    p = 1.0
-    for i in range(len(pi)):
-        p *= pi[i] if i in inside else 1 - pi[i]
-    return p
+    exactly the units marked in each row of the boolean table member; the
+    product runs in unit order."""
+    prob = np.ones(member.shape[0])
+    for i in range(pi.size):
+        prob *= np.where(member[:, i], pi[i], 1 - pi[i])
+    return prob
 
 
 def _n2_draw_probs(mos):
@@ -1139,6 +1137,20 @@ def _cluster_frame(frame):
             ids=tuple(label for label, _ in clusters),
             mos=np.array([frame.mos[members].sum() for _, members in clusters]))
     return frame._cache["cluster_frame"]
+
+
+def _member_rows(frame, cidx):
+    """Rows of frame indices from rows of cluster-frame indices: each
+    cluster expands into its members, in the row's order, and a pad (index
+    K of the cluster frame) holds none; the rows are padded with N.  Also
+    the number of members of each entry of cidx."""
+    members = [m for _, m in frame.clusters()] + [np.empty(0, dtype=np.int64)]
+    sizes = np.array([m.size for m in members])[cidx]
+    width = sizes.sum(axis=1)
+    idx = np.full((len(cidx), int(width.max(initial=0))), frame.n_units, dtype=np.int64)
+    filled = np.arange(idx.shape[1]) < width[:, None]  # row-major, as the cells run
+    idx[filled] = np.concatenate([members[-1], *(members[c] for c in cidx.ravel().tolist())])
+    return idx, sizes
 
 
 def _nested(design):

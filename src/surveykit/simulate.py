@@ -20,13 +20,16 @@ def sample_from_ids(frame, ids, pips):
 
 def exact_expectation(design, frame, statistic, cap=None):
     """Exact mean and design variance of a statistic over an enumerable
-    design: sum_A P(A) stat(A) and the matching second moment."""
+    design: sum_A P(A) stat(A) and the matching second moment.  The design
+    is enumerated once; the statistic gets, for each support set in support
+    order, the Sample `sample_from_ids` would build, taken straight from the
+    support's index table with Sample's checks made once for all sets."""
     kwargs = {} if cap is None else {"cap": cap}
     dist = enumerate_design(design, frame, **kwargs)
     pips = first_order_pips(design, frame)
+    rows, prob = dist._table()
     mean_terms, sq_terms = [], []
-    for ids, p in dist:
-        s = sample_from_ids(frame, ids, pips)
+    for s, p in zip(Sample._of_rows(frame, rows, pips.first_order), prob.tolist()):
         value = float(statistic(s))
         mean_terms.append(p * value)
         sq_terms.append(p * value * value)

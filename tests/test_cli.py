@@ -77,6 +77,7 @@ MALFORMED_DOCUMENTS = {
                                         "phase2": {"poisson": {"column": 0}}}},
     "stratified-list": {"stratified": [1]},
     "srs-bad-method": {"srs": {"n": 2, "method": "bogus"}},
+    "rejective-no-tries": {"rejective_poisson": {"n": 2, "max_tries": 0}},
     "srs-misspelled-field": {"srs": {"n": 2, "methd": "reservoir"}},
     "unknown-key": {"warp": {}},
     "not-a-mapping": [],

@@ -56,6 +56,12 @@ def test_fixed_size_below_one_rejected_at_construction(make, n):
         make(n)
 
 
+@pytest.mark.parametrize("tries", [0, -3])
+def test_rejective_without_tries_rejected_at_construction(tries):
+    with pytest.raises(DesignError, match="max_tries >= 1"):
+        sk.RejectivePoisson(2, max_tries=tries)
+
+
 @pytest.mark.parametrize("design, mos", [
     (sk.PPSWR(2, "cumulative"), (1, 0, 3, 4)), (sk.PPSWR(2, "lahiri"), (1, 0, 3, 4)),
     (sk.Brewer2(), (1, 0, 3, 4, 2.5)), (sk.Durbin2(), (1, 0, 3, 4, 2.5)),
