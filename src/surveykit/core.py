@@ -6,8 +6,6 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from . import design as dz
-from . import kernels
 from .frame import Frame
 
 __all__ = [
@@ -74,7 +72,7 @@ class Sample:
         if self.conditional_pi is not None:
             self.conditional_pi = np.asarray(self.conditional_pi, dtype=float)
         if pi.size and (pi.min() <= 0 or pi.max() > 1 + 1e-12):
-            bad = self.ids[int(np.argmin(pi))]
+            bad = self.frame.ids[idx[np.argmax((pi <= 0) | (pi > 1 + 1e-12))]]
             raise NonProbabilityDesignError(
                 f"unit {bad!r} carries an inclusion probability outside (0, 1]"
             )
@@ -329,10 +327,12 @@ def conditional_poisson_pips(working_pi, n):
     key = (p.tobytes(), n)
     if key in _COND_POISSON_CACHE:
         return _COND_POISSON_CACHE[key]
-    prefix = kernels._size_pmfs(p, n)
+    from .kernels import _size_pmfs
+
+    prefix = _size_pmfs(p, n)
     if prefix[N, n] <= 0:
         raise ValueError("target size has zero probability under the working design")
-    suffix = kernels._size_pmfs(p[::-1], n)[::-1]
+    suffix = _size_pmfs(p[::-1], n)[::-1]
     rest = (prefix[:N, :n] * suffix[1:, n - 1::-1]).sum(axis=1)
     pi = p * rest / prefix[N, n]
     if len(_COND_POISSON_CACHE) > 1024:
@@ -363,11 +363,15 @@ def calibrate_rejective_working_probs(target_pi, n, tol=1e-8, max_iter=200):
 
 # ---------------------------------------------------------------------------
 # Entry points; each design class in surveykit.design owns the behaviour.
+# They import it when called: design imports this module, and a Sample
+# alone (as the CLI's estimate and variance build it) needs no design code.
 
 def first_order_pips(design, frame):
     """First-order inclusion probabilities (draw probabilities for
     with-replacement designs) for every unit in the frame."""
-    dz.Design.require(design, NonEnumerableError, "no closed-form inclusion probabilities for {}")
+    from .design import Design
+
+    Design.require(design, NonEnumerableError, "no closed-form inclusion probabilities for {}")
     return design.first_order(frame)
 
 
@@ -375,11 +379,15 @@ def joint_pips(design, frame, cap=DEFAULT_SUPPORT_CAP):
     """Full symmetric joint-inclusion matrix; the diagonal equals the
     first-order probabilities.  Systematic designs come back flagged as
     non-measurable with their structural zeros kept in place."""
-    dz.Design.require(design, NonEnumerableError, "no closed-form inclusion probabilities for {}")
+    from .design import Design
+
+    Design.require(design, NonEnumerableError, "no closed-form inclusion probabilities for {}")
     return design.joint(frame, cap)
 
 
 def enumerate_design(design, frame, cap=DEFAULT_SUPPORT_CAP):
     """Exact sampling distribution of an enumerable design."""
-    dz.Design.require(design, NonEnumerableError, "{} designs cannot be enumerated")
+    from .design import Design
+
+    Design.require(design, NonEnumerableError, "{} designs cannot be enumerated")
     return design.support(frame, cap)

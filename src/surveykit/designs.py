@@ -1,14 +1,9 @@
 """Sample selection: `select` draws from any declarative design, and the
 select_* helpers draw from one design family with plain arguments."""
 
-from . import design as dz
-from .core import NonProbabilityDesignError
-from .design import as_generator
-
 # importable from here: phase-2 rules written as functions draw with
 # designs.kernels, and tools look up designs.conditional_poisson_pips
 from . import kernels  # noqa: F401
-from .core import conditional_poisson_pips  # noqa: F401
 
 __all__ = [
     "select", "select_srs", "select_srswr", "select_bernoulli",
@@ -115,3 +110,11 @@ def select_two_stage(frame, psu_design, ssu_design, rng, per_cluster=None):
 def select_two_phase(frame, phase1_design, phase2_rule, rng):
     """Two-phase sampling: the phase-2 rule may read phase-1 observations."""
     return dz.TwoPhase(phase1_design, phase2_rule).draw(frame, as_generator(rng))
+
+
+# Imported last: design imports this module at its end, and simulate, which
+# design imports too, reads `select` from here.
+from . import design as dz  # noqa: E402
+from .core import NonProbabilityDesignError  # noqa: E402
+from .core import conditional_poisson_pips  # noqa: E402,F401
+from .design import as_generator  # noqa: E402

@@ -3,6 +3,7 @@
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -38,12 +39,13 @@ class Frame:
     _cache: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = tuple(str(i) for i in self.ids)
+        ids = tuple(map(str, self.ids))
         object.__setattr__(self, "ids", ids)
         n = len(ids)
         if n == 0:
             raise FrameError("frame is empty")
-        if len(set(ids)) != n:
+        index = dict(zip(ids, range(n)))
+        if len(index) != n:
             raise FrameError("frame ids are not unique")
         mos = self.mos
         if mos is None:
@@ -55,12 +57,12 @@ class Frame:
             raise FrameError("mos must be finite and nonnegative")
         object.__setattr__(self, "mos", mos)
         if self.stratum is not None:
-            stratum = tuple(str(s) for s in self.stratum)
+            stratum = tuple(map(str, self.stratum))
             if len(stratum) != n:
                 raise FrameError("stratum labels must have one value per unit")
             object.__setattr__(self, "stratum", stratum)
         if self.cluster is not None:
-            cluster = tuple(str(c) for c in self.cluster)
+            cluster = tuple(map(str, self.cluster))
             if len(cluster) != n:
                 raise FrameError("cluster labels must have one value per unit")
             object.__setattr__(self, "cluster", cluster)
@@ -82,7 +84,7 @@ class Frame:
             if y.shape[0] != n:
                 raise FrameError("y must have one value per unit")
             object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_index", {u: i for i, u in enumerate(ids)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -182,22 +184,32 @@ def _read_frame_rows(rows, header):
 def _row_blocks(rows, width):
     """The CSV's non-blank rows as (line numbers, rows) blocks of at most
     _CSV_BLOCK rows; a row of another width raises once the rows above it
-    are parsed, so that a bad cell above it is reported first."""
-    lines, block = [], []
-    for lineno, row in enumerate(rows, start=2):
-        if not "".join(row).strip():  # blank, or whitespace only
-            continue
-        if len(row) != width:
-            if block:
-                yield lines, block
-            raise FrameError(f"row {lineno}: expected {width} fields, got {len(row)}")
-        lines.append(lineno)
-        block.append(row)
-        if len(block) == _CSV_BLOCK:
+    are parsed, so that a bad cell above it is reported first.
+
+    Each block of _CSV_BLOCK rows is checked whole: one set of the row
+    widths, then one pass for a blank or whitespace-only row.  Only a block
+    that fails either check goes row by row, which drops its blank rows and
+    names the first row of another width."""
+    rows = iter(rows)
+    start = 2
+    while block := list(islice(rows, _CSV_BLOCK)):
+        lines = range(start, start + len(block))
+        start += len(block)
+        if set(map(len, block)) == {width} and all(map(str.strip, map("".join, block))):
             yield lines, block
-            lines, block = [], []
-    if block:
-        yield lines, block
+            continue
+        kept_lines, kept = [], []
+        for lineno, row in zip(lines, block):
+            if not "".join(row).strip():  # blank, or whitespace only
+                continue
+            if len(row) != width:
+                if kept:
+                    yield kept_lines, kept
+                raise FrameError(f"row {lineno}: expected {width} fields, got {len(row)}")
+            kept_lines.append(lineno)
+            kept.append(row)
+        if kept:
+            yield kept_lines, kept
 
 
 def _floats(lineno, row, js):

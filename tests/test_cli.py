@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +9,9 @@ import numpy as np
 import pytest
 
 import surveykit as sk
+from surveykit import calibration, simulate
 from surveykit.cli import main
+from surveykit.frame import _CSV_BLOCK
 
 
 FRAME_CSV = """id,mos,y,x1
@@ -346,6 +351,81 @@ class TestCalibrate:
         assert diag["residual"] < 1e-9
 
 
+def quoted_frame_csv(N):
+    """A calibration frame of N units whose ids need CSV quoting."""
+    odd = ["a,b", '"q"', "  lead", "tab\tin", "semi;colon"]
+    rows = ["id,mos,x1"]
+    for i in range(N):
+        uid = f"{odd[i % len(odd)]}{i}" if i < len(odd) or i % 7 == 0 else f"u{i}"
+        quoted = '"' + uid.replace('"', '""') + '"' if any(c in uid for c in ',"') else uid
+        rows.append(f"{quoted},{1 + i % 3},{1 + i % 5}")
+    return "\n".join(rows) + "\n"
+
+
+def per_row_csv(ids, weights):
+    """The weight CSV as one writerow per unit writes it."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["id", "weight"])
+    for uid, w in zip(ids, weights):
+        writer.writerow([uid, repr(float(w))])
+    return text.getvalue()
+
+
+class CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestCalibrateOutput:
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The results of calibration.solve_entropy, as the CLI gets them."""
+        results, solve = [], calibration.solve_entropy
+        monkeypatch.setattr(calibration, "solve_entropy",
+                            lambda problem: results.append(solve(problem)) or results[-1])
+        return results
+
+    @pytest.mark.parametrize("N", [4, _CSV_BLOCK - 1, 2 * _CSV_BLOCK + 5])
+    def test_weight_csv_is_byte_identical_to_the_per_row_writer(self, N, tmp_path,
+                                                               capsys, solved):
+        p = tmp_path / "quoted.csv"
+        p.write_text(quoted_frame_csv(N), encoding="utf-8")
+        frame = sk.read_frame_csv(str(p))
+        target = 1.01 * float(frame.mos @ frame.aux[:, 0])
+        code, out, _ = run_cli(capsys, "calibrate", "--frame", str(p),
+                               "--entropy", "kullback_leibler", "--targets", repr(target))
+        assert code == 0
+        assert out == per_row_csv(frame.ids, solved[0].weights)
+        assert '\n"a,b0",' in out and '\n"""q""1",' in out and "\n  lead2," in out
+
+    @pytest.mark.parametrize("N", [1, _CSV_BLOCK, 2 * _CSV_BLOCK + 5])
+    def test_weight_csv_takes_a_write_per_block(self, N, tmp_path, monkeypatch):
+        p = tmp_path / "frame.csv"
+        p.write_text(quoted_frame_csv(N), encoding="utf-8")
+        frame = sk.read_frame_csv(str(p))
+        target = float(frame.mos @ frame.aux[:, 0])
+        stdout, stderr = CountingStream(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["calibrate", "--frame", str(p), "--targets", repr(target)]) == 0
+        assert stdout.getvalue().count("\n") == N + 1
+        assert stdout.writes <= math.ceil(N / _CSV_BLOCK) + 2
+
+    def test_csv_payload_is_one_write(self, frame_path, monkeypatch):
+        stdout = CountingStream()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["--out", "csv", "variance", "--frame", frame_path,
+                     "--method", "simplified"]) == 0
+        header, values = stdout.getvalue().splitlines()
+        assert header.split(",")[0] == "method" and stdout.writes == 1
+
+
 class TestDiagnose:
     def test_cluster_anova(self, tmp_path, capsys):
         p = tmp_path / "clusters.csv"
@@ -385,6 +465,41 @@ class TestSimulateCmd:
         assert abs(payload["z_score"]) < 4
 
 
+    def test_a_failing_exact_expectation_is_a_numerical_failure(self, frame_path, capsys,
+                                                                 monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("enumeration broke")
+
+        monkeypatch.setattr(simulate, "exact_expectation", broken)
+        code, out, err = run_cli(capsys, "simulate", "--frame", frame_path,
+                                 "--design", "srs", "--n", "2", "--seed", "3",
+                                 "--replicates", "50")
+        assert (code, out) == (4, "")
+        assert err == "numerical failure: enumeration broke\n"
+
+    @pytest.mark.parametrize("design", ["chao", "srswr"])
+    def test_non_enumerable_design_reports_no_truth(self, design, tmp_path, capsys):
+        p = tmp_path / "six.csv"
+        p.write_text("id,mos,y\n" + "".join(f"u{i},{m},{i}\n" for i, m in
+                                            enumerate([3, 1, 2, 4, 1, 1])), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "simulate", "--frame", str(p), "--design", design,
+                               "--n", "2", "--seed", "3", "--replicates", "50")
+        assert code == 0
+        payload = json.loads(out)
+        assert "truth" not in payload and "z_score" not in payload
+        assert payload["mean"] > 0
+
+    def test_support_over_the_cap_reports_no_truth(self, tmp_path, capsys):
+        # C(60, 30) sets, far over the enumeration cap
+        p = tmp_path / "sixty.csv"
+        p.write_text("id,y\n" + "".join(f"u{i},{i}\n" for i in range(60)), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "simulate", "--frame", str(p), "--design", "srs",
+                               "--n", "30", "--seed", "3", "--replicates", "50")
+        assert code == 0
+        payload = json.loads(out)
+        assert "truth" not in payload and "z_score" not in payload
+
+
 class TestNonresponseCmd:
     def test_pipeline(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -412,3 +527,30 @@ def test_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["schema"] == 1
+
+
+
+@pytest.mark.parametrize("command", [None, "draw", "allocate", "estimate", "variance",
+                                     "calibrate", "diagnose", "nonresponse", "smallarea",
+                                     "simulate"])
+def test_every_help_exits_0(command, capsys):
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("usage: surveykit") and err == ""
+
+
+def test_calibrate_loads_no_design_code(tmp_path):
+    p = tmp_path / "frame.csv"
+    p.write_text(FRAME_CSV, encoding="utf-8")
+    script = ("import sys\n"
+              "from surveykit.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('surveykit')))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, "calibrate", "--frame", str(p),
+         "--entropy", "kullback_leibler", "--targets", "40"],
+        capture_output=True, text=True)
+    code, *modules = result.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert modules == ["surveykit", "surveykit._backend", "surveykit.calibration",
+                       "surveykit.cli", "surveykit.frame"]

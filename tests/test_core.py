@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surveykit as sk
-from surveykit.core import NonProbabilityDesignError, SupportTooLargeError
-from surveykit.frame import FrameError
+from surveykit import frame as frame_module
+from surveykit.core import NonProbabilityDesignError, Sample, SupportTooLargeError
+from surveykit.frame import _CSV_BLOCK, FrameError
 
 from conftest import example_design_distribution
 
@@ -303,3 +304,109 @@ class TestFrameCSV:
     def test_cluster_must_nest_in_stratum(self):
         with pytest.raises(Exception, match="spans"):
             sk.Frame(ids=("1", "2"), stratum=("s1", "s2"), cluster=("c", "c"))
+
+
+def per_row_blocks(rows, width):
+    """Every CSV row checked on its own: the reference for `_row_blocks`."""
+    lines, block = [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != width:
+            if block:
+                yield lines, block
+            raise FrameError(f"row {lineno}: expected {width} fields, got {len(row)}")
+        lines.append(lineno)
+        block.append(row)
+    if block:
+        yield lines, block
+
+
+class TestFrameCSVBlocks:
+    """Blocks that pass the whole-block checks and blocks that fall back to
+    the row loop read as the row-by-row reference reads them."""
+
+    FAULTS = {
+        "blank": "",
+        "spaces": "   ",
+        "blank-cells": " , ,\t, ",
+        "short": "v1,2",
+        "bad-cell": "v1,2,oops,3",
+    }
+
+    @staticmethod
+    def text(N, inserts=()):
+        lines = [f"u{i},{1 + i % 4},{i}.5,{i % 9}" for i in range(N)]
+        for pos, line in sorted(inserts, reverse=True):
+            lines.insert(pos, line)
+        return "\n".join(["id,mos,y,x1", *lines]) + "\n"
+
+    @staticmethod
+    def read(text, monkeypatch, blocks):
+        monkeypatch.setattr(frame_module, "_row_blocks", blocks)
+        try:
+            f = sk.read_frame_csv(text)
+        except FrameError as exc:
+            return str(exc)
+        return f.ids, f.mos.tobytes(), f.y.tobytes(), f.aux.tobytes()
+
+    def both(self, text, monkeypatch):
+        fast = self.read(text, monkeypatch, frame_module._row_blocks)
+        return fast, self.read(text, monkeypatch, per_row_blocks)
+
+    @pytest.mark.parametrize("N", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    def test_clean_frame(self, N, monkeypatch):
+        fast, slow = self.both(self.text(N), monkeypatch)
+        assert fast == slow and len(fast[0]) == N
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("N", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_fault_near_the_block_edge(self, fault, N, shift, monkeypatch):
+        pos = min(N, _CSV_BLOCK + shift)
+        fast, slow = self.both(self.text(N, [(pos, self.FAULTS[fault])]), monkeypatch)
+        assert fast == slow
+        if fault in ("short", "bad-cell"):
+            assert fast.startswith(f"row {pos + 2}: ")
+        else:
+            assert len(fast[0]) == N
+
+    def test_bad_cell_in_the_first_block_is_reported_before_a_short_row(self, monkeypatch):
+        text = self.text(_CSV_BLOCK + 50, [(30, self.FAULTS["bad-cell"]),
+                                           (_CSV_BLOCK + 20, self.FAULTS["short"])])
+        fast, slow = self.both(text, monkeypatch)
+        assert fast == slow == "row 32: could not convert string to float: 'oops'"
+
+    def test_short_row_above_a_bad_cell_is_reported_first(self, monkeypatch):
+        text = self.text(_CSV_BLOCK + 50, [(_CSV_BLOCK + 5, self.FAULTS["short"]),
+                                           (_CSV_BLOCK + 9, self.FAULTS["bad-cell"])])
+        fast, slow = self.both(text, monkeypatch)
+        assert fast == slow == f"row {_CSV_BLOCK + 7}: expected 4 fields, got 2"
+
+    def test_blank_block_only(self, monkeypatch):
+        fast, slow = self.both("id,y\n" + "\n" * (_CSV_BLOCK + 3), monkeypatch)
+        assert fast == slow == "frame is empty"
+
+
+class TestSampleChecks:
+    @pytest.mark.parametrize("idx, pi, bad", [
+        ([0, 1], [0.5, 1.5], "b"),  # 'a' is fine and has the smallest pi
+        ([0, 1, 2], [0.5, 0.0, -0.5], "b"),  # the smallest pi is 'c'
+        ([2, 0, 1], [1.0, 2.0, 0.0], "a"),  # idx order, not frame order
+    ])
+    def test_first_unit_outside_the_unit_interval_is_named(self, idx, pi, bad):
+        frame = sk.Frame(ids=("a", "b", "c"))
+        with pytest.raises(NonProbabilityDesignError,
+                           match=f"^unit '{bad}' carries an inclusion probability"):
+            Sample(frame, idx, pi)
+
+    def test_index_table_names_the_same_unit(self):
+        frame = sk.Frame(ids=("a", "b", "c"))
+        pi = np.array([0.5, 1.5, 0.0])
+        rows = np.array([[0, 3], [0, 1], [1, 2]])  # the pad is N = 3
+        with pytest.raises(NonProbabilityDesignError) as expected:
+            Sample(frame, [0, 1], pi[[0, 1]])
+        with pytest.raises(NonProbabilityDesignError) as raised:
+            list(Sample._of_rows(frame, rows, pi))
+        assert str(raised.value) == str(expected.value)
+        assert "'b'" in str(raised.value)
