@@ -6,7 +6,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .frame import Frame
+from .frame import Frame, FrameError
 
 __all__ = [
     "Sample", "InclusionProbs", "DesignDistribution",
@@ -288,7 +288,7 @@ def compute_pips(mos, n):
     if np.any(x < 0):
         raise ValueError("measure of size must be nonnegative")
     if int(np.sum(x > 0)) < n:
-        raise ValueError(f"need at least n={n} positive-mos units")
+        raise FrameError(f"need at least n={n} positive-mos units")
     pi = np.zeros(x.size)
     certain = np.zeros(x.size, dtype=bool)
     remaining = n
@@ -306,7 +306,20 @@ def compute_pips(mos, n):
     return pi
 
 
+def _size_pmfs(p, n):
+    """Row i, for i = 0..N: P(independent inclusion with probabilities p
+    takes j of units 0..i-1), j = 0..n; the Poisson-binomial recursion cut
+    at n."""
+    table = np.zeros((p.shape[0] + 1, n + 1))
+    table[0, 0] = 1.0
+    for i, q in enumerate(p.tolist()):
+        table[i + 1] = table[i] * (1 - q)
+        table[i + 1, 1:] += table[i, :-1] * q
+    return table
+
+
 _COND_POISSON_CACHE = {}
+_ENTRY_CACHE = {}
 
 
 def conditional_poisson_pips(working_pi, n):
@@ -327,8 +340,6 @@ def conditional_poisson_pips(working_pi, n):
     key = (p.tobytes(), n)
     if key in _COND_POISSON_CACHE:
         return _COND_POISSON_CACHE[key]
-    from .kernels import _size_pmfs
-
     prefix = _size_pmfs(p, n)
     if prefix[N, n] <= 0:
         raise ValueError("target size has zero probability under the working design")
@@ -340,6 +351,31 @@ def conditional_poisson_pips(working_pi, n):
     pi.setflags(write=False)  # handed out on every call, so nobody may write it
     _COND_POISSON_CACHE[key] = pi
     return pi
+
+
+def _entry_probs(working_pi, n):
+    """The table of the sequential conditional-Poisson draw (Chen, Dempster
+    & Liu 1994; Tille 2006, Sampling Algorithms, 5.6): q[k, r] = P(unit k
+    enters | units k..N-1 must take r) = p_k T[k+1, r-1] / T[k, r], with T
+    as in `conditional_poisson_pips`, and 0 where r = 0 or T[k, r] = 0.
+    Where units k..N-1 must all enter, T[k, r] is p_k T[k+1, r-1] to the
+    bit (the recursion adds it to 0.0), so q is exactly 1.0 there and a
+    draw always takes n units.  Memoized and read-only like the marginals;
+    a table holds N (n + 1) doubles, so fewer are kept."""
+    p = np.asarray(working_pi, dtype=float)
+    key = (p.tobytes(), n)
+    q = _ENTRY_CACHE.get(key)
+    if q is None:
+        N = p.size
+        suffix = _size_pmfs(p[::-1], n)[::-1]
+        q = np.zeros((N, n + 1))
+        np.divide(p[:, None] * suffix[1:, :n], suffix[:N, 1:], out=q[:, 1:],
+                  where=suffix[:N, 1:] > 0)
+        if len(_ENTRY_CACHE) > 64:
+            _ENTRY_CACHE.clear()
+        q.setflags(write=False)
+        _ENTRY_CACHE[key] = q
+    return q
 
 
 def calibrate_rejective_working_probs(target_pi, n, tol=1e-8, max_iter=200):

@@ -400,7 +400,7 @@ class Systematic(_Sized):
 
     def _interval(self, N):
         if self.n >= N:
-            raise ValueError("systematic sampling needs n < N")
+            raise FrameError("systematic sampling needs n < N")
         return N // self.n
 
     def first_order(self, frame):
@@ -585,25 +585,28 @@ class Chao(_Sized):
 
 @dataclass(frozen=True)
 class RejectivePoisson(_Sized):
-    """Poisson resampled until the target size comes up.  Sample.pi is the
-    exact conditional-Poisson marginal, which only approximates the working
-    probabilities."""
+    """Conditional Poisson (rejective) sampling: Poisson sampling with the
+    working probabilities, conditioned on taking exactly n units.  Drawn in
+    one pass over the frame by the sequential method of Chen, Dempster &
+    Liu (1994, Biometrika 81:457): with r units still to take, unit k
+    enters with probability p_k T[k+1, r-1] / T[k, r], T[k, j] being the
+    chance that units k..N-1 take j under Poisson sampling.  Sample.pi is
+    the exact conditional-Poisson marginal, which only approximates the
+    working probabilities."""
 
     n: int
     working_pi: tuple = None  # defaults to compute_pips(mos, n)
-    max_tries: int = 1_000_000
     key = "rejective_poisson"
     flags = ("pi_is_conditional_marginal",)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.max_tries < 1:
-            raise DesignError("RejectivePoisson needs max_tries >= 1")
         if self.working_pi is not None:
             object.__setattr__(self, "working_pi",
                                tuple(float(p) for p in np.atleast_1d(self.working_pi)))
 
     def _working(self, frame):
+        _check_srs_size(self.n, frame.n_units)
         if self.working_pi is not None:
             work = np.asarray(self.working_pi, dtype=float)
             if work.size != frame.n_units:
@@ -629,29 +632,9 @@ class RejectivePoisson(_Sized):
 
     def _bind(self, frame):
         work = self._working(frame)
-        return (kernels.rejective_poisson_select, (work, self.n, self.max_tries),
-                conditional_poisson_pips(work, self.n), "rejective_poisson")
-
-    def _ran_out(self):
-        return RuntimeError(f"rejective sampling failed after {self.max_tries} tries")
-
-    def draw(self, frame, rng):
-        sample = super().draw(frame, rng)
-        if sample.idx.size == 0:  # the kernel ran out of tries
-            raise self._ran_out()
-        return sample
-
-    def mc_batch(self, frame, R, rng):
-        hits, vals = super().mc_batch(frame, R, rng)
-        if hits.sum() < R * self.n:  # a replicate ran out of tries
-            raise self._ran_out()
-        return hits, vals
-
-    def mc_rows(self, frame, R, rng):
-        idx, pi = super().mc_rows(frame, R, rng)
-        if np.count_nonzero(idx < frame.n_units) < R * self.n:
-            raise self._ran_out()
-        return idx, pi
+        pi = conditional_poisson_pips(work, self.n)  # raises if n cannot come up
+        return (kernels.conditional_poisson_select, (core._entry_probs(work, self.n), self.n),
+                pi, "rejective_poisson")
 
 
 class _Nesting(Design):
@@ -1077,8 +1060,9 @@ def _aux_column(frame, column, idx):
 
 
 def _check_srs_size(n, N):
+    # a size the frame cannot hold is a data error, not a numerical one
     if n > N:
-        raise ValueError(f"cannot draw {n} distinct units from {N}")
+        raise FrameError(f"cannot draw {n} distinct units from {N}")
 
 
 def _check_cap(size, cap):

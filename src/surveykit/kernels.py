@@ -9,10 +9,12 @@ bit-for-bit reproducible across backends.
 The batched Monte Carlo function `mc_draws` runs R replicates in one call.
 On numpy it draws uniforms as ``rng.random(shape)`` blocks of the same
 stream, which hold exactly the doubles the scalar calls would return, so
-its output matches the scalar loop bit for bit too.  A kernel
-whose uniform count is random runs on a speculative block of a PCG64 stream,
-after which the Generator is rewound and advanced by the doubles the kernel
-used; the same trick serves single draws on large frames (`_one_draw`).
+its output matches the scalar loop bit for bit too.  Conditional Poisson
+(`conditional_poisson_select`) is one of these: one uniform per unit.  A
+kernel whose uniform count is random (selection-rejection, Lahiri, Chao)
+runs on a speculative block of a PCG64 stream, after which the Generator
+is rewound and advanced by the doubles the kernel used; the same trick
+serves single draws on large frames (`_one_draw`).
 """
 
 import inspect
@@ -28,7 +30,7 @@ __all__ = [
     "srs_random_sort", "srswr_draws", "poisson_select", "systematic_select",
     "systematic_pps_select", "ppswr_cumulative", "ppswr_lahiri",
     "brewer2_select", "durbin2_select", "chao_select",
-    "rejective_poisson_select",
+    "rejective_poisson_select", "conditional_poisson_select",
 ]
 
 
@@ -230,6 +232,9 @@ def chao_select(x, n, rng):
     return np.sort(res)
 
 
+# Poisson tries until one takes exactly n units.  No design draws with it:
+# RejectivePoisson draws the same law in one pass (conditional_poisson_select),
+# and this loop is its reference.
 @jit
 def rejective_poisson_select(pi, n, max_tries, rng):
     N = pi.shape[0]
@@ -249,6 +254,21 @@ def rejective_poisson_select(pi, n, max_tries, rng):
     return np.empty(0, dtype=np.int64)
 
 
+@jit
+def conditional_poisson_select(q, n, rng):
+    # one pass of N uniforms: with m units taken, unit k enters with
+    # probability q[k, n - m] (core._entry_probs); q[k, 0] = 0 and the
+    # forced tail has q = 1.0, so exactly n units are taken
+    N = q.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    m = 0
+    for k in range(N):
+        if rng.random() < q[k, n - m]:
+            out[m] = k
+            m += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Batched Monte Carlo.  One call runs R replicates of a leaf design and
 # returns per-unit appearance counts and the replicate values of sum(wvec)
@@ -266,18 +286,15 @@ def rejective_poisson_select(pi, n, max_tries, rng):
 #   the scalar loop.  Every sum keeps the scalar loops' order, left to right
 #   from 0.0 (`np.cumsum`, never the pairwise `x.sum()`);
 # - on numpy with a PCG64 stream, a kernel with a random uniform count
-#   (selection-rejection, Lahiri, Chao, rejective Poisson) runs on a
-#   speculative block: save the bit generator's state, draw the block, run
-#   the kernel's logic on it, then restore the state and `advance` by the
-#   doubles that logic used (`_rewind`).  Lahiri takes the first R * n
-#   accepted pairs of a pair block; selection-rejection, Chao and rejective
-#   Poisson run their step machine in lockstep from every start offset of
-#   the block and chain the starts, s += used[s] (`_chained`): one try per
-#   replicate for the first two, and for rejective Poisson the tries of a
-#   replicate until one draws exactly n units.  On a frame above the
-#   lockstep cutoff in `_SPECULATIVE` the scalar loop runs on a `_Buffered`
-#   source instead of the Generator.  Other bit generators keep the scalar
-#   loop.
+#   (selection-rejection, Lahiri, Chao) runs on a speculative block: save
+#   the bit generator's state, draw the block, run the kernel's logic on
+#   it, then restore the state and `advance` by the doubles that logic used
+#   (`_rewind`).  Lahiri takes the first R * n accepted pairs of a pair
+#   block; selection-rejection and Chao run their step machine in lockstep
+#   from every start offset of the block and chain the starts,
+#   s += used[s] (`_chained`).  On a frame above the lockstep cutoff in
+#   `_SPECULATIVE` the scalar loop runs on a `_Buffered` source instead of
+#   the Generator.  Other bit generators keep the scalar loop.
 #
 # `_path` picks among these, and `_mc_rows` yields the replicates' index
 # tables on any of them, for designs that compose their children's batches.
@@ -513,20 +530,29 @@ def _durbin2_select_rows(p, R, rng):
                     R, rng)
 
 
+def _conditional_poisson_select_rows(q, n, R, rng):
+    N = q.shape[0]
+    for rows in _chunks(R, N):
+        u = rng.random((rows, N))
+        need = np.full(rows, n)
+        take = np.empty((rows, N), dtype=bool)
+        for k in range(N):
+            np.less(u[:, k], q[k, need], out=take[:, k])
+            need -= take[:, k]
+        yield np.nonzero(take)[1].reshape(rows, n)  # exactly n per row
+
+
 # Lockstep forms of the variable-count kernels, for a stream that `_rewinds`.
 
-def _chained(R, scan, max_used, mean_used, rows_at, rng, max_tries=1):
+def _chained(R, scan, max_used, mean_used, rows_at, rng):
     """Rows of R replicates of a kernel that takes a random number of
-    uniforms: tries of at most max_used uniforms each, until a try hits or
-    max_tries tries have missed, mean_used uniforms a replicate on average.
-    Per block of S candidate starts, scan(u, S) gives the uniforms a try
-    from each start takes, plus max_used where the try misses (small ints,
-    which Python does not allocate); the tries run at 0, s + used[s], ...
-    while s < S, and rows_at(u, ends) gives the rows of the replicates whose
-    hitting tries start at `ends` (-1: it ran out of tries).  The Generator
-    is then rewound to the first try not run, where a replicate cut short
-    by the block's end goes on with the tries it has left."""
-    left, tries = R, 0
+    uniforms, at most max_used and mean_used on average.  Per block of S
+    candidate starts, scan(u, S) gives the uniforms a replicate from each
+    start takes (small ints, which Python does not allocate); the
+    replicates run at 0, s + used[s], ... while s < S, and rows_at(u, ends)
+    gives the rows of those starting at `ends`.  The Generator is then
+    rewound to the first replicate not run."""
+    left = R
     while left:
         # 10% over the mean, so that one block mostly covers what is left
         S = max(1, min(_CHUNK_CELLS - max_used, math.ceil(left * mean_used * 1.1)))
@@ -536,21 +562,11 @@ def _chained(R, scan, max_used, mean_used, rows_at, rng, max_tries=1):
         ends = []
         s = 0
         while s < S and len(ends) < left:
-            step = used[s]
-            if step <= max_used:
-                ends.append(s)
-                tries = 0
-                s += step
-            else:
-                tries += 1
-                if tries == max_tries:
-                    ends.append(-1)
-                    tries = 0
-                s += step - max_used
+            ends.append(s)
+            s += used[s]
         _rewind(rng, state, s)
         left -= len(ends)
-        if ends:
-            yield rows_at(u, np.array(ends, dtype=np.int64))
+        yield rows_at(u, np.array(ends, dtype=np.int64))
 
 
 def _selection_rejection_steps(n, N, col, size, out=None):
@@ -612,54 +628,6 @@ def _chao_select_rows(x, n, R, rng):
     return _chained(R, scan, 2 * (N - n), mean_used, rows_at, rng)
 
 
-def _size_pmfs(p, n):
-    """Row i, for i = 0..N: P(independent inclusion with probabilities p
-    takes j of units 0..i-1), j = 0..n; the Poisson-binomial recursion cut
-    at n."""
-    table = np.zeros((p.shape[0] + 1, n + 1))
-    table[0, 0] = 1.0
-    for i, q in enumerate(p.tolist()):
-        table[i + 1] = table[i] * (1 - q)
-        table[i + 1, 1:] += table[i, :-1] * q
-    return table
-
-
-def _rejective_steps(pi, n, u, S):
-    """rejective_poisson_select's try from each start s < S of u: the
-    uniforms it takes (N, or up to the unit that would overfill the sample),
-    plus N unless it draws exactly n units."""
-    dtype = np.min_scalar_type(pi.shape[0])
-    count, used = np.zeros(S, dtype), np.zeros(S, dtype)
-    take = np.empty(S, dtype=bool)
-    for i, q in enumerate(pi.tolist()):  # in place: this loop is the hot path
-        np.add(used, np.less_equal(count, n, out=take), out=used)
-        np.add(count, np.less(u[i:i + S], q, out=take), out=count)
-    used = used.astype(np.int64)
-    return np.where(count == n, used, used + pi.shape[0])
-
-
-def _rejective_poisson_select_rows(pi, n, max_tries, R, rng):
-    N = pi.shape[0]
-    if max_tries < 1:  # the kernel gives up before its first try
-        return (np.full((rows, n), N, dtype=np.int64) for rows in _chunks(R, n))
-    sizes = _size_pmfs(pi, n)
-    # a try reaches unit i when units 0..i-1 took at most n, and a replicate
-    # makes 1 / P(n units) tries on average
-    hit = float(sizes[N, n])
-    tries = max_tries if hit * max_tries <= 1 else 1 / hit
-    units = np.arange(N)
-
-    def rows_at(u, ends):
-        rows = np.full((ends.size, n), N, dtype=np.int64)  # ran out: all pads
-        ok = ends >= 0
-        drawn = u[ends[ok, None] + units] < pi  # exactly n per row
-        rows[ok] = np.nonzero(drawn)[1].reshape(-1, n)
-        return rows
-
-    return _chained(R, lambda u, S: _rejective_steps(pi, n, u, S), N,
-                    float(sizes[:N].sum()) * tries, rows_at, rng, max_tries)
-
-
 def _ppswr_lahiri_rows(x, bound, n, R, rng):
     # every attempt takes two uniforms, so replicate r is accepted pairs
     # r*n .. r*n + n - 1 of one pair stream; no lockstep table is needed
@@ -693,27 +661,25 @@ _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
     ppswr_cumulative: _ppswr_cumulative_rows,
     brewer2_select: _brewer2_select_rows,
     durbin2_select: _durbin2_select_rows,
+    conditional_poisson_select: _conditional_poisson_select_rows,
 }
 
 # variable-count kernel -> (lockstep form, the largest frame it runs on);
 # above that frame the scalar loop runs `_Buffered`.  A lockstep form does
 # about N vector steps per block of starts, so its cost per replicate grows
 # with N^2; at R = 1000 (same machine as above) it beats the buffered loop
-# up to N = 32-48 for selection-rejection, and up to N = 192-256 for Chao
-# and for rejective Poisson, whose scalar steps cost more (rejective
-# Poisson: 4.3 against 17.7 ms at N = 12, 1.4-1.6x as fast at N = 192,
-# 0.6-1.1x at N = 256).
+# up to N = 32-48 for selection-rejection, and up to N = 192-256 for Chao,
+# whose scalar steps cost more.
 _SPECULATIVE = {
     srs_selection_rejection: (_srs_selection_rejection_rows, 32),
     chao_select: (_chao_select_rows, 128),
     ppswr_lahiri: (_ppswr_lahiri_rows, math.inf),  # two uniforms an attempt on any N
-    rejective_poisson_select: (_rejective_poisson_select_rows, 192),
 }
 
 # kernels that take one uniform per frame unit (or more), buffered on a
 # single draw from a frame of at least _BUFFERED_MIN_N units
 _SCANS = frozenset((srs_selection_rejection, srs_reservoir, srs_random_sort,
-                    _poisson_indices, chao_select, rejective_poisson_select))
+                    _poisson_indices, chao_select, conditional_poisson_select))
 
 
 def _one_draw(select, args, N, rng):

@@ -46,13 +46,13 @@ def design_consistency_mc(design, frame, R, rng):
 
     Leaf designs run through one batched call (`kernels.mc_draws`) over
     the kernel, checks and weights that `select` uses.
-    On numpy, kernels with a fixed uniform count draw each chunk of
-    replicates from one uniform block, with the same draws, totals and
-    stream position as the scalar replicate loop.  On a PCG64 stream, the
-    kernels with a random uniform count (selection-rejection SRS, Lahiri
-    PPSWR, Chao, rejective Poisson) run on speculative blocks that are then
-    rewound to the doubles used, with the same result; other bit
-    generators keep the scalar loop for them.  Stratified and one-stage
+    On numpy, kernels with a fixed uniform count (rejective Poisson's
+    sequential draw among them) draw each chunk of replicates from one
+    uniform block, with the same draws, totals and stream position as the
+    scalar replicate loop.  On a PCG64 stream, the kernels with a random
+    uniform count (selection-rejection SRS, Lahiri PPSWR, Chao) run on
+    speculative blocks that are then rewound to the doubles used, with the
+    same result; other bit generators keep the scalar loop for them.  Stratified and one-stage
     cluster designs combine their children's batches.  Two-stage and
     two-phase designs compose them through `Design.mc_rows`, which tells
     which replicate drew which units: a two-stage batch draws the PSU rows,

@@ -51,7 +51,7 @@ def frame_path(tmp_path):
 
 
 # every design type once, the three phase-2 rules inside two-phase designs,
-# and every optional field set (per_cluster, max_tries, bound, rates, ...)
+# and every optional field set (per_cluster, working_pi, bound, rates, ...)
 ROUND_TRIP_CASES = {
     "srs": sk.SRS(3, "reservoir"),
     "srswr": sk.SRSWR(4),
@@ -63,7 +63,7 @@ ROUND_TRIP_CASES = {
     "brewer2": sk.Brewer2(),
     "durbin2": sk.Durbin2(),
     "chao": sk.Chao(2),
-    "rejective_poisson": sk.RejectivePoisson(2, (0.2, 0.5, 0.3), max_tries=10),
+    "rejective_poisson": sk.RejectivePoisson(2, (0.2, 0.5, 0.3)),
     "stratified": sk.Stratified({"a": sk.SRS(1), "b": sk.Chao(2)}),
     "one_stage_cluster": sk.OneStageCluster(sk.SystematicPPS(2)),
     "two_stage": sk.TwoStage(sk.SRS(2), sk.SRS(1), per_cluster={"c1": sk.Bernoulli(0.5)}),
@@ -82,7 +82,7 @@ MALFORMED_DOCUMENTS = {
                                         "phase2": {"poisson": {"column": 0}}}},
     "stratified-list": {"stratified": [1]},
     "srs-bad-method": {"srs": {"n": 2, "method": "bogus"}},
-    "rejective-no-tries": {"rejective_poisson": {"n": 2, "max_tries": 0}},
+    "rejective-max-tries": {"rejective_poisson": {"n": 2, "max_tries": 10}},
     "srs-misspelled-field": {"srs": {"n": 2, "methd": "reservoir"}},
     "unknown-key": {"warp": {}},
     "not-a-mapping": [],
@@ -282,9 +282,21 @@ class TestDraw:
         assert err.startswith("data error: phase-2 rule reads aux column")
 
     def test_numerical_failure_exit_4(self, frame_path, capsys):
-        code, _, err = run_cli(capsys, "draw", "--frame", frame_path,
-                               "--design", "srs", "--n", "9", "--seed", "1")
-        assert code == 4
+        # an empirical-likelihood calibration to 1e6 from x1 summing to 36
+        # runs out of iterations
+        code, out, err = run_cli(capsys, "calibrate", "--frame", frame_path,
+                                 "--entropy", "empirical_likelihood", "--targets", "1000000")
+        assert (code, out) == (4, "")
+        assert err.startswith("numerical failure: calibration did not reach tol")
+
+    @pytest.mark.parametrize("design, n", [("srs", "9"), ("chao", "9"), ("systematic", "4"),
+                                           ("poisson", "5"), ("rejective", "5")])
+    def test_size_the_frame_cannot_hold_exit_3(self, frame_path, capsys, design, n):
+        # a data error, like a frame without the labels a design reads
+        code, out, err = run_cli(capsys, "draw", "--frame", frame_path,
+                                 "--design", design, "--n", n, "--seed", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("data error: ")
 
 
 class TestAllocate:

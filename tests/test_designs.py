@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import surveykit as sk
-from surveykit.core import NonProbabilityDesignError
+from surveykit.core import NonProbabilityDesignError, _entry_probs
 from surveykit.design import DesignError, RngStream
+from surveykit.frame import FrameError
 from surveykit.simulate import design_consistency_mc
 
 R_SMALL = 20_000
@@ -54,12 +55,6 @@ class TestDeterminism:
 def test_fixed_size_below_one_rejected_at_construction(make, n):
     with pytest.raises(DesignError, match="n >= 1"):
         make(n)
-
-
-@pytest.mark.parametrize("tries", [0, -3])
-def test_rejective_without_tries_rejected_at_construction(tries):
-    with pytest.raises(DesignError, match="max_tries >= 1"):
-        sk.RejectivePoisson(2, max_tries=tries)
 
 
 @pytest.mark.parametrize("design, mos", [
@@ -387,6 +382,64 @@ class TestPips:
         exact = sk.conditional_poisson_pips(np.array(work), 2)
         for j in range(4):
             assert abs(freq[j] - exact[j]) < mc_band(exact[j], R_SMALL)
+
+
+class TestConditionalPoisson:
+    """RejectivePoisson's one-pass sequential draw (Chen, Dempster & Liu
+    1994) against the law it draws from: Poisson sampling conditioned on
+    size n, enumerated set by set."""
+
+    @staticmethod
+    def walk_probability(q, n, units):
+        """P(the sequential draw takes exactly `units`): with r units left
+        to take, unit k enters with probability q[k, r]."""
+        p, need = 1.0, n
+        for k in range(q.shape[0]):
+            if k in units:
+                p *= q[k, need]
+                need -= 1
+            else:
+                p *= 1.0 - q[k, need]
+        return p
+
+    @pytest.mark.parametrize("N", range(2, 10))
+    def test_set_probabilities_match_the_rejective_support(self, N):
+        frame = sk.Frame(ids=tuple(map(str, range(N))))
+        gen = np.random.default_rng(N)
+        for n in range(1, N + 1):
+            work = gen.uniform(0.02, 0.98, N)
+            design = sk.RejectivePoisson(n, tuple(work))
+            q = _entry_probs(np.array(design.working_pi), n)
+            for ids, prob in sk.enumerate_design(design, frame).support:
+                units = {int(i) for i in ids}
+                assert abs(self.walk_probability(q, n, units) - prob) <= 1e-15
+
+    @pytest.mark.parametrize("n, work", [
+        (1, np.linspace(0.05, 0.3, 10)),
+        (9, np.linspace(0.6, 0.95, 10)),
+        (3, np.array([1e-9, 1e-9, 0.5, 1e-12, 0.7, 0.9, 1e-9, 0.4, 1e-6, 0.3])),
+        (4, np.array([1 - 1e-9, 0.2, 1 - 1e-12, 0.1, 0.3, 1 - 1e-6, 0.2, 0.1, 0.05, 0.4])),
+    ], ids=["n1", "n_N-1", "near0", "near1"])
+    def test_every_draw_takes_n_units(self, n, work):
+        N = work.size
+        frame = sk.Frame(ids=tuple(map(str, range(N))), y=np.arange(1.0, N + 1))
+        design = sk.RejectivePoisson(n, tuple(work))
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            idx = sk.select(design, frame, rng).idx
+            assert idx.size == n and np.all(np.diff(idx) > 0)
+        idx, _ = design.mc_rows(frame, 2000, rng)
+        assert idx.shape == (2000, n) and np.all(idx < N)
+        assert np.all(np.diff(idx, axis=1) > 0)
+        hits, _ = design_consistency_mc(design, frame, 2000, rng)
+        assert hits.sum() == 2000 * n
+
+    def test_more_units_than_the_frame_is_a_frame_error(self, mos_frame):
+        design = sk.RejectivePoisson(5, (0.5, 0.5, 0.5, 0.5))
+        for entry in (lambda: sk.select(design, mos_frame, RngStream(3)),
+                      lambda: sk.first_order_pips(design, mos_frame)):
+            with pytest.raises(FrameError, match="cannot draw 5 distinct units from 4"):
+                entry()
 
 
 class TestStratified:

@@ -8,15 +8,18 @@ calls.
 Kernels with a random uniform count run on a speculative block of a PCG64
 stream, after which the Generator is rewound and advanced by the doubles
 used; they must match the scalar loops bit for bit as well, and every other
-bit generator must keep the scalar loop."""
+bit generator must keep the scalar loop.  The rejective loop
+`rejective_poisson_select`, the reference for RejectivePoisson's law, has
+no block form and keeps the scalar loop everywhere."""
 
 import functools
+import time
 
 import numpy as np
 import pytest
 
 import surveykit as sk
-from surveykit import kernels
+from surveykit import core, kernels
 from surveykit.design import RngStream
 from surveykit.simulate import design_consistency_mc
 
@@ -37,6 +40,10 @@ def n2_probs(N):
     return x / x.sum()
 
 
+def entry_probs(N, n):
+    return core._entry_probs(sk.compute_pips(size_measures(N), n), n)
+
+
 def bindings(N, n):
     """(label, kernel, args, with_replacement) of every batched kernel on a
     frame of N units and sample size n."""
@@ -53,6 +60,8 @@ def bindings(N, n):
         ("ppswr_cumulative", kernels.ppswr_cumulative, (np.cumsum(x), n), True),
         ("brewer2_select", kernels.brewer2_select, (n2_probs(N),), False),
         ("durbin2_select", kernels.durbin2_select, (n2_probs(N),), False),
+        ("conditional_poisson_select", kernels.conditional_poisson_select,
+         (entry_probs(N, n), n), False),
     ]
 
 
@@ -206,7 +215,7 @@ def lahiri_args(x, n):
 
 def variable_bindings(N, n):
     """(label, kernel, args, with_replacement) of every kernel whose uniform
-    count is random."""
+    count is random; all but the rejective loop have a speculative form."""
     x = size_measures(N)
     return [
         ("srs_selection_rejection", kernels.srs_selection_rejection, (n, N), False),
@@ -217,9 +226,9 @@ def variable_bindings(N, n):
     ]
 
 
-# both sides of each lockstep cutoff: 32 units for selection-rejection,
-# 128 for Chao and 192 for rejective Poisson; Lahiri's form takes any N.
-# R = 1000 runs where the loop it is checked against is quick enough.
+# both sides of each lockstep cutoff: 32 units for selection-rejection and
+# 128 for Chao; Lahiri's form takes any N.  R = 1000 runs where the loop it
+# is checked against is quick enough.
 VARIABLE_SHAPES = [(12, 3), (32, 4), (33, 4), (128, 8), (129, 8), (192, 8), (193, 8),
                    (1000, 50)]
 VARIABLE_CASES = [(N, n, b, R) for N, n in VARIABLE_SHAPES for b in variable_bindings(N, n)
@@ -265,8 +274,6 @@ def test_variable_count_batches_spanning_several_blocks(monkeypatch, binding, ce
     (kernels.chao_select, 128, "batched"),
     (kernels.chao_select, 129, "_Buffered"),
     (kernels.ppswr_lahiri, 1000, "batched"),
-    (kernels.rejective_poisson_select, 192, "batched"),
-    (kernels.rejective_poisson_select, 193, "_Buffered"),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_lockstep_cutoff_picks_the_path(monkeypatch, kernel, N, path):
     assert path_taken(monkeypatch, kernel, N) == path
@@ -320,23 +327,6 @@ def test_pcg64dxsm_is_rewound_too():
     assert runs[0] == runs[1]
 
 
-def test_rejective_out_of_tries_still_raises():
-    # one try per replicate: most replicates come back empty, and both entry
-    # points must report it, on a small frame (plain path) and a large one
-    # (buffered path)
-    for N, n in ((12, 3), (200, 20)):
-        x = size_measures(N)
-        frame = sk.Frame(ids=tuple(map(str, range(N))), mos=x, y=weights(N))
-        work = sk.compute_pips(x, n) * 0.9
-        design = sk.RejectivePoisson(n, tuple(work), max_tries=1)
-        seed = next(s for s in range(200) if kernels.rejective_poisson_select(
-            work, n, 1, np.random.default_rng(s)).size == 0)
-        with pytest.raises(RuntimeError, match="after 1 tries"):
-            sk.select(design, frame, np.random.default_rng(seed))
-        with pytest.raises(RuntimeError, match="after 1 tries"):
-            design_consistency_mc(design, frame, 50, np.random.default_rng(seed))
-
-
 @pytest.mark.parametrize("max_tries", [0, 1, 2])
 def test_rejective_few_tries_match_scalar_loop(max_tries):
     # replicates that run out of tries come back empty, as the kernel's do
@@ -354,7 +344,7 @@ def test_buffered_single_draws_match_the_kernel(kernel):
         "srs_selection_rejection": (n, N), "srs_reservoir": (n, N),
         "srs_random_sort": (n, N), "_poisson_indices": (sk.compute_pips(x, n),),
         "chao_select": (np.sort(x), 20),
-        "rejective_poisson_select": (sk.compute_pips(x, n), n, 10_000),
+        "conditional_poisson_select": (entry_probs(N, n), n),
     }[kernel.__name__]
     rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
     for _ in range(5):
@@ -381,3 +371,39 @@ def test_variable_count_designs_match_select_loop():
                 assert vals[r] == pytest.approx(sk.ht_total(s, y[s.idx]).value, rel=1e-12)
             assert np.array_equal(hits, expect_hits)
             assert rng_mc.random() == rng_sel.random()
+
+
+# ---------------------------------------------------------------------------
+# Conditional Poisson: one uniform per unit, so every bit generator takes
+# the batched form.
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                           np.random.Philox, np.random.MT19937,
+                                           np.random.SFC64], ids=lambda g: g.__name__)
+@pytest.mark.parametrize("N, n", [(12, 3), (200, 20)])
+def test_conditional_poisson_batched_on_every_bit_generator(monkeypatch, bit_generator, N, n):
+    args, wvec = (entry_probs(N, n), n), weights(N)
+    runs = []
+    for run in (kernels.mc_draws, kernels._mc_draws_loop):
+        rng = np.random.Generator(bit_generator(41))
+        hits, vals = run(kernels.conditional_poisson_select, args, False, 300, wvec, rng)
+        runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
+    assert runs[0] == runs[1]
+    # a scalar loop that hands back the Generator, which does not unpack
+    monkeypatch.setattr(kernels, "_mc_draws_loop", lambda *a: a[-1])
+    rng = np.random.Generator(bit_generator(41))
+    hits, _ = kernels.mc_draws(kernels.conditional_poisson_select, args, False, 5, wvec, rng)
+    assert hits.sum() == 5 * n
+
+
+def test_rejective_monte_carlo_time_budget():
+    # R = 1000 replicates of n = 50 from N = 1000 in one batched pass, about
+    # 0.1 s on a 2-core VM where the rejective loop took about 5 s
+    N = 1000
+    x = size_measures(N)
+    frame = sk.Frame(ids=tuple(map(str, range(N))), mos=x, y=weights(N))
+    design = sk.RejectivePoisson(50)
+    start = time.perf_counter()
+    hits, _ = design_consistency_mc(design, frame, 1000, np.random.default_rng(2))
+    assert time.perf_counter() - start < 2.0
+    assert hits.sum() == 1000 * 50

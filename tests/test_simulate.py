@@ -123,21 +123,6 @@ class TestDesignConsistencyMC:
         return sk.Frame(ids=tuple("abcdefgh"), cluster=tuple("aabbccdd"),
                         y=np.arange(1.0, 9.0))
 
-    def test_exhausted_rejective_tries_raise(self, frame):
-        # with one try per replicate most replicates fail; none may be
-        # counted as an empty sample
-        with pytest.raises(RuntimeError, match="1 tries"):
-            design_consistency_mc(sk.RejectivePoisson(3, max_tries=1), frame, 200,
-                                  np.random.default_rng(1))
-
-    def test_exhausted_rejective_tries_raise_inside_nested_batches(self, frame):
-        # the PSU and phase-1 tables must not pass an exhausted replicate on
-        # as an empty sample either
-        for design in (sk.TwoStage(sk.RejectivePoisson(2, max_tries=1), sk.SRS(1)),
-                       sk.TwoPhase(sk.RejectivePoisson(3, max_tries=1), sk.KeepAll())):
-            with pytest.raises(RuntimeError, match="1 tries"):
-                design_consistency_mc(design, frame, 200, np.random.default_rng(1))
-
     def test_oversized_srs_raises(self, frame):
         with pytest.raises(ValueError, match="cannot draw 9"):
             design_consistency_mc(sk.SRS(9), frame, 10, np.random.default_rng(1))
