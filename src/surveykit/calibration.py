@@ -380,15 +380,19 @@ def _newton(spec, z, T, d, v, family, tol, max_iter, debias=False):
             )
         # damped ascent: halve until the iterate stays inside the dual
         # domain and either satisfies the Armijo condition or contracts the
-        # constraint residual (the dual gain underflows near the optimum)
+        # constraint residual (the dual gain underflows near the optimum).
+        # A trial step whose weights overflow has an objective of -inf or
+        # nan, which the test rejects, so its overflow is not reported; an
+        # accepted iterate is evaluated again, with warnings, on the next pass
         t = 1.0
         accepted = False
         for _ in range(60):
             cand = lam + t * step
             nu_c = (z @ cand) / v
             if spec.contains_nu(nu_c):
-                new_obj = _dual_objective(spec, cand, z, T, d, v, family)
-                new_resid = float(np.max(np.abs(T - z.T @ weights_of(nu_c))))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    new_obj = _dual_objective(spec, cand, z, T, d, v, family)
+                    new_resid = float(np.max(np.abs(T - z.T @ weights_of(nu_c))))
                 if (new_obj >= obj + 1e-4 * t * float(grad @ step)
                         or new_resid <= 0.9 * resid):
                     lam, obj = cand, new_obj

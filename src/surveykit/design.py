@@ -562,7 +562,11 @@ class Durbin2(_N2):
 
 @dataclass(frozen=True)
 class Chao(_Sized):
-    """Streaming reservoir with unequal probabilities; not enumerable."""
+    """Streaming reservoir with unequal probabilities (Chao 1982,
+    Biometrika 69:653): the first n units fill the reservoir, and unit k
+    then enters with probability n x_k / (x_0 + ... + x_k), evicting a slot
+    uniformly.  One uniform u per unit k >= n decides both: the unit enters
+    when u < p_k, into slot floor(n u / p_k).  Not enumerable."""
 
     n: int
     key = "chao"
@@ -612,7 +616,7 @@ class RejectivePoisson(_Sized):
             if work.size != frame.n_units:
                 raise ValueError("working probabilities must cover the frame")
         else:
-            work = compute_pips(frame.mos, self.n)
+            work = _default_working(frame, self.n)
         if np.any(work >= 1):
             raise ValueError("rejective sampling needs working probabilities below 1")
         return work
@@ -1121,6 +1125,16 @@ def _cluster_frame(frame):
             ids=tuple(label for label, _ in clusters),
             mos=np.array([frame.mos[members].sum() for _, members in clusters]))
     return frame._cache["cluster_frame"]
+
+
+def _default_working(frame, n):
+    """compute_pips(frame.mos, n), read-only and memoized on the frame."""
+    key = ("rejective_working", n)
+    if key not in frame._cache:
+        work = compute_pips(frame.mos, n)
+        work.flags.writeable = False
+        frame._cache[key] = work
+    return frame._cache[key]
 
 
 def _member_rows(frame, cidx):

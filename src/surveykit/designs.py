@@ -41,10 +41,13 @@ def reservoir_stream(stream, n, rng):
 
 
 def chao_stream(stream, n, rng):
-    """Unequal-probability reservoir over a stream of (id, size) pairs:
-    arrival k enters with probability n * x_k / (running total), evicting a
-    reservoir slot uniformly.  Consumes randomness exactly like the array
-    kernel, so the same stream and seed reproduce the same reservoir."""
+    """Unequal-probability reservoir over a stream of (id, size) pairs
+    (Chao 1982): arrival k enters with probability p = n * x_k / (running
+    total), evicting a reservoir slot uniformly.  Each arrival past the
+    first n takes one uniform u; it enters when u < p, and u / p, uniform
+    on [0, 1) given that, picks the slot.  Consumes randomness exactly like
+    the array kernel, so the same stream and seed reproduce the same
+    reservoir."""
     rng = as_generator(rng)
     reservoir = []
     total = 0.0
@@ -61,9 +64,9 @@ def chao_stream(stream, n, rng):
         p = n * x / total
         if p > 1 + 1e-12:
             raise ValueError("certainty units must be pre-extracted via compute_pips")
-        if rng.random() < p:
-            j = int(rng.random() * n)
-            reservoir[min(j, n - 1)] = item
+        u = rng.random()
+        if u < p:
+            reservoir[min(int(u / p * n), n - 1)] = item
     return reservoir
 
 

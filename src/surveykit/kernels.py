@@ -9,12 +9,14 @@ bit-for-bit reproducible across backends.
 The batched Monte Carlo function `mc_draws` runs R replicates in one call.
 On numpy it draws uniforms as ``rng.random(shape)`` blocks of the same
 stream, which hold exactly the doubles the scalar calls would return, so
-its output matches the scalar loop bit for bit too.  Conditional Poisson
-(`conditional_poisson_select`) is one of these: one uniform per unit.  A
-kernel whose uniform count is random (selection-rejection, Lahiri, Chao)
-runs on a speculative block of a PCG64 stream, after which the Generator
-is rewound and advanced by the doubles the kernel used; the same trick
-serves single draws on large frames (`_one_draw`).
+its output matches the scalar loop bit for bit too.  Every design kernel
+but Lahiri's takes a fixed number of uniforms per draw: selection-rejection
+one per frame unit, Chao one per stream unit (an entering unit's slot is
+read from the uniform that admitted it), conditional Poisson one per unit.
+Lahiri's count is random, so its batch runs on a speculative block of a
+PCG64 stream, after which the Generator is rewound and advanced by the
+doubles the kernel used; the same trick serves single draws on large
+frames (`_one_draw`).
 """
 
 import inspect
@@ -61,11 +63,10 @@ def srs_selection_rejection(n, N, rng):
     out = np.empty(n, dtype=np.int64)
     chosen = 0
     for k in range(N):
+        # once n units are chosen the test is u * (N - k) < 0, never true
         if rng.random() * (N - k) < n - chosen:
             out[chosen] = k
             chosen += 1
-            if chosen == n:
-                break
     return out
 
 
@@ -219,16 +220,13 @@ def durbin2_select(p, rng):
 
 @jit
 def chao_select(x, n, rng):
-    N = x.shape[0]
     res = np.arange(n, dtype=np.int64)
-    total = 0.0
-    for i in range(n):
-        total += x[i]
-    for k in range(n, N):
-        total += x[k]
-        if rng.random() < n * x[k] / total:
-            j = _unit_index(rng.random(), n)
-            res[j] = k
+    prob = n * x[n:] / np.cumsum(x)[n:]  # n x_k over the running total
+    for k in range(n, x.shape[0]):
+        p = prob[k - n]
+        u = rng.random()
+        if u < p:  # then u / p is uniform on [0, 1): it picks the slot
+            res[_unit_index(u / p, n)] = k
     return np.sort(res)
 
 
@@ -284,17 +282,13 @@ def conditional_poisson_select(q, n, rng):
 #   replicate after replicate, and leaves the Generator where those calls
 #   would, so hits, values and the stream afterwards are bit-identical to
 #   the scalar loop.  Every sum keeps the scalar loops' order, left to right
-#   from 0.0 (`np.cumsum`, never the pairwise `x.sum()`);
-# - on numpy with a PCG64 stream, a kernel with a random uniform count
-#   (selection-rejection, Lahiri, Chao) runs on a speculative block: save
-#   the bit generator's state, draw the block, run the kernel's logic on
-#   it, then restore the state and `advance` by the doubles that logic used
-#   (`_rewind`).  Lahiri takes the first R * n accepted pairs of a pair
-#   block; selection-rejection and Chao run their step machine in lockstep
-#   from every start offset of the block and chain the starts,
-#   s += used[s] (`_chained`).  On a frame above the lockstep cutoff in
-#   `_SPECULATIVE` the scalar loop runs on a `_Buffered` source instead of
-#   the Generator.  Other bit generators keep the scalar loop.
+#   from 0.0 (`np.cumsum`, never the pairwise `x.sum()`).  This holds on
+#   every bit generator;
+# - Lahiri's kernel takes a random number of uniforms, so on numpy with a
+#   PCG64 stream it runs on a speculative block: save the bit generator's
+#   state, draw a block of pairs, take the first R * n accepted ones, then
+#   restore the state and `advance` by the doubles used (`_rewind`).  Other
+#   bit generators keep the scalar loop for it.
 #
 # `_path` picks among these, and `_mc_rows` yields the replicates' index
 # tables on any of them, for designs that compose their children's batches.
@@ -364,7 +358,6 @@ def _in_frame(idx, N):
 # counter block, and MT19937 and SFC64 have no `advance`.
 
 _ONE_STEP_PER_DOUBLE = (np.random.PCG64, np.random.PCG64DXSM)
-_BLOCK = 1 << 12        # the doubles a buffered scalar loop draws at a time
 _BUFFERED_MIN_N = 24    # the smallest frame a single draw is buffered on
 # A buffered single draw of a frame-scanning kernel pays back its state save
 # and rewind from N = 16-24 (1.1-1.3x at N = 24, 3x at N = 1000) and loses
@@ -436,15 +429,21 @@ def _srs_draw_by_draw_rows(n, N, R, rng):
         yield np.sort(out, axis=1)
 
 
+def _reservoirs(n, rows, r, slot, k):
+    """Sorted reservoirs of `rows` replicates that start as units 0..n-1,
+    stream unit k[i] entering row r[i] at slot[i]."""
+    res = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
+    # the loop's last write to a slot wins, and it writes the largest k
+    np.maximum.at(res, (r, slot), k)
+    return np.sort(res, axis=1)
+
+
 def _srs_reservoir_rows(n, N, R, rng):
     stream = np.arange(n, N)
     for rows in _chunks(R, N):
         j = _unit_indices(rng.random((rows, N - n)), stream + 1)
-        res = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
-        # the loop's last write to slot j wins, and it writes the largest k
         r, c = np.nonzero(j < n)
-        np.maximum.at(res, (r, j[r, c]), stream[c])
-        yield np.sort(res, axis=1)
+        yield _reservoirs(n, rows, r, j[r, c], stream[c])
 
 
 def _srs_random_sort_rows(n, N, R, rng):
@@ -530,107 +529,45 @@ def _durbin2_select_rows(p, R, rng):
                     R, rng)
 
 
-def _conditional_poisson_select_rows(q, n, R, rng):
-    N = q.shape[0]
-    for rows in _chunks(R, N):
-        u = rng.random((rows, N))
-        need = np.full(rows, n)
-        take = np.empty((rows, N), dtype=bool)
-        for k in range(N):
-            np.less(u[:, k], q[k, need], out=take[:, k])
-            need -= take[:, k]
-        yield np.nonzero(take)[1].reshape(rows, n)  # exactly n per row
-
-
-# Lockstep forms of the variable-count kernels, for a stream that `_rewinds`.
-
-def _chained(R, scan, max_used, mean_used, rows_at, rng):
-    """Rows of R replicates of a kernel that takes a random number of
-    uniforms, at most max_used and mean_used on average.  Per block of S
-    candidate starts, scan(u, S) gives the uniforms a replicate from each
-    start takes (small ints, which Python does not allocate); the
-    replicates run at 0, s + used[s], ... while s < S, and rows_at(u, ends)
-    gives the rows of those starting at `ends`.  The Generator is then
-    rewound to the first replicate not run."""
-    left = R
-    while left:
-        # 10% over the mean, so that one block mostly covers what is left
-        S = max(1, min(_CHUNK_CELLS - max_used, math.ceil(left * mean_used * 1.1)))
-        state = rng.bit_generator.state
-        u = rng.random(S + max_used)
-        used = scan(u, S).tolist()
-        ends = []
-        s = 0
-        while s < S and len(ends) < left:
-            ends.append(s)
-            s += used[s]
-        _rewind(rng, state, s)
-        left -= len(ends)
-        yield rows_at(u, np.array(ends, dtype=np.int64))
-
-
-def _selection_rejection_steps(n, N, col, size, out=None):
-    """srs_selection_rejection's step machine for `size` replicates at once,
-    col(k) holding their step-k uniforms: the uniforms each takes, and, into
-    out (size, n), the units each selects."""
-    chosen = np.zeros(size, dtype=np.int64)
-    used = np.zeros(size, dtype=np.int64)
+def _one_pass(u, n, bound):
+    """The units a one-pass walk over the columns of u takes, n per row:
+    column k takes the rows with u[:, k] < bound(k, need), need holding
+    what each row has still to take."""
+    rows, N = u.shape
+    need = np.full(rows, n)
+    take = np.empty((rows, N), dtype=bool)
     for k in range(N):
-        used += chosen < n  # the loop stops after the n-th selection
-        take = col(k) * (N - k) < n - chosen
-        if out is not None:
-            r = np.nonzero(take)[0]
-            out[r, chosen[r]] = k
-        chosen += take
-    return used
+        np.less(u[:, k], bound(k, need), out=take[:, k])
+        need -= take[:, k]
+    return np.nonzero(take)[1].reshape(rows, n)
 
 
 def _srs_selection_rejection_rows(n, N, R, rng):
-    def scan(u, S):
-        return _selection_rejection_steps(n, N, lambda k: u[k:k + S], S)
-
-    def rows_at(u, starts):
-        out = np.empty((starts.size, n), dtype=np.int64)
-        _selection_rejection_steps(n, N, lambda k: u[starts + k], starts.size, out)
-        return out
-
-    return _chained(R, scan, N, n * (N + 1) / (n + 1), rows_at, rng)
+    steps = N - np.arange(N)
+    for rows in _chunks(R, N):
+        # the loop's test, u * (N - k) < n - chosen
+        yield _one_pass(rng.random((rows, N)) * steps, n, lambda k, need: need)
 
 
-def _chao_steps(n, prob, u, pos, res=None):
-    """chao_select's step machine for replicates starting at stream
-    positions pos, prob[k - n] being stream unit k's entry probability: the
-    positions where they end, and, into res (rows, n), their reservoirs."""
-    pos = pos.copy()
-    for k, q in enumerate(prob, start=n):
-        enter = u[pos] < q  # an entering unit takes a second uniform
-        if res is not None:
-            r = np.nonzero(enter)[0]
-            res[r, _unit_indices(u[pos[r] + 1], n)] = k
-        pos += 1 + enter
-    return pos
+def _conditional_poisson_select_rows(q, n, R, rng):
+    N = q.shape[0]
+    for rows in _chunks(R, N):
+        yield _one_pass(rng.random((rows, N)), n, lambda k, need: q[k, need])
 
 
 def _chao_select_rows(x, n, R, rng):
     N = x.shape[0]
-    prob = n * x[n:] / np.cumsum(x)[n:]  # the loop's running total
-
-    def scan(u, S):
-        start = np.arange(S)
-        return _chao_steps(n, prob, u, start) - start
-
-    def rows_at(u, starts):
-        res = np.tile(np.arange(n, dtype=np.int64), (starts.size, 1))
-        _chao_steps(n, prob, u, starts, res)
-        return np.sort(res, axis=1)
-
-    mean_used = N - n + float(np.minimum(prob, 1.0).sum())
-    return _chained(R, scan, 2 * (N - n), mean_used, rows_at, rng)
+    prob = n * x[n:] / np.cumsum(x)[n:]  # as the kernel computes it
+    stream = np.arange(n, N)
+    for rows in _chunks(R, N):
+        u = rng.random((rows, N - n))
+        r, c = np.nonzero(u < prob)
+        yield _reservoirs(n, rows, r, _unit_indices(u[r, c] / prob[c], n), stream[c])
 
 
 def _ppswr_lahiri_rows(x, bound, n, R, rng):
     # every attempt takes two uniforms, so replicate r is accepted pairs
-    # r*n .. r*n + n - 1 of one pair stream; no lockstep table is needed
+    # r*n .. r*n + n - 1 of one pair stream
     N = x.shape[0]
     accept = x / bound
     rate = max(float(np.minimum(accept, 1.0).mean()), 1.0 / _CHUNK_CELLS)
@@ -652,6 +589,7 @@ def _ppswr_lahiri_rows(x, bound, n, R, rng):
 # kernel -> batched form; none on numba, which runs the compiled loops
 _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
     srs_draw_by_draw: _srs_draw_by_draw_rows,
+    srs_selection_rejection: _srs_selection_rejection_rows,
     srs_reservoir: _srs_reservoir_rows,
     srs_random_sort: _srs_random_sort_rows,
     srswr_draws: _srswr_draws_rows,
@@ -661,23 +599,16 @@ _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
     ppswr_cumulative: _ppswr_cumulative_rows,
     brewer2_select: _brewer2_select_rows,
     durbin2_select: _durbin2_select_rows,
+    chao_select: _chao_select_rows,
     conditional_poisson_select: _conditional_poisson_select_rows,
 }
 
-# variable-count kernel -> (lockstep form, the largest frame it runs on);
-# above that frame the scalar loop runs `_Buffered`.  A lockstep form does
-# about N vector steps per block of starts, so its cost per replicate grows
-# with N^2; at R = 1000 (same machine as above) it beats the buffered loop
-# up to N = 32-48 for selection-rejection, and up to N = 192-256 for Chao,
-# whose scalar steps cost more.
-_SPECULATIVE = {
-    srs_selection_rejection: (_srs_selection_rejection_rows, 32),
-    chao_select: (_chao_select_rows, 128),
-    ppswr_lahiri: (_ppswr_lahiri_rows, math.inf),  # two uniforms an attempt on any N
-}
+# kernel -> batched form that runs only on a stream that `_rewinds`
+_REWOUND = {ppswr_lahiri: _ppswr_lahiri_rows}
 
-# kernels that take one uniform per frame unit (or more), buffered on a
-# single draw from a frame of at least _BUFFERED_MIN_N units
+# kernels that take a uniform per frame unit (reservoir and Chao skip the
+# first n), buffered on a single draw from a frame of at least
+# _BUFFERED_MIN_N units
 _SCANS = frozenset((srs_selection_rejection, srs_reservoir, srs_random_sort,
                     _poisson_indices, chao_select, conditional_poisson_select))
 
@@ -691,17 +622,14 @@ def _one_draw(select, args, N, rng):
         return select(*args, source)
 
 
-def _path(select, N, rng):
-    """How R replicates of `select` on a frame of N units run: (form,
-    buffered), form being the kernel's batched or lockstep rows form, or
-    None for the scalar loop, which runs on a `_Buffered` source when
-    buffered is true.  A wrapped kernel (functools.wraps, as a tracer
-    installs) is matched by the function it wraps."""
+def _path(select, rng):
+    """The batched form R replicates of `select` run by, or None for the
+    scalar loop.  A wrapped kernel (functools.wraps, as a tracer installs)
+    is matched by the function it wraps."""
     kernel = inspect.unwrap(select)
-    if kernel in _SPECULATIVE and _rewinds(rng):
-        form, max_N = _SPECULATIVE[kernel]
-        return (form, False) if N <= max_N else (None, True)
-    return _BATCHED.get(kernel), False
+    if kernel in _REWOUND:
+        return _REWOUND[kernel] if _rewinds(rng) else None
+    return _BATCHED.get(kernel)
 
 
 def _stack(tables, pad):
@@ -722,17 +650,12 @@ def _mc_rows(select, args, N, R, rng):
     chunk: int64 tables whose row r, without the pads (index N, anywhere in
     the row), is replicate r's draw in kernel output order.  The stream is
     consumed as R scalar calls would consume it."""
-    form, buffered = _path(select, N, rng)
+    form = _path(select, rng)
     if form is not None:
         yield from form(*args, R, rng)
         return
     for rows in _chunks(R, N):
-        if buffered:
-            with _Buffered(rng, _BLOCK) as source:
-                draws = [select(*args, source) for _ in range(rows)]
-        else:
-            draws = [select(*args, rng) for _ in range(rows)]
-        yield _stack([d[None] for d in draws], N)
+        yield _stack([select(*args, rng)[None] for _ in range(rows)], N)
 
 
 def _distinct(idx, N):
@@ -746,15 +669,12 @@ def _distinct(idx, N):
 def mc_draws(select, args, with_replacement, R, wvec, rng):
     """R replicates of `select(*args, rng)`, the kernel a design draws with:
     (hits, vals) as `_mc_draws_loop` returns them, summed from the index
-    tables of the kernel's batched or lockstep form when `_path` picks one;
-    the scalar loop runs as it is (compiled on numba)."""
-    N = wvec.shape[0]
-    form, buffered = _path(select, N, rng)
+    tables of the kernel's batched form when `_path` picks one; the scalar
+    loop runs as it is (compiled on numba)."""
+    form = _path(select, rng)
     if form is None:
-        if buffered:
-            with _Buffered(rng, _BLOCK) as source:
-                return _mc_draws_loop(select, args, with_replacement, R, wvec, source)
         return _mc_draws_loop(select, args, with_replacement, R, wvec, rng)
+    N = wvec.shape[0]
     w = np.append(wvec, 0.0)  # index N pads ragged rows and weighs nothing
     counts = np.zeros(N + 1, dtype=np.int64)
     vals = np.empty(R)

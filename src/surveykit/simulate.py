@@ -46,22 +46,23 @@ def design_consistency_mc(design, frame, R, rng):
 
     Leaf designs run through one batched call (`kernels.mc_draws`) over
     the kernel, checks and weights that `select` uses.
-    On numpy, kernels with a fixed uniform count (rejective Poisson's
-    sequential draw among them) draw each chunk of replicates from one
-    uniform block, with the same draws, totals and stream position as the
-    scalar replicate loop.  On a PCG64 stream, the kernels with a random
-    uniform count (selection-rejection SRS, Lahiri PPSWR, Chao) run on
-    speculative blocks that are then rewound to the doubles used, with the
-    same result; other bit generators keep the scalar loop for them.  Stratified and one-stage
-    cluster designs combine their children's batches.  Two-stage and
-    two-phase designs compose them through `Design.mc_rows`, which tells
-    which replicate drew which units: a two-stage batch draws the PSU rows,
-    then one SSU batch per cluster over the replicates that drew it; a
-    two-phase batch draws the phase-1 rows, then its rule's batched form
-    (`mc_cond`; the keep-all and stratify rules have one).  These keep the
-    design's law, but only a one-replicate batch draws what one `select`
-    draws.  A two-phase design whose rule has no batched form runs the
-    generic selection loop (`Design.mc_batch`)."""
+    On numpy, every kernel but Lahiri's takes a fixed uniform count
+    (selection-rejection SRS one per unit, Chao one per stream unit,
+    rejective Poisson's sequential draw one per unit), and draws each chunk
+    of replicates from one uniform block on any bit generator, with the
+    same draws, totals and stream position as the scalar replicate loop.
+    Lahiri PPSWR, whose count is random, runs on speculative blocks of a
+    PCG64 stream that are then rewound to the doubles used, with the same
+    result; other bit generators keep the scalar loop for it.  Stratified
+    and one-stage cluster designs combine their children's batches.
+    Two-stage and two-phase designs compose them through `Design.mc_rows`,
+    which tells which replicate drew which units: a two-stage batch draws
+    the PSU rows, then one SSU batch per cluster over the replicates that
+    drew it; a two-phase batch draws the phase-1 rows, then its rule's
+    batched form (`mc_cond`; the keep-all and stratify rules have one).
+    These keep the design's law, but only a one-replicate batch draws what
+    one `select` draws.  A two-phase design whose rule has no batched form
+    runs the generic selection loop (`Design.mc_batch`)."""
     Design.require(design, DesignError, "cannot select from {}")
     return design.mc_batch(frame, R, as_generator(rng))
 

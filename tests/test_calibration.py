@@ -203,6 +203,14 @@ class TestEntropySolver:
         if len(values) >= 2:
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
+    def test_overflowing_trial_steps_raise_no_warning(self):
+        # the line search's first trials overflow exp and are rejected; the
+        # suite turns a RuntimeWarning into an error
+        x = np.array([4.0, 6.0, 6.0, 20.0])
+        prob = sk.CalibrationProblem(x, x[:, None], [1e6], entropy="kullback_leibler")
+        res = sk.solve_entropy(prob)
+        assert res.weights @ x == pytest.approx(1e6, rel=1e-12)
+
     def test_infeasible_targets_detected(self):
         d = np.ones(5)
         z = np.ones((5, 1))

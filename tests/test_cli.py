@@ -349,6 +349,13 @@ class TestVariance:
 
 
 class TestCalibrate:
+    def test_kl_calibration_prints_only_its_report(self, frame_path, capsys):
+        # its line search tries steps whose weights overflow
+        code, out, err = run_cli(capsys, "calibrate", "--frame", frame_path,
+                                 "--entropy", "kullback_leibler", "--targets", "1000000")
+        assert code == 0 and out.startswith("id,weight")
+        assert len(err.splitlines()) == 1 and json.loads(err)["iterations"] > 0
+
     def test_weight_csv_and_diagnostics(self, frame_path, capsys):
         code, out, err = run_cli(capsys, "calibrate", "--frame", frame_path,
                                  "--entropy", "kullback_leibler",

@@ -441,6 +441,26 @@ class TestConditionalPoisson:
             with pytest.raises(FrameError, match="cannot draw 5 distinct units from 4"):
                 entry()
 
+    def test_default_working_probs_are_computed_once(self, monkeypatch):
+        from surveykit import design as dz
+
+        mos = np.round(np.random.default_rng(4).uniform(1.0, 4.0, 12), 3)
+        frame = sk.Frame(ids=tuple(map(str, range(12))), mos=mos)
+        explicit = sk.RejectivePoisson(3, tuple(sk.compute_pips(mos, 3)))
+        rng = np.random.default_rng(8)
+        expect = [sk.select(explicit, frame, rng).idx.tolist() for _ in range(50)]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sk.compute_pips(*args)
+
+        monkeypatch.setattr(dz, "compute_pips", counted)
+        design, rng = sk.RejectivePoisson(3), np.random.default_rng(8)
+        assert [sk.select(design, frame, rng).idx.tolist() for _ in range(50)] == expect
+        sk.first_order_pips(design, frame)
+        assert len(calls) == 1
+
 
 class TestStratified:
     @pytest.fixture

@@ -5,22 +5,26 @@ equal the scalar reference loop `_mc_draws_loop` bit for bit, because a
 block of rng.random((rows, k)) holds exactly the doubles of rows * k scalar
 calls.
 
-Kernels with a random uniform count run on a speculative block of a PCG64
-stream, after which the Generator is rewound and advanced by the doubles
-used; they must match the scalar loops bit for bit as well, and every other
-bit generator must keep the scalar loop.  The rejective loop
-`rejective_poisson_select`, the reference for RejectivePoisson's law, has
-no block form and keeps the scalar loop everywhere."""
+Every design kernel but Lahiri's takes a fixed uniform count.  Lahiri's
+batch runs on a speculative block of a PCG64 stream, after which the
+Generator is rewound and advanced by the doubles used; it must match the
+scalar loop bit for bit as well, and every other bit generator must keep
+the scalar loop for it.  The rejective loop `rejective_poisson_select`, the
+reference for RejectivePoisson's law, has no block form and keeps the
+scalar loop everywhere."""
 
 import functools
+import itertools
+import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import surveykit as sk
 from surveykit import core, kernels
-from surveykit.design import RngStream
+from surveykit.design import PPSWR_METHODS, SRS_METHODS, Design, RngStream, _Leaf
 from surveykit.simulate import design_consistency_mc
 
 pytestmark = pytest.mark.skipif(
@@ -50,6 +54,7 @@ def bindings(N, n):
     x = size_measures(N)
     return [
         ("srs_draw_by_draw", kernels.srs_draw_by_draw, (n, N), False),
+        ("srs_selection_rejection", kernels.srs_selection_rejection, (n, N), False),
         ("srs_reservoir", kernels.srs_reservoir, (n, N), False),
         ("srs_random_sort", kernels.srs_random_sort, (n, N), False),
         ("srswr_draws", kernels.srswr_draws, (n, N), True),
@@ -60,6 +65,7 @@ def bindings(N, n):
         ("ppswr_cumulative", kernels.ppswr_cumulative, (np.cumsum(x), n), True),
         ("brewer2_select", kernels.brewer2_select, (n2_probs(N),), False),
         ("durbin2_select", kernels.durbin2_select, (n2_probs(N),), False),
+        ("chao_select", kernels.chao_select, (x, n), False),
         ("conditional_poisson_select", kernels.conditional_poisson_select,
          (entry_probs(N, n), n), False),
     ]
@@ -206,16 +212,19 @@ def test_design_entry_point_matches_select_loop():
 
 
 # ---------------------------------------------------------------------------
-# Variable-count kernels: lockstep forms, the buffered scalar loop, and
-# buffered single draws.
+# Lahiri's rewound batch, a wider sweep of frame sizes, and buffered single
+# draws.
 
 def lahiri_args(x, n):
     return x, float(x.max()) * (1 + 1e-12), n  # the bound barely above the largest mos
 
 
 def variable_bindings(N, n):
-    """(label, kernel, args, with_replacement) of every kernel whose uniform
-    count is random; all but the rejective loop have a speculative form."""
+    """(label, kernel, args, with_replacement) of the kernels checked over
+    the wider sweep of frame sizes: Lahiri, whose uniform count is random;
+    selection-rejection and Chao, whose batched forms step through the
+    frame column by column; and the rejective reference loop, which has no
+    batched form."""
     x = size_measures(N)
     return [
         ("srs_selection_rejection", kernels.srs_selection_rejection, (n, N), False),
@@ -226,9 +235,7 @@ def variable_bindings(N, n):
     ]
 
 
-# both sides of each lockstep cutoff: 32 units for selection-rejection and
-# 128 for Chao; Lahiri's form takes any N.  R = 1000 runs where the loop it
-# is checked against is quick enough.
+# R = 1000 runs where the loop it is checked against is quick enough.
 VARIABLE_SHAPES = [(12, 3), (32, 4), (33, 4), (128, 8), (129, 8), (192, 8), (193, 8),
                    (1000, 50)]
 VARIABLE_CASES = [(N, n, b, R) for N, n in VARIABLE_SHAPES for b in variable_bindings(N, n)
@@ -270,9 +277,7 @@ def test_variable_count_batches_spanning_several_blocks(monkeypatch, binding, ce
 
 @pytest.mark.parametrize("kernel, N, path", [
     (kernels.srs_selection_rejection, 32, "batched"),
-    (kernels.srs_selection_rejection, 33, "_Buffered"),
     (kernels.chao_select, 128, "batched"),
-    (kernels.chao_select, 129, "_Buffered"),
     (kernels.ppswr_lahiri, 1000, "batched"),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_lockstep_cutoff_picks_the_path(monkeypatch, kernel, N, path):
@@ -281,7 +286,8 @@ def test_lockstep_cutoff_picks_the_path(monkeypatch, kernel, N, path):
 
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937],
                          ids=lambda g: g.__name__)
-@pytest.mark.parametrize("binding", variable_bindings(12, 3), ids=lambda b: b[0])
+@pytest.mark.parametrize("binding", [b for b in variable_bindings(12, 3)
+                                     if b[1] not in kernels._BATCHED], ids=lambda b: b[0])
 def test_other_bit_generators_keep_the_scalar_loop(monkeypatch, bit_generator, binding):
     # Philox has `advance`, but one of its steps is a 4-word counter block,
     # not one double
@@ -302,29 +308,51 @@ HALF_CASES = [(12, b) for b in variable_bindings(12, 3)] + [
     (1000, b) for b in variable_bindings(1000, 50)[:2]]
 
 
+def rewinding_runs(kernel, args, with_replacement, N, R):
+    """(rewound, scalar): a single draw (`_one_draw`, which rewinds when the
+    kernel scans a frame of at least _BUFFERED_MIN_N units) then a Monte
+    Carlo batch (which rewinds for Lahiri on a PCG64 stream), and the scalar
+    calls they stand for; each returns its arrays as bytes."""
+    wvec = weights(N)
+
+    def rewound(rng):
+        out = (kernels._one_draw(kernel, args, N, rng),
+               *kernels.mc_draws(kernel, args, with_replacement, R, wvec, rng))
+        return [a.tobytes() for a in out]
+
+    def scalar(rng):
+        out = (kernel(*args, rng),
+               *kernels._mc_draws_loop(kernel, args, with_replacement, R, wvec, rng))
+        return [a.tobytes() for a in out]
+
+    return rewound, scalar
+
+
 @pytest.mark.parametrize("N, binding", HALF_CASES, ids=[f"{b[0]}-N{N}" for N, b in HALF_CASES])
 def test_pending_32_bit_half_survives_the_rewind(N, binding):
     # `advance` drops a buffered 32-bit half, so the rewind writes it back
     _, kernel, args, with_replacement = binding
     runs = []
-    for run in (kernels.mc_draws, kernels._mc_draws_loop):
+    for run in rewinding_runs(kernel, args, with_replacement, N, 7):
         rng = np.random.default_rng(N)
         rng.integers(0, 2 ** 32, dtype=np.uint32)
         assert rng.bit_generator.state["has_uint32"]
-        hits, vals = run(kernel, args, with_replacement, 7, weights(N), rng)
-        runs.append((hits.tobytes(), vals.tobytes(), rng.bit_generator.state,
+        runs.append((run(rng), rng.bit_generator.state,
                      rng.integers(0, 2 ** 32, dtype=np.uint32), rng.random()))
     assert runs[0] == runs[1]
 
 
 def test_pcg64dxsm_is_rewound_too():
-    kernel, args = kernels.srs_selection_rejection, (4, 12)
-    runs = []
-    for run in (kernels.mc_draws, kernels._mc_draws_loop):
-        rng = np.random.Generator(np.random.PCG64DXSM(3))
-        hits, vals = run(kernel, args, False, 500, weights(12), rng)
-        runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
-    assert runs[0] == runs[1]
+    # Lahiri's batch, and a buffered single draw of selection-rejection
+    x = size_measures(40)
+    for kernel, args, with_replacement in (
+            (kernels.ppswr_lahiri, lahiri_args(x, 4), True),
+            (kernels.srs_selection_rejection, (4, 40), False)):
+        runs = []
+        for run in rewinding_runs(kernel, args, with_replacement, 40, 500):
+            rng = np.random.Generator(np.random.PCG64DXSM(3))
+            runs.append((run(rng), rng.random()))
+        assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("max_tries", [0, 1, 2])
@@ -374,26 +402,156 @@ def test_variable_count_designs_match_select_loop():
 
 
 # ---------------------------------------------------------------------------
-# Conditional Poisson: one uniform per unit, so every bit generator takes
-# the batched form.
+# Kernels with one uniform per unit (conditional Poisson, selection-rejection)
+# or per stream unit (Chao): every bit generator takes the batched form.
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
-                                           np.random.Philox, np.random.MT19937,
-                                           np.random.SFC64], ids=lambda g: g.__name__)
-@pytest.mark.parametrize("N, n", [(12, 3), (200, 20)])
-def test_conditional_poisson_batched_on_every_bit_generator(monkeypatch, bit_generator, N, n):
-    args, wvec = (entry_probs(N, n), n), weights(N)
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                  np.random.MT19937, np.random.SFC64]
+
+
+def check_batched_on(monkeypatch, bit_generator, kernel, args, N, n):
+    """The batch of `kernel` on a Generator over `bit_generator` equals the
+    scalar loop, and never runs it."""
+    wvec = weights(N)
     runs = []
     for run in (kernels.mc_draws, kernels._mc_draws_loop):
         rng = np.random.Generator(bit_generator(41))
-        hits, vals = run(kernels.conditional_poisson_select, args, False, 300, wvec, rng)
+        hits, vals = run(kernel, args, False, 300, wvec, rng)
         runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
     assert runs[0] == runs[1]
     # a scalar loop that hands back the Generator, which does not unpack
     monkeypatch.setattr(kernels, "_mc_draws_loop", lambda *a: a[-1])
     rng = np.random.Generator(bit_generator(41))
-    hits, _ = kernels.mc_draws(kernels.conditional_poisson_select, args, False, 5, wvec, rng)
+    hits, _ = kernels.mc_draws(kernel, args, False, 5, wvec, rng)
     assert hits.sum() == 5 * n
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("N, n", [(12, 3), (200, 20)])
+def test_conditional_poisson_batched_on_every_bit_generator(monkeypatch, bit_generator, N, n):
+    check_batched_on(monkeypatch, bit_generator, kernels.conditional_poisson_select,
+                     (entry_probs(N, n), n), N, n)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("N, n", [(12, 3), (200, 20)])
+@pytest.mark.parametrize("kernel", [kernels.srs_selection_rejection, kernels.chao_select],
+                         ids=lambda k: k.__name__)
+def test_selection_rejection_and_chao_batched_on_every_bit_generator(
+        monkeypatch, kernel, bit_generator, N, n):
+    args = (n, N) if kernel is kernels.srs_selection_rejection else (size_measures(N), n)
+    check_batched_on(monkeypatch, bit_generator, kernel, args, N, n)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox],
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("N, n", [(12, 3), (12, 12), (1000, 50)])
+def test_selection_rejection_and_chao_take_a_fixed_count_of_uniforms(bit_generator, N, n):
+    # selection-rejection reads every unit's uniform, Chao every stream unit's
+    x = size_measures(N)
+    for kernel, args, used in ((kernels.srs_selection_rejection, (n, N), N),
+                               (kernels.chao_select, (x, n), N - n)):
+        for seed in range(20):
+            rng, ahead = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            kernel(*args, rng)
+            ahead.random(used)
+            assert rng.random() == ahead.random()
+
+
+def chao_two_uniforms(x, n, rng):
+    """Chao's reservoir with a second uniform for the evicted slot: the
+    reference for the law of `chao_select`, which reads the slot from the
+    uniform that admitted the unit."""
+    res = np.arange(n, dtype=np.int64)
+    total = 0.0
+    for k in range(x.shape[0]):
+        total += x[k]
+        if k >= n and rng.random() < n * x[k] / total:
+            res[min(int(rng.random() * n), n - 1)] = k
+    return np.sort(res)
+
+
+class Scripted:
+    """A uniform source that returns the given doubles in turn."""
+
+    def __init__(self, doubles):
+        self.random = iter(doubles).__next__
+
+
+def chao_two_uniforms_law(x, n):
+    """The exact set probabilities of `chao_two_uniforms`: it runs once per
+    path of its decisions, each stream unit staying out (probability
+    1 - p_k) or entering slot j (p_k / n), on uniforms that take that path."""
+    prob = n * x[n:] / np.cumsum(x)[n:]
+    law = Counter()
+    for path in itertools.product(range(-1, n), repeat=prob.size):
+        doubles, weight = [], 1.0
+        for j, p in zip(path, prob):
+            doubles += [p] if j < 0 else [0.0, (j + 0.5) / n]
+            weight *= 1 - p if j < 0 else p / n
+        law[tuple(chao_two_uniforms(x, n, Scripted(doubles)).tolist())] += weight
+    return law
+
+
+def set_frequencies(table):
+    return Counter(map(tuple, np.sort(table, axis=1).tolist()))
+
+
+def assert_within_6_sigma(table, law):
+    R = table.shape[0]
+    freq = set_frequencies(table)
+    assert set(freq) <= set(law)
+    for s, p in law.items():
+        assert abs(freq[s] / R - p) < 6 * math.sqrt(p * (1 - p) / R)
+
+
+LAW_R = 200_000
+LAW_MOS = np.array([3.0, 2.0, 4.0, 1.0, 2.5, 1.5])  # no entry probability above 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_selection_rejection_draws_the_uniform_law(n):
+    N = LAW_MOS.size
+    table = np.concatenate(list(kernels._mc_rows(
+        kernels.srs_selection_rejection, (n, N), N, LAW_R, np.random.default_rng(n))))
+    sets = itertools.combinations(range(N), n)
+    assert_within_6_sigma(table, {s: 1 / math.comb(N, n) for s in sets})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chao_draws_the_law_of_the_two_uniform_loop(n):
+    N = LAW_MOS.size
+    assert np.all(n * LAW_MOS[n:] / np.cumsum(LAW_MOS)[n:] <= 1)
+    law = chao_two_uniforms_law(LAW_MOS, n)
+    assert math.isclose(math.fsum(law.values()), 1.0)
+    table = np.concatenate(list(kernels._mc_rows(
+        kernels.chao_select, (LAW_MOS, n), N, LAW_R, np.random.default_rng(n))))
+    assert_within_6_sigma(table, law)
+
+
+# every leaf design, one instance per method, and a frame they all bind on
+FRAME_12 = sk.Frame(ids=tuple(map(str, range(12))), mos=np.sort(size_measures(12)))
+LEAVES = ([sk.SRS(3, m) for m in SRS_METHODS] + [sk.PPSWR(3, m) for m in PPSWR_METHODS]
+          + [sk.SRSWR(3), sk.Bernoulli(0.4), sk.Poisson(tuple(np.linspace(0.2, 0.9, 12))),
+             sk.Systematic(3), sk.SystematicPPS(3), sk.Brewer2(), sk.Durbin2(), sk.Chao(3),
+             sk.RejectivePoisson(3)])
+
+
+def test_every_leaf_design_is_listed():
+    leaves = {cls for cls in Design.registry.values() if issubclass(cls, _Leaf)}
+    assert {type(d) for d in LEAVES} == leaves
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox],
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("design", LEAVES, ids=lambda d: d._bind(FRAME_12)[3])
+def test_every_leaf_kernel_batches_on_numpy(design, bit_generator):
+    # no design falls back to the scalar Monte Carlo loop, but Lahiri on a
+    # stream that cannot be rewound
+    kernel = design._bind(FRAME_12)[0]
+    form = kernels._path(kernel, np.random.Generator(bit_generator(1)))
+    scalar = kernel is kernels.ppswr_lahiri and bit_generator is np.random.Philox
+    assert (form is None) == scalar
 
 
 def test_rejective_monte_carlo_time_budget():

@@ -203,7 +203,7 @@ class TestNestedBatches:
                              ids=lambda g: g.__name__)
     @pytest.mark.parametrize("design", NESTED_CASES.values(), ids=NESTED_CASES)
     def test_one_replicate_is_one_select(self, design, bit_generator):
-        # Philox cannot be rewound, so the children run the scalar rows path
+        # the children batch on Philox as on PCG64: no kernel here needs a rewind
         y = NESTED_FRAME.y
         for seed in range(10):
             rng_mc, rng_sel = (np.random.Generator(bit_generator(seed)) for _ in range(2))
@@ -216,12 +216,12 @@ class TestNestedBatches:
 
     @pytest.mark.parametrize("design", NESTED_CASES.values(), ids=NESTED_CASES)
     def test_scalar_rows_path_gives_the_same_batch(self, design, monkeypatch):
-        # every kernel on its scalar loop draws what its batched or lockstep
-        # form draws, so the nested batch cannot tell the paths apart
+        # every kernel on its scalar loop draws what its batched form draws,
+        # so the nested batch cannot tell the paths apart
         from surveykit import kernels
 
         runs = []
-        for path in (kernels._path, lambda select, N, rng: (None, False)):
+        for path in (kernels._path, lambda select, rng: None):
             monkeypatch.setattr(kernels, "_path", path)
             rng = sk.RngStream(4).generator()
             hits, values = design_consistency_mc(design, NESTED_FRAME, 300, rng)
@@ -295,7 +295,7 @@ def test_random_size_designs_that_draw_nothing(design, scalar, monkeypatch):
     if scalar:  # on the scalar rows path a chunk of empty draws has no columns
         from surveykit import kernels
 
-        monkeypatch.setattr(kernels, "_path", lambda select, N, rng: (None, False))
+        monkeypatch.setattr(kernels, "_path", lambda select, rng: None)
     # on this stream Bernoulli(0.05) draws no cluster and no phase-1 unit
     sample = sk.select(design, EMPTY_FRAME, np.random.default_rng(1))
     assert sample.idx.size == 0 and sample.pi.size == 0
