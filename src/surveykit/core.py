@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,9 @@ class Sample:
     conditional_pi  second-stage / second-phase conditional probability,
                     when the design is nested
     phase1          phase-1 lineage for two-phase samples
+
+    No field is reassigned after construction (`__post_init__` only
+    normalizes them): `weights` is computed from them once and cached.
     """
 
     frame: Frame
@@ -86,23 +90,30 @@ class Sample:
         then pads N), each unit i with probability pi[i]: what
         `Sample(frame, idx, pi[idx])` gives for the row, with the checks
         made once on the whole table.  idx is a view of the row, and
-        multiplicity a view of one read-only row of ones."""
+        multiplicity a view of one read-only row of ones; weights come
+        filled in from one reciprocal of the units the table uses, which
+        is 1 / pi to the bit."""
         N = frame.n_units
         pi = np.asarray(pi, dtype=float)
         used = np.zeros(N + 1, dtype=bool)
         used[rows] = True
-        seen = pi[used[:N]]
+        used = used[:N]
+        seen = pi[used]
         if np.any((seen <= 0) | (seen > 1 + 1e-12)):
             for row in rows:  # the first failing row raises as its Sample would
                 idx = row[row < N]
                 cls(frame, idx, pi[idx])
+        inv = np.zeros(N)
+        inv[used] = 1 / seen  # units no set uses may have pi 0
         ones = np.ones(rows.shape[1], dtype=np.int64)
         ones.setflags(write=False)
-        defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        base = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        base["frame"] = frame
         for w, row in zip(np.count_nonzero(rows < N, axis=1).tolist(), rows):
             idx = row[:w]
             s = cls.__new__(cls)
-            s.__dict__.update(defaults, frame=frame, idx=idx, pi=pi[idx], multiplicity=ones[:w])
+            s.__dict__ = {**base, "idx": idx, "pi": pi[idx], "multiplicity": ones[:w],
+                          "weights": inv[idx]}
             yield s
 
     @property
@@ -117,7 +128,7 @@ class Sample:
     def n_distinct(self):
         return int(self.idx.size)
 
-    @property
+    @cached_property
     def weights(self):
         """Expansion weights: m / pi, or with replacement the Hansen-Hurwitz
         m / (n p), so that weights @ y is the HT or HH total."""
@@ -194,10 +205,16 @@ class DesignDistribution:
         rows = np.array([frame.n_units] + by_rank, dtype=np.int64)[keys[first]]
         rows.sort(axis=1)  # in place; the pads N go last
         rows.setflags(write=False)  # Samples of exact_expectation hold views of it
+        merged.setflags(write=False)  # shared, like rows, by every wrapper of the table
+        return cls._wrap(rows, merged, frame)
+
+    @classmethod
+    def _wrap(cls, rows, prob, frame):
+        """The distribution of a support table already in support order."""
         dist = cls.__new__(cls)
         object.__setattr__(dist, "frame", frame)
         object.__setattr__(dist, "_rows", rows)
-        object.__setattr__(dist, "_prob", merged)
+        object.__setattr__(dist, "_prob", prob)
         return dist
 
     def __getattr__(self, name):
@@ -222,9 +239,11 @@ class DesignDistribution:
             rows = np.full((len(pos), max(map(len, pos), default=0)), N, dtype=np.int64)
             for row, p in zip(rows, pos):
                 row[:len(p)] = p
+            prob = np.array([p for _, p in self.support], dtype=float)
             rows.setflags(write=False)
+            prob.setflags(write=False)
             object.__setattr__(self, "_rows", rows)
-            object.__setattr__(self, "_prob", np.array([p for _, p in self.support], dtype=float))
+            object.__setattr__(self, "_prob", prob)
         return self._rows, self._prob
 
     def __iter__(self):
@@ -422,8 +441,22 @@ def joint_pips(design, frame, cap=DEFAULT_SUPPORT_CAP):
 
 
 def enumerate_design(design, frame, cap=DEFAULT_SUPPORT_CAP):
-    """Exact sampling distribution of an enumerable design."""
-    from .design import Design
+    """Exact sampling distribution of an enumerable design.  The frame keeps
+    the support table last built on it, as (design, rows, prob): a call
+    with an equal design wraps the same read-only arrays again, and
+    `joint_pips` and `exact_expectation` of that design read them too.
+    One entry per frame bounds the memory it holds, and holding the arrays
+    rather than the distribution keeps the frame out of a reference cycle
+    (the distribution refers to its frame)."""
+    from .design import Design, _check_cap
 
     Design.require(design, NonEnumerableError, "{} designs cannot be enumerated")
-    return design.support(frame, cap)
+    hit = frame._cache.get("support")
+    if hit is not None and hit[0] == design:
+        _check_cap(len(hit[2]), cap)
+        return DesignDistribution._wrap(hit[1], hit[2], frame)
+    dist = design.support(frame, cap)
+    rows, prob = dist._table()
+    _check_cap(len(prob), cap)  # the rule a cached table is held to
+    frame._cache["support"] = (design, rows, prob)
+    return dist

@@ -340,12 +340,16 @@ class _Independent(_Leaf):
     def support(self, frame, cap):
         N = frame.n_units
         pi = self.first_order(frame).first_order
-        _check_cap(2 ** N, cap)
-        member = (np.arange(2 ** N)[:, None] & (1 << np.arange(N))) != 0  # a row per subset
-        prob = _independent_prob(member, pi)
+        # a unit of pi 1 is in every set, and its factor 1.0 changes no product
+        free, certain = np.flatnonzero(pi < 1), np.flatnonzero(pi >= 1)
+        _check_cap(2 ** free.size, cap)
+        member = (np.arange(2 ** free.size)[:, None] & (1 << np.arange(free.size))) != 0
+        prob = _independent_prob(member, pi[free])  # a row per subset of the free units
         keep = prob > 0
+        rows = np.where(member[keep], free, N)
         return DesignDistribution._from_table(
-            np.where(member[keep], np.arange(N), N), prob[keep], frame)
+            np.hstack([rows, np.broadcast_to(certain, (len(rows), certain.size))]),
+            prob[keep], frame)
 
     def _bind(self, frame):
         pi = self.first_order(frame).first_order
@@ -580,11 +584,18 @@ class Chao(_Sized):
         return InclusionProbs(pi)
 
     def _bind(self, frame):
-        pi = self.first_order(frame).first_order
-        x = frame.mos
-        if np.any(self.n * x[self.n:] / np.cumsum(x)[self.n:] > 1 + 1e-12):
+        # the checks and pi of every draw on a frame are its first draw's
+        key = ("chao", self.n)
+        if key not in frame._cache:
+            pi = self.first_order(frame).first_order
+            pi.flags.writeable = False
+            x = frame.mos
+            frame._cache[key] = (pi, not np.any(
+                self.n * x[self.n:] / np.cumsum(x)[self.n:] > 1 + 1e-12))
+        pi, below_certainty = frame._cache[key]
+        if not below_certainty:
             raise ValueError(_ABOVE_CERTAINTY)
-        return kernels.chao_select, (x, self.n), pi, "chao"
+        return kernels.chao_select, (frame.mos, self.n), pi, "chao"
 
 
 @dataclass(frozen=True)

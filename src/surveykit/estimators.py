@@ -17,7 +17,7 @@ __all__ = [
 Z95 = 1.96
 
 
-@dataclass
+@dataclass(slots=True)
 class Estimate:
     value: float
     variance: float = None
@@ -67,7 +67,7 @@ def ht_total(sample, y):
     (1/n) sum y/p."""
     if not isinstance(y, np.ndarray):
         y = np.asarray(y, dtype=float)
-    return Estimate(float(sample.weights @ y), method="hansen_hurwitz"
+    return Estimate(float(sample.weights.dot(y)), method="hansen_hurwitz"
                     if sample.with_replacement else "horvitz_thompson")
 
 

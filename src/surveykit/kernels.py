@@ -332,12 +332,18 @@ def _chunks(R, width):
 
 def _row_totals(w):
     """Each row of w added left to right from 0.0, as the scalar loops add.
-    A cumsum row starting at -0.0 may end at -0.0 where the loop, starting
-    at +0.0, ends at +0.0; adding 0.0 maps it there and changes nothing
-    else.  Rows of no cells sum to 0.0."""
+    Reducing the columns of the transposed copy adds them one after
+    another, elementwise, so each row's cells add in order (no pairwise
+    summation, which numpy uses only along a contiguous axis).  A row
+    starting at -0.0 may end at -0.0 where the loop, starting at +0.0,
+    ends at +0.0; adding 0.0 maps it there and changes nothing else.
+    Rows of no cells sum to 0.0, and a lone row goes through cumsum: its
+    transpose is one contiguous column, which numpy would add pairwise."""
     if not w.shape[1]:
         return np.zeros(w.shape[0])
-    return np.cumsum(w, axis=1)[:, -1] + 0.0
+    if w.shape[0] == 1:
+        return np.cumsum(w, axis=1)[:, -1] + 0.0
+    return np.add.reduce(np.ascontiguousarray(w.T), axis=0) + 0.0
 
 
 def _unit_indices(u, m):

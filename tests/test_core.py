@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -410,3 +411,62 @@ class TestSampleChecks:
             list(Sample._of_rows(frame, rows, pi))
         assert str(raised.value) == str(expected.value)
         assert "'b'" in str(raised.value)
+
+
+class TestWeights:
+    """The per-set estimator path: weights computed once per Sample, and
+    ht_total as the dot product of weights and y."""
+
+    @staticmethod
+    def samples(gen, N=40):
+        frame = sk.Frame(ids=tuple(map(str, range(N))), y=gen.normal(8, 3, N))
+        for n in (0, 1, 2, 7, 9, 17, 33):
+            idx = np.sort(gen.choice(N, n, replace=False))
+            pi = gen.uniform(0.01, 1.0, n)
+            yield Sample(frame, idx, pi)
+            mult = gen.integers(1, 4, n)
+            yield Sample(frame, idx, pi, multiplicity=mult, with_replacement=True)
+
+    def test_ht_total_is_the_weighted_sum_to_the_bit(self):
+        gen = np.random.default_rng(11)
+        for s in self.samples(gen):
+            for y in (gen.normal(size=s.idx.size), gen.normal(size=3 * s.idx.size)[::3]):
+                total = sk.ht_total(s, y)
+                assert np.float64(total.value).tobytes() == \
+                    np.float64(float(s.weights @ y)).tobytes()
+                assert total.method == ("hansen_hurwitz" if s.with_replacement
+                                        else "horvitz_thompson")
+
+    def test_weights_are_computed_once(self):
+        gen = np.random.default_rng(12)
+        for s in self.samples(gen):
+            expect = (s.multiplicity / (s.n * s.pi) if s.with_replacement
+                      else s.multiplicity / s.pi)
+            assert s.weights is s.weights
+            assert s.weights.tobytes() == expect.tobytes()
+
+    def test_index_table_weights_are_multiplicity_over_pi(self):
+        frame = sk.Frame(ids=tuple(f"u{i}" for i in range(9)),
+                         mos=np.random.default_rng(3).uniform(1, 4, 9))
+        pi = sk.compute_pips(frame.mos, 4)
+        rows = sk.enumerate_design(sk.Poisson(tuple(pi)), frame)._table()[0]
+        samples = list(Sample._of_rows(frame, rows, pi))
+        assert len(samples) == 2 ** 9
+        for s in samples:
+            assert s.weights.tobytes() == (s.multiplicity / s.pi).tobytes()
+            assert s.weights.tobytes() == Sample(frame, s.idx, pi[s.idx]).weights.tobytes()
+
+    def test_a_zero_pi_unit_no_set_uses_does_not_warn(self):
+        frame = sk.Frame(ids=("a", "b", "c", "d"))
+        pi = np.array([0.5, 0.5, 0.0, 0.25])
+        rows = np.array([[0, 1, 4], [1, 3, 4], [0, 3, 4]])  # the pad is N = 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = list(Sample._of_rows(frame, rows, pi))
+        assert [s.weights.tolist() for s in samples] == [[2.0, 2.0], [2.0, 4.0], [2.0, 4.0]]
+
+    def test_estimate_takes_no_new_attributes(self):
+        e = sk.Estimate(1.0, variance=-2.0)
+        assert e.flags == ("negative_variance_estimate",)
+        with pytest.raises(AttributeError):
+            e.value_squared = 1.0

@@ -337,8 +337,29 @@ class TestPips:
 
     def test_chao_certainty_stream_rejected(self):
         frame = sk.Frame(ids=("a", "b", "c"), mos=np.array([1.0, 1.0, 50.0]))
-        with pytest.raises(ValueError, match="certainty"):
-            sk.select(sk.Chao(2), frame, RngStream(3))
+        for _ in range(2):  # the frame keeps the outcome, and raises it again
+            with pytest.raises(ValueError, match="certainty"):
+                sk.select(sk.Chao(2), frame, RngStream(3))
+
+    def test_chao_checks_a_frame_once(self, monkeypatch):
+        mos = np.round(np.random.default_rng(4).uniform(1.0, 4.0, 1000), 3)
+        mos[:20] = 4.0  # keeps every later unit below certainty
+        data = dict(ids=tuple(map(str, range(1000))), mos=mos)
+        frame = sk.Frame(**data)
+        calls = []
+        real = sk.Chao.first_order
+        monkeypatch.setattr(sk.Chao, "first_order",
+                            lambda self, f: calls.append(f) or real(self, f))
+        rng = np.random.default_rng(8)
+        warm = [sk.select(sk.Chao(20), frame, rng) for _ in range(50)]
+        assert len(calls) == 1
+        rng = np.random.default_rng(8)
+        for s in warm:  # each draw as on a frame seen for the first time
+            cold = sk.select(sk.Chao(20), sk.Frame(**data), rng)
+            assert s.idx.tobytes() == cold.idx.tobytes()
+            assert s.pi.tobytes() == cold.pi.tobytes()
+        assert len(calls) == 51
+        assert sk.first_order_pips(sk.Chao(20), frame).first_order.flags.writeable
 
     def test_chao_more_units_than_frame_rejected(self, mos_frame):
         for entry in (lambda: sk.select(sk.Chao(5), mos_frame, RngStream(3)),

@@ -6,9 +6,12 @@ dict merge in `_sorted_support`; `first_order`, `joint` and
 `exact_expectation` loop over its sets.  The table-based code must give the
 same sets, in the same order, and the same floats bit for bit."""
 
+import gc
 import itertools
 import math
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -370,3 +373,129 @@ def test_pi_outside_the_unit_interval_is_refused(factor, monkeypatch):
     with pytest.raises(NonProbabilityDesignError) as raised:
         simulate.exact_expectation(design, frame, ht_value)
     assert str(raised.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# The support table a frame keeps.
+
+def exact_enum_designs(frame):
+    """The enumerable designs of perfbench's exact_enum round, and the
+    cluster design, on a make_frame frame."""
+    return {
+        "srs": sk.SRS(4),
+        "poisson": sk.Poisson(tuple(sk.compute_pips(frame.mos, 4))),
+        "rejective_poisson": sk.RejectivePoisson(4),
+        "stratified": sk.Stratified((("a", sk.SRS(3)), ("b", sk.SRS(2)))),
+        "one_stage_cluster": sk.OneStageCluster(sk.SRS(2)),
+        "brewer2": sk.Brewer2(),
+        "durbin2": sk.Durbin2(),
+    }
+
+
+def count_support_calls(monkeypatch, design_type):
+    calls = []
+    real = design_type.support
+
+    def counted(self, frame, cap):
+        calls.append(self)
+        return real(self, frame, cap)
+
+    monkeypatch.setattr(design_type, "support", counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", list(exact_enum_designs(make_frame(13, "u", 0))))
+def test_one_enumeration_serves_enumerate_joint_and_expectation(label, monkeypatch):
+    frame = make_frame(13, "u", 0)
+    design = exact_enum_designs(frame)[label]
+    calls = count_support_calls(monkeypatch, type(design))
+    dist = sk.enumerate_design(design, frame)
+    joint = sk.joint_pips(design, frame)
+    exact = simulate.exact_expectation(design, frame, ht_value)
+    again = sk.enumerate_design(design, frame)
+    assert len(calls) == 1
+    assert again is not dist and again._rows is dist._rows and again._prob is dist._prob
+    assert not dist._prob.flags.writeable and not dist._rows.flags.writeable
+    # what a frame that never saw the design gives, bit for bit
+    cold = make_frame(13, "u", 0)
+    assert again.support == sk.enumerate_design(design, cold).support
+    assert bits(joint.joint) == bits(sk.joint_pips(design, make_frame(13, "u", 0)).joint)
+    assert exact == simulate.exact_expectation(design, make_frame(13, "u", 0), ht_value)
+
+
+def test_a_smaller_cap_on_a_kept_table_raises():
+    frame = make_frame(11, "u", 0)
+    assert len(sk.enumerate_design(sk.SRS(3), frame)) == 165
+    with pytest.raises(SupportTooLargeError):
+        sk.enumerate_design(sk.SRS(3), frame, cap=164)
+    with pytest.raises(SupportTooLargeError):
+        simulate.exact_expectation(sk.SRS(3), frame, ht_value, cap=164)
+    assert len(sk.enumerate_design(sk.SRS(3), frame, cap=165)) == 165
+
+
+def test_the_cap_bounds_the_set_count_of_every_design():
+    # Brewer2 counts no sets before it builds them; the built table is held
+    # to the cap all the same, so a warm frame answers as a cold one
+    cold, warm = make_frame(11, "u", 0), make_frame(11, "u", 0)
+    assert len(sk.enumerate_design(sk.Brewer2(), warm)) == 55
+    for frame in (cold, warm):
+        with pytest.raises(SupportTooLargeError):
+            sk.enumerate_design(sk.Brewer2(), frame, cap=54)
+
+
+def test_a_second_design_evicts_the_first(monkeypatch):
+    frame = make_frame(11, "u", 0)
+    calls = count_support_calls(monkeypatch, sk.SRS)
+    first, second = sk.SRS(3), sk.SRS(2)
+    sk.enumerate_design(first, frame)
+    sk.enumerate_design(second, frame)
+    assert frame._cache["support"][0] == second
+    assert sum(1 for key in frame._cache if key == "support") == 1
+    sk.enumerate_design(second, frame)
+    sk.enumerate_design(first, frame)
+    assert calls == [first, second, first]
+    # an equal design, not only the same object, finds the table
+    sk.enumerate_design(sk.SRS(3), frame)
+    assert len(calls) == 3
+
+
+def test_the_kept_table_leaves_no_reference_cycle_to_the_frame():
+    gc.disable()
+    try:
+        for label in exact_enum_designs(make_frame(13, "u", 0)):
+            frame = make_frame(13, "u", 0)
+            design = exact_enum_designs(frame)[label]
+            dist = sk.enumerate_design(design, frame)
+            sk.joint_pips(design, frame)
+            simulate.exact_expectation(design, frame, ht_value)
+            ref = weakref.ref(frame)
+            del frame, dist
+            assert ref() is None, label
+    finally:
+        gc.enable()
+
+
+def test_exact_expectation_budget():
+    # 2^13 sets; about 0.05 s on a 2-core VM, so only a pathological
+    # regression of the per-set path crosses the budget
+    frame = make_frame(13, "u", 1)
+    design = sk.Poisson(tuple(sk.compute_pips(frame.mos, 5)))
+    t0 = time.perf_counter()
+    exact = simulate.exact_expectation(design, frame, ht_value)
+    elapsed = time.perf_counter() - t0
+    assert exact["support_size"] == 8192
+    assert elapsed < 1.0
+
+
+def test_units_of_pi_one_add_no_candidate_sets():
+    # 35 of 40 units are certain: 2^5 sets, where 2^40 would pass any cap
+    design = sk.Poisson((1.0,) * 35 + (0.5,) * 5)
+    frame = Frame(ids=tuple(map(str, range(40))), y=np.arange(40.0))
+    for _ in range(2):  # a cold frame, then a warm one
+        with pytest.raises(SupportTooLargeError):
+            sk.enumerate_design(design, frame, cap=31)
+        dist = sk.enumerate_design(design, frame, cap=32)
+        assert len(dist) == 32
+    assert all(len(ids) >= 35 for ids, _ in dist)
+    assert simulate.exact_expectation(design, frame, ht_value)["mean"] == \
+        pytest.approx(frame.y.sum(), rel=1e-12)

@@ -117,6 +117,26 @@ def test_signed_zero_weights_sum_like_the_loop(binding):
     check_kernel(kernel, args, with_replacement, 50, np.full(12, -0.0), seed=3)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 64])
+@pytest.mark.parametrize("width", [0, 1, 5, 9, 16, 33, 200])
+def test_row_totals_add_each_row_in_order(rows, width):
+    # wide rows tell an in-order sum from numpy's pairwise one in the last
+    # bits; a lone row is where numpy would reduce pairwise
+    gen = np.random.default_rng([rows, width])
+    w = gen.normal(size=(rows, width)) * 10.0 ** gen.integers(-8, 9, (rows, width))
+    w[gen.random((rows, width)) < 0.2] = -0.0
+    w[1:2] = -0.0  # a row of -0.0 sums to +0.0, as the loop's does
+    expect = []
+    for row in w.tolist():
+        total = 0.0
+        for v in row:
+            total += v
+        expect.append(total)
+    assert kernels._row_totals(w).tobytes() == np.array(expect).tobytes()
+    strided = np.repeat(w, 2, axis=1)[:, ::2]
+    assert kernels._row_totals(strided).tobytes() == np.array(expect).tobytes()
+
+
 @pytest.mark.parametrize("N, n", [(10, 3), (11, 3), (1000, 47)])
 def test_systematic_ragged_sizes(N, n):
     G = N // n
