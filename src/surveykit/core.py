@@ -85,14 +85,18 @@ class Sample:
             raise ValueError("without-replacement samples must have multiplicity 1")
 
     @classmethod
-    def _of_rows(cls, frame, rows, pi):
+    def _of_rows(cls, frame, rows, pi, multiplicity=None, **drawn):
         """One Sample per row of an index table (frame indices ascending,
         then pads N), each unit i with probability pi[i]: what
-        `Sample(frame, idx, pi[idx])` gives for the row, with the checks
-        made once on the whole table.  idx is a view of the row, and
-        multiplicity a view of one read-only row of ones; weights come
-        filled in from one reciprocal of the units the table uses, which
-        is 1 / pi to the bit."""
+        `Sample(frame, idx, pi[idx], multiplicity=m, **drawn)` gives for
+        the row, with the checks made once on the whole table.  `drawn`
+        holds the fields a drawn Sample carries besides (design_tag, flags,
+        with_replacement), and `multiplicity`, a table shaped like rows
+        with 0 at the pads, the draw counts of a with-replacement draw;
+        without it each unit counts once.  idx and multiplicity are views
+        of the rows of read-only tables.  Without replacement, weights come
+        filled in from one reciprocal of the units the table uses, which is
+        1 / pi to the bit."""
         N = frame.n_units
         pi = np.asarray(pi, dtype=float)
         used = np.zeros(N + 1, dtype=bool)
@@ -103,13 +107,22 @@ class Sample:
             for row in rows:  # the first failing row raises as its Sample would
                 idx = row[row < N]
                 cls(frame, idx, pi[idx])
+        base = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        base.update(drawn, frame=frame)
+        widths = np.count_nonzero(rows < N, axis=1).tolist()
+        if multiplicity is not None:  # `weights` computes m / (n p) when read
+            multiplicity.setflags(write=False)
+            for w, row, m in zip(widths, rows, multiplicity):
+                idx = row[:w]
+                s = cls.__new__(cls)
+                s.__dict__ = {**base, "idx": idx, "pi": pi[idx], "multiplicity": m[:w]}
+                yield s
+            return
         inv = np.zeros(N)
         inv[used] = 1 / seen  # units no set uses may have pi 0
         ones = np.ones(rows.shape[1], dtype=np.int64)
         ones.setflags(write=False)
-        base = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-        base["frame"] = frame
-        for w, row in zip(np.count_nonzero(rows < N, axis=1).tolist(), rows):
+        for w, row in zip(widths, rows):
             idx = row[:w]
             s = cls.__new__(cls)
             s.__dict__ = {**base, "idx": idx, "pi": pi[idx], "multiplicity": ones[:w],

@@ -164,17 +164,22 @@ class Design(_Document):
                             replicates as (R, w) tables: row r, without its
                             pads (index N, pi 1.0, anywhere in the row), is
                             replicate r's sample
+    mc_samples(frame, R, base)
+                            the Samples of R replicates in replicate order,
+                            replicate r's the one `designs.select` draws
+                            from its own substream base.substream(r)
     to_dict() / from_dict   the document form, {key: {field: value}}
 
     A leaf design (`_Leaf`) supplies its kernel binding instead of `draw`,
-    `mc_batch` and `mc_rows`, which follow from it.  Defaults: `joint`
-    builds the matrix from the support, `first_order` and `support` raise
-    NonEnumerableError, and `mc_batch` and `mc_rows` loop over
-    `designs.select`.  The public entry points (`core.first_order_pips`,
-    `joint_pips`, `enumerate_design`, `designs.select`,
-    `simulate.design_consistency_mc`) delegate here, and nested designs
-    reach their children through those entry points, or through a child's
-    `mc_rows` when a batch must know which replicates drew what.
+    `mc_batch`, `mc_rows` and `mc_samples`, which follow from it.
+    Defaults: `joint` builds the matrix from the support, `first_order`
+    and `support` raise NonEnumerableError, and `mc_batch`, `mc_rows` and
+    `mc_samples` loop over `designs.select`.  The public entry points
+    (`core.first_order_pips`, `joint_pips`, `enumerate_design`,
+    `designs.select`, `simulate.design_consistency_mc`,
+    `simulate.monte_carlo`) delegate here, and nested designs reach their
+    children through those entry points, or through a child's `mc_rows`
+    when a batch must know which replicates drew what.
     """
 
     registry = {}
@@ -218,6 +223,10 @@ class Design(_Document):
         return (kernels._stack([s.idx[None] for s in samples], frame.n_units),
                 kernels._stack([s.pi[None] for s in samples], 1.0))
 
+    def mc_samples(self, frame, R, base):
+        for r in range(R):
+            yield designs.select(self, frame, base.substream(r))
+
 
 class _Leaf(Design):
     """A design drawn by one kernel call.  `_bind(frame)` runs every check
@@ -228,8 +237,9 @@ class _Leaf(Design):
     where kernel(*args, rng) draws one sample's frame indices (every draw,
     repeats included, for with-replacement designs), p holds each unit's
     inclusion probability (draw probability with replacement) and tag is
-    the Sample's design tag.  `draw` and `mc_batch` follow from the
-    binding, so a Monte Carlo replicate is exactly one `select`."""
+    the Sample's design tag.  `draw` and the Monte Carlo methods follow
+    from the binding, so a Monte Carlo replicate draws what one `select`
+    draws."""
 
     with_replacement = False
     flags = ()
@@ -259,6 +269,28 @@ class _Leaf(Design):
         if self.with_replacement:  # a Sample holds each drawn unit once
             idx = kernels._distinct(idx, N)
         return idx, np.append(p, 1.0)[idx]
+
+    def mc_samples(self, frame, R, base):
+        # The kernel's batched form over the replicates' own substreams
+        # (kernels._Substreams), chunk by chunk; Lahiri's form, and every
+        # form on numba, is None there and the select loop runs instead.
+        kernel, args, p, tag = self._bind(frame)
+        source = kernels._Substreams(base)
+        form = kernels._path(kernel, source)
+        if form is None:
+            yield from super().mc_samples(frame, R, base)
+            return
+        N = p.size
+        for idx in form(*args, R, source):
+            mult = None
+            if self.with_replacement:  # each drawn unit once, with its count
+                idx, mult = kernels._counted(idx, N)
+            else:  # ascending units, then the pads (Poisson's sit anywhere)
+                width = np.count_nonzero(idx < N, axis=1).max()
+                idx = np.sort(idx, axis=1)[:, :width]
+            idx.setflags(write=False)
+            yield from Sample._of_rows(frame, idx, p, mult, design_tag=tag, flags=self.flags,
+                                       with_replacement=self.with_replacement)
 
 
 class _Sized(_Leaf):

@@ -77,9 +77,12 @@ def ht_mean(sample, y, N):
 
 
 def hajek_mean(sample, y):
-    """Ratio of the HT total to the HT size estimate; location invariant."""
+    """Ratio of the HT total to the HT size estimate; location invariant.
+    An empty sample has no mean: it raises ValueError."""
     y = np.asarray(y, dtype=float)
     w = _weights(sample)
+    if not w.size:
+        raise ValueError("the Hajek mean of an empty sample is undefined (0 / 0)")
     return Estimate(float(np.sum(w * y) / np.sum(w)), method="hajek")
 
 

@@ -27,6 +27,8 @@ class Frame:
     aux        auxiliary matrix, shape (N, k)
     y          optional study values, shape (N,) or (N, m), used by the
                simulation harness
+
+    mos, aux and y are read-only copies of the arrays given.
     """
 
     ids: tuple
@@ -50,7 +52,7 @@ class Frame:
         mos = self.mos
         if mos is None:
             mos = np.ones(n)
-        mos = np.asarray(mos, dtype=float)
+        mos = _read_only(mos)
         if mos.shape != (n,):
             raise FrameError("mos must have one value per unit")
         if np.any(mos < 0) or not np.all(np.isfinite(mos)):
@@ -73,14 +75,14 @@ class Frame:
                     raise FrameError(f"cluster {c!r} spans strata {seen[c]!r} and {s!r}")
                 seen[c] = s
         if self.aux is not None:
-            aux = np.atleast_2d(np.asarray(self.aux, dtype=float))
+            aux = np.atleast_2d(_read_only(self.aux))
             if aux.shape[0] == 1 and n > 1:
                 aux = aux.T
             if aux.shape[0] != n:
                 raise FrameError("aux must have one row per unit")
             object.__setattr__(self, "aux", aux)
         if self.y is not None:
-            y = np.asarray(self.y, dtype=float)
+            y = _read_only(self.y)
             if y.shape[0] != n:
                 raise FrameError("y must have one value per unit")
             object.__setattr__(self, "y", y)
@@ -141,6 +143,15 @@ class Frame:
                 y=None if self.y is None else self.y[idx],
             )
         return self._cache[key]
+
+
+def _read_only(values):
+    """A read-only float copy of values: the caches a frame keeps (restricted
+    frames, the cluster frame, design bindings, the support table) assume
+    its arrays never change, and the caller's array may."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 _CSV_BLOCK = 1 << 12  # rows parsed per numpy call, which bounds the rows held

@@ -292,6 +292,8 @@ def conditional_poisson_select(q, n, rng):
 #
 # `_path` picks among these, and `_mc_rows` yields the replicates' index
 # tables on any of them, for designs that compose their children's batches.
+# A batched form also runs where each replicate has its own substream
+# (`monte_carlo`): `_Substreams` stands in for the Generator there.
 
 _CHUNK_CELLS = 1 << 16  # the most cells one table of a batch holds
 
@@ -416,6 +418,30 @@ class _Buffered:
     def __exit__(self, *exc):
         _rewind(self._rng, self._state,
                 self._drawn - operator.length_hint(self._ahead))
+
+
+class _Substreams:
+    """A stand-in for the Generator of a batched form (`_path`) over
+    replicates that each draw from their own substream,
+    `base.substream(r)` of an `RngStream`: `random((rows, k))` fills row i
+    with the next k doubles of replicate start + i's generator, then moves
+    start on by rows.  A form draws one block per chunk, row r for
+    replicate r, so its table holds what each replicate's kernel draws on
+    its own substream.  Not a PCG64 Generator, so Lahiri's form, which
+    rewinds one, never runs on it."""
+
+    __slots__ = ("_base", "_start")
+
+    def __init__(self, base):
+        self._base, self._start = base, 0
+
+    def random(self, shape):
+        rows, k = shape
+        out = np.empty((rows, k))
+        for i in range(rows):
+            self._base.substream(self._start + i).random(out=out[i])
+        self._start += rows
+        return out
 
 
 # Batched forms: `form(*args, R, rng)` yields, chunk by chunk, the index rows
@@ -670,6 +696,24 @@ def _distinct(idx, N):
     idx = np.sort(idx, axis=1)
     idx[:, 1:][idx[:, 1:] == idx[:, :-1]] = N
     return np.sort(idx, axis=1)
+
+
+def _counted(idx, N):
+    """Rows of with-replacement draws on N units as what `np.unique(row,
+    return_counts=True)` gives for each: (units, counts) tables, every row
+    its distinct units ascending and how often each was drawn, filled up to
+    the widest row with pads N and counts 0."""
+    idx = np.sort(idx, axis=1)
+    first = np.ones(idx.shape, dtype=bool)
+    first[:, 1:] = idx[:, 1:] != idx[:, :-1]
+    starts = np.flatnonzero(first)
+    width = np.count_nonzero(first, axis=1)
+    kept = np.arange(width.max(initial=0)) < width[:, None]  # row-major, as starts run
+    units = np.full(kept.shape, N, dtype=np.int64)
+    units[kept] = idx.ravel()[starts]
+    counts = np.zeros(kept.shape, dtype=np.int64)
+    counts[kept] = np.diff(starts, append=idx.size)
+    return units, counts
 
 
 def mc_draws(select, args, with_replacement, R, wvec, rng):

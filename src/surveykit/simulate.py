@@ -6,7 +6,6 @@ import numpy as np
 
 from .core import Sample, enumerate_design, first_order_pips
 from .design import Design, DesignError, RngStream, as_generator
-from .designs import select
 
 __all__ = ["exact_expectation", "monte_carlo", "sample_from_ids"]
 
@@ -71,14 +70,20 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
     """R independent replications of (draw, estimate); deterministic given
     the seed, with per-replicate substreams so parallel scheduling cannot
     change the result.  Accumulation is compensated, so merge order does
-    not matter either."""
+    not matter either.
+
+    The Samples come from `Design.mc_samples`, replicate r's the one
+    `select` draws from substream r.  A leaf design draws them in batches:
+    its kernel's batched form runs over the replicates' own substreams
+    (`kernels._Substreams`), so the values are the select loop's, bit for
+    bit.  Nested designs, Lahiri PPSWR and the numba backend run the select
+    loop itself."""
     if R < 2:
         raise ValueError("need at least two replicates")
-    base = RngStream(seed, stream)
+    Design.require(design, DesignError, "cannot select from {}")
     values = np.empty(R)
-    for r in range(R):
-        rng = base.substream(r)
-        values[r] = float(estimator(select(design, frame, rng)))
+    for r, sample in enumerate(design.mc_samples(frame, R, RngStream(seed, stream))):
+        values[r] = float(estimator(sample))
     mean = math.fsum(values) / R
     var = math.fsum((v - mean) ** 2 for v in values) / (R - 1)
     return {

@@ -473,7 +473,76 @@ class TestSmallArea:
         assert code == 3 and out == "" and err.startswith("data error:")
 
 
+# `simulate` stdout on GOLDEN_CSV at 500 replicates, recorded before
+# monte_carlo drew leaf designs in batches; the batch must print the same
+GOLDEN_CSV = "id,mos,y\n" + "".join(
+    f"u{i},{m},{y}\n" for i, (m, y) in enumerate(zip(
+        [3, 1, 2, 4, 1, 1, 2, 5, 3, 2, 1, 4],
+        [2.5, 1.0, 4.25, 7.0, 0.5, 3.0, 6.5, 9.75, 2.0, 5.5, 1.25, 8.0])))
+
+SIMULATE_GOLDEN = {
+    "srs-5":
+        '{"mean": 51.802, "schema": 1, "se_of_mean": 0.8199550258940901, "truth": 51.25,'
+        ' "var": 336.163122244489, "z_score": 0.6732076547711764}',
+    "srs-17":
+        '{"mean": 51.904, "schema": 1, "se_of_mean": 0.8192214692201751, "truth": 51.25,'
+        ' "var": 335.56190781563123, "z_score": 0.7983189217716089}',
+    "srs-2024":
+        '{"mean": 50.25, "schema": 1, "se_of_mean": 0.8329721996385843, "truth": 51.25,'
+        ' "var": 346.92134268537075, "z_score": -1.2005202579796623}',
+    "poisson-5":
+        '{"mean": 50.4281, "schema": 1, "se_of_mean": 1.1738692880429975,'
+        ' "truth": 51.250000000000014, "var": 688.984552705287, "z_score": -0.7001631343215688}',
+    "poisson-17":
+        '{"mean": 54.50662777777777, "schema": 1, "se_of_mean": 1.2322343230164263,'
+        ' "truth": 51.250000000000014, "var": 759.2007134098752, "z_score": 2.642864037260181}',
+    "poisson-2024":
+        '{"mean": 50.945588888888885, "schema": 1, "se_of_mean": 1.2077452305315242,'
+        ' "truth": 51.250000000000014, "var": 729.3242709358221,'
+        ' "z_score": -0.2520491105372935}',
+    "systematic_pps-5":
+        '{"mean": 51.67236111111111, "schema": 1, "se_of_mean": 0.6640506812630101,'
+        ' "truth": 51.25, "var": 220.48165364293394, "z_score": 0.6360374637486803}',
+    "systematic_pps-17":
+        '{"mean": 50.34577222222222, "schema": 1, "se_of_mean": 0.645409477224699,'
+        ' "truth": 51.25, "var": 208.27669664572966, "z_score": -1.4010140998641867}',
+    "systematic_pps-2024":
+        '{"mean": 51.90951666666666, "schema": 1, "se_of_mean": 0.6351301833825691,'
+        ' "truth": 51.25, "var": 201.69517492178792, "z_score": 1.0383960389887552}',
+    "brewer2-5":
+        '{"mean": 53.043416666666666, "schema": 1, "se_of_mean": 0.6974479775414381,'
+        ' "truth": 51.25000000000001, "var": 243.21684068832116, "z_score": 2.5713984761825546}',
+    "brewer2-17":
+        '{"mean": 51.172916666666666, "schema": 1, "se_of_mean": 0.6698156510264165,'
+        ' "truth": 51.25000000000001, "var": 224.32650317997107,'
+        ' "z_score": -0.11508141563312223}',
+    "brewer2-2024":
+        '{"mean": 51.98370833333333, "schema": 1, "se_of_mean": 0.6772766532480882,'
+        ' "truth": 51.25000000000001, "var": 229.3518325174655, "z_score": 1.0833214607569916}',
+    "srswr-5":
+        '{"mean": 52.946, "schema": 1, "se_of_mean": 0.88369224958917,'
+        ' "var": 390.45599599198397}',
+    "srswr-17":
+        '{"mean": 51.506, "schema": 1, "se_of_mean": 0.8976142549566616,'
+        ' "var": 402.8556753507014}',
+    "srswr-2024":
+        '{"mean": 50.574, "schema": 1, "se_of_mean": 0.9198376218121337,'
+        ' "var": 423.05062525050096}',
+}
+
+
 class TestSimulateCmd:
+    @pytest.mark.parametrize("case", SIMULATE_GOLDEN)
+    def test_output_is_unchanged(self, case, tmp_path, capsys):
+        design, seed = case.rsplit("-", 1)
+        p = tmp_path / "golden.csv"
+        p.write_text(GOLDEN_CSV, encoding="utf-8")
+        size = [] if design == "brewer2" else ["--n", "3"]
+        code, out, _ = run_cli(capsys, "simulate", "--frame", str(p), "--design", design,
+                               *size, "--seed", seed, "--replicates", "500")
+        assert code == 0
+        assert out == SIMULATE_GOLDEN[case] + "\n"
+
     def test_simulate_reports_z_score(self, frame_path, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--frame", frame_path,
                                "--design", "srs", "--n", "2", "--seed", "3",

@@ -307,6 +307,31 @@ class TestFrameCSV:
             sk.Frame(ids=("1", "2"), stratum=("s1", "s2"), cluster=("c", "c"))
 
 
+class TestFrameArrays:
+    """A frame's caches assume its arrays never change: it holds read-only
+    copies."""
+
+    def test_arrays_are_read_only(self):
+        frame = sk.Frame(ids=tuple("abc"), mos=np.array([1.0, 2.0, 3.0]),
+                         aux=np.ones((3, 2)), y=np.array([4.0, 5.0, 6.0]))
+        for values in (frame.mos, frame.aux, frame.y):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 7.0
+
+    def test_the_callers_array_is_copied(self):
+        mos = np.array([1.0, 2.0, 3.0, 1.5, 2.5, 4.0])
+        y, aux = np.arange(6.0), np.ones((6, 1))
+        frame = sk.Frame(ids=tuple("abcdef"), mos=mos, aux=aux, y=y)
+        pips = sk.first_order_pips(sk.RejectivePoisson(2), frame).first_order.copy()
+        mos[5], y[0], aux[0, 0] = 7.0, -1.0, -1.0
+        assert frame.mos[5] == 4.0 and frame.y[0] == 0.0 and frame.aux[0, 0] == 1.0
+        after = sk.first_order_pips(sk.RejectivePoisson(2), frame).first_order
+        assert after.tobytes() == pips.tobytes()
+        fresh = sk.Frame(ids=frame.ids, mos=np.array([1.0, 2.0, 3.0, 1.5, 2.5, 4.0]))
+        assert sk.first_order_pips(sk.RejectivePoisson(2), fresh).first_order.tobytes() \
+            == pips.tobytes()
+
+
 def per_row_blocks(rows, width):
     """Every CSV row checked on its own: the reference for `_row_blocks`."""
     lines, block = [], []

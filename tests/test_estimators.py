@@ -63,6 +63,32 @@ class TestHajek:
         s = sk.Sample(frame, np.array([0, 2]), np.array([0.3, 0.9]))
         assert sk.hajek_mean(s, np.array([4.0, 4.0])).value == pytest.approx(4.0)
 
+    def test_nonempty_value_is_the_ratio_to_the_bit(self):
+        frame = sk.Frame(ids=("a", "b", "c", "d"))
+        s = sk.Sample(frame, np.array([0, 1, 3]), np.array([0.3, 0.7, 0.45]))
+        y = np.array([2.5, -1.25, 7.0])
+        w = 1 / np.array([0.3, 0.7, 0.45])
+        assert sk.hajek_mean(s, y).value == float(np.sum(w * y) / np.sum(w))
+
+    def test_empty_sample_raises(self):
+        s = sk.Sample(sk.Frame(ids=("a", "b")), np.array([], dtype=np.int64), np.array([]))
+        with pytest.raises(ValueError, match="empty sample"):
+            sk.hajek_mean(s, np.array([]))
+
+    # Bernoulli and Poisson supports hold the empty set; under the suite's
+    # filter a 0 / 0 RuntimeWarning would fail these before any ValueError
+    def test_exact_expectation_over_a_support_with_the_empty_set(self):
+        frame = sk.Frame(ids=tuple("abcdef"), y=np.arange(1.0, 7.0))
+        with pytest.raises(ValueError, match="empty sample"):
+            sk.exact_expectation(sk.Poisson((0.5,) * 6), frame,
+                                 lambda s: sk.hajek_mean(s, s.y_values()).value)
+
+    def test_monte_carlo_that_draws_an_empty_sample(self):
+        frame = sk.Frame(ids=tuple("abcdef"), y=np.arange(1.0, 7.0))
+        with pytest.raises(ValueError, match="empty sample"):
+            sk.monte_carlo(sk.Bernoulli(0.1), frame,
+                           lambda s: sk.hajek_mean(s, s.y_values()).value, 50, seed=3)
+
 
 class TestHH:
     def test_single_draw_company_d(self, business_frame):
