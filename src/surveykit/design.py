@@ -249,7 +249,7 @@ class _Leaf(Design):
 
     def _sample(self, frame, binding, rng):
         kernel, args, p, tag = binding
-        idx = kernels._one_draw(kernel, args, p.size, rng)
+        idx = kernels._one_draw(kernel, args, rng)
         if not self.with_replacement:
             return Sample(frame, idx, p[idx], design_tag=tag, flags=self.flags)
         idx, mult = np.unique(idx, return_counts=True)
@@ -271,17 +271,25 @@ class _Leaf(Design):
         return idx, np.append(p, 1.0)[idx]
 
     def mc_samples(self, frame, R, base):
-        # The kernel's batched form over the replicates' own substreams
-        # (kernels._Substreams), chunk by chunk; Lahiri's form, and every
-        # form on numba, is None there and the select loop runs instead.
+        # The kernel's batched form, chunk by chunk, row i of each block of
+        # uniforms the next k doubles of the next replicate's own substream.
+        # Lahiri's kernel, and every kernel on numba, has no fixed-count
+        # form, and the select loop runs instead.
         kernel, args, p, tag = self._bind(frame)
-        source = kernels._Substreams(base)
-        form = kernels._path(kernel, source)
+        reps = iter(range(R))
+
+        def block(rows, k):
+            out = np.empty((rows, k))
+            for row, r in zip(out, itertools.islice(reps, rows)):
+                base.substream(r).random(out=row)
+            return out
+
+        form = kernels._fixed_form(kernel, block)
         if form is None:
             yield from super().mc_samples(frame, R, base)
             return
         N = p.size
-        for idx in form(*args, R, source):
+        for idx in form(args, R):
             mult = None
             if self.with_replacement:  # each drawn unit once, with its count
                 idx, mult = kernels._counted(idx, N)
@@ -999,7 +1007,7 @@ class StratifyOnAux(Phase2Rule):
         for lab in sorted(groups):
             pos = np.asarray(groups[lab], dtype=np.int64)
             r_h = self._subsample_size(lab, pos.size)
-            chosen = kernels.srs_selection_rejection(r_h, pos.size, rng)
+            chosen = kernels._one_draw(kernels.srs_selection_rejection, (r_h, pos.size), rng)
             locals_.append(pos[chosen])
             conds.append(np.full(chosen.size, r_h / pos.size))
             out_labels.extend([lab] * chosen.size)
@@ -1048,7 +1056,7 @@ class PoissonOnAux(Phase2Rule):
         if np.any(x <= 0):
             raise ValueError("Poisson phase-2 rule needs positive observed values")
         p2 = np.minimum(compute_pips(x, self.r), 1.0)
-        local = kernels._poisson_indices(p2, rng)
+        local = kernels._one_draw(kernels._poisson_indices, (p2,), rng)
         return local, p2[local], None, None
 
 

@@ -135,10 +135,13 @@ def ecdf(sample, y):
 
 
 def quantile(sample, y, q):
-    """Left-continuous inf definition: smallest observed y with F(y) >= q."""
+    """Left-continuous inf definition: smallest observed y with F(y) >= q.
+    An empty sample has no quantile: it raises ValueError."""
     if not 0 < q <= 1:
         raise ValueError("quantile level must be in (0, 1]")
     F = ecdf(sample, y)
+    if not F.support.size:
+        raise ValueError("the quantile of an empty sample is undefined")
     j = int(np.searchsorted(F.cum, q - 1e-12, side="left"))
     j = min(j, F.support.size - 1)
     return Estimate(float(F.support[j]), method="quantile")

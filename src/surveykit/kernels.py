@@ -6,22 +6,21 @@ Python otherwise; both paths consume the Generator identically (randomness
 enters only through ``rng.random()``), so the selected indices are
 bit-for-bit reproducible across backends.
 
-The batched Monte Carlo function `mc_draws` runs R replicates in one call.
-On numpy it draws uniforms as ``rng.random(shape)`` blocks of the same
-stream, which hold exactly the doubles the scalar calls would return, so
-its output matches the scalar loop bit for bit too.  Every design kernel
-but Lahiri's takes a fixed number of uniforms per draw: selection-rejection
-one per frame unit, Chao one per stream unit (an entering unit's slot is
-read from the uniform that admitted it), conditional Poisson one per unit.
-Lahiri's count is random, so its batch runs on a speculative block of a
-PCG64 stream, after which the Generator is rewound and advanced by the
-doubles the kernel used; the same trick serves single draws on large
-frames (`_one_draw`).
+Every design kernel but Lahiri's takes a fixed number of uniforms per draw:
+selection-rejection one per frame unit, Chao one per stream unit (an
+entering unit's slot is read from the uniform that admitted it),
+conditional Poisson one per unit.  `_BATCHED` writes that count once per
+kernel.  On numpy a single draw (`_one_draw`) takes its uniforms as one
+``rng.random(k)`` block, and the batched Monte Carlo function `mc_draws`
+runs R replicates from ``rng.random((rows, k))`` blocks.  A block holds
+exactly the doubles the scalar calls would return, on every bit generator,
+so both match the scalar kernel bit for bit.  Lahiri's count is random, so
+its batch runs on a speculative block of a PCG64 stream, after which the
+Generator is rewound and advanced by the doubles the kernel used.
 """
 
 import inspect
 import math
-import operator
 
 import numpy as np
 
@@ -277,13 +276,14 @@ def conditional_poisson_select(q, n, rng):
 # - compiled (numba), the scalar loop `_mc_draws_loop` keeps the whole run
 #   out of Python;
 # - on numpy, a kernel that takes a fixed number k of uniforms per draw has
-#   a batched form that draws one `rng.random((rows, k))` block per chunk of
-#   replicates.  A block holds exactly the doubles of rows * k scalar calls,
-#   replicate after replicate, and leaves the Generator where those calls
-#   would, so hits, values and the stream afterwards are bit-identical to
-#   the scalar loop.  Every sum keeps the scalar loops' order, left to right
-#   from 0.0 (`np.cumsum`, never the pairwise `x.sum()`).  This holds on
-#   every bit generator;
+#   a batched form that takes one (rows, k) block of uniforms per chunk of
+#   replicates, row r for replicate r.  From a Generator that block is
+#   `rng.random((rows, k))`, which holds exactly the doubles of rows * k
+#   scalar calls, replicate after replicate, and leaves the Generator where
+#   those calls would, so hits, values and the stream afterwards are
+#   bit-identical to the scalar loop.  Every sum keeps the scalar loops'
+#   order, left to right from 0.0 (`np.cumsum`, never the pairwise
+#   `x.sum()`).  This holds on every bit generator;
 # - Lahiri's kernel takes a random number of uniforms, so on numpy with a
 #   PCG64 stream it runs on a speculative block: save the bit generator's
 #   state, draw a block of pairs, take the first R * n accepted ones, then
@@ -292,8 +292,8 @@ def conditional_poisson_select(q, n, rng):
 #
 # `_path` picks among these, and `_mc_rows` yields the replicates' index
 # tables on any of them, for designs that compose their children's batches.
-# A batched form also runs where each replicate has its own substream
-# (`monte_carlo`): `_Substreams` stands in for the Generator there.
+# A fixed-count form also runs where each replicate has its own substream
+# (`monte_carlo`): `_fixed_form` binds it to any source of uniform rows.
 
 _CHUNK_CELLS = 1 << 16  # the most cells one table of a batch holds
 
@@ -366,11 +366,6 @@ def _in_frame(idx, N):
 # counter block, and MT19937 and SFC64 have no `advance`.
 
 _ONE_STEP_PER_DOUBLE = (np.random.PCG64, np.random.PCG64DXSM)
-_BUFFERED_MIN_N = 24    # the smallest frame a single draw is buffered on
-# A buffered single draw of a frame-scanning kernel pays back its state save
-# and rewind from N = 16-24 (1.1-1.3x at N = 24, 3x at N = 1000) and loses
-# on small frames (0.3-0.4x at N = 3), measured with numpy 2.4.6 on one
-# core of a Xeon VM.
 
 
 def _rewinds(rng):
@@ -390,66 +385,14 @@ def _rewind(rng, state, used):
         bits.state = {**bits.state, "has_uint32": 1, "uinteger": state["uinteger"]}
 
 
-class _Buffered:
-    """A stand-in for a PCG64 Generator inside a `with` block: `random()`
-    serves the stream's doubles from blocks of `block` drawn ahead, and on
-    leaving the block the Generator is rewound to the first double not
-    served, as if the kernel had called it."""
+# Batched forms of the fixed-count kernels: `form(*args, R, uniforms)`
+# yields, chunk by chunk, the index rows kernel(*args, rng) returns for
+# consecutive replicates, in its output order; `uniforms(rows)` gives the
+# next rows replicates' uniforms, one row of the kernel's count each.
 
-    __slots__ = ("_rng", "_block", "_state", "_drawn", "_ahead")
-
-    def __init__(self, rng, block):
-        self._rng, self._block = rng, max(int(block), 1)
-
-    def __enter__(self):
-        self._state = self._rng.bit_generator.state
-        self._drawn = 0
-        self._ahead = iter(())
-        return self
-
-    def random(self):
-        try:
-            return next(self._ahead)
-        except StopIteration:
-            self._ahead = iter(self._rng.random(self._block).tolist())
-            self._drawn += self._block
-            return next(self._ahead)
-
-    def __exit__(self, *exc):
-        _rewind(self._rng, self._state,
-                self._drawn - operator.length_hint(self._ahead))
-
-
-class _Substreams:
-    """A stand-in for the Generator of a batched form (`_path`) over
-    replicates that each draw from their own substream,
-    `base.substream(r)` of an `RngStream`: `random((rows, k))` fills row i
-    with the next k doubles of replicate start + i's generator, then moves
-    start on by rows.  A form draws one block per chunk, row r for
-    replicate r, so its table holds what each replicate's kernel draws on
-    its own substream.  Not a PCG64 Generator, so Lahiri's form, which
-    rewinds one, never runs on it."""
-
-    __slots__ = ("_base", "_start")
-
-    def __init__(self, base):
-        self._base, self._start = base, 0
-
-    def random(self, shape):
-        rows, k = shape
-        out = np.empty((rows, k))
-        for i in range(rows):
-            self._base.substream(self._start + i).random(out=out[i])
-        self._start += rows
-        return out
-
-
-# Batched forms: `form(*args, R, rng)` yields, chunk by chunk, the index rows
-# kernel(*args, rng) returns for consecutive replicates, in its output order.
-
-def _srs_draw_by_draw_rows(n, N, R, rng):
+def _srs_draw_by_draw_rows(n, N, R, uniforms):
     for rows in _chunks(R, N):
-        u = rng.random((rows, n))
+        u = uniforms(rows)
         pool = np.tile(np.arange(N, dtype=np.int64), (rows, 1))
         out = np.empty((rows, n), dtype=np.int64)
         r = np.arange(rows)
@@ -470,38 +413,38 @@ def _reservoirs(n, rows, r, slot, k):
     return np.sort(res, axis=1)
 
 
-def _srs_reservoir_rows(n, N, R, rng):
+def _srs_reservoir_rows(n, N, R, uniforms):
     stream = np.arange(n, N)
     for rows in _chunks(R, N):
-        j = _unit_indices(rng.random((rows, N - n)), stream + 1)
+        j = _unit_indices(uniforms(rows), stream + 1)
         r, c = np.nonzero(j < n)
         yield _reservoirs(n, rows, r, j[r, c], stream[c])
 
 
-def _srs_random_sort_rows(n, N, R, rng):
+def _srs_random_sort_rows(n, N, R, uniforms):
     for rows in _chunks(R, N):
-        order = np.argsort(-rng.random((rows, N)), axis=1)
+        order = np.argsort(-uniforms(rows), axis=1)
         yield np.sort(order[:, :n], axis=1)
 
 
-def _srswr_draws_rows(n, N, R, rng):
+def _srswr_draws_rows(n, N, R, uniforms):
     for rows in _chunks(R, n):
-        yield _unit_indices(rng.random((rows, n)), N)
+        yield _unit_indices(uniforms(rows), N)
 
 
-def _poisson_indices_rows(pi, R, rng):
+def _poisson_indices_rows(pi, R, uniforms):
     # rows are ragged (a random size); index N pads the units left out
     N = pi.shape[0]
     units = np.arange(N)
     for rows in _chunks(R, N):
-        yield np.where(rng.random((rows, N)) < pi, units, N)
+        yield np.where(uniforms(rows) < pi, units, N)
 
 
-def _systematic_select_rows(N, G, R, rng):
+def _systematic_select_rows(N, G, R, uniforms):
     # rows are ragged (n or n+1 units); index N pads the short ones
     steps = np.arange((N - 1) // G + 1) * G
     for rows in _chunks(R, steps.size):
-        idx = _unit_indices(rng.random((rows, 1)), G) + steps
+        idx = _unit_indices(uniforms(rows), G) + steps
         idx[idx >= N] = N
         yield idx
 
@@ -515,16 +458,16 @@ def _systematic_pps_walk(x, a, n, starts):
     return _in_frame(np.searchsorted(np.cumsum(x), pos), x.shape[0])
 
 
-def _systematic_pps_select_rows(x, n, R, rng):
+def _systematic_pps_select_rows(x, n, R, uniforms):
     a = np.cumsum(x)[-1] / n  # the loop's running total
     for rows in _chunks(R, n):
-        yield _systematic_pps_walk(x, a, n, (1.0 - rng.random((rows, 1))) * a)
+        yield _systematic_pps_walk(x, a, n, (1.0 - uniforms(rows)) * a)
 
 
-def _ppswr_cumulative_rows(cum, n, R, rng):
+def _ppswr_cumulative_rows(cum, n, R, uniforms):
     total = cum[cum.shape[0] - 1]
     for rows in _chunks(R, n):
-        u = rng.random((rows, n)) * total
+        u = uniforms(rows) * total
         yield _in_frame(np.searchsorted(cum, u, side="right"), cum.shape[0])
 
 
@@ -535,13 +478,13 @@ def _categorical(cum, u):
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.shape[0] - 1)
 
 
-def _n2_rows(theta, cond, R, rng):
+def _n2_rows(theta, cond, R, uniforms):
     """The two draws of Brewer's and Durbin's methods: the first from theta,
     the second from cond(first) without the first unit.  Replicates are
     grouped by their first draw, so no N x N table is built."""
     cum = np.cumsum(theta)
     for rows in _chunks(R, 2):
-        u = rng.random((rows, 2))
+        u = uniforms(rows)
         first = _categorical(cum, u[:, 0])
         second = np.empty(rows, dtype=np.int64)
         for f in np.unique(first):
@@ -551,14 +494,14 @@ def _n2_rows(theta, cond, R, rng):
         yield np.sort(np.stack([first, second], axis=1), axis=1)
 
 
-def _brewer2_select_rows(p, R, rng):
+def _brewer2_select_rows(p, R, uniforms):
     theta = p * (1.0 - p) / (1.0 - 2.0 * p)
-    return _n2_rows(theta, lambda f: p, R, rng)
+    return _n2_rows(theta, lambda f: p, R, uniforms)
 
 
-def _durbin2_select_rows(p, R, rng):
+def _durbin2_select_rows(p, R, uniforms):
     return _n2_rows(p, lambda f: p * (1.0 / (1.0 - 2.0 * p[f]) + 1.0 / (1.0 - 2.0 * p)),
-                    R, rng)
+                    R, uniforms)
 
 
 def _one_pass(u, n, bound):
@@ -574,25 +517,25 @@ def _one_pass(u, n, bound):
     return np.nonzero(take)[1].reshape(rows, n)
 
 
-def _srs_selection_rejection_rows(n, N, R, rng):
+def _srs_selection_rejection_rows(n, N, R, uniforms):
     steps = N - np.arange(N)
     for rows in _chunks(R, N):
         # the loop's test, u * (N - k) < n - chosen
-        yield _one_pass(rng.random((rows, N)) * steps, n, lambda k, need: need)
+        yield _one_pass(uniforms(rows) * steps, n, lambda k, need: need)
 
 
-def _conditional_poisson_select_rows(q, n, R, rng):
+def _conditional_poisson_select_rows(q, n, R, uniforms):
     N = q.shape[0]
     for rows in _chunks(R, N):
-        yield _one_pass(rng.random((rows, N)), n, lambda k, need: q[k, need])
+        yield _one_pass(uniforms(rows), n, lambda k, need: q[k, need])
 
 
-def _chao_select_rows(x, n, R, rng):
+def _chao_select_rows(x, n, R, uniforms):
     N = x.shape[0]
     prob = n * x[n:] / np.cumsum(x)[n:]  # as the kernel computes it
     stream = np.arange(n, N)
     for rows in _chunks(R, N):
-        u = rng.random((rows, N - n))
+        u = uniforms(rows)
         r, c = np.nonzero(u < prob)
         yield _reservoirs(n, rows, r, _unit_indices(u[r, c] / prob[c], n), stream[c])
 
@@ -618,50 +561,81 @@ def _ppswr_lahiri_rows(x, bound, n, R, rng):
         yield np.concatenate(picks).reshape(rows, n)
 
 
-# kernel -> batched form; none on numba, which runs the compiled loops
+# kernel -> (count, form): count(*args) is how many uniforms one draw takes,
+# the one place it is written; form is the batched form.  None on numba,
+# which runs the compiled loops.
 _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
-    srs_draw_by_draw: _srs_draw_by_draw_rows,
-    srs_selection_rejection: _srs_selection_rejection_rows,
-    srs_reservoir: _srs_reservoir_rows,
-    srs_random_sort: _srs_random_sort_rows,
-    srswr_draws: _srswr_draws_rows,
-    _poisson_indices: _poisson_indices_rows,
-    systematic_select: _systematic_select_rows,
-    systematic_pps_select: _systematic_pps_select_rows,
-    ppswr_cumulative: _ppswr_cumulative_rows,
-    brewer2_select: _brewer2_select_rows,
-    durbin2_select: _durbin2_select_rows,
-    chao_select: _chao_select_rows,
-    conditional_poisson_select: _conditional_poisson_select_rows,
+    srs_draw_by_draw: (lambda n, N: n, _srs_draw_by_draw_rows),
+    srs_selection_rejection: (lambda n, N: N, _srs_selection_rejection_rows),
+    srs_reservoir: (lambda n, N: N - n, _srs_reservoir_rows),
+    srs_random_sort: (lambda n, N: N, _srs_random_sort_rows),
+    srswr_draws: (lambda n, N: n, _srswr_draws_rows),
+    _poisson_indices: (lambda pi: pi.shape[0], _poisson_indices_rows),
+    systematic_select: (lambda N, G: 1, _systematic_select_rows),
+    systematic_pps_select: (lambda x, n: 1, _systematic_pps_select_rows),
+    ppswr_cumulative: (lambda cum, n: n, _ppswr_cumulative_rows),
+    brewer2_select: (lambda p: 2, _brewer2_select_rows),
+    durbin2_select: (lambda p: 2, _durbin2_select_rows),
+    chao_select: (lambda x, n: x.shape[0] - n, _chao_select_rows),
+    conditional_poisson_select: (lambda q, n: q.shape[0], _conditional_poisson_select_rows),
 }
 
-# kernel -> batched form that runs only on a stream that `_rewinds`
+# kernel -> batched form(*args, R, rng) that runs only on a stream that
+# `_rewinds`
 _REWOUND = {ppswr_lahiri: _ppswr_lahiri_rows}
 
-# kernels that take a uniform per frame unit (reservoir and Chao skip the
-# first n), buffered on a single draw from a frame of at least
-# _BUFFERED_MIN_N units
-_SCANS = frozenset((srs_selection_rejection, srs_reservoir, srs_random_sort,
-                    _poisson_indices, chao_select, conditional_poisson_select))
+
+def _entry(table, select):
+    """The entry of kernel `select` in table, or None.  A wrapped kernel
+    (functools.wraps, as a tracer installs) is matched by the function it
+    wraps."""
+    return table.get(select) or table.get(inspect.unwrap(select))
 
 
-def _one_draw(select, args, N, rng):
-    """select(*args, rng), a kernel's draw on a frame of N units, served from
-    a `_Buffered` block when the kernel scans a large frame."""
-    if N < _BUFFERED_MIN_N or inspect.unwrap(select) not in _SCANS or not _rewinds(rng):
+class _Block:
+    """A uniform source over one block of doubles drawn ahead: `random()`
+    returns them in turn."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, doubles):
+        self.random = iter(doubles.tolist()).__next__
+
+
+def _one_draw(select, args, rng):
+    """select(*args, rng), one draw of a kernel.  A fixed-count kernel runs
+    on exactly its k uniforms, drawn as one `rng.random(k)` block, which
+    leaves rng where its scalar calls would on every bit generator; one
+    that takes a single uniform draws it from rng itself."""
+    entry = _entry(_BATCHED, select)
+    k = entry[0](*args) if entry else 0
+    if k < 2:
         return select(*args, rng)
-    with _Buffered(rng, N) as source:
-        return select(*args, source)
+    return select(*args, _Block(rng.random(k)))
+
+
+def _fixed_form(select, block):
+    """The batched form of a fixed-count kernel as form(args, R), its
+    uniform rows drawn by block(rows, k); None for any other kernel."""
+    entry = _entry(_BATCHED, select)
+    if entry is None:
+        return None
+    count, form = entry
+
+    def run(args, R):
+        k = count(*args)
+        return form(*args, R, lambda rows: block(rows, k))
+
+    return run
 
 
 def _path(select, rng):
-    """The batched form R replicates of `select` run by, or None for the
-    scalar loop.  A wrapped kernel (functools.wraps, as a tracer installs)
-    is matched by the function it wraps."""
-    kernel = inspect.unwrap(select)
-    if kernel in _REWOUND:
-        return _REWOUND[kernel] if _rewinds(rng) else None
-    return _BATCHED.get(kernel)
+    """The batched form R replicates of `select` run by on rng, as
+    form(args, R), or None for the scalar loop."""
+    rewound = _entry(_REWOUND, select)
+    if rewound is not None:
+        return (lambda args, R: rewound(*args, R, rng)) if _rewinds(rng) else None
+    return _fixed_form(select, lambda rows, k: rng.random((rows, k)))
 
 
 def _stack(tables, pad):
@@ -684,7 +658,7 @@ def _mc_rows(select, args, N, R, rng):
     consumed as R scalar calls would consume it."""
     form = _path(select, rng)
     if form is not None:
-        yield from form(*args, R, rng)
+        yield from form(args, R)
         return
     for rows in _chunks(R, N):
         yield _stack([select(*args, rng)[None] for _ in range(rows)], N)
@@ -729,7 +703,7 @@ def mc_draws(select, args, with_replacement, R, wvec, rng):
     counts = np.zeros(N + 1, dtype=np.int64)
     vals = np.empty(R)
     done = 0
-    for idx in form(*args, R, rng):
+    for idx in form(args, R):
         vals[done:done + idx.shape[0]] = _row_totals(w[idx])
         done += idx.shape[0]
         if with_replacement:  # a unit counts once per replicate

@@ -74,10 +74,10 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
 
     The Samples come from `Design.mc_samples`, replicate r's the one
     `select` draws from substream r.  A leaf design draws them in batches:
-    its kernel's batched form runs over the replicates' own substreams
-    (`kernels._Substreams`), so the values are the select loop's, bit for
-    bit.  Nested designs, Lahiri PPSWR and the numba backend run the select
-    loop itself."""
+    its kernel's batched form takes row r of each block of uniforms from
+    replicate r's own substream (`kernels._fixed_form`), so the values are
+    the select loop's, bit for bit.  Nested designs, Lahiri PPSWR and the
+    numba backend run the select loop itself."""
     if R < 2:
         raise ValueError("need at least two replicates")
     Design.require(design, DesignError, "cannot select from {}")

@@ -173,6 +173,11 @@ class TestQuantiles:
         assert sk.quantile(s, y, 0.5).value == 3.0  # first y with F >= 1/2
         assert sk.quantile(s, y, 0.51).value == 5.0
 
+    def test_empty_sample_raises(self):
+        s = sk.Sample(sk.Frame(ids=("a", "b")), np.array([], dtype=np.int64), np.array([]))
+        with pytest.raises(ValueError, match="empty sample"):
+            sk.quantile(s, np.array([]), 0.5)
+
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12, unique=True))
     @settings(max_examples=60, deadline=None)
     def test_ecdf_monotone_step_to_one(self, values):

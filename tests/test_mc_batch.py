@@ -232,8 +232,7 @@ def test_design_entry_point_matches_select_loop():
 
 
 # ---------------------------------------------------------------------------
-# Lahiri's rewound batch, a wider sweep of frame sizes, and buffered single
-# draws.
+# Lahiri's rewound batch, a wider sweep of frame sizes, and single draws.
 
 def lahiri_args(x, n):
     return x, float(x.max()) * (1 + 1e-12), n  # the bound barely above the largest mos
@@ -329,14 +328,14 @@ HALF_CASES = [(12, b) for b in variable_bindings(12, 3)] + [
 
 
 def rewinding_runs(kernel, args, with_replacement, N, R):
-    """(rewound, scalar): a single draw (`_one_draw`, which rewinds when the
-    kernel scans a frame of at least _BUFFERED_MIN_N units) then a Monte
-    Carlo batch (which rewinds for Lahiri on a PCG64 stream), and the scalar
-    calls they stand for; each returns its arrays as bytes."""
+    """(rewound, scalar): a single draw (`_one_draw`, one exact block of
+    uniforms for a fixed-count kernel) then a Monte Carlo batch (which
+    rewinds for Lahiri on a PCG64 stream), and the scalar calls they stand
+    for; each returns its arrays as bytes."""
     wvec = weights(N)
 
     def rewound(rng):
-        out = (kernels._one_draw(kernel, args, N, rng),
+        out = (kernels._one_draw(kernel, args, rng),
                *kernels.mc_draws(kernel, args, with_replacement, R, wvec, rng))
         return [a.tobytes() for a in out]
 
@@ -363,7 +362,7 @@ def test_pending_32_bit_half_survives_the_rewind(N, binding):
 
 
 def test_pcg64dxsm_is_rewound_too():
-    # Lahiri's batch, and a buffered single draw of selection-rejection
+    # Lahiri's batch, and a single draw then a batch of selection-rejection
     x = size_measures(40)
     for kernel, args, with_replacement in (
             (kernels.ppswr_lahiri, lahiri_args(x, 4), True),
@@ -383,29 +382,75 @@ def test_rejective_few_tries_match_scalar_loop(max_tries):
                  weights(12), seed=max_tries)
 
 
-@pytest.mark.parametrize("kernel", sorted(kernels._SCANS, key=lambda k: k.__name__),
-                         ids=lambda k: k.__name__)
-def test_buffered_single_draws_match_the_kernel(kernel):
-    N, n = 1000, 50
-    x = size_measures(N)
-    args = {
-        "srs_selection_rejection": (n, N), "srs_reservoir": (n, N),
-        "srs_random_sort": (n, N), "_poisson_indices": (sk.compute_pips(x, n),),
-        "chao_select": (np.sort(x), 20),
-        "conditional_poisson_select": (entry_probs(N, n), n),
-    }[kernel.__name__]
-    rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
-    for _ in range(5):
-        a = kernels._one_draw(kernel, args, N, rng_a)
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                  np.random.MT19937, np.random.SFC64]
+SINGLE_CASES = [(N, b) for N, n in [(3, 2), (24, 4), (1000, 50)] for b in bindings(N, n)]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("N, binding", SINGLE_CASES,
+                         ids=[f"{b[0]}-N{N}" for N, b in SINGLE_CASES])
+def test_single_draws_match_the_kernel(N, binding, bit_generator):
+    # one exact block of uniforms per draw: the same indices in the same
+    # order, and the stream where the kernel's scalar calls leave it
+    _, kernel, args, _ = binding
+    assert kernel in kernels._BATCHED
+    rng_a, rng_b = (np.random.Generator(bit_generator(N)) for _ in range(2))
+    for _ in range(3):
+        a = kernels._one_draw(kernel, args, rng_a)
         b = kernel(*args, rng_b)
-        assert a.tobytes() == b.tobytes()
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
-    assert rng_a.random() == rng_b.random()
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert rng_a.random(3).tobytes() == rng_b.random(3).tobytes()
+
+
+class CountingSource:
+    """A Generator that counts its `random` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.Generator(np.random.MT19937(seed)), 0
+
+    def random(self, *args):
+        self.calls += 1
+        return self.rng.random(*args)
+
+
+@pytest.mark.parametrize("binding", bindings(1000, 50), ids=lambda b: b[0])
+def test_a_single_draw_calls_random_once(binding):
+    _, kernel, args, _ = binding
+    source = CountingSource(7)
+    idx = kernels._one_draw(kernel, args, source)
+    assert source.calls == 1
+    assert idx.tobytes() == kernel(*args, np.random.Generator(np.random.MT19937(7))).tobytes()
+
+
+def test_wrapped_kernel_keeps_the_block_path():
+    # a functools.wraps wrapper, as a tracer installs, is matched by the
+    # kernel it wraps, and is itself what draws
+    sources = []
+
+    @functools.wraps(kernels.srs_selection_rejection)
+    def traced(n, N, rng):
+        sources.append(rng)
+        return kernels.srs_selection_rejection(n, N, rng)
+
+    source = CountingSource(3)
+    kernels._one_draw(traced, (4, 24), source)
+    assert source.calls == 1 and isinstance(sources[0], kernels._Block)
+
+
+def test_kernels_without_a_fixed_count_draw_on_the_generator():
+    x = size_measures(12)
+    for kernel, args in ((kernels.ppswr_lahiri, lahiri_args(x, 3)),
+                         (kernels.rejective_poisson_select, (sk.compute_pips(x, 3), 3, 100))):
+        source = CountingSource(5)
+        idx = kernels._one_draw(kernel, args, source)
+        assert source.calls > 1
+        assert idx.tobytes() == kernel(*args, np.random.Generator(np.random.MT19937(5))).tobytes()
 
 
 def test_variable_count_designs_match_select_loop():
     # a leaf design's MC replicate is one select(), also for the lockstep
-    # forms and on both sides of the buffered single-draw cutoff
+    # forms, on small and larger frames
     for N in (12, 40):
         x, y = size_measures(N), weights(N)
         frame = sk.Frame(ids=tuple(map(str, range(N))), mos=np.sort(x), y=y)
@@ -424,10 +469,6 @@ def test_variable_count_designs_match_select_loop():
 # ---------------------------------------------------------------------------
 # Kernels with one uniform per unit (conditional Poisson, selection-rejection)
 # or per stream unit (Chao): every bit generator takes the batched form.
-
-BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
-                  np.random.MT19937, np.random.SFC64]
-
 
 def check_batched_on(monkeypatch, bit_generator, kernel, args, N, n):
     """The batch of `kernel` on a Generator over `bit_generator` equals the
