@@ -5,16 +5,14 @@ JSON output is deterministic (sorted keys, repr floats) and versioned with
 a "schema" field.
 
 Each subcommand imports only the modules it uses, on top of `frame`:
-`calibrate` loads `calibration` and no design code.  CSV output goes
-through one `csv.writer` into a buffer that is written to stdout once every
-`frame._CSV_BLOCK` rows, so a large weight table costs a few writes, not
-one per row.
+`calibrate` loads `calibration` and no design code.  The weight table is
+written to stdout once every `frame._CSV_BLOCK` rows, so a large table
+costs a few writes, not one per row.
 """
 
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 
@@ -33,16 +31,28 @@ class DataError(Exception):
     pass
 
 
-def _write_csv(rows):
-    """Write rows to stdout as CSV, one write per _CSV_BLOCK rows."""
-    rows = iter(rows)
+def _csv_text(rows):
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    while block := list(itertools.islice(rows, _CSV_BLOCK)):
-        writer.writerows(block)
-        sys.stdout.write(buffer.getvalue())
-        buffer.seek(0)
-        buffer.truncate()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _write_weights(ids, weights):
+    """Write the id,weight table to stdout, one write per _CSV_BLOCK rows.
+
+    The repr of a list of floats spells each one as csv.writer does, so a
+    block whose ids need no quoting is joined as it stands; a block with an
+    id holding a comma, quote, CR or LF goes through csv.writer."""
+    sys.stdout.write("id,weight\n")
+    for start in range(0, len(ids), _CSV_BLOCK):
+        block = ids[start:start + _CSV_BLOCK]
+        w = weights[start:start + _CSV_BLOCK]
+        joined = "".join(block)
+        if any(c in joined for c in ',"\r\n'):
+            sys.stdout.write(_csv_text(zip(block, w)))
+        else:
+            cells = repr(w)[1:-1].split(", ")
+            sys.stdout.write("\n".join(map(",".join, zip(block, cells))) + "\n")
 
 
 def _emit(payload, out_format):
@@ -51,7 +61,7 @@ def _emit(payload, out_format):
         print(json.dumps(payload, sort_keys=True, default=_jsonable))
     else:
         flat = _flatten(payload)
-        _write_csv([sorted(flat), [flat[k] for k in sorted(flat)]])
+        sys.stdout.write(_csv_text([sorted(flat), [flat[k] for k in sorted(flat)]]))
 
 
 def _jsonable(obj):
@@ -274,8 +284,7 @@ def cmd_calibrate(args):
         result = cal.solve_chi_square(problem)
     else:
         result = cal.solve_entropy(problem)
-    _write_csv(itertools.chain([("id", "weight")],
-                               zip(frame.ids, result.weights.tolist())))
+    _write_weights(frame.ids, result.weights.tolist())
     print(json.dumps({
         "schema": SCHEMA,
         "lambda": [float(v) for v in result.lagrange],

@@ -3,7 +3,7 @@
 import csv
 import io
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class Frame:
         n = len(ids)
         if n == 0:
             raise FrameError("frame is empty")
-        index = dict(zip(ids, range(n)))
-        if len(index) != n:
+        if len(set(ids)) != n:
             raise FrameError("frame ids are not unique")
         mos = self.mos
         if mos is None:
@@ -86,7 +85,6 @@ class Frame:
             if y.shape[0] != n:
                 raise FrameError("y must have one value per unit")
             object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -97,6 +95,8 @@ class Frame:
         return len(self.ids)
 
     def index_of(self, unit_id):
+        if self._index is None:  # built on first use: reading a frame needs no lookup
+            object.__setattr__(self, "_index", dict(zip(self.ids, range(len(self.ids)))))
         return self._index[str(unit_id)]
 
     def y_column(self, j=0):
@@ -154,11 +154,15 @@ def _read_only(values):
     return out
 
 
-_CSV_BLOCK = 1 << 12  # rows parsed per numpy call, which bounds the rows held
+_CSV_BLOCK = 1 << 12  # lines parsed per block, which bounds the rows held
 
 
-def _read_frame_rows(rows, header):
+def _read_frame_rows(handle, header):
+    """The frame of the CSV rows after the header, read from handle."""
     cols = {name: j for j, name in enumerate(header)}
+    if len(cols) != len(header):
+        repeated = next(name for j, name in enumerate(header) if cols[name] != j)
+        raise FrameError(f"frame CSV repeats column {repeated!r}")
     if "id" not in cols:
         raise FrameError("frame CSV needs an 'id' column")
     xcols = sorted(
@@ -169,16 +173,15 @@ def _read_frame_rows(rows, header):
     numeric = [name for name in ("mos", "y", *xcols) if name in cols]
     js = [cols[name] for name in numeric]
     blocks = []
-    for lines, block in _row_blocks(rows, len(header)):
-        columns = list(zip(*block))
+    for lines, columns in _column_blocks(handle, len(header), cols["id"]):
         for name, out in labels.items():
             out.extend(columns[cols[name]])
         try:
             values = np.array([columns[j] for j in js], dtype=float)
         except ValueError:  # parse cell by cell, so that the error names the row
             values = np.array([_floats(lineno, row, js)
-                               for lineno, row in zip(lines, block)]).T
-        blocks.append(values.reshape(len(js), len(block)))
+                               for lineno, row in zip(lines, zip(*columns))]).T
+        blocks.append(values.reshape(len(js), len(lines)))
     if not blocks:
         return Frame(ids=())
     parsed = dict(zip(numeric, np.concatenate(blocks, axis=1)))
@@ -192,17 +195,51 @@ def _read_frame_rows(rows, header):
     )
 
 
-def _row_blocks(rows, width):
-    """The CSV's non-blank rows as (line numbers, rows) blocks of at most
-    _CSV_BLOCK rows; a row of another width raises once the rows above it
-    are parsed, so that a bad cell above it is reported first.
+def _column_blocks(handle, width, id_col):
+    """The non-blank rows of the CSV lines in handle as (row numbers,
+    columns) blocks of at most _CSV_BLOCK rows.  Plain blocks are split
+    in one pass; the first block that is not, and every block after it (a
+    quoted field may span lines), goes through csv.reader, so row numbers
+    stay csv row numbers."""
+    start = 2
+    while lines := list(islice(handle, _CSV_BLOCK)):
+        columns = _plain_columns(lines, width, id_col)
+        if columns is None:
+            for rows, block in _row_blocks(csv.reader(chain(lines, handle)), width, start):
+                yield rows, list(zip(*block))
+            return
+        yield range(start, start + len(lines)), columns
+        start += len(lines)
+
+
+def _plain_columns(lines, width, id_col):
+    """The columns of a block of CSV lines that csv.reader would read as
+    one row a line, split on commas: no quote, no CR and no line longer
+    than csv's field limit, width - 1 commas on every line, and text in
+    every id cell, so that no row is blank.  None for any other block."""
+    text = "".join(lines)
+    if ('"' in text or "\r" in text
+            or set(map(str.count, lines, repeat(","))) != {width - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        cells.pop()
+    columns = [cells[j::width] for j in range(width)]
+    return columns if all(map(str.strip, columns[id_col])) else None
+
+
+def _row_blocks(rows, width, start):
+    """The CSV's non-blank rows, numbered from start, as (row numbers, rows)
+    blocks of at most _CSV_BLOCK rows; a row of another width raises once
+    the rows above it are parsed, so that a bad cell above it is reported
+    first.
 
     Each block of _CSV_BLOCK rows is checked whole: one set of the row
     widths, then one pass for a blank or whitespace-only row.  Only a block
     that fails either check goes row by row, which drops its blank rows and
     names the first row of another width."""
     rows = iter(rows)
-    start = 2
     while block := list(islice(rows, _CSV_BLOCK)):
         lines = range(start, start + len(block))
         start += len(block)
@@ -239,6 +276,7 @@ def read_frame_csv(path_or_text):
     else:
         source = open(path_or_text, newline="", encoding="utf-8")
     with source as handle:
-        reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader)]
-        return _read_frame_rows(reader, header)
+        header = next(csv.reader(handle), None)
+        if header is None:
+            raise FrameError("frame CSV is empty")
+        return _read_frame_rows(handle, [h.strip() for h in header])

@@ -10,7 +10,7 @@ import pytest
 
 import surveykit as sk
 from surveykit import calibration, simulate
-from surveykit.cli import main
+from surveykit.cli import _write_weights, main
 from surveykit.frame import _CSV_BLOCK
 
 
@@ -235,6 +235,17 @@ class TestDraw:
                                "--design", "srs", "--n", "2", "--seed", "1")
         assert code == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "frame CSV is empty"),
+        ("id,mos,mos\nu1,1,2\nu2,3,4\n", "frame CSV repeats column 'mos'"),
+    ], ids=["empty", "repeated-column"])
+    def test_unreadable_header_exit_3(self, text, message, tmp_path, capsys):
+        p = tmp_path / "frame.csv"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "draw", "--frame", str(p),
+                                 "--design", "srs", "--n", "1", "--seed", "1")
+        assert (code, out, err) == (3, "", f"data error: {message}\n")
+
     def test_frame_without_the_labels_a_design_reads_exit_3(self, frame_path, tmp_path,
                                                             capsys):
         # one FrameError for every design that reads cluster or stratum
@@ -422,6 +433,16 @@ class TestCalibrateOutput:
         assert code == 0
         assert out == per_row_csv(frame.ids, solved[0].weights)
         assert '\n"a,b0",' in out and '\n"""q""1",' in out and "\n  lead2," in out
+
+    @pytest.mark.parametrize("odd", [",", '"', "\r", "\n", " ", "\t", ""])
+    def test_each_id_character_is_written_as_the_per_row_writer_does(self, odd,
+                                                                     monkeypatch):
+        ids = ("u0", f"a{odd}b", "u2", odd)
+        weights = [1.5, float("nan"), -0.0, 1e-300]
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        _write_weights(ids, weights)
+        assert stdout.getvalue() == per_row_csv(ids, weights)
 
     @pytest.mark.parametrize("N", [1, _CSV_BLOCK, 2 * _CSV_BLOCK + 5])
     def test_weight_csv_takes_a_write_per_block(self, N, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import time
@@ -298,9 +299,36 @@ class TestFrameCSV:
         with pytest.raises(FrameError, match="row 3: could not convert"):
             sk.read_frame_csv("id,y\nu1,1.0\nu2,oops\nu3\n")
 
+    @pytest.mark.parametrize("header", ["id,mos,mos", "id, mos,mos ", "mos,id,mos"])
+    def test_repeated_column_is_named(self, header):
+        with pytest.raises(FrameError, match="^frame CSV repeats column 'mos'$"):
+            sk.read_frame_csv(f"{header}\nu1,1,2\nu2,3,4\n")
+
+    def test_read_time_budget(self, tmp_path):
+        # 50k rows of id and 4 numbers, as CLI calibrate reads them: about
+        # 80 ms on a shared 2-core VM, where the csv.reader row loop took
+        # 110-140 ms
+        gen = np.random.default_rng(6)
+        values = np.round(gen.uniform(0.5, 4.0, (50_000, 4)), 3).tolist()
+        path = tmp_path / "frame.csv"
+        path.write_text("id,mos,x1,x2,x3\n" + "".join(
+            f"u{i},{a},{b},{c},{d}\n" for i, (a, b, c, d) in enumerate(values)),
+            encoding="utf-8")
+        start = time.perf_counter()
+        frame = sk.read_frame_csv(str(path))
+        assert time.perf_counter() - start < 0.25
+        assert frame.aux.shape == (50_000, 3) and frame.mos.tolist() == [r[0] for r in values]
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(Exception, match="unique"):
             sk.Frame(ids=("a", "a"))
+
+    def test_id_index_is_built_on_first_lookup(self):
+        frame = sk.Frame(ids=("a", "7", "c"))
+        assert frame._index is None
+        assert (frame.index_of("c"), frame.index_of(7)) == (2, 1)
+        with pytest.raises(KeyError):
+            frame.index_of("d")
 
     def test_cluster_must_nest_in_stratum(self):
         with pytest.raises(Exception, match="spans"):
@@ -348,9 +376,20 @@ def per_row_blocks(rows, width):
         yield lines, block
 
 
+def per_row_columns(handle, width, id_col):
+    """The whole CSV through csv.reader and `per_row_blocks`: the reference
+    for `_column_blocks`."""
+    for lines, rows in per_row_blocks(csv.reader(handle), width):
+        yield lines, list(zip(*rows))
+
+
+COLUMN_BLOCKS, PLAIN_COLUMNS = frame_module._column_blocks, frame_module._plain_columns
+
+
 class TestFrameCSVBlocks:
-    """Blocks that pass the whole-block checks and blocks that fall back to
-    the row loop read as the row-by-row reference reads them."""
+    """Plain blocks split in one pass, blocks that go through csv.reader,
+    and blocks that fall back to the row loop read as the per-row reference
+    reads them."""
 
     FAULTS = {
         "blank": "",
@@ -368,17 +407,21 @@ class TestFrameCSVBlocks:
         return "\n".join(["id,mos,y,x1", *lines]) + "\n"
 
     @staticmethod
-    def read(text, monkeypatch, blocks):
-        monkeypatch.setattr(frame_module, "_row_blocks", blocks)
+    def read(source, monkeypatch, blocks=COLUMN_BLOCKS, plain=PLAIN_COLUMNS):
+        monkeypatch.setattr(frame_module, "_column_blocks", blocks)
+        monkeypatch.setattr(frame_module, "_plain_columns", plain)
         try:
-            f = sk.read_frame_csv(text)
-        except FrameError as exc:
+            f = sk.read_frame_csv(source)
+        except (FrameError, csv.Error) as exc:
             return str(exc)
         return f.ids, f.mos.tobytes(), f.y.tobytes(), f.aux.tobytes()
 
-    def both(self, text, monkeypatch):
-        fast = self.read(text, monkeypatch, frame_module._row_blocks)
-        return fast, self.read(text, monkeypatch, per_row_blocks)
+    def both(self, source, monkeypatch):
+        """The block reader's result and the reference's; the block reader
+        reads the same with every block sent through csv.reader."""
+        fast = self.read(source, monkeypatch)
+        assert self.read(source, monkeypatch, plain=lambda *_: None) == fast
+        return fast, self.read(source, monkeypatch, per_row_columns)
 
     @pytest.mark.parametrize("N", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
     def test_clean_frame(self, N, monkeypatch):
@@ -412,6 +455,68 @@ class TestFrameCSVBlocks:
     def test_blank_block_only(self, monkeypatch):
         fast, slow = self.both("id,y\n" + "\n" * (_CSV_BLOCK + 3), monkeypatch)
         assert fast == slow == "frame is empty"
+
+    QUOTED = ['"a,b{i}",2,1.5,3', '"q""{i}",2,1.5,3', '"line\nbreak{i}",2,1.5,3']
+
+    @pytest.mark.parametrize("tail", ["", "bad-cell", "short"])
+    def test_quoted_ids_from_block_three(self, tail, monkeypatch):
+        # the third block has quoted ids, one with a newline in it, so csv
+        # rows and lines part from there on; errors name the csv row
+        first = 2 * _CSV_BLOCK + 7
+        inserts = [(first + 40 * k, self.QUOTED[k % 3].format(i=k)) for k in range(25)]
+        if tail:
+            inserts.append((first + 1000, self.FAULTS[tail]))
+        fast, slow = self.both(self.text(3 * _CSV_BLOCK, inserts), monkeypatch)
+        assert fast == slow
+        if tail:  # below the 25 quoted rows
+            assert fast.startswith(f"row {first + 1000 + 25 + 2}: ")
+        else:
+            assert {"a,b0", 'q"1', "line\nbreak2"} <= set(fast[0])
+
+    @pytest.mark.parametrize("id_last", [False, True], ids=["id-first", "id-last"])
+    @pytest.mark.parametrize("final", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("N", [3, _CSV_BLOCK, _CSV_BLOCK + 1])
+    def test_line_ends(self, N, eol, final, id_last, tmp_path, monkeypatch):
+        lines = self.text(N).splitlines()
+        if id_last:  # a CR would stay on the ids
+            lines = [",".join(cells[1:] + cells[:1]) for cells in (ln.split(",") for ln in lines)]
+        text = eol.join(lines) + final.replace("\n", eol)
+        path = tmp_path / "frame.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (text, str(path)):
+            fast, slow = self.both(source, monkeypatch)
+            assert fast == slow and len(fast[0]) == N
+
+    @pytest.mark.parametrize("pos", [5, _CSV_BLOCK + 5])
+    @pytest.mark.parametrize("row", [
+        "w1,1_000,١٢,3",  # cells float() reads and np.loadtxt would not
+        " , ,\t, ",  # whitespace-only cells
+        ",2,3.5,4",  # a blank id in a full row
+        "  ,2,3.5,4",  # a whitespace id in a full row
+        "x" * (csv.field_size_limit() + 1) + ",2,3.5,4",  # past csv's field limit
+    ], ids=["digits", "whitespace-row", "blank-id", "whitespace-id", "long-cell"])
+    def test_rows_a_plain_block_cannot_hold(self, row, pos, monkeypatch):
+        fast, slow = self.both(self.text(2 * _CSV_BLOCK, [(pos, row)]), monkeypatch)
+        assert fast == slow
+        if row.startswith("w1"):
+            assert fast[0][pos] == "w1"
+            assert np.frombuffer(fast[1])[pos] == 1000.0
+            assert np.frombuffer(fast[2])[pos] == 12.0
+
+    def test_plain_blocks_bypass_csv_reader(self, monkeypatch):
+        starts, row_blocks = [], frame_module._row_blocks
+
+        def counted(rows, width, start):
+            starts.append(start)
+            return row_blocks(rows, width, start)
+
+        monkeypatch.setattr(frame_module, "_row_blocks", counted)
+        assert sk.read_frame_csv(self.text(3 * _CSV_BLOCK + 5)).n_units == 3 * _CSV_BLOCK + 5
+        assert starts == []
+        text = self.text(3 * _CSV_BLOCK, [(2 * _CSV_BLOCK + 3, '"q",1,2,3')])
+        assert sk.read_frame_csv(text).n_units == 3 * _CSV_BLOCK + 1
+        assert starts == [2 * _CSV_BLOCK + 2]
 
 
 class TestSampleChecks:
