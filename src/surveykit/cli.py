@@ -32,8 +32,22 @@ class DataError(Exception):
 
 
 def _csv_text(rows):
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    """The CSV text of rows, each line ending in LF.  csv quotes a field
+    that holds a character of the line terminator, so under LF a field
+    holding a lone CR would go out bare and split its row when read back:
+    a row with a CR is written under CRLF, which quotes it, and its
+    terminator is cut back to LF."""
+    buffer, crlf_row = io.StringIO(), io.StringIO()
+    lf = csv.writer(buffer, lineterminator="\n")
+    crlf = csv.writer(crlf_row, lineterminator="\r\n")
+    for row in rows:
+        if any(isinstance(cell, str) and "\r" in cell for cell in row):
+            crlf_row.seek(0)
+            crlf_row.truncate()
+            crlf.writerow(row)
+            buffer.write(crlf_row.getvalue()[:-2] + "\n")
+        else:
+            lf.writerow(row)
     return buffer.getvalue()
 
 
@@ -173,7 +187,12 @@ def _weighted_sample(frame):
     the unit weight, pi = 1/w."""
     from .core import Sample
 
-    pi = 1.0 / np.asarray(frame.mos, dtype=float)
+    w = np.asarray(frame.mos, dtype=float)  # finite and nonnegative, as Frame checks
+    zero = np.flatnonzero(w == 0)
+    if zero.size:
+        raise DataError(f"unit {frame.ids[int(zero[0])]!r} has weight 0 in the mos "
+                        "column; a sample unit's weight must be positive")
+    pi = 1.0 / w
     return Sample(frame, np.arange(frame.n_units), np.clip(pi, None, 1.0))
 
 

@@ -1016,26 +1016,54 @@ class StratifyOnAux(Phase2Rule):
         return local[order], cond[order], tuple(np.asarray(out_labels)[order]), tuple(labels)
 
     def mc_cond(self, idx, frame, rng):
-        # Strata run in __call__'s sorted label order.  Within one, the
-        # replicates with the same n_h share one selection-rejection batch
-        # over their stratum cells, taken in row order as __call__ takes
-        # them, so a one-replicate batch draws exactly what __call__ draws.
+        # A replicate's cells in one stratum form a group, which draws what
+        # __call__ draws for the stratum: r_h of its n_h cells by
+        # selection-rejection, one uniform per cell in row order.  Groups
+        # draw in stratum label order, then by n_h, then by replicate, so
+        # one flat block of uniforms over the cells sorted that way gives
+        # every cell its uniform, and a one-replicate batch draws what
+        # __call__ draws.  One walk then runs every group, chunk by chunk.
         labels = self._labels(frame, np.arange(frame.n_units))
         names = sorted(set(labels))
+        H, W = len(names), idx.shape[1]
         code = {name: h for h, name in enumerate(names)}
-        cell = np.array([code[lab] for lab in labels] + [-1])[idx]  # -1: a pad
-        cond = np.zeros(idx.shape)
-        for h, name in enumerate(names):
-            inside = cell == h
-            n_h = inside.sum(axis=1)
-            for n in np.unique(n_h[n_h > 0]).tolist():
-                reps = np.nonzero(n_h == n)[0]
-                r = self._subsample_size(name, n)
-                chosen = kernels._stack(list(kernels._mc_rows(
-                    kernels.srs_selection_rejection, (r, n), n, reps.size, rng)), n)
-                cols = np.nonzero(inside[reps])[1].reshape(reps.size, n)
-                cond[reps[:, None], np.take_along_axis(cols, chosen, axis=1)] = r / n
-        return cond
+        # every cell's (replicate, stratum) slot, a pad's stratum H
+        slot = np.array([code[lab] for lab in labels] + [H])[idx]
+        slot += np.arange(len(idx))[:, None] * (H + 1)
+        slot = slot.ravel()
+        n = np.bincount(slot, minlength=len(idx) * (H + 1))  # n_h of every slot
+        key = np.arange(n.size) % (H + 1) * (W + 1) + n  # (stratum, n_h), pads last
+        # stable, so a key keeps its cells in row order; numpy sorts 8- and
+        # 16-bit keys by radix
+        narrow = key.astype(np.min_scalar_type((H + 1) * (W + 1)))
+        pos = np.argsort(narrow[slot], kind="stable")[:slot.size - n[H::H + 1].sum()]
+        slot = slot[pos]
+        new = np.ones(slot.size, dtype=bool)
+        np.not_equal(slot[1:], slot[:-1], out=new[1:])
+        first = np.flatnonzero(new)  # each group's first cell
+        slot = slot[first]
+        size, key = n[slot], key[slot]
+        # r_h only for the (stratum, n_h) pairs some replicate draws
+        r = np.zeros(H * (W + 1), dtype=np.int64)
+        for c in np.flatnonzero(np.bincount(key)).tolist():
+            r[c] = self._subsample_size(names[c // (W + 1)], c % (W + 1))
+        r = r[key]
+        u = rng.random(pos.size)
+        cond = np.zeros(idx.size)
+        top, width = 0, size.max(initial=0)
+        k = np.arange(width)[:, None]
+        for rows in kernels._chunks(first.size, width):
+            n_h = size[top:top + rows]
+            # cell k of every group in row k, so that the walk's columns run
+            # in memory order; the kernel's test is u * (N - k) < n - chosen
+            table = u.take(first[top:top + rows] + k, mode="clip")
+            table *= n_h - k
+            table[k >= n_h] = np.inf  # pads, which the walk never takes
+            g, j = kernels._one_pass(table.T, r[top:top + rows], lambda _, need: need)
+            g += top
+            cond[pos[first[g] + j]] = r[g] / size[g]
+            top += rows
+        return cond.reshape(idx.shape)
 
 
 @dataclass(frozen=True)

@@ -480,54 +480,90 @@ def _categorical(cum, u):
 
 def _n2_rows(theta, cond, R, uniforms):
     """The two draws of Brewer's and Durbin's methods: the first from theta,
-    the second from cond(first) without the first unit.  Replicates are
-    grouped by their first draw, so no N x N table is built."""
+    the second from the conditional weights cond(f, out) writes, one row
+    per first unit f, without the first unit.  A chunk's distinct first
+    units get their running totals together, at most
+    max(1, _CHUNK_CELLS // N) rows to a table, so a table holds at most
+    max(_CHUNK_CELLS, N) cells, and one searchsorted call finds the second
+    draws of all the replicates whose first units share a table."""
+    N = theta.shape[0]
     cum = np.cumsum(theta)
     for rows in _chunks(R, 2):
         u = uniforms(rows)
         first = _categorical(cum, u[:, 0])
+        order = np.argsort(first, kind="stable")  # replicates by first unit
+        new = np.empty(rows, dtype=bool)
+        new[:1] = True
+        np.not_equal(first[order[1:]], first[order[:-1]], out=new[1:])
+        starts = np.flatnonzero(new)
+        units, row = first[order[starts]], np.cumsum(new) - 1
+        step = min(units.size, max(1, _CHUNK_CELLS // N))
+        edges = np.append(starts[::step], rows)
+        w = np.empty((step, N))
+        # (row, running total) as complex numbers, which order
+        # lexicographically: the flat table ascends, and a search finds
+        # each replicate's unit within its own row
+        z = np.empty((step, N), dtype=complex)
+        z.real = np.arange(step)[:, None]
         second = np.empty(rows, dtype=np.int64)
-        for f in np.unique(first):
-            at = first == f
-            j = _categorical(np.cumsum(np.delete(cond(f), f)), u[at, 1])
-            second[at] = j + (j >= f)
-        yield np.sort(np.stack([first, second], axis=1), axis=1)
+        for b, lo in enumerate(range(0, units.size, step)):
+            f = units[lo:lo + step]
+            k = f.size
+            cond(f, w[:k])
+            # a zero weight leaves the running totals of np.delete(w, f),
+            # each repeated once from f on
+            w[np.arange(k), f] = 0.0
+            np.cumsum(w[:k], axis=1, out=z.imag[:k])
+            reps = order[edges[b]:edges[b + 1]]
+            r = row[edges[b]:edges[b + 1]] - lo
+            q = np.empty(r.size, dtype=complex)
+            q.real, q.imag = r, u[reps, 1] * z.imag[r, -1]
+            j = np.searchsorted(z[:k].ravel(), q, side="right") - r * N
+            # past the last total, _draw_categorical keeps the last unit but f
+            second[reps] = np.minimum(j, N - 1 - (f[r] == N - 1))
+        yield np.stack([np.minimum(first, second), np.maximum(first, second)], axis=1)
 
 
 def _brewer2_select_rows(p, R, uniforms):
     theta = p * (1.0 - p) / (1.0 - 2.0 * p)
-    return _n2_rows(theta, lambda f: p, R, uniforms)
+    return _n2_rows(theta, lambda f, out: np.copyto(out, p), R, uniforms)
 
 
 def _durbin2_select_rows(p, R, uniforms):
-    return _n2_rows(p, lambda f: p * (1.0 / (1.0 - 2.0 * p[f]) + 1.0 / (1.0 - 2.0 * p)),
-                    R, uniforms)
+    q = 1.0 / (1.0 - 2.0 * p)
+
+    def cond(f, out):  # p * (1 / (1 - 2 p_f) + q), in place
+        np.add((1.0 / (1.0 - 2.0 * p[f]))[:, None], q, out=out)
+        np.multiply(p, out, out=out)
+
+    return _n2_rows(p, cond, R, uniforms)
 
 
 def _one_pass(u, n, bound):
-    """The units a one-pass walk over the columns of u takes, n per row:
-    column k takes the rows with u[:, k] < bound(k, need), need holding
-    what each row has still to take."""
+    """The cells a one-pass walk over the columns of u takes, as
+    np.nonzero gives them, row by row: column k takes the rows with
+    u[:, k] < bound(k, need), need holding what each row has still to
+    take, n (one count, or one per row) at the start."""
     rows, N = u.shape
     need = np.full(rows, n)
-    take = np.empty((rows, N), dtype=bool)
+    take = np.empty_like(u, dtype=bool)  # in u's memory order
     for k in range(N):
         np.less(u[:, k], bound(k, need), out=take[:, k])
         need -= take[:, k]
-    return np.nonzero(take)[1].reshape(rows, n)
+    return np.nonzero(take)
 
 
 def _srs_selection_rejection_rows(n, N, R, uniforms):
     steps = N - np.arange(N)
     for rows in _chunks(R, N):
         # the loop's test, u * (N - k) < n - chosen
-        yield _one_pass(uniforms(rows) * steps, n, lambda k, need: need)
+        yield _one_pass(uniforms(rows) * steps, n, lambda k, need: need)[1].reshape(rows, n)
 
 
 def _conditional_poisson_select_rows(q, n, R, uniforms):
     N = q.shape[0]
     for rows in _chunks(R, N):
-        yield _one_pass(uniforms(rows), n, lambda k, need: q[k, need])
+        yield _one_pass(uniforms(rows), n, lambda k, need: q[k, need])[1].reshape(rows, n)
 
 
 def _chao_select_rows(x, n, R, uniforms):

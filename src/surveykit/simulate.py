@@ -50,6 +50,9 @@ def design_consistency_mc(design, frame, R, rng):
     rejective Poisson's sequential draw one per unit), and draws each chunk
     of replicates from one uniform block on any bit generator, with the
     same draws, totals and stream position as the scalar replicate loop.
+    Brewer's and Durbin's second draws, whose weights depend on the first,
+    search the running totals of all of a chunk's distinct first units at
+    once.
     Lahiri PPSWR, whose count is random, runs on speculative blocks of a
     PCG64 stream that are then rewound to the doubles used, with the same
     result; other bit generators keep the scalar loop for it.  Stratified
@@ -59,6 +62,8 @@ def design_consistency_mc(design, frame, R, rng):
     the PSU rows, then one SSU batch per cluster over the replicates that
     drew it; a two-phase batch draws the phase-1 rows, then its rule's
     batched form (`mc_cond`; the keep-all and stratify rules have one).
+    The stratify rule draws every (stratum, n_h, replicate) group by
+    selection-rejection in one walk over one block of uniforms.
     These keep the design's law, but only a one-replicate batch draws what
     one `select` draws.  A two-phase design whose rule has no batched form
     runs the generic selection loop (`Design.mc_batch`)."""

@@ -359,6 +359,23 @@ class TestVariance:
         assert json.loads(out)["value"] > 0
 
 
+class TestZeroWeight:
+    # the mos column is the unit weight, pi = 1/w: a weight of 0 has no pi
+    ZERO_CSV = "id,mos,y\na,2,1\nb,0,10\nc,4,20\n"
+
+    @pytest.mark.parametrize("command", [
+        ("variance", "--method", "simplified"), ("variance", "--method", "jackknife"),
+        ("estimate", "--estimator", "ht"), ("estimate", "--estimator", "hajek"),
+    ], ids=" ".join)
+    def test_zero_weight_is_a_data_error(self, command, tmp_path, capsys):
+        p = tmp_path / "zero.csv"
+        p.write_text(self.ZERO_CSV, encoding="utf-8")
+        code, out, err = run_cli(capsys, command[0], "--frame", str(p), *command[1:])
+        assert code == 3 and out == ""
+        assert err == "data error: unit 'b' has weight 0 in the mos column; " \
+                      "a sample unit's weight must be positive\n"
+
+
 class TestCalibrate:
     def test_kl_calibration_prints_only_its_report(self, frame_path, capsys):
         # its line search tries steps whose weights overflow
@@ -393,12 +410,16 @@ def quoted_frame_csv(N):
 
 
 def per_row_csv(ids, weights):
-    """The weight CSV as one writerow per unit writes it."""
+    """The weight CSV as one writerow per unit writes it, but for an id
+    that holds a CR, which is quoted as an id that holds a LF is."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(["id", "weight"])
     for uid, w in zip(ids, weights):
-        writer.writerow([uid, repr(float(w))])
+        if "\r" in uid:
+            text.write('"' + uid.replace('"', '""') + '",' + repr(float(w)) + "\n")
+        else:
+            writer.writerow([uid, repr(float(w))])
     return text.getvalue()
 
 
@@ -456,6 +477,24 @@ class TestCalibrateOutput:
         assert main(["calibrate", "--frame", str(p), "--targets", repr(target)]) == 0
         assert stdout.getvalue().count("\n") == N + 1
         assert stdout.writes <= math.ceil(N / _CSV_BLOCK) + 2
+
+    @pytest.mark.parametrize("uid", ["a\rb", "\r", "a\r", "\rb\n", 'q"\r'])
+    def test_id_with_a_carriage_return_reads_back(self, uid, tmp_path, capsys):
+        # csv quotes a field holding a character of the line terminator
+        # (LF here), so a CR must be quoted on purpose
+        quoted = '"' + uid.replace('"', '""') + '"'
+        p = tmp_path / "cr.csv"
+        p.write_text(f"id,mos,x1,y\n{quoted},1,1,2\nc,2,2,3\n", encoding="utf-8",
+                     newline="")
+        code, out, _ = run_cli(capsys, "calibrate", "--frame", str(p), "--targets", "3")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out, newline=""))) == [
+            ["id", "weight"], [uid, "0.6"], ["c", "1.2"]]
+        code, out, _ = run_cli(capsys, "--out", "csv", "draw", "--frame", str(p),
+                               "--design", "srs", "--n", "2", "--seed", "1")
+        assert code == 0
+        header, values = csv.reader(io.StringIO(out, newline=""))
+        assert values[header.index("ids")] == f"{uid};c"
 
     def test_csv_payload_is_one_write(self, frame_path, monkeypatch):
         stdout = CountingStream()

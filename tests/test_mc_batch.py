@@ -156,6 +156,62 @@ def test_n2_first_draw_on_the_last_unit(kernel):
     check_kernel(kernel, (p,), False, 1000, wvec, seed)
 
 
+N2_KERNELS = [kernels.brewer2_select, kernels.durbin2_select]
+
+
+@pytest.mark.parametrize("kernel", N2_KERNELS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("cells", [2, 4, 11, 12, 30, 40, 100])
+def test_n2_chunks_and_blocks(monkeypatch, kernel, cells):
+    # chunks of cells // 2 replicates, their distinct first units in blocks
+    # of max(1, cells // N): one first unit a block below N = 12 cells
+    monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+    N, p = 12, n2_probs(12)
+    check_kernel(kernel, (p,), False, 203, weights(N), seed=cells)
+    blocks = []
+
+    def cond(f, out):
+        blocks.append(out.shape)
+        np.copyto(out, p)
+
+    rng = np.random.default_rng(cells)
+    rows = list(kernels._n2_rows(p, cond, 203, lambda rows: rng.random((rows, 2))))
+    assert sum(len(r) for r in rows) == 203 and max(len(r) for r in rows) <= max(1, cells // 2)
+    assert all(k * n <= max(cells, N) and n == N for k, n in blocks)
+    assert max(k for k, _ in blocks) == max(1, cells // N)
+
+
+@pytest.mark.parametrize("kernel", N2_KERNELS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("p", [
+    [0.2, 0.3],
+    [0.3, 0.0],  # the second draw has no weight left: the loop keeps the last unit
+    [0.1, 0.3, 0.4],
+    [0.0, 0.0, 0.4],  # every first draw is the last unit, and no weight is left
+    [0.0, 0.25, 0.0, 0.3, 0.0, 0.25, 0.2, 0.0],
+], ids=["N2", "N2-zero", "N3", "N3-last-zero", "N8-zeros"])
+def test_n2_zero_conditional_weights_and_tiny_frames(kernel, p):
+    p = np.array(p)
+    for R in (1, 7, 500):
+        check_kernel(kernel, (p,), False, R, weights(p.size), seed=R)
+
+
+@pytest.mark.parametrize("kernel", N2_KERNELS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("N, R", [(3, 1000), (12, 1000), (300, 1000), (3000, 200)])
+def test_n2_batches_match_the_scalar_loop_up_to_large_frames(kernel, N, R):
+    check_kernel(kernel, (n2_probs(N),), False, R, weights(N), seed=N)
+
+
+@pytest.mark.parametrize("design", [sk.Brewer2(), sk.Durbin2()], ids=lambda d: d.key)
+def test_n2_monte_carlo_time_budget(design):
+    # R = 1000 replicates at N = 1000: about 5 ms on a 2-core VM, where one
+    # pass per distinct first unit took 20-30 ms
+    N = 1000
+    frame = sk.Frame(ids=tuple(map(str, range(N))), mos=size_measures(N), y=weights(N))
+    start = time.perf_counter()
+    hits, _ = design_consistency_mc(design, frame, 1000, np.random.default_rng(2))
+    assert time.perf_counter() - start < 0.5
+    assert hits.sum() == 2 * 1000
+
+
 @pytest.mark.parametrize("R", [1, 7, 1000])
 @pytest.mark.parametrize("N", [12, 1000])
 def test_mc_poisson_matches_scalar_loop(N, R):

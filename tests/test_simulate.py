@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -315,6 +316,120 @@ def test_stratum_without_a_rate_is_named():
         design_consistency_mc(design, EMPTY_FRAME, 50, np.random.default_rng(1))
     assert str(batched.value) == str(drawn.value)
     assert "stratify" in str(drawn.value) and "'a': 0.5" in str(drawn.value)
+
+
+# ---------------------------------------------------------------------------
+# The stratify rule's batch runs every (stratum, n_h, replicate) group in one
+# selection-rejection walk.  It must draw what one batch per (stratum, n_h)
+# pair drew, bit for bit: the reference below.
+
+def per_group_mc_cond(rule, idx, frame, rng):
+    """StratifyOnAux.mc_cond as one selection-rejection batch per (stratum,
+    n_h) pair: strata in sorted label order, n_h ascending, replicates in
+    row order."""
+    from surveykit import kernels
+
+    labels = rule._labels(frame, np.arange(frame.n_units))
+    names = sorted(set(labels))
+    code = {name: h for h, name in enumerate(names)}
+    cell = np.array([code[lab] for lab in labels] + [-1])[idx]  # -1: a pad
+    cond = np.zeros(idx.shape)
+    for h, name in enumerate(names):
+        inside = cell == h
+        n_h = inside.sum(axis=1)
+        for n in np.unique(n_h[n_h > 0]).tolist():
+            reps = np.nonzero(n_h == n)[0]
+            r = rule._subsample_size(name, n)
+            chosen = kernels._stack(list(kernels._mc_rows(
+                kernels.srs_selection_rejection, (r, n), n, reps.size, rng)), n)
+            cols = np.nonzero(inside[reps])[1].reshape(reps.size, n)
+            cond[reps[:, None], np.take_along_axis(cols, chosen, axis=1)] = r / n
+    return cond
+
+
+# units u6..u8 (stratum c) have mos 0, so RejectivePoisson never draws them
+# and the rates need no entry for c
+UNREACHED_FRAME = sk.Frame(ids=tuple(f"u{i}" for i in range(9)),
+                           stratum=tuple("aaabbbccc"),
+                           mos=np.array([1.0, 2.0, 3.0, 1.5, 2.5, 3.5, 0.0, 0.0, 0.0]),
+                           y=np.arange(1.0, 10.0))
+STRATIFY_CASES = {
+    **{name: (design, NESTED_FRAME) for name, design in NESTED_CASES.items()
+       if isinstance(getattr(design, "phase2", None), sk.StratifyOnAux)},
+    "two_phase-rates-unreached": (sk.TwoPhase(sk.RejectivePoisson(3), sk.StratifyOnAux(
+        rates={"a": 0.5, "b": 0.7})), UNREACHED_FRAME),
+}
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.MT19937]
+
+
+def batch_and_reference(monkeypatch, design, frame, R, bit_generator):
+    """(hits bytes, values bytes, next double) of the design's batch, and of
+    the same batch with the per-group reference rule."""
+    runs = []
+    for cond in (sk.StratifyOnAux.mc_cond, per_group_mc_cond):
+        monkeypatch.setattr(sk.StratifyOnAux, "mc_cond", cond)
+        rng = np.random.Generator(bit_generator(R))
+        hits, values = design_consistency_mc(design, frame, R, rng)
+        runs.append((hits.tobytes(), values.tobytes(), rng.random()))
+    return runs
+
+
+class TestStratifyWalk:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("R", [1, 7, 300])
+    @pytest.mark.parametrize("case", STRATIFY_CASES.values(), ids=STRATIFY_CASES)
+    def test_one_walk_matches_the_per_group_batches(self, monkeypatch, case, R,
+                                                    bit_generator):
+        batch, reference = batch_and_reference(monkeypatch, *case, R, bit_generator)
+        assert batch == reference
+
+    @pytest.mark.parametrize("cells", [1, 5, 16, 40])
+    @pytest.mark.parametrize("case", STRATIFY_CASES.values(), ids=STRATIFY_CASES)
+    def test_walk_spanning_several_chunks(self, monkeypatch, case, cells):
+        from surveykit import kernels
+
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+        batch, reference = batch_and_reference(monkeypatch, *case, 203, np.random.PCG64)
+        assert batch == reference
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_pads_anywhere_in_the_rows(self, bit_generator):
+        # phase-1 rows of every size, their pads (index N) between the units
+        rule = NESTED_CASES["two_phase-rates"].phase2
+        gen = np.random.default_rng(8)
+        idx = np.full((400, 9), NESTED_N)
+        for row, size in zip(idx, gen.integers(0, 10, 400)):
+            row[gen.permutation(9)[:size]] = np.sort(gen.permutation(NESTED_N)[:size])
+        rng_a, rng_b = (np.random.Generator(bit_generator(3)) for _ in range(2))
+        cond = rule.mc_cond(idx, NESTED_FRAME, rng_a)
+        assert cond.tobytes() == per_group_mc_cond(rule, idx, NESTED_FRAME, rng_b).tobytes()
+        assert rng_a.random() == rng_b.random()
+        assert np.all(cond[idx == NESTED_N] == 0)
+
+    def test_empty_phase_1_rows_draw_nothing(self):
+        rule = NESTED_CASES["two_phase-rate"].phase2
+        rng = np.random.default_rng(4)
+        for width in (0, 3):
+            idx = np.full((5, width), NESTED_N)
+            assert not rule.mc_cond(idx, NESTED_FRAME, rng).any()
+        assert rng.random() == np.random.default_rng(4).random()
+
+    def test_rates_need_no_entry_for_a_stratum_no_replicate_draws(self):
+        design, frame = STRATIFY_CASES["two_phase-rates-unreached"]
+        sample = sk.select(design, frame, np.random.default_rng(1))
+        assert set(frame.stratum[i] for i in sample.idx) <= {"a", "b"}
+        hits, values = design_consistency_mc(design, frame, 500, np.random.default_rng(1))
+        assert hits[:6].all() and not hits[6:].any() and values.shape == (500,)
+
+    def test_time_budget(self):
+        # criterion 9's two-phase design at R = 20000: about 25 ms on a 2-core
+        # VM (about 25 ms with one batch per (stratum, n_h) pair as well)
+        design = sk.TwoPhase(sk.SRS(6), sk.StratifyOnAux(rate=0.5))
+        start = time.perf_counter()
+        hits, values = design_consistency_mc(design, NESTED_FRAME, 20_000,
+                                             np.random.default_rng(5))
+        assert time.perf_counter() - start < 1.0
+        assert hits.all() and values.shape == (20_000,) and np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("design", [sk.TwoStage("srs", sk.SRS(1)),
