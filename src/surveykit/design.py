@@ -21,7 +21,6 @@ from .core import (
     compute_pips,
     conditional_poisson_pips,
 )
-from .estimators import ht_total
 from .frame import Frame, FrameError
 
 __all__ = [
@@ -157,13 +156,13 @@ class Design(_Document):
                             (`DesignDistribution._from_table`) once the
                             set count has passed the cap
     draw(frame, rng)        one Sample, rng a numpy Generator
-    mc_batch(frame, R, rng) (hits, values) over R replicates: appearances
-                            per unit and the HT (or Hansen-Hurwitz) totals of
-                            the frame's y
     mc_rows(frame, R, rng)  (idx, pi), the Sample.idx and Sample.pi of R
                             replicates as (R, w) tables: row r, without its
                             pads (index N, pi 1.0, anywhere in the row), is
                             replicate r's sample
+    mc_batch(frame, R, rng) (hits, values) over R replicates: appearances
+                            per unit and the HT (or Hansen-Hurwitz) totals of
+                            the frame's y
     mc_samples(frame, R, base)
                             the Samples of R replicates in replicate order,
                             replicate r's the one `designs.select` draws
@@ -171,10 +170,16 @@ class Design(_Document):
     to_dict() / from_dict   the document form, {key: {field: value}}
 
     A leaf design (`_Leaf`) supplies its kernel binding instead of `draw`,
-    `mc_batch`, `mc_rows` and `mc_samples`, which follow from it.
-    Defaults: `joint` builds the matrix from the support, `first_order`
-    and `support` raise NonEnumerableError, and `mc_batch`, `mc_rows` and
-    `mc_samples` loop over `designs.select`.  The public entry points
+    `mc_batch`, `mc_rows` and `mc_samples`, which follow from it.  A
+    nested design writes its batch once, as `mc_rows`, composed of its
+    children's rows.  Defaults: `joint` builds the matrix from the
+    support, `first_order` and `support` raise NonEnumerableError,
+    `mc_rows` and `mc_samples` loop over `designs.select`, and `mc_batch`
+    is derived from `mc_rows`: a bincount of the rows, and each row's y/pi
+    added in row order from 0.0.  Only `_Leaf` overrides `mc_batch`, to
+    weigh every with-replacement draw (Hansen-Hurwitz) and to keep the
+    compiled loop on numba, and `_Independent` overrides it to draw
+    through `kernels.mc_poisson`.  The public entry points
     (`core.first_order_pips`, `joint_pips`, `enumerate_design`,
     `designs.select`, `simulate.design_consistency_mc`,
     `simulate.monte_carlo`) delegate here, and nested designs reach their
@@ -209,14 +214,16 @@ class Design(_Document):
         raise NotImplementedError(f"{type(self).__name__} has no draw")
 
     def mc_batch(self, frame, R, rng):
-        y = frame.y_column()
-        hits = np.zeros(frame.n_units)
+        N = frame.n_units
+        y = np.append(frame.y_column(), 0.0)  # index N pads and weighs nothing
+        idx, pi = self.mc_rows(frame, R, rng)
         vals = np.empty(R)
-        for r in range(R):
-            s = designs.select(self, frame, rng)
-            hits[s.idx] += 1
-            vals[r] = ht_total(s, y[s.idx]).value
-        return hits, vals
+        top = 0
+        for rows in kernels._chunks(R, idx.shape[1]):
+            cells = slice(top, top + rows)
+            vals[cells] = kernels._row_totals(y[idx[cells]] / pi[cells])
+            top += rows
+        return np.bincount(idx.ravel(), minlength=N + 1)[:N].astype(float), vals
 
     def mc_rows(self, frame, R, rng):
         samples = [designs.select(self, frame, rng) for _ in range(R)]
@@ -759,33 +766,22 @@ class Stratified(_Nesting):
         order = np.argsort(idx, kind="stable")
         return Sample(frame, idx[order], pi[order], design_tag="stratified")
 
-    def mc_batch(self, frame, R, rng):
-        # strata draw independently, so the replicate law factorizes:
-        # adding per-stratum replicate totals from disjoint stream
-        # stretches reproduces the stratified estimator's distribution
-        hits = np.zeros(frame.n_units)
-        vals = np.zeros(R)
-        for label, idx in frame.strata():
-            h, v = simulate.design_consistency_mc(self.child(label),
-                                                  frame.restrict(idx), R, rng)
-            hits[idx] += h
-            vals += v
-        return hits, vals
-
     def mc_rows(self, frame, R, rng):
-        # one batch per stratum, in draw's order, as in mc_batch; each row's
-        # units are then sorted, as draw sorts them
+        # strata draw independently, each from its own stretch of the
+        # stream: one batch per stratum, in draw's order; each row's units
+        # are then sorted, as draw sorts them
         N = frame.n_units
-        idx, pi = [np.empty((R, 0), dtype=np.int64)], [np.empty((R, 0))]
+        idx, pi = [], []
         for label, units in frame.strata():
             child = self.child(label)
             Design.require(child, DesignError, "cannot select from {}")
             cidx, cpi = child.mc_rows(frame.restrict(units), R, rng)
             idx.append(np.append(units, N)[cidx])
             pi.append(cpi)
-        idx, pi = np.concatenate(idx, axis=1), np.concatenate(pi, axis=1)
-        order = np.argsort(idx, axis=1, kind="stable")  # the pads N sort last
-        return np.take_along_axis(idx, order, axis=1), np.take_along_axis(pi, order, axis=1)
+        z = np.empty((R, sum(t.shape[1] for t in idx)), dtype=complex)
+        np.concatenate(idx, axis=1, out=z.real)
+        np.concatenate(pi, axis=1, out=z.imag)
+        return _sorted_rows(z)
 
 
 @dataclass(frozen=True)
@@ -804,7 +800,8 @@ class OneStageCluster(_Nesting):
 
     def support(self, frame, cap):
         crows, cprob = core.enumerate_design(self.psu, _cluster_frame(frame), cap=cap)._table()
-        return DesignDistribution._from_table(_member_rows(frame, crows)[0], cprob, frame)
+        return DesignDistribution._from_table(_members(frame)[crows].reshape(len(crows), -1),
+                                              cprob, frame)
 
     def draw(self, frame, rng):
         cs = designs.select(self.psu, _cluster_frame(frame), rng)
@@ -817,29 +814,16 @@ class OneStageCluster(_Nesting):
                       design_tag="one_stage_cluster",
                       psu_labels=tuple(np.repeat(cs.ids, sizes)))
 
-    def mc_batch(self, frame, R, rng):
-        # observing every element of each drawn cluster is exactly a
-        # single-stage draw of the cluster totals
-        cframe = _cluster_frame(frame)
-        members = frame.clusters()
-        y = frame.y_column()
-        totals = np.array([y[m].sum() for _, m in members])
-        cf = Frame(ids=cframe.ids, mos=cframe.mos, y=totals)
-        h, v = simulate.design_consistency_mc(self.psu, cf, R, rng)
-        hits = np.zeros(frame.n_units)
-        for k, (_, m) in enumerate(members):
-            hits[m] = h[k]
-        return hits, v
-
     def mc_rows(self, frame, R, rng):
         # each drawn cluster expands into its members, clusters in the PSU
         # rows' order, as draw takes them
         Design.require(self.psu, DesignError, "cannot select from {}")
         cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, rng)
-        idx, sizes = _member_rows(frame, cidx)
-        pi = np.ones(idx.shape)
-        pi[idx < frame.n_units] = np.repeat(cpi.ravel(), sizes.ravel())
-        return idx, pi
+        members = _members(frame)
+        shape = (R, cidx.shape[1] * members.shape[1])
+        idx = members[cidx]
+        pi = np.where(idx < frame.n_units, cpi[:, :, None], 1.0)
+        return idx.reshape(shape), pi.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -877,7 +861,7 @@ class TwoStage(_Nesting):
         clusters = frame.clusters()
         # the empty arrays stand in when a random-size PSU design draws none
         idx, pi, cond, labels = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)], []
-        # SSUs are drawn in cluster-frame order, as `mc_batch` draws them
+        # SSUs are drawn in cluster-frame order, as `mc_rows` draws them
         for k, pi_c in sorted(zip(cs.idx.tolist(), cs.pi.tolist())):
             label, members = clusters[k]
             sub = designs.select(self.ssu_for(label), frame.restrict(members), rng)
@@ -893,25 +877,30 @@ class TwoStage(_Nesting):
                       design_tag="two_stage",
                       psu_labels=tuple(labels[k] for k in order))
 
-    def mc_batch(self, frame, R, rng):
+    def mc_rows(self, frame, R, rng):
         # Invariance and independence make a replicate's SSU sample in a
         # drawn cluster a fresh draw of that cluster's SSU design, from its
         # own stretch of the stream.  So the PSU rows come first, then each
         # cluster, in cluster-frame order as `draw` takes them, runs one
-        # batch over the replicates that drew it, adding t_c / pi_c.
-        frame.y_column()  # a frame without study values fails as the select loop does
+        # batch over the replicates that drew it, its cells written at the
+        # PSU slot that drew it.
+        N = frame.n_units
         Design.require(self.psu, DesignError, "cannot select from {}")
         cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, rng)
-        hits, vals = np.zeros(frame.n_units), np.zeros(R)
+        drawn = []
         for k, (label, members) in enumerate(frame.clusters()):
-            drew = cidx == k
-            reps = np.nonzero(drew.any(axis=1))[0]
-            if reps.size:
-                h, v = simulate.design_consistency_mc(
-                    self.ssu_for(label), frame.restrict(members), reps.size, rng)
-                hits[members] += h
-                vals[reps] += v / cpi[drew]
-        return hits, vals
+            drew = np.flatnonzero(cidx == k)  # the slots r * w + j that drew k
+            if drew.size:
+                child = self.ssu_for(label)
+                Design.require(child, DesignError, "cannot select from {}")
+                sidx, spi = child.mc_rows(frame.restrict(members), drew.size, rng)
+                drawn.append((drew, np.append(members, N)[sidx], cpi.flat[drew][:, None] * spi))
+        width = max((sidx.shape[1] for _, sidx, _ in drawn), default=0)
+        z = np.full((cidx.size, width), complex(N, 1.0))
+        for drew, sidx, spi in drawn:
+            z.real[drew, :sidx.shape[1]] = sidx
+            z.imag[drew, :sidx.shape[1]] = np.where(sidx < N, spi, 1.0)  # pads keep pi 1.0
+        return _sorted_rows(z.reshape(R, cidx.shape[1] * width))
 
 
 # ---------------------------------------------------------------------------
@@ -1113,20 +1102,17 @@ class TwoPhase(_Nesting):
                       design_tag="two_phase", phase1=s1,
                       psu_labels=labels, phase1_labels=all_labels)
 
-    def mc_batch(self, frame, R, rng):
+    def mc_rows(self, frame, R, rng):
+        # the phase-1 rows, then the rule's batched form; a cell the rule
+        # does not keep becomes a pad, where it sits
         cond_of = getattr(self.phase2, "mc_cond", None)
         if cond_of is None:  # a rule without a batched form
-            return super().mc_batch(frame, R, rng)
-        y = np.append(frame.y_column(), 0.0)  # index N pads and weighs nothing
+            return super().mc_rows(frame, R, rng)
         Design.require(self.phase1, DesignError, "cannot select from {}")
         idx, pi = self.phase1.mc_rows(frame, R, rng)
         cond = cond_of(idx, frame, rng)
         kept = cond > 0
-        w = np.zeros(idx.shape)
-        w[kept] = y[idx[kept]] / (pi[kept] * cond[kept])
-        # summed left to right, so that where the pads sit changes nothing
-        return (np.bincount(idx[kept], minlength=frame.n_units).astype(float),
-                kernels._row_totals(w))
+        return np.where(kept, idx, frame.n_units), np.where(kept, pi * cond, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1216,18 +1202,26 @@ def _default_working(frame, n):
     return frame._cache[key]
 
 
-def _member_rows(frame, cidx):
-    """Rows of frame indices from rows of cluster-frame indices: each
-    cluster expands into its members, in the row's order, and a pad (index
-    K of the cluster frame) holds none; the rows are padded with N.  Also
-    the number of members of each entry of cidx."""
-    members = [m for _, m in frame.clusters()] + [np.empty(0, dtype=np.int64)]
-    sizes = np.array([m.size for m in members])[cidx]
-    width = sizes.sum(axis=1)
-    idx = np.full((len(cidx), int(width.max(initial=0))), frame.n_units, dtype=np.int64)
-    filled = np.arange(idx.shape[1]) < width[:, None]  # row-major, as the cells run
-    idx[filled] = np.concatenate([members[-1], *(members[c] for c in cidx.ravel().tolist())])
-    return idx, sizes
+def _members(frame):
+    """The (clusters + 1, largest cluster) member table: row k holds the
+    frame indices of cluster k's members, then pads N, and the last row,
+    which a pad of the cluster frame (index K) reads, only pads.
+    Read-only and memoized on the frame."""
+    if "members" not in frame._cache:
+        rows = [m[None] for _, m in frame.clusters()] + [np.empty((1, 0), dtype=np.int64)]
+        table = kernels._stack(rows, frame.n_units)
+        table.flags.writeable = False
+        frame._cache["members"] = table
+    return frame._cache["members"]
+
+
+def _sorted_rows(z):
+    """The (idx, pi) tables held in the complex table z = idx + 1j * pi,
+    each row's cells sorted in place into ascending unit order, the pads N
+    last, as `draw` sorts a sample: complex numbers order by their real
+    part first."""
+    z.sort(axis=1)
+    return z.real.astype(np.int64), z.imag
 
 
 def _nested(design):
@@ -1270,6 +1264,6 @@ def load_design(path):
     return design_from_dict(doc)
 
 
-# Imported last, because both import this module.  Nested designs reach
-# their children through these modules' public entry points.
-from . import designs, simulate  # noqa: E402
+# Imported last, because it imports this module.  Nested designs draw
+# their children through its public entry point.
+from . import designs  # noqa: E402

@@ -115,8 +115,7 @@ def select_two_phase(frame, phase1_design, phase2_rule, rng):
     return dz.TwoPhase(phase1_design, phase2_rule).draw(frame, as_generator(rng))
 
 
-# Imported last: design imports this module at its end, and simulate, which
-# design imports too, reads `select` from here.
+# Imported last: design imports this module at its end.
 from . import design as dz  # noqa: E402
 from .core import NonProbabilityDesignError  # noqa: E402
 from .core import conditional_poisson_pips  # noqa: E402,F401

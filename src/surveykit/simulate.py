@@ -41,32 +41,20 @@ def design_consistency_mc(design, frame, R, rng):
     """Fast replication loop for checking a design's first-order inclusion
     frequencies and HT-estimator mean: returns (hits, values) where hits
     counts distinct appearances per unit over R replicates and values holds
-    the replicate HT (or Hansen-Hurwitz) totals of the frame's y.
+    the replicate HT (or Hansen-Hurwitz) totals of the frame's y.  R must
+    be an integer of at least 0.
 
-    Leaf designs run through one batched call (`kernels.mc_draws`) over
-    the kernel, checks and weights that `select` uses.
-    On numpy, every kernel but Lahiri's takes a fixed uniform count
-    (selection-rejection SRS one per unit, Chao one per stream unit,
-    rejective Poisson's sequential draw one per unit), and draws each chunk
-    of replicates from one uniform block on any bit generator, with the
-    same draws, totals and stream position as the scalar replicate loop.
-    Brewer's and Durbin's second draws, whose weights depend on the first,
-    search the running totals of all of a chunk's distinct first units at
-    once.
-    Lahiri PPSWR, whose count is random, runs on speculative blocks of a
-    PCG64 stream that are then rewound to the doubles used, with the same
-    result; other bit generators keep the scalar loop for it.  Stratified
-    and one-stage cluster designs combine their children's batches.
-    Two-stage and two-phase designs compose them through `Design.mc_rows`,
-    which tells which replicate drew which units: a two-stage batch draws
-    the PSU rows, then one SSU batch per cluster over the replicates that
-    drew it; a two-phase batch draws the phase-1 rows, then its rule's
-    batched form (`mc_cond`; the keep-all and stratify rules have one).
-    The stratify rule draws every (stratum, n_h, replicate) group by
-    selection-rejection in one walk over one block of uniforms.
-    These keep the design's law, but only a one-replicate batch draws what
-    one `select` draws.  A two-phase design whose rule has no batched form
-    runs the generic selection loop (`Design.mc_batch`)."""
+    The batch is `Design.mc_batch`.  A leaf design runs its kernel's
+    batched form over the kernel, checks and weights that `select` uses,
+    with the draws, totals and stream position of the scalar replicate
+    loop.  Every other design derives the batch from its `mc_rows`, the
+    replicates' index and pi tables: a nested design composes its
+    children's rows (each stratum, the PSUs and then each drawn cluster,
+    phase 1 and then its rule's `mc_cond`), in the order `draw` takes
+    them, and a two-phase rule without `mc_cond` runs the `select` loop.
+    A composed batch keeps the design's law, but only a one-replicate
+    batch draws what one `select` draws."""
+    _check_replicates(R, 0)
     Design.require(design, DesignError, "cannot select from {}")
     return design.mc_batch(frame, R, as_generator(rng))
 
@@ -75,7 +63,7 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
     """R independent replications of (draw, estimate); deterministic given
     the seed, with per-replicate substreams so parallel scheduling cannot
     change the result.  Accumulation is compensated, so merge order does
-    not matter either.
+    not matter either.  R must be an integer of at least 2.
 
     The Samples come from `Design.mc_samples`, replicate r's the one
     `select` draws from substream r.  A leaf design draws them in batches:
@@ -83,8 +71,7 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
     replicate r's own substream (`kernels._fixed_form`), so the values are
     the select loop's, bit for bit.  Nested designs, Lahiri PPSWR and the
     numba backend run the select loop itself."""
-    if R < 2:
-        raise ValueError("need at least two replicates")
+    _check_replicates(R, 2)
     Design.require(design, DesignError, "cannot select from {}")
     values = np.empty(R)
     for r, sample in enumerate(design.mc_samples(frame, R, RngStream(seed, stream))):
@@ -97,3 +84,10 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
         "se_of_mean": math.sqrt(var / R),
         "replicates": values,
     }
+
+
+def _check_replicates(R, least):
+    """Refuse, before any draw, a replicate count R that is not an integer
+    (a bool is not one) of at least `least`."""
+    if isinstance(R, bool) or not isinstance(R, (int, np.integer)) or R < least:
+        raise ValueError(f"R must be an integer of at least {least}, got {R!r}")

@@ -702,3 +702,19 @@ def test_calibrate_loads_no_design_code(tmp_path):
     assert code == "0"
     assert modules == ["surveykit", "surveykit._backend", "surveykit.calibration",
                        "surveykit.cli", "surveykit.frame"]
+
+
+def test_draw_loads_no_estimator_code(tmp_path):
+    p = tmp_path / "frame.csv"
+    p.write_text(FRAME_CSV, encoding="utf-8")
+    script = ("import sys\n"
+              "from surveykit.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('surveykit')))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, "draw", "--frame", str(p),
+         "--design", "srs", "--n", "2", "--seed", "11"],
+        capture_output=True, text=True)
+    code, *modules = result.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "surveykit.design" in modules and "surveykit.estimators" not in modules

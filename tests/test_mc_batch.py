@@ -257,13 +257,17 @@ def test_stratified_stream_continues_across_strata():
     R = 300
 
     def reference(rng):
+        # all R draws of stratum a, then all R of stratum b, on one stream;
+        # each replicate's units then add y/pi in ascending order from 0.0
+        a = [kernels.srs_reservoir(2, 6, rng) for _ in range(R)]
+        b = [6 + kernels.systematic_select(6, 3, rng) for _ in range(R)]
         hits, vals = np.zeros(N), np.zeros(R)
-        for kernel, args, idx in ((kernels.srs_reservoir, (2, 6), np.arange(6)),
-                                  (kernels.systematic_select, (6, 3), np.arange(6, 12))):
-            pi = 2 / 6 if kernel is kernels.srs_reservoir else 1 / 3
-            h, v = kernels._mc_draws_loop(kernel, args, False, R, y[idx] / pi, rng)
-            hits[idx] += h
-            vals += v
+        for r in range(R):
+            total = 0.0
+            for i in sorted(np.concatenate([a[r], b[r]]).tolist()):
+                hits[i] += 1
+                total += y[i] / (1 / 3)  # every unit's pi, 2/6 in a and 1/3 in b
+            vals[r] = total
         return hits, vals
 
     assert_same_run(lambda rng: design_consistency_mc(design, frame, R, rng),

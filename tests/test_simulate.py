@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import surveykit as sk
-from surveykit.design import Design
 from surveykit.frame import FrameError
 from surveykit.simulate import design_consistency_mc
 
@@ -191,12 +190,24 @@ NESTED_CASES = {
     "two_phase-cluster": sk.TwoPhase(sk.OneStageCluster(sk.SRS(2)), sk.KeepAll()),
     "two_phase-cluster-bernoulli": sk.TwoPhase(sk.OneStageCluster(sk.Bernoulli(0.4)),
                                                sk.StratifyOnAux(rate=0.5)),
+    "two_phase-two_stage": sk.TwoPhase(sk.TwoStage(sk.SRS(2), sk.SRS(2)),
+                                       sk.StratifyOnAux(rate=0.5)),
 }
 
 
 def select_loop(design, frame, R, rng):
-    """The generic replicate loop: one designs.select per replicate."""
-    return Design.mc_batch(design, frame, R, rng)
+    """The replicate loop, one `sk.select` per replicate: the hits, and each
+    Sample's y/pi added over its units in ascending order from 0.0."""
+    y = frame.y_column()
+    hits, values = np.zeros(frame.n_units), np.zeros(R)
+    for r in range(R):
+        sample = sk.select(design, frame, rng)
+        hits[sample.idx] += 1
+        total = 0.0
+        for i, pi in sorted(zip(sample.idx.tolist(), sample.pi.tolist())):
+            total += y[i] / pi
+        values[r] = total
+    return hits, values
 
 
 class TestNestedBatches:
@@ -287,6 +298,8 @@ EMPTY_CASES = {
         column=0, rate=0.5, boundaries=(4.0,))),
     "two_phase-keep_all": sk.TwoPhase(sk.Bernoulli(0.05), sk.KeepAll()),
     "two_phase-cluster": sk.TwoPhase(sk.OneStageCluster(sk.Bernoulli(0.05)), sk.KeepAll()),
+    "two_phase-two_stage": sk.TwoPhase(sk.TwoStage(sk.Bernoulli(0.05), sk.SRS(2)),
+                                       sk.KeepAll()),
 }
 
 
@@ -457,6 +470,9 @@ def test_two_stage_without_cluster_labels_is_a_frame_error():
 @pytest.mark.parametrize("rows", [
     {"two_phase-stratified": sk.Stratified({"a": sk.SRS(2), "b": sk.Bernoulli(0.5)})},
     {"two_phase-cluster": sk.OneStageCluster(sk.Poisson(tuple(np.linspace(0.2, 0.8, 4))))},
+    {"two_stage": sk.TwoStage(sk.Bernoulli(0.6), sk.SRS(2), per_cluster={
+        "c1": sk.Bernoulli(0.5), "c2": sk.Stratified({"a": sk.SRS(1), "b": sk.SRS(1)})})},
+    {"two_phase": sk.TwoPhase(sk.TwoStage(sk.SRS(3), sk.SRS(2)), sk.StratifyOnAux(rate=0.5))},
 ], ids=lambda d: next(iter(d)))
 def test_nested_rows_of_one_replicate_are_one_select(rows):
     design = next(iter(rows.values()))
@@ -484,3 +500,22 @@ def test_phase2_rule_past_the_aux_columns_is_a_frame_error(rule, frame):
         sk.select(design, frame, np.random.default_rng(1))
     with pytest.raises(FrameError, match=r"aux column \d, but the frame has [01] aux"):
         design_consistency_mc(design, frame, 20, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("design", [sk.SRS(3), NESTED_CASES["two_stage-per_cluster"],
+                                    sk.TwoPhase(sk.SRS(6), sk.PoissonOnAux(3))],
+                         ids=["leaf", "nested", "select_loop"])
+def test_replicate_count_must_be_an_integer(design):
+    for R in (-1, 2.0, True, "3", None):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match=r"R must be an integer of at least 0, got"):
+            design_consistency_mc(design, NESTED_FRAME, R, rng)
+        assert rng.random() == np.random.default_rng(3).random()  # nothing drawn
+    for R in (1, -1, 3.0, False):
+        with pytest.raises(ValueError, match=r"R must be an integer of at least 2, got"):
+            sk.monte_carlo(design, NESTED_FRAME, ht_total_stat, R, seed=3)
+    hits, values = design_consistency_mc(design, NESTED_FRAME, 0, np.random.default_rng(3))
+    assert not hits.any() and values.shape == (0,)
+    hits, values = design_consistency_mc(design, NESTED_FRAME, np.int64(3), 3)
+    assert values.shape == (3,)
+    assert len(sk.monte_carlo(design, NESTED_FRAME, ht_total_stat, np.int32(2), 3)["replicates"]) == 2
