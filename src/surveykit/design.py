@@ -1043,12 +1043,15 @@ class StratifyOnAux(Phase2Rule):
         k = np.arange(width)[:, None]
         for rows in kernels._chunks(first.size, width):
             n_h = size[top:top + rows]
-            # cell k of every group in row k, so that the walk's columns run
-            # in memory order; the kernel's test is u * (N - k) < n - chosen
+            # cell k of every group in row k, one group per column, as
+            # _one_pass walks; the kernel's test is u * (N - k) < n - chosen
             table = u.take(first[top:top + rows] + k, mode="clip")
             table *= n_h - k
             table[k >= n_h] = np.inf  # pads, which the walk never takes
-            g, j = kernels._one_pass(table.T, r[top:top + rows], lambda _, need: need)
+            r_h = r[top:top + rows]
+            flat = kernels._one_pass(table, r_h, lambda _, need: need)
+            g = np.repeat(np.arange(rows), r_h)  # group g takes r_h[g] cells
+            j = flat - g * width
             g += top
             cond[pos[first[g] + j]] = r[g] / size[g]
             top += rows

@@ -408,17 +408,26 @@ def _reservoirs(n, rows, r, slot, k):
     """Sorted reservoirs of `rows` replicates that start as units 0..n-1,
     stream unit k[i] entering row r[i] at slot[i]."""
     res = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
-    # the loop's last write to a slot wins, and it writes the largest k
-    np.maximum.at(res, (r, slot), k)
+    # the loop's last write to a slot wins, and it writes the largest k;
+    # on the flat view, ufunc.at takes numpy's 1-D fast path
+    np.maximum.at(res.reshape(-1), r * n + slot, k)
     return np.sort(res, axis=1)
+
+
+def _entries(enter):
+    """The cells of a (rows, W) mask that hold True, as (row, column,
+    flat position) arrays, row by row; W may be 0."""
+    flat = np.flatnonzero(enter)
+    r, c = np.divmod(flat, max(enter.shape[1], 1))
+    return r, c, flat
 
 
 def _srs_reservoir_rows(n, N, R, uniforms):
     stream = np.arange(n, N)
     for rows in _chunks(R, N):
         j = _unit_indices(uniforms(rows), stream + 1)
-        r, c = np.nonzero(j < n)
-        yield _reservoirs(n, rows, r, j[r, c], stream[c])
+        r, c, flat = _entries(j < n)
+        yield _reservoirs(n, rows, r, j.ravel()[flat], stream[c])
 
 
 def _srs_random_sort_rows(n, N, R, uniforms):
@@ -540,30 +549,42 @@ def _durbin2_select_rows(p, R, uniforms):
 
 
 def _one_pass(u, n, bound):
-    """The cells a one-pass walk over the columns of u takes, as
-    np.nonzero gives them, row by row: column k takes the rows with
-    u[:, k] < bound(k, need), need holding what each row has still to
-    take, n (one count, or one per row) at the start."""
-    rows, N = u.shape
-    need = np.full(rows, n)
-    take = np.empty_like(u, dtype=bool)  # in u's memory order
+    """The cells a one-pass walk takes, one walk per column of the
+    C-contiguous table u: step k runs along row k, where every walk with
+    u[k] < bound(k, need) takes its cell, need holding what each walk has
+    still to take, n (one count, or one per walk) at the start.  The taken
+    cells come back as flat row-major positions of u.T, walk by walk, step
+    k of walk c at c * N + k.  Both a 2-D np.nonzero and a walk down the
+    columns of a row-major table are numpy slow paths."""
+    N, walks = u.shape
+    need = np.full(walks, n)
+    take = np.empty((N, walks), dtype=bool)
     for k in range(N):
-        np.less(u[:, k], bound(k, need), out=take[:, k])
-        need -= take[:, k]
-    return np.nonzero(take)
+        np.less(u[k], bound(k, need), out=take[k])
+        need -= take[k]
+    return np.flatnonzero(take.T)
+
+
+def _walk_rows(u, n, bound):
+    """_one_pass over u when every walk takes n cells: a (walks, n) table,
+    row c the steps walk c took, in order."""
+    N, walks = u.shape
+    return _one_pass(u, n, bound).reshape(walks, n) - N * np.arange(walks)[:, None]
 
 
 def _srs_selection_rejection_rows(n, N, R, uniforms):
-    steps = N - np.arange(N)
+    steps = (N - np.arange(N))[:, None]
     for rows in _chunks(R, N):
-        # the loop's test, u * (N - k) < n - chosen
-        yield _one_pass(uniforms(rows) * steps, n, lambda k, need: need)[1].reshape(rows, n)
+        # the loop's test, u * (N - k) < n - chosen, unit k in row k
+        v = np.empty((N, rows))
+        np.multiply(uniforms(rows).T, steps, out=v)
+        yield _walk_rows(v, n, lambda k, need: need)
 
 
 def _conditional_poisson_select_rows(q, n, R, uniforms):
-    N = q.shape[0]
-    for rows in _chunks(R, N):
-        yield _one_pass(uniforms(rows), n, lambda k, need: q[k, need])[1].reshape(rows, n)
+    for rows in _chunks(R, q.shape[0]):
+        u = np.ascontiguousarray(uniforms(rows).T)
+        yield _walk_rows(u, n, lambda k, need: q[k, need])
 
 
 def _chao_select_rows(x, n, R, uniforms):
@@ -572,8 +593,8 @@ def _chao_select_rows(x, n, R, uniforms):
     stream = np.arange(n, N)
     for rows in _chunks(R, N):
         u = uniforms(rows)
-        r, c = np.nonzero(u < prob)
-        yield _reservoirs(n, rows, r, _unit_indices(u[r, c] / prob[c], n), stream[c])
+        r, c, flat = _entries(u < prob)
+        yield _reservoirs(n, rows, r, _unit_indices(u.ravel()[flat] / prob[c], n), stream[c])
 
 
 def _ppswr_lahiri_rows(x, bound, n, R, rng):

@@ -25,7 +25,8 @@ import pytest
 import surveykit as sk
 from surveykit import core, kernels
 from surveykit.design import PPSWR_METHODS, SRS_METHODS, Design, RngStream, _Leaf
-from surveykit.simulate import design_consistency_mc
+from surveykit.estimators import ht_total
+from surveykit.simulate import design_consistency_mc, monte_carlo
 
 pytestmark = pytest.mark.skipif(
     sk.ACTIVE_BACKEND != "numpy", reason="batched forms run on the numpy backend")
@@ -579,6 +580,91 @@ def test_selection_rejection_and_chao_take_a_fixed_count_of_uniforms(bit_generat
             assert rng.random() == ahead.random()
 
 
+def reference_walk(u, n, bound):
+    """The reference one-pass walk: one walk per row of u, stepping down
+    its columns, the taken cells as (row, column) pairs from a 2-D
+    np.nonzero."""
+    rows, N = u.shape
+    need = np.full(rows, n)
+    take = np.zeros(u.shape, dtype=bool)
+    for k in range(N):
+        take[:, k] = u[:, k] < bound(k, need)
+        need -= take[:, k]
+    return np.nonzero(take)
+
+
+def selection_rejection_table(rows, N, seed):
+    # the kernel's test u * (N - k) < n - chosen, one replicate a row
+    return np.random.default_rng(seed).random((rows, N)) * (N - np.arange(N))
+
+
+def take_need(k, need):
+    return need
+
+
+def assert_walks_agree(u, n, bound):
+    """_one_pass on the column-per-walk layout takes the cells the
+    reference takes, walk c's step k at flat position c * N + k."""
+    r, c = reference_walk(u, n, bound)
+    flat = kernels._one_pass(np.ascontiguousarray(u.T), n, bound)
+    assert flat.tolist() == (r * u.shape[1] + c).tolist()
+    return flat
+
+
+@pytest.mark.parametrize("rows, N, n", [(200, 12, 4), (1, 12, 3), (1, 1, 1), (50, 1, 1),
+                                        (50, 12, 12), (30, 40, 1)])
+def test_one_pass_matches_the_2d_walk_for_one_count(rows, N, n):
+    u = selection_rejection_table(rows, N, seed=rows + N + n)
+    flat = assert_walks_agree(u, n, take_need)
+    assert flat.size == rows * n
+    table = kernels._walk_rows(np.ascontiguousarray(u.T), n, take_need)
+    assert table.tolist() == (flat.reshape(rows, n) - np.arange(rows)[:, None] * N).tolist()
+    if n == N:  # every cell is taken
+        assert table.tolist() == np.tile(np.arange(N), (rows, 1)).tolist()
+
+
+@pytest.mark.parametrize("N, n", [(12, 3), (30, 7), (1, 1), (8, 8)])
+def test_one_pass_matches_the_2d_walk_for_entry_probabilities(N, n):
+    if n < N:
+        q = entry_probs(N, n)
+    else:  # every unit is forced in
+        q = np.ones((N, n + 1))
+        q[:, 0] = 0.0
+    u = np.random.default_rng(N).random((100, N))
+    assert_walks_agree(u, n, lambda k, need: q[k, need])
+
+
+@pytest.mark.parametrize("rows, width", [(1, 5), (300, 12), (40, 1), (25, 30)])
+def test_one_pass_matches_the_2d_walk_with_counts_per_walk_and_pads(rows, width):
+    # the stratify rule's table: walk g runs its n_h cells and takes r_h,
+    # its cells past n_h padded with inf, which no walk takes
+    rng = np.random.default_rng(rows * width)
+    n_h = rng.integers(1, width + 1, rows)
+    r_h = rng.integers(1, n_h + 1)
+    k = np.arange(width)
+    u = rng.random((rows, width)) * (n_h[:, None] - k)
+    u[k >= n_h[:, None]] = np.inf
+    flat = assert_walks_agree(u, r_h, take_need)
+    g = np.repeat(np.arange(rows), r_h)
+    j = flat - g * width
+    assert np.all(j < n_h[g])
+    assert np.bincount(g, minlength=rows).tolist() == r_h.tolist()
+
+
+@pytest.mark.parametrize("cells", [1, 12, 40])
+@pytest.mark.parametrize("R", [1, 7, 50])
+@pytest.mark.parametrize("n", [1, 12])
+@pytest.mark.parametrize("kernel", [kernels.srs_reservoir, kernels.chao_select],
+                         ids=lambda k: k.__name__)
+def test_reservoir_and_chao_edge_sizes_match_the_scalar_loop(monkeypatch, kernel, n, R, cells):
+    # n == N leaves an empty stream, so the flat search has no columns; at
+    # 1 and 12 cells every chunk holds one row, at 40 the last of 7 does
+    monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+    N = 12
+    args = (n, N) if kernel is kernels.srs_reservoir else (size_measures(N), n)
+    check_kernel(kernel, args, False, R, weights(N), seed=R + n)
+
+
 def chao_two_uniforms(x, n, rng):
     """Chao's reservoir with a second uniform for the evicted slot: the
     reference for the law of `chao_select`, which reads the slot from the
@@ -686,3 +772,20 @@ def test_rejective_monte_carlo_time_budget():
     hits, _ = design_consistency_mc(design, frame, 1000, np.random.default_rng(2))
     assert time.perf_counter() - start < 2.0
     assert hits.sum() == 1000 * 50
+
+
+def test_srs_at_the_cli_simulate_shape_time_budget():
+    # SRS(50) from N = 1000 at R = 1000, the `simulate` command's shape: the
+    # selection-rejection batch takes 30-45 ms in design_consistency_mc and
+    # 50-80 ms in monte_carlo on a 2-core VM
+    N = 1000
+    frame = sk.Frame(ids=tuple(map(str, range(N))), mos=size_measures(N), y=weights(N))
+    design = sk.SRS(50)
+    start = time.perf_counter()
+    hits, _ = design_consistency_mc(design, frame, 1000, np.random.default_rng(2))
+    assert time.perf_counter() - start < 1.0
+    assert hits.sum() == 1000 * 50
+    start = time.perf_counter()
+    out = monte_carlo(design, frame, lambda s: ht_total(s, s.y_values()).value, 1000, 2)
+    assert time.perf_counter() - start < 1.0
+    assert out["replicates"].shape == (1000,)
