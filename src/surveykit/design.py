@@ -170,9 +170,11 @@ class Design(_Document):
     to_dict() / from_dict   the document form, {key: {field: value}}
 
     A leaf design (`_Leaf`) supplies its kernel binding instead of `draw`,
-    `mc_batch`, `mc_rows` and `mc_samples`, which follow from it.  A
-    nested design writes its batch once, as `mc_rows`, composed of its
-    children's rows.  Defaults: `joint` builds the matrix from the
+    `mc_batch`, `mc_rows` and `mc_samples`, which follow from it: the
+    three Monte Carlo methods run the kernel through `kernels._mc_rows`,
+    on the one Generator they are given or, for `mc_samples`, on each
+    replicate's own substream.  A nested design writes its batch once, as
+    `mc_rows`, composed of its children's rows.  Defaults: `joint` builds the matrix from the
     support, `first_order` and `support` raise NonEnumerableError,
     `mc_rows` and `mc_samples` loop over `designs.select`, and `mc_batch`
     is derived from `mc_rows`: a bincount of the rows, and each row's y/pi
@@ -278,25 +280,9 @@ class _Leaf(Design):
         return idx, np.append(p, 1.0)[idx]
 
     def mc_samples(self, frame, R, base):
-        # The kernel's batched form, chunk by chunk, row i of each block of
-        # uniforms the next k doubles of the next replicate's own substream.
-        # Lahiri's kernel, and every kernel on numba, has no fixed-count
-        # form, and the select loop runs instead.
         kernel, args, p, tag = self._bind(frame)
-        reps = iter(range(R))
-
-        def block(rows, k):
-            out = np.empty((rows, k))
-            for row, r in zip(out, itertools.islice(reps, rows)):
-                base.substream(r).random(out=row)
-            return out
-
-        form = kernels._fixed_form(kernel, block)
-        if form is None:
-            yield from super().mc_samples(frame, R, base)
-            return
         N = p.size
-        for idx in form(args, R):
+        for idx in kernels._mc_rows(kernel, args, N, R, base.substream):
             mult = None
             if self.with_replacement:  # each drawn unit once, with its count
                 idx, mult = kernels._counted(idx, N)
@@ -800,8 +786,7 @@ class OneStageCluster(_Nesting):
 
     def support(self, frame, cap):
         crows, cprob = core.enumerate_design(self.psu, _cluster_frame(frame), cap=cap)._table()
-        return DesignDistribution._from_table(_members(frame)[crows].reshape(len(crows), -1),
-                                              cprob, frame)
+        return DesignDistribution._from_table(_cluster_members(frame, crows)[0], cprob, frame)
 
     def draw(self, frame, rng):
         cs = designs.select(self.psu, _cluster_frame(frame), rng)
@@ -819,11 +804,7 @@ class OneStageCluster(_Nesting):
         # rows' order, as draw takes them
         Design.require(self.psu, DesignError, "cannot select from {}")
         cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, rng)
-        members = _members(frame)
-        shape = (R, cidx.shape[1] * members.shape[1])
-        idx = members[cidx]
-        pi = np.where(idx < frame.n_units, cpi[:, :, None], 1.0)
-        return idx.reshape(shape), pi.reshape(shape)
+        return tuple(_cluster_members(frame, cidx, cpi))
 
 
 @dataclass(frozen=True)
@@ -1205,17 +1186,35 @@ def _default_working(frame, n):
     return frame._cache[key]
 
 
-def _members(frame):
-    """The (clusters + 1, largest cluster) member table: row k holds the
-    frame indices of cluster k's members, then pads N, and the last row,
-    which a pad of the cluster frame (index K) reads, only pads.
-    Read-only and memoized on the frame."""
+def _cluster_members(frame, crows, *values):
+    """The members of the clusters in each row of crows (cluster-frame
+    indices, pads K), in a table as wide as the row with the most members:
+    row r holds the members of each cluster of crows[r] in turn, then pads
+    N.  Each table of `values`, shaped like crows, comes back as a table of
+    each member's cluster's value, 1.0 at the pads.  The flat member array
+    and each cluster's offset into it are memoized on the frame."""
     if "members" not in frame._cache:
-        rows = [m[None] for _, m in frame.clusters()] + [np.empty((1, 0), dtype=np.int64)]
-        table = kernels._stack(rows, frame.n_units)
-        table.flags.writeable = False
-        frame._cache["members"] = table
-    return frame._cache["members"]
+        clusters = [m for _, m in frame.clusters()]
+        sizes = np.array([m.size for m in clusters] + [0])  # the pad K has none
+        flat = np.concatenate([np.empty(0, dtype=np.int64), *clusters])
+        flat.flags.writeable = False
+        frame._cache["members"] = flat, np.cumsum(sizes) - sizes, sizes
+    flat, offset, sizes = frame._cache["members"]
+    n = sizes[crows].ravel()
+    start = np.concatenate([[0], np.cumsum(n)])  # each cell's start in the run, then its end
+    width = np.diff(start[np.arange(len(crows) + 1) * crows.shape[1]])
+    kept = np.arange(width.max(initial=0)) < width[:, None]  # row-major, as the members run
+    # member j of the run is flat[j + its cluster's offset - its cell's start]
+    src = np.repeat(offset[crows.ravel()] - start[:-1], n)
+    src += np.arange(src.size)
+    idx = np.full(kept.shape, frame.n_units, dtype=np.int64)
+    idx[kept] = flat[src]
+    del src  # its room goes to the value tables
+    out = [idx]
+    for v in values:
+        out.append(np.ones(kept.shape))
+        out[-1][kept] = np.repeat(v.ravel(), n)
+    return out
 
 
 def _sorted_rows(z):

@@ -1,10 +1,6 @@
 """Sample selection: `select` draws from any declarative design, and the
 select_* helpers draw from one design family with plain arguments."""
 
-# importable from here: phase-2 rules written as functions draw with
-# designs.kernels, and tools look up designs.conditional_poisson_pips
-from . import kernels  # noqa: F401
-
 __all__ = [
     "select", "select_srs", "select_srswr", "select_bernoulli",
     "select_poisson", "select_systematic", "select_pps_wr",
@@ -118,5 +114,6 @@ def select_two_phase(frame, phase1_design, phase2_rule, rng):
 # Imported last: design imports this module at its end.
 from . import design as dz  # noqa: E402
 from .core import NonProbabilityDesignError  # noqa: E402
+# importable from here: tools look up designs.conditional_poisson_pips
 from .core import conditional_poisson_pips  # noqa: E402,F401
 from .design import as_generator  # noqa: E402

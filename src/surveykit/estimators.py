@@ -57,10 +57,6 @@ class RegressionFit:
     flags: tuple = ()
 
 
-def _weights(sample):
-    return sample.weights
-
-
 def ht_total(sample, y):
     """Horvitz-Thompson total: sum of y_i / pi_i over the sample.  For
     with-replacement draws the weights make this the Hansen-Hurwitz form
@@ -80,7 +76,7 @@ def hajek_mean(sample, y):
     """Ratio of the HT total to the HT size estimate; location invariant.
     An empty sample has no mean: it raises ValueError."""
     y = np.asarray(y, dtype=float)
-    w = _weights(sample)
+    w = sample.weights
     if not w.size:
         raise ValueError("the Hajek mean of an empty sample is undefined (0 / 0)")
     return Estimate(float(np.sum(w * y) / np.sum(w)), method="hajek")
@@ -97,7 +93,7 @@ def ratio_estimator(sample, y, x, x_total):
     CV of the HT x-total, which is recorded for diagnostics."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    w = _weights(sample)
+    w = sample.weights
     xhat = float(np.sum(w * x))
     if xhat == 0:
         raise ZeroDivisionError("HT estimate of the auxiliary total is zero")
@@ -110,7 +106,7 @@ def domain_mean(sample, y, domain):
     indicator."""
     y = np.asarray(y, dtype=float)
     d = np.asarray(domain, dtype=float)
-    w = _weights(sample)
+    w = sample.weights
     size = float(np.sum(w * d))
     if size <= 0:
         raise ValueError("no eligible units in the realized domain")
@@ -120,7 +116,7 @@ def domain_mean(sample, y, domain):
 def ecdf(sample, y):
     """Weighted step function F(t) = sum w 1{y<=t} / sum w."""
     y = np.asarray(y, dtype=float)
-    w = _weights(sample)
+    w = sample.weights
     order = np.argsort(y, kind="stable")
     ys = y[order]
     cum = np.cumsum(w[order]) / np.sum(w)
@@ -151,7 +147,7 @@ def estimating_equation_solve(sample, score, theta0=0.0, tol=1e-10,
                               max_iter=200):
     """Root of the weighted estimating equation sum w U(theta; y_i) = 0 by
     safeguarded bisection on an automatically expanded bracket."""
-    w = _weights(sample)
+    w = sample.weights
     y = sample.y_values() if sample.frame.y is not None else None
 
     def g(theta):
@@ -214,7 +210,7 @@ def regression_greg(sample, y, x, x_totals, c=None):
         x = x.T
     n, p = x.shape
     c = np.ones(n) if c is None else np.asarray(c, dtype=float)
-    d = _weights(sample)
+    d = sample.weights
     x_totals = np.atleast_1d(np.asarray(x_totals, dtype=float))
     flags = []
     gram = (x / c[:, None]).T @ x
@@ -247,7 +243,7 @@ def post_stratify(sample, y, groups, N_g):
     units is an error (collapsing is the caller's concern)."""
     y = np.asarray(y, dtype=float)
     labels = np.asarray(groups)
-    d = _weights(sample)
+    d = sample.weights
     N_g = dict(N_g)
     total = 0.0
     weights = np.empty(y.size)
@@ -311,7 +307,7 @@ def difference_estimator(sample, y, y0_population):
     for any proxy vector."""
     y = np.asarray(y, dtype=float)
     y0 = np.asarray(y0_population, dtype=float)
-    w = _weights(sample)
+    w = sample.weights
     value = float(np.sum(y0)) + float(np.sum(w * (y - y0[sample.idx])))
     return Estimate(value, method="difference")
 

@@ -20,6 +20,7 @@ Generator is rewound and advanced by the doubles the kernel used.
 """
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -290,10 +291,9 @@ def conditional_poisson_select(q, n, rng):
 #   restore the state and `advance` by the doubles used (`_rewind`).  Other
 #   bit generators keep the scalar loop for it.
 #
-# `_path` picks among these, and `_mc_rows` yields the replicates' index
-# tables on any of them, for designs that compose their children's batches.
-# A fixed-count form also runs where each replicate has its own substream
-# (`monte_carlo`): `_fixed_form` binds it to any source of uniform rows.
+# `_mc_rows` picks among these and yields the replicates' index tables, on
+# one shared Generator or with each replicate on its own substream
+# (`monte_carlo`); `mc_draws` sums its tables.
 
 _CHUNK_CELLS = 1 << 16  # the most cells one table of a batch holds
 
@@ -366,13 +366,6 @@ def _in_frame(idx, N):
 # counter block, and MT19937 and SFC64 have no `advance`.
 
 _ONE_STEP_PER_DOUBLE = (np.random.PCG64, np.random.PCG64DXSM)
-
-
-def _rewinds(rng):
-    """Whether rng's stream can be rewound double by double (numpy kernels
-    only: a compiled kernel cannot read a Python source)."""
-    return (ACTIVE_BACKEND != "numba" and type(rng) is np.random.Generator
-            and type(rng.bit_generator) in _ONE_STEP_PER_DOUBLE)
 
 
 def _rewind(rng, state, used):
@@ -637,9 +630,10 @@ _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
     conditional_poisson_select: (lambda q, n: q.shape[0], _conditional_poisson_select_rows),
 }
 
-# kernel -> batched form(*args, R, rng) that runs only on a stream that
-# `_rewinds`
-_REWOUND = {ppswr_lahiri: _ppswr_lahiri_rows}
+# kernel -> batched form(*args, R, rng) that runs only on a Generator whose
+# stream rewinds double by double (a compiled kernel cannot read a Python
+# source, so none on numba)
+_REWOUND = {} if ACTIVE_BACKEND == "numba" else {ppswr_lahiri: _ppswr_lahiri_rows}
 
 
 def _entry(table, select):
@@ -671,30 +665,6 @@ def _one_draw(select, args, rng):
     return select(*args, _Block(rng.random(k)))
 
 
-def _fixed_form(select, block):
-    """The batched form of a fixed-count kernel as form(args, R), its
-    uniform rows drawn by block(rows, k); None for any other kernel."""
-    entry = _entry(_BATCHED, select)
-    if entry is None:
-        return None
-    count, form = entry
-
-    def run(args, R):
-        k = count(*args)
-        return form(*args, R, lambda rows: block(rows, k))
-
-    return run
-
-
-def _path(select, rng):
-    """The batched form R replicates of `select` run by on rng, as
-    form(args, R), or None for the scalar loop."""
-    rewound = _entry(_REWOUND, select)
-    if rewound is not None:
-        return (lambda args, R: rewound(*args, R, rng)) if _rewinds(rng) else None
-    return _fixed_form(select, lambda rows, k: rng.random((rows, k)))
-
-
 def _stack(tables, pad):
     """Tables of index (or probability) rows stacked into one, every row
     filled up at its end with `pad` to the widest table's width."""
@@ -708,17 +678,40 @@ def _stack(tables, pad):
     return out
 
 
-def _mc_rows(select, args, N, R, rng):
+def _mc_rows(select, args, N, R, source):
     """R replicates of `select(*args, rng)` on a frame of N units, chunk by
     chunk: int64 tables whose row r, without the pads (index N, anywhere in
-    the row), is replicate r's draw in kernel output order.  The stream is
-    consumed as R scalar calls would consume it."""
-    form = _path(select, rng)
-    if form is not None:
-        yield from form(args, R)
+    the row), is replicate r's draw in kernel output order.  `source` is
+    one Generator that the replicates share, or a function that gives
+    replicate r its own Generator source(r) (`RngStream.substream`); each
+    stream is consumed as the scalar calls would consume it.  The
+    replicates run on Lahiri's rewound block (a shared stream that
+    rewinds), a fixed-count kernel's batched form, or else the scalar
+    kernel."""
+    if callable(source):
+        rngs = map(source, range(R))
+
+        def block(rows, k):
+            out = np.empty((rows, k))
+            for row, rng in zip(out, itertools.islice(rngs, rows)):
+                rng.random(out=row)
+            return out
+    else:
+        rngs = itertools.repeat(source, R)
+        block = lambda rows, k: source.random((rows, k))
+        rewound = _entry(_REWOUND, select)
+        if (rewound is not None and type(source) is np.random.Generator
+                and type(source.bit_generator) in _ONE_STEP_PER_DOUBLE):
+            yield from rewound(*args, R, source)
+            return
+    entry = _entry(_BATCHED, select)
+    if entry is not None:
+        count, form = entry
+        k = count(*args)
+        yield from form(*args, R, lambda rows: block(rows, k))
         return
     for rows in _chunks(R, N):
-        yield _stack([select(*args, rng)[None] for _ in range(rows)], N)
+        yield _stack([select(*args, rng)[None] for rng in itertools.islice(rngs, rows)], N)
 
 
 def _distinct(idx, N):
@@ -750,17 +743,15 @@ def _counted(idx, N):
 def mc_draws(select, args, with_replacement, R, wvec, rng):
     """R replicates of `select(*args, rng)`, the kernel a design draws with:
     (hits, vals) as `_mc_draws_loop` returns them, summed from the index
-    tables of the kernel's batched form when `_path` picks one; the scalar
-    loop runs as it is (compiled on numba)."""
-    form = _path(select, rng)
-    if form is None:
+    tables of `_mc_rows`; on numba the compiled loop runs instead."""
+    if ACTIVE_BACKEND == "numba":
         return _mc_draws_loop(select, args, with_replacement, R, wvec, rng)
     N = wvec.shape[0]
     w = np.append(wvec, 0.0)  # index N pads ragged rows and weighs nothing
     counts = np.zeros(N + 1, dtype=np.int64)
     vals = np.empty(R)
     done = 0
-    for idx in form(args, R):
+    for idx in _mc_rows(select, args, N, R, rng):
         vals[done:done + idx.shape[0]] = _row_totals(w[idx])
         done += idx.shape[0]
         if with_replacement:  # a unit counts once per replicate

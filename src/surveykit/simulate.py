@@ -66,11 +66,12 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
     not matter either.  R must be an integer of at least 2.
 
     The Samples come from `Design.mc_samples`, replicate r's the one
-    `select` draws from substream r.  A leaf design draws them in batches:
-    its kernel's batched form takes row r of each block of uniforms from
-    replicate r's own substream (`kernels._fixed_form`), so the values are
-    the select loop's, bit for bit.  Nested designs, Lahiri PPSWR and the
-    numba backend run the select loop itself."""
+    `select` draws from substream r.  A leaf design draws them through
+    `kernels._mc_rows` with the substreams as its source: a fixed-count
+    kernel's batched form takes row r of each block of uniforms from
+    replicate r's own substream, and any other kernel (Lahiri's, or any
+    on numba) runs on that substream itself, so the values are the select
+    loop's, bit for bit.  Nested designs run the select loop itself."""
     _check_replicates(R, 2)
     Design.require(design, DesignError, "cannot select from {}")
     values = np.empty(R)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surveykit as sk
+from surveykit import kernels
 from surveykit.design import RngStream
 
 from conftest import example_design_distribution, sample_from_distribution
@@ -445,7 +446,7 @@ class TestTwoPhaseEstimators:
         theory = (1 / n - 1 / N) * float(B @ Sxx @ B) + (1 / r - 1 / N) * See
 
         def rule(s1, fr, rng):
-            chosen = sk.designs.kernels.srs_selection_rejection(r, s1.idx.size, rng)
+            chosen = kernels.srs_selection_rejection(r, s1.idx.size, rng)
             return chosen, np.full(r, r / s1.idx.size), None, None
 
         base = RngStream(47)

@@ -324,20 +324,28 @@ VARIABLE_CASES = [(N, n, b, R) for N, n in VARIABLE_SHAPES for b in variable_bin
                   or N < 1000 and b[0] != "rejective_poisson_select"]
 
 
-def path_taken(monkeypatch, kernel, N):
+def kernel_calls(kernel, args, with_replacement, R, wvec, rng):
+    """How often mc_draws calls the kernel itself over R replicates on rng:
+    0 on a batched path, R on the scalar loop.  The spy is a
+    functools.wraps wrapper, which the batched paths match by the kernel
+    it wraps."""
+    calls = []
+
+    @functools.wraps(kernel)
+    def spy(*a):
+        calls.append(1)
+        return kernel(*a)
+
+    kernels.mc_draws(spy, args, with_replacement, R, wvec, rng)
+    return len(calls)
+
+
+def path_taken(kernel, N):
     """Run mc_draws once and tell which path it took: "batched" when the
-    scalar loop never ran, else what the loop was fed."""
-    fed = []
-    loop = kernels._mc_draws_loop
-
-    def spy(select, args, with_replacement, R, wvec, rng):
-        fed.append(type(rng).__name__)
-        return loop(select, args, with_replacement, R, wvec, rng)
-
-    monkeypatch.setattr(kernels, "_mc_draws_loop", spy)
+    kernel itself never ran, else "scalar"."""
     args = dict((b[0], b[2]) for b in variable_bindings(N, 4))[kernel.__name__]
-    kernels.mc_draws(kernel, args, False, 3, weights(N), np.random.default_rng(1))
-    return fed[0] if fed else "batched"
+    calls = kernel_calls(kernel, args, False, 3, weights(N), np.random.default_rng(1))
+    return "scalar" if calls else "batched"
 
 
 @pytest.mark.parametrize("N, n, binding, R", VARIABLE_CASES,
@@ -360,15 +368,15 @@ def test_variable_count_batches_spanning_several_blocks(monkeypatch, binding, ce
     (kernels.chao_select, 128, "batched"),
     (kernels.ppswr_lahiri, 1000, "batched"),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
-def test_lockstep_cutoff_picks_the_path(monkeypatch, kernel, N, path):
-    assert path_taken(monkeypatch, kernel, N) == path
+def test_lockstep_cutoff_picks_the_path(kernel, N, path):
+    assert path_taken(kernel, N) == path
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937],
                          ids=lambda g: g.__name__)
 @pytest.mark.parametrize("binding", [b for b in variable_bindings(12, 3)
                                      if b[1] not in kernels._BATCHED], ids=lambda b: b[0])
-def test_other_bit_generators_keep_the_scalar_loop(monkeypatch, bit_generator, binding):
+def test_other_bit_generators_keep_the_scalar_loop(bit_generator, binding):
     # Philox has `advance`, but one of its steps is a 4-word counter block,
     # not one double
     _, kernel, args, with_replacement = binding
@@ -379,9 +387,8 @@ def test_other_bit_generators_keep_the_scalar_loop(monkeypatch, bit_generator, b
         hits, vals = run(kernel, args, with_replacement, 300, wvec, rng)
         runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
     assert runs[0] == runs[1]
-    monkeypatch.setattr(kernels, "_mc_draws_loop", lambda *a: a[-1])
     rng = np.random.Generator(bit_generator(77))
-    assert kernels.mc_draws(kernel, args, with_replacement, 5, wvec, rng) is rng
+    assert kernel_calls(kernel, args, with_replacement, 5, wvec, rng) == 5
 
 
 HALF_CASES = [(12, b) for b in variable_bindings(12, 3)] + [
@@ -531,7 +538,7 @@ def test_variable_count_designs_match_select_loop():
 # Kernels with one uniform per unit (conditional Poisson, selection-rejection)
 # or per stream unit (Chao): every bit generator takes the batched form.
 
-def check_batched_on(monkeypatch, bit_generator, kernel, args, N, n):
+def check_batched_on(bit_generator, kernel, args, N):
     """The batch of `kernel` on a Generator over `bit_generator` equals the
     scalar loop, and never runs it."""
     wvec = weights(N)
@@ -541,18 +548,13 @@ def check_batched_on(monkeypatch, bit_generator, kernel, args, N, n):
         hits, vals = run(kernel, args, False, 300, wvec, rng)
         runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
     assert runs[0] == runs[1]
-    # a scalar loop that hands back the Generator, which does not unpack
-    monkeypatch.setattr(kernels, "_mc_draws_loop", lambda *a: a[-1])
-    rng = np.random.Generator(bit_generator(41))
-    hits, _ = kernels.mc_draws(kernel, args, False, 5, wvec, rng)
-    assert hits.sum() == 5 * n
+    assert kernel_calls(kernel, args, False, 5, wvec, np.random.Generator(bit_generator(41))) == 0
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
 @pytest.mark.parametrize("N, n", [(12, 3), (200, 20)])
-def test_conditional_poisson_batched_on_every_bit_generator(monkeypatch, bit_generator, N, n):
-    check_batched_on(monkeypatch, bit_generator, kernels.conditional_poisson_select,
-                     (entry_probs(N, n), n), N, n)
+def test_conditional_poisson_batched_on_every_bit_generator(bit_generator, N, n):
+    check_batched_on(bit_generator, kernels.conditional_poisson_select, (entry_probs(N, n), n), N)
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
@@ -560,9 +562,9 @@ def test_conditional_poisson_batched_on_every_bit_generator(monkeypatch, bit_gen
 @pytest.mark.parametrize("kernel", [kernels.srs_selection_rejection, kernels.chao_select],
                          ids=lambda k: k.__name__)
 def test_selection_rejection_and_chao_batched_on_every_bit_generator(
-        monkeypatch, kernel, bit_generator, N, n):
+        kernel, bit_generator, N, n):
     args = (n, N) if kernel is kernels.srs_selection_rejection else (size_measures(N), n)
-    check_batched_on(monkeypatch, bit_generator, kernel, args, N, n)
+    check_batched_on(bit_generator, kernel, args, N)
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox],
@@ -755,10 +757,11 @@ def test_every_leaf_design_is_listed():
 def test_every_leaf_kernel_batches_on_numpy(design, bit_generator):
     # no design falls back to the scalar Monte Carlo loop, but Lahiri on a
     # stream that cannot be rewound
-    kernel = design._bind(FRAME_12)[0]
-    form = kernels._path(kernel, np.random.Generator(bit_generator(1)))
+    kernel, args, _, _ = design._bind(FRAME_12)
+    calls = kernel_calls(kernel, args, design.with_replacement, 5, weights(12),
+                         np.random.Generator(bit_generator(1)))
     scalar = kernel is kernels.ppswr_lahiri and bit_generator is np.random.Philox
-    assert (form is None) == scalar
+    assert calls == (5 if scalar else 0)
 
 
 def test_rejective_monte_carlo_time_budget():

@@ -1,9 +1,11 @@
-"""`monte_carlo` draws a leaf design's replicates in batches: the kernel's
-batched form runs over the replicates' own substreams.  Replicate values,
-mean and var must equal the `select` loop's bit for bit, and every Sample
-the estimator sees must be the one `select` draws from that replicate's
-substream.  Lahiri PPSWR, nested designs and the numba backend keep the
-loop."""
+"""`monte_carlo` draws a leaf design's replicates in batches through
+`kernels._mc_rows`, each replicate on its own substream: a fixed-count
+kernel's batched form takes row r of each block of uniforms from
+replicate r's substream, and any other kernel (Lahiri PPSWR, and every
+kernel on the numba backend) runs itself on that substream.  Replicate
+values, mean and var must equal the `select` loop's bit for bit, and every
+Sample the estimator sees must be the one `select` draws from that
+replicate's substream.  Nested designs keep the loop."""
 
 import functools
 import time
@@ -69,11 +71,15 @@ def test_every_leaf_design_is_covered():
     assert {d.key for d in LEAVES.values()} == keys
 
 
+@pytest.mark.parametrize("scalar", [False, True], ids=["batched", "scalar"])
 @pytest.mark.parametrize("R", [2, 7, 1000])
 @pytest.mark.parametrize("label", LEAVES)
-def test_batched_replicates_are_the_select_loop(label, R, frame, monkeypatch):
+def test_batched_replicates_are_the_select_loop(label, R, scalar, frame, monkeypatch):
     # chunks of a few replicates, so that every batched form splits its run
     monkeypatch.setattr(kernels, "_CHUNK_CELLS", 64)
+    if scalar:  # the path numba takes: every kernel runs itself on each substream
+        monkeypatch.setattr(kernels, "_BATCHED", {})
+        monkeypatch.setattr(kernels, "_REWOUND", {})
     design = LEAVES[label]
     seen = []
 
@@ -93,8 +99,7 @@ def test_batched_replicates_are_the_select_loop(label, R, frame, monkeypatch):
         assert (s.n, s.n_distinct, s.ids) == (ref.n, ref.n_distinct, ref.ids)
 
 
-@pytest.mark.skipif(sk.ACTIVE_BACKEND != "numpy", reason="batched forms run on numpy")
-@pytest.mark.parametrize("label", [k for k in LEAVES if k != "ppswr-lahiri"])
+@pytest.mark.parametrize("label", LEAVES)
 def test_batched_leaf_designs_never_call_select(label, frame, monkeypatch):
     def refused(*args):
         raise AssertionError("select called")
@@ -103,11 +108,8 @@ def test_batched_leaf_designs_never_call_select(label, frame, monkeypatch):
     sk.monte_carlo(LEAVES[label], frame, ht_total_stat, 50, seed=2)
 
 
-@pytest.mark.parametrize("design", [
-    sk.PPSWR(4, "lahiri"),
-    sk.Stratified({"a": sk.SRS(2), "b": sk.Chao(2)}),
-], ids=["lahiri", "stratified"])
-def test_designs_without_a_batch_run_the_select_loop(design, monkeypatch):
+def test_designs_without_a_batch_run_the_select_loop(monkeypatch):
+    design = sk.Stratified({"a": sk.SRS(2), "b": sk.Chao(2)})
     frame = sk.Frame(ids=tuple(f"u{i}" for i in range(12)), mos=MOS[:12],
                      stratum=tuple("aaaaaabbbbbb"), y=np.arange(12.0))
     calls = []

@@ -233,8 +233,10 @@ class TestNestedBatches:
         from surveykit import kernels
 
         runs = []
-        for path in (kernels._path, lambda select, rng: None):
-            monkeypatch.setattr(kernels, "_path", path)
+        for scalar in (False, True):
+            if scalar:
+                monkeypatch.setattr(kernels, "_BATCHED", {})
+                monkeypatch.setattr(kernels, "_REWOUND", {})
             rng = sk.RngStream(4).generator()
             hits, values = design_consistency_mc(design, NESTED_FRAME, 300, rng)
             runs.append((hits.tobytes(), values.tobytes(), rng.random()))
@@ -309,7 +311,8 @@ def test_random_size_designs_that_draw_nothing(design, scalar, monkeypatch):
     if scalar:  # on the scalar rows path a chunk of empty draws has no columns
         from surveykit import kernels
 
-        monkeypatch.setattr(kernels, "_path", lambda select, rng: None)
+        monkeypatch.setattr(kernels, "_BATCHED", {})
+        monkeypatch.setattr(kernels, "_REWOUND", {})
     # on this stream Bernoulli(0.05) draws no cluster and no phase-1 unit
     sample = sk.select(design, EMPTY_FRAME, np.random.default_rng(1))
     assert sample.idx.size == 0 and sample.pi.size == 0
@@ -319,6 +322,27 @@ def test_random_size_designs_that_draw_nothing(design, scalar, monkeypatch):
     # most replicates of a larger batch are empty and count as 0
     hits, values = design_consistency_mc(design, EMPTY_FRAME, 400, np.random.default_rng(1))
     assert (values == 0).sum() > 200 and hits.sum() > 0
+
+
+def test_cluster_rows_are_as_wide_as_the_members_drawn():
+    # one 500-unit cluster among 500 singletons: a row holds the members of
+    # the clusters it drew, not every drawn cluster padded to the largest
+    N = 1000
+    frame = sk.Frame(ids=tuple(map(str, range(N))),
+                     cluster=("big",) * 500 + tuple(f"s{i}" for i in range(500)),
+                     y=np.arange(1.0, N + 1))
+    design = sk.OneStageCluster(sk.SRS(10))
+    idx, pi = design.mc_rows(frame, 200, np.random.default_rng(3))
+    drawn = np.count_nonzero(idx < N, axis=1)
+    assert idx.shape == (200, drawn.max()) and drawn.max() > 10
+    assert np.all(pi[idx == N] == 1.0)
+    for seed in range(5):
+        rng_rows, rng_sel = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx, pi = design.mc_rows(frame, 1, rng_rows)
+        sample = sk.select(design, frame, rng_sel)
+        assert idx.tolist() == [sample.idx.tolist()]
+        assert pi.tobytes() == sample.pi.tobytes()
+        assert rng_rows.random() == rng_sel.random()
 
 
 def test_stratum_without_a_rate_is_named():

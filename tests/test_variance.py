@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surveykit as sk
+from surveykit import kernels
 from surveykit.design import RngStream
 from surveykit.variance import (
     NotMeasurableError,
@@ -603,7 +604,7 @@ class TestTwoPhaseVariance:
         n1, r2 = 80, 30
 
         def srs_rule(s1, fr, rng):
-            chosen = sk.designs.kernels.srs_selection_rejection(
+            chosen = kernels.srs_selection_rejection(
                 r2, s1.idx.size, rng)
             return chosen, np.full(r2, r2 / s1.idx.size), None, None
 
