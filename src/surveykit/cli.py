@@ -396,7 +396,8 @@ def cmd_simulate(args):
     try:
         exact = sim.exact_expectation(design, frame, statistic)
         payload["truth"] = exact["mean"]
-        payload["z_score"] = (result["mean"] - exact["mean"]) / result["se_of_mean"]
+        if result["se_of_mean"] != 0:  # 0 when every replicate gives one estimate
+            payload["z_score"] = (result["mean"] - exact["mean"]) / result["se_of_mean"]
     except (SupportTooLargeError, NonEnumerableError):
         pass  # no exact truth to compare with
     _emit(payload, args.out)

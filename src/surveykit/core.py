@@ -75,8 +75,9 @@ class Sample:
             self.multiplicity = np.asarray(self.multiplicity, dtype=np.int64)
         if self.conditional_pi is not None:
             self.conditional_pi = np.asarray(self.conditional_pi, dtype=float)
-        if pi.size and (pi.min() <= 0 or pi.max() > 1 + 1e-12):
-            bad = self.frame.ids[idx[np.argmax((pi <= 0) | (pi > 1 + 1e-12))]]
+        # min and max are NaN when any pi is, and NaN fails both tests
+        if pi.size and not (pi.min() > 0 and pi.max() <= 1 + 1e-12):
+            bad = self.frame.ids[idx[np.argmin((pi > 0) & (pi <= 1 + 1e-12))]]
             raise NonProbabilityDesignError(
                 f"unit {bad!r} carries an inclusion probability outside (0, 1]"
             )
@@ -103,7 +104,7 @@ class Sample:
         used[rows] = True
         used = used[:N]
         seen = pi[used]
-        if np.any((seen <= 0) | (seen > 1 + 1e-12)):
+        if seen.size and not (seen.min() > 0 and seen.max() <= 1 + 1e-12):
             for row in rows:  # the first failing row raises as its Sample would
                 idx = row[row < N]
                 cls(frame, idx, pi[idx])

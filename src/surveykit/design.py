@@ -169,19 +169,24 @@ class Design(_Document):
                             from its own substream base.substream(r)
     to_dict() / from_dict   the document form, {key: {field: value}}
 
-    A leaf design (`_Leaf`) supplies its kernel binding instead of `draw`,
-    `mc_batch`, `mc_rows` and `mc_samples`, which follow from it: the
-    three Monte Carlo methods run the kernel through `kernels._mc_rows`,
-    on the one Generator they are given or, for `mc_samples`, on each
-    replicate's own substream.  A nested design writes its batch once, as
-    `mc_rows`, composed of its children's rows.  Defaults: `joint` builds the matrix from the
-    support, `first_order` and `support` raise NonEnumerableError,
-    `mc_rows` and `mc_samples` loop over `designs.select`, and `mc_batch`
-    is derived from `mc_rows`: a bincount of the rows, and each row's y/pi
-    added in row order from 0.0.  Only `_Leaf` overrides `mc_batch`, to
-    weigh every with-replacement draw (Hansen-Hurwitz) and to keep the
-    compiled loop on numba, and `_Independent` overrides it to draw
-    through `kernels.mc_poisson`.  The public entry points
+    A leaf design (`_Leaf`) supplies its kernel binding instead of
+    `first_order`, `draw`, `mc_batch`, `mc_rows` and `mc_samples`, which
+    follow from it.  `first_order` returns the binding's probabilities,
+    so it refuses exactly the frames the draw refuses; Bernoulli, Poisson
+    and Chao write their own, which their binding reads, and
+    RejectivePoisson its own, the binding's marginals without its entry
+    table.  The three Monte Carlo methods run the kernel through
+    `kernels._mc_rows`, on the one Generator they are given or, for
+    `mc_samples`, on each replicate's own substream.  A nested design
+    writes its batch once, as `mc_rows`, composed of its children's rows.
+    Defaults: `joint` builds the matrix from the support, `first_order`
+    and `support` raise NonEnumerableError, `mc_rows` and `mc_samples`
+    loop over `designs.select`, and `mc_batch` is derived from `mc_rows`:
+    a bincount of the rows, and each row's y/pi added in row order from
+    0.0.  Only `_Leaf` overrides `mc_batch`, to weigh every
+    with-replacement draw (Hansen-Hurwitz) and to keep the compiled loop
+    on numba, and `_Independent` overrides it to draw through
+    `kernels.mc_poisson`.  The public entry points
     (`core.first_order_pips`, `joint_pips`, `enumerate_design`,
     `designs.select`, `simulate.design_consistency_mc`,
     `simulate.monte_carlo`) delegate here, and nested designs reach their
@@ -246,12 +251,17 @@ class _Leaf(Design):
     where kernel(*args, rng) draws one sample's frame indices (every draw,
     repeats included, for with-replacement designs), p holds each unit's
     inclusion probability (draw probability with replacement) and tag is
-    the Sample's design tag.  `draw` and the Monte Carlo methods follow
-    from the binding, so a Monte Carlo replicate draws what one `select`
-    draws."""
+    the Sample's design tag.  `first_order`, `draw` and the Monte Carlo
+    methods follow from the binding, so the probabilities it reports are
+    the ones a draw uses, on exactly the frames a draw accepts, and a
+    Monte Carlo replicate draws what one `select` draws."""
 
     with_replacement = False
     flags = ()
+
+    def first_order(self, frame):
+        return InclusionProbs(self._bind(frame)[2],
+                              kind="draw_prob" if self.with_replacement else "inclusion")
 
     def draw(self, frame, rng):
         return self._sample(frame, self._bind(frame), rng)
@@ -315,11 +325,6 @@ class SRS(_Sized):
             raise DesignError(f"unknown SRS method {self.method!r}")
         super().__post_init__()
 
-    def first_order(self, frame):
-        N = frame.n_units
-        _check_srs_size(self.n, N)
-        return InclusionProbs(np.full(N, self.n / N))
-
     def joint(self, frame, cap):
         first = self.first_order(frame).first_order
         N, n = frame.n_units, self.n
@@ -351,13 +356,9 @@ class SRSWR(_Sized):
     key = "srswr"
     with_replacement = True
 
-    def first_order(self, frame):
-        N = frame.n_units
-        return InclusionProbs(np.full(N, 1.0 / N), kind="draw_prob")
-
     def _bind(self, frame):
-        return (kernels.srswr_draws, (self.n, frame.n_units),
-                self.first_order(frame).first_order, "srswr")
+        N = frame.n_units
+        return kernels.srswr_draws, (self.n, N), np.full(N, 1.0 / N), "srswr"
 
 
 class _Independent(_Leaf):
@@ -440,10 +441,6 @@ class Systematic(_Sized):
             raise FrameError("systematic sampling needs n < N")
         return N // self.n
 
-    def first_order(self, frame):
-        N = frame.n_units
-        return InclusionProbs(np.full(N, 1.0 / self._interval(N)))
-
     def support(self, frame, cap):
         N = frame.n_units
         G = self._interval(N)
@@ -464,13 +461,6 @@ class SystematicPPS(_Sized):
 
     n: int
     key = "systematic_pps"
-
-    def first_order(self, frame):
-        pi = self.n * frame.mos / frame.mos.sum()
-        _name_zero_units(pi, frame)
-        if np.any(pi > 1 + 1e-12):
-            raise ValueError(_ABOVE_CERTAINTY)
-        return InclusionProbs(pi)
 
     def _interval(self, x):
         a = x.sum() / self.n
@@ -515,15 +505,9 @@ class PPSWR(_Sized):
             raise DesignError(f"unknown PPSWR method {self.method!r}")
         super().__post_init__()
 
-    def first_order(self, frame):
-        p = frame.mos / frame.mos.sum()
-        _name_zero_units(p, frame)
-        return InclusionProbs(p, kind="draw_prob")
-
     def _bind(self, frame, mos=None):
         """The binding with sizes `mos`, which need not be the frame's and
-        may hold zeros (units never drawn); the frame's own sizes may not,
-        as in `first_order`."""
+        may hold zeros (units never drawn); the frame's own sizes may not."""
         x = np.asarray(frame.mos if mos is None else mos, dtype=float)
         if np.any(x < 0):
             raise ValueError("measure of size must be nonnegative")
@@ -550,11 +534,6 @@ class PPSWR(_Sized):
 class _N2(_Leaf):
     """Fixed size n = 2 with draw probabilities p = mos / sum(mos), every p
     below 1/2 (extract certainty units with compute_pips first)."""
-
-    def first_order(self, frame):
-        p = _n2_draw_probs(frame.mos)
-        _name_zero_units(p, frame)
-        return InclusionProbs(2 * p)
 
     def joint(self, frame, cap):
         first = self.first_order(frame).first_order
@@ -612,6 +591,8 @@ class Chao(_Sized):
         n, x, total = self.n, frame.mos, frame.mos.sum()
         _check_srs_size(n, frame.n_units)
         _name_zero_units(x, frame)
+        if np.any(n * x[n:] / np.cumsum(x)[n:] > 1 + 1e-12):
+            raise ValueError(_ABOVE_CERTAINTY)
         pi = n * x / total
         pi[:n] = x[:n].sum() / total
         return InclusionProbs(pi)
@@ -622,13 +603,8 @@ class Chao(_Sized):
         if key not in frame._cache:
             pi = self.first_order(frame).first_order
             pi.flags.writeable = False
-            x = frame.mos
-            frame._cache[key] = (pi, not np.any(
-                self.n * x[self.n:] / np.cumsum(x)[self.n:] > 1 + 1e-12))
-        pi, below_certainty = frame._cache[key]
-        if not below_certainty:
-            raise ValueError(_ABOVE_CERTAINTY)
-        return kernels.chao_select, (frame.mos, self.n), pi, "chao"
+            frame._cache[key] = pi
+        return kernels.chao_select, (frame.mos, self.n), frame._cache[key], "chao"
 
 
 @dataclass(frozen=True)
@@ -661,8 +637,8 @@ class RejectivePoisson(_Sized):
                 raise ValueError("working probabilities must cover the frame")
         else:
             work = _default_working(frame, self.n)
-        if np.any(work >= 1):
-            raise ValueError("rejective sampling needs working probabilities below 1")
+        if not np.all((work >= 0) & (work < 1)):  # NaN fails too
+            raise ValueError("rejective sampling needs working probabilities in [0, 1)")
         return work
 
     def first_order(self, frame):
@@ -1151,7 +1127,10 @@ def _independent_prob(member, pi):
 
 def _n2_draw_probs(mos):
     p = np.asarray(mos, dtype=float)
-    p = p / p.sum()
+    total = p.sum()
+    if total <= 0:
+        raise ValueError("measure of size sums to zero")
+    p = p / total
     if np.any(p >= 0.5):
         raise ValueError("n=2 pi-ps methods need every draw probability below 1/2")
     return p

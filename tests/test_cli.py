@@ -613,6 +613,31 @@ class TestSimulateCmd:
         assert abs(payload["z_score"]) < 4
 
 
+    @pytest.mark.parametrize("flags", [("--design", "srs", "--n", "4"),
+                                       ("--design", "bernoulli", "--pi", "1")],
+                             ids=["srs-census", "bernoulli-1"])
+    def test_zero_variance_design_reports_no_z_score(self, flags, frame_path, capsys):
+        # every replicate takes the whole frame, so se_of_mean is 0
+        code, out, err = run_cli(capsys, "simulate", "--frame", frame_path, *flags,
+                                 "--seed", "1", "--replicates", "50")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["se_of_mean"] == 0
+        assert payload["mean"] == payload["truth"] == 24.0
+        assert "z_score" not in payload
+
+    @pytest.mark.parametrize("command", ["draw", "simulate"])
+    @pytest.mark.parametrize("design", ["brewer2", "durbin2"])
+    def test_n2_design_on_sizes_summing_to_zero_exit_4(self, command, design, tmp_path,
+                                                        capsys):
+        p = tmp_path / "zero.csv"
+        p.write_text("id,mos,y\n" + "".join(f"u{i},0,{i}\n" for i in range(4)),
+                     encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--frame", str(p), "--design", design,
+                                 "--seed", "1")
+        assert (code, out) == (4, "")
+        assert err == "numerical failure: measure of size sums to zero\n"
+
     def test_a_failing_exact_expectation_is_a_numerical_failure(self, frame_path, capsys,
                                                                  monkeypatch):
         def broken(*args, **kwargs):

@@ -524,6 +524,8 @@ class TestSampleChecks:
         ([0, 1], [0.5, 1.5], "b"),  # 'a' is fine and has the smallest pi
         ([0, 1, 2], [0.5, 0.0, -0.5], "b"),  # the smallest pi is 'c'
         ([2, 0, 1], [1.0, 2.0, 0.0], "a"),  # idx order, not frame order
+        ([0, 1], [0.5, np.nan], "b"),  # NaN is not a probability
+        ([0, 1, 2], [np.nan, 0.5, 2.0], "a"),
     ])
     def test_first_unit_outside_the_unit_interval_is_named(self, idx, pi, bad):
         frame = sk.Frame(ids=("a", "b", "c"))
@@ -541,6 +543,16 @@ class TestSampleChecks:
             list(Sample._of_rows(frame, rows, pi))
         assert str(raised.value) == str(expected.value)
         assert "'b'" in str(raised.value)
+
+    @pytest.mark.parametrize("with_counts", [False, True])
+    def test_index_table_refuses_nan(self, with_counts):
+        frame = sk.Frame(ids=("a", "b", "c"))
+        pi = np.array([0.5, np.nan, 0.5])
+        rows = np.array([[0, 2], [0, 1]])
+        counts = np.ones_like(rows) if with_counts else None
+        with pytest.raises(NonProbabilityDesignError,
+                           match="^unit 'b' carries an inclusion probability"):
+            list(Sample._of_rows(frame, rows, pi, counts))
 
 
 class TestWeights:

@@ -72,6 +72,18 @@ def test_zero_size_unit_rejected_by_every_entry_point(design, mos):
             entry()
 
 
+@pytest.mark.parametrize("design", [sk.Brewer2(), sk.Durbin2()], ids=["brewer2", "durbin2"])
+def test_n2_sizes_summing_to_zero_rejected_by_every_entry_point(design):
+    # p = mos / sum(mos) would be NaN, which passes the p < 1/2 and
+    # zero-unit tests
+    frame = sk.Frame(ids=tuple("abcd"), mos=np.zeros(4))
+    for entry in (lambda: sk.first_order_pips(design, frame),
+                  lambda: sk.select(design, frame, RngStream(2)),
+                  lambda: design_consistency_mc(design, frame, 10, RngStream(2))):
+        with pytest.raises(ValueError, match="measure of size sums to zero"):
+            entry()
+
+
 class TestSRS:
     def test_census_returns_frame_order(self, farm_frame):
         for method in ("draw_by_draw", "selection_rejection", "reservoir",
@@ -337,7 +349,7 @@ class TestPips:
 
     def test_chao_certainty_stream_rejected(self):
         frame = sk.Frame(ids=("a", "b", "c"), mos=np.array([1.0, 1.0, 50.0]))
-        for _ in range(2):  # the frame keeps the outcome, and raises it again
+        for _ in range(2):  # every draw on the frame raises
             with pytest.raises(ValueError, match="certainty"):
                 sk.select(sk.Chao(2), frame, RngStream(3))
 
@@ -461,6 +473,20 @@ class TestConditionalPoisson:
                       lambda: sk.first_order_pips(design, mos_frame)):
             with pytest.raises(FrameError, match="cannot draw 5 distinct units from 4"):
                 entry()
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5], ids=["nan", "negative"])
+    def test_working_probabilities_outside_the_unit_interval_rejected(self, bad):
+        frame = sk.Frame(ids=tuple("abcde"), y=np.arange(1.0, 6.0))
+        design = sk.RejectivePoisson(2, (bad, 0.5, 0.5, 0.5, 0.5))
+        for entry in (lambda: sk.first_order_pips(design, frame),
+                      lambda: sk.select(design, frame, RngStream(3)),
+                      lambda: design_consistency_mc(design, frame, 10, RngStream(3))):
+            with pytest.raises(ValueError, match=r"working probabilities in \[0, 1\)"):
+                entry()
+        # a zero working probability is allowed: that unit is never drawn
+        zero = sk.RejectivePoisson(2, (0.0, 0.5, 0.5, 0.5, 0.5))
+        assert sk.first_order_pips(zero, frame).first_order[0] == 0.0
+        assert 0 not in sk.select(zero, frame, RngStream(3)).idx
 
     def test_default_working_probs_are_computed_once(self, monkeypatch):
         from surveykit import design as dz

@@ -8,7 +8,7 @@ import pytest
 
 import surveykit as sk
 from surveykit.core import NonEnumerableError
-from surveykit.design import Design, DesignError
+from surveykit.design import Design, DesignError, _Leaf
 from surveykit.simulate import design_consistency_mc
 
 N = 8
@@ -83,3 +83,62 @@ def test_non_designs_are_rejected_by_every_entry_point():
         sk.select("srs", FRAME, 1)
     with pytest.raises(DesignError):
         design_consistency_mc("srs", FRAME, R, np.random.default_rng(7))
+
+
+# Every leaf design class, with each method or optional field that changes
+# its checks, against frames that break each precondition a leaf checks.
+# first_order_pips must refuse exactly what select refuses.
+LEAF_CASES = {
+    sk.SRS: [sk.SRS(2, method) for method in
+             ("draw_by_draw", "selection_rejection", "reservoir", "random_sort")],
+    sk.SRSWR: [sk.SRSWR(2)],
+    sk.Bernoulli: [sk.Bernoulli(0.4)],
+    sk.Poisson: [sk.Poisson(tuple(np.linspace(0.2, 0.9, 6)))],
+    sk.Systematic: [sk.Systematic(2)],
+    sk.SystematicPPS: [sk.SystematicPPS(2)],
+    sk.PPSWR: [sk.PPSWR(2), sk.PPSWR(2, "lahiri"), sk.PPSWR(2, "lahiri", bound=2.0)],
+    sk.Brewer2: [sk.Brewer2()],
+    sk.Durbin2: [sk.Durbin2()],
+    sk.Chao: [sk.Chao(2)],
+    sk.RejectivePoisson: [sk.RejectivePoisson(2),
+                          sk.RejectivePoisson(2, (0.3, 0.4, 0.2, 0.5, 0.3, 0.3))],
+}
+
+LEAF_FRAMES = {
+    "valid": [1.0, 1.5, 1.2, 0.8, 1.1, 1.4],
+    "one_zero_size": [1.0, 0.0, 1.2, 0.8, 1.1, 1.4],
+    "all_sizes_zero": [0.0] * 6,
+    "above_certainty": [1.0, 1.0, 1.0, 1.0, 1.0, 20.0],  # n x / sum(x) = 1.6 for n = 2
+    "n_above_N": [1.0],
+    "lahiri_bound_at_largest": [1.0, 1.5, 1.2, 0.8, 1.1, 2.0],
+}
+
+
+def test_every_leaf_class_has_leaf_cases():
+    assert set(LEAF_CASES) == {cls for cls in DESIGN_CLASSES if issubclass(cls, _Leaf)}
+
+
+def raised(call):
+    """(value, None) of call(), or (None, the type it raised)."""
+    try:
+        return call(), None
+    except Exception as exc:  # noqa: BLE001 - the type is the result
+        return None, type(exc)
+
+
+@pytest.mark.parametrize("mos", LEAF_FRAMES.values(), ids=LEAF_FRAMES.keys())
+@pytest.mark.parametrize("design", [d for ds in LEAF_CASES.values() for d in ds],
+                         ids=repr)
+def test_first_order_refuses_what_select_refuses(design, mos):
+    N = len(mos)
+    frame = sk.Frame(ids=tuple(f"u{i}" for i in range(N)), mos=np.array(mos))
+    pips, refused = raised(lambda: sk.first_order_pips(design, frame))
+    sample, drew_none = raised(lambda: sk.select(design, frame, np.random.default_rng(3)))
+    assert refused is drew_none
+    if mos is LEAF_FRAMES["valid"]:
+        assert refused is None
+    if refused is None:
+        assert pips.kind == ("draw_prob" if design.with_replacement else "inclusion")
+        assert np.all(np.isfinite(pips.first_order))
+        assert sample.pi.tobytes() == pips.first_order[sample.idx].tobytes()
+
