@@ -156,10 +156,11 @@ class Design(_Document):
                             (`DesignDistribution._from_table`) once the
                             set count has passed the cap
     draw(frame, rng)        one Sample, rng a numpy Generator
-    mc_rows(frame, R, rng)  (idx, pi), the Sample.idx and Sample.pi of R
+    mc_rows(frame, R, src)  (idx, pi), the Sample.idx and Sample.pi of R
                             replicates as (R, w) tables: row r, without its
                             pads (index N, pi 1.0, anywhere in the row), is
-                            replicate r's sample
+                            replicate r's sample, drawn from src, a shared
+                            Generator, or from src(r), replicate r's own
     mc_batch(frame, R, rng) (hits, values) over R replicates: appearances
                             per unit and the HT (or Hansen-Hurwitz) totals of
                             the frame's y
@@ -178,20 +179,20 @@ class Design(_Document):
     table.  The three Monte Carlo methods run the kernel through
     `kernels._mc_rows`, on the one Generator they are given or, for
     `mc_samples`, on each replicate's own substream.  A nested design
-    writes its batch once, as `mc_rows`, composed of its children's rows.
-    Defaults: `joint` builds the matrix from the support, `first_order`
-    and `support` raise NonEnumerableError, `mc_rows` and `mc_samples`
-    loop over `designs.select`, and `mc_batch` is derived from `mc_rows`:
-    a bincount of the rows, and each row's y/pi added in row order from
-    0.0.  Only `_Leaf` overrides `mc_batch`, to weigh every
-    with-replacement draw (Hansen-Hurwitz) and to keep the compiled loop
-    on numba, and `_Independent` overrides it to draw through
+    writes its batch once, composed of its children's `mc_rows`;
+    Stratified, OneStageCluster and TwoStage (`_Composed`) build `draw`
+    and `mc_samples` from it too.  Defaults: `joint` builds the matrix from
+    the support, `first_order` and `support` raise NonEnumerableError,
+    `mc_samples` loops over `designs.select`, and `mc_batch` is derived
+    from `mc_rows`: a bincount of the rows, and each row's y/pi added in
+    row order from 0.0.  Only `_Leaf` overrides `mc_batch`, to weigh
+    every with-replacement draw (Hansen-Hurwitz) and to keep the compiled
+    loop on numba, and `_Independent` overrides it to draw through
     `kernels.mc_poisson`.  The public entry points
     (`core.first_order_pips`, `joint_pips`, `enumerate_design`,
     `designs.select`, `simulate.design_consistency_mc`,
-    `simulate.monte_carlo`) delegate here, and nested designs reach their
-    children through those entry points, or through a child's `mc_rows`
-    when a batch must know which replicates drew what.
+    `simulate.monte_carlo`) delegate here.  Nested designs take their
+    children's probabilities and supports from them, draws from `mc_rows`.
     """
 
     registry = {}
@@ -217,9 +218,6 @@ class Design(_Document):
     def support(self, frame, cap):
         raise NonEnumerableError(f"{type(self).__name__} designs cannot be enumerated")
 
-    def draw(self, frame, rng):
-        raise NotImplementedError(f"{type(self).__name__} has no draw")
-
     def mc_batch(self, frame, R, rng):
         N = frame.n_units
         y = np.append(frame.y_column(), 0.0)  # index N pads and weighs nothing
@@ -231,11 +229,6 @@ class Design(_Document):
             vals[cells] = kernels._row_totals(y[idx[cells]] / pi[cells])
             top += rows
         return np.bincount(idx.ravel(), minlength=N + 1)[:N].astype(float), vals
-
-    def mc_rows(self, frame, R, rng):
-        samples = [designs.select(self, frame, rng) for _ in range(R)]
-        return (kernels._stack([s.idx[None] for s in samples], frame.n_units),
-                kernels._stack([s.pi[None] for s in samples], 1.0))
 
     def mc_samples(self, frame, R, base):
         for r in range(R):
@@ -637,6 +630,7 @@ class RejectivePoisson(_Sized):
                 raise ValueError("working probabilities must cover the frame")
         else:
             work = _default_working(frame, self.n)
+            _name_zero_units(work, frame)
         if not np.all((work >= 0) & (work < 1)):  # NaN fails too
             raise ValueError("rejective sampling needs working probabilities in [0, 1)")
         return work
@@ -672,13 +666,46 @@ class _Nesting(Design):
             raise DesignError(f"{type(self).__name__} cannot nest a with-replacement design")
 
 
+class _Composed(_Nesting):
+    """A nested design written once, as `_rows(frame, R, source)`: the
+    `mc_rows` tables and each cell's conditional pi (None where the design
+    records none).  source(r) gives replicate r the same Generator on every
+    call.  `draw` builds a Sample from the one replicate on rng, and
+    `mc_samples` from each replicate on its own substream.  A row's units
+    are ascending, or cluster by cluster for a one-stage cluster design,
+    and its pads last."""
+
+    by_cluster = True  # the Sample names each unit's cluster
+
+    def draw(self, frame, rng):
+        return next(self._row_samples(frame, 1, rng))
+
+    def mc_samples(self, frame, R, base):
+        # one Generator per replicate for the whole composition, 1024 at a time
+        for top in range(0, R, 1024):
+            rngs = [base.substream(r) for r in range(top, min(R, top + 1024))]
+            yield from self._row_samples(frame, len(rngs), rngs.__getitem__)
+
+    def mc_rows(self, frame, R, source):
+        return self._rows(frame, R, source)[:2]
+
+    def _row_samples(self, frame, R, source):
+        idx, pi, cond = self._rows(frame, R, source)
+        for r, w in enumerate((idx < frame.n_units).sum(axis=1).tolist()):
+            take = idx[r, :w]
+            labels = tuple(frame.cluster[i] for i in take.tolist()) if self.by_cluster else None
+            yield Sample(frame, take, pi[r, :w], design_tag=self.key, psu_labels=labels,
+                         conditional_pi=None if cond is None else cond[r, :w])
+
+
 @dataclass(frozen=True)
-class Stratified(_Nesting):
+class Stratified(_Composed):
     """Independent draws within each stratum; the union is the sample."""
 
     designs: tuple = _mapping(Design)  # ((stratum label, child design), ...)
     key = "stratified"
     inline = "designs"
+    by_cluster = False
 
     def child(self, label):
         for key, d in self.designs:
@@ -720,34 +747,24 @@ class Stratified(_Nesting):
             prob = prob * cprob[k]
         return DesignDistribution._from_table(rows, prob, frame)
 
-    def draw(self, frame, rng):
-        parts = [(idx, designs.select(self.child(label), frame.restrict(idx), rng))
-                 for label, idx in frame.strata()]
-        idx = np.concatenate([idx_local[s.idx] for idx_local, s in parts])
-        pi = np.concatenate([s.pi for _, s in parts])
-        order = np.argsort(idx, kind="stable")
-        return Sample(frame, idx[order], pi[order], design_tag="stratified")
-
-    def mc_rows(self, frame, R, rng):
+    def _rows(self, frame, R, source):
         # strata draw independently, each from its own stretch of the
-        # stream: one batch per stratum, in draw's order; each row's units
-        # are then sorted, as draw sorts them
+        # stream: one batch per stratum, in frame order; each row's units
+        # are then sorted
         N = frame.n_units
         idx, pi = [], []
         for label, units in frame.strata():
-            child = self.child(label)
-            Design.require(child, DesignError, "cannot select from {}")
-            cidx, cpi = child.mc_rows(frame.restrict(units), R, rng)
+            cidx, cpi = _child_rows(self.child(label), frame.restrict(units), R, source)
             idx.append(np.append(units, N)[cidx])
             pi.append(cpi)
         z = np.empty((R, sum(t.shape[1] for t in idx)), dtype=complex)
         np.concatenate(idx, axis=1, out=z.real)
         np.concatenate(pi, axis=1, out=z.imag)
-        return _sorted_rows(z)
+        return (*_sorted_rows(z), None)
 
 
 @dataclass(frozen=True)
-class OneStageCluster(_Nesting):
+class OneStageCluster(_Composed):
     """Draw whole clusters and observe every element inside them."""
 
     psu: Design  # design applied to the cluster frame
@@ -764,27 +781,15 @@ class OneStageCluster(_Nesting):
         crows, cprob = core.enumerate_design(self.psu, _cluster_frame(frame), cap=cap)._table()
         return DesignDistribution._from_table(_cluster_members(frame, crows)[0], cprob, frame)
 
-    def draw(self, frame, rng):
-        cs = designs.select(self.psu, _cluster_frame(frame), rng)
-        members = dict(frame.clusters())
-        chosen = [members[label] for label in cs.ids]
-        sizes = [m.size for m in chosen]
-        # the empty array stands in when a random-size PSU design draws none
-        return Sample(frame, np.concatenate([np.empty(0, dtype=np.int64), *chosen]),
-                      np.repeat(cs.pi, sizes),
-                      design_tag="one_stage_cluster",
-                      psu_labels=tuple(np.repeat(cs.ids, sizes)))
-
-    def mc_rows(self, frame, R, rng):
+    def _rows(self, frame, R, source):
         # each drawn cluster expands into its members, clusters in the PSU
-        # rows' order, as draw takes them
-        Design.require(self.psu, DesignError, "cannot select from {}")
-        cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, rng)
-        return tuple(_cluster_members(frame, cidx, cpi))
+        # rows' order
+        cidx, cpi = _child_rows(self.psu, _cluster_frame(frame), R, source)
+        return (*_cluster_members(frame, cidx, cpi), None)
 
 
 @dataclass(frozen=True)
-class TwoStage(_Nesting):
+class TwoStage(_Composed):
     """Two-stage sampling under invariance (the SSU design attached to a
     cluster never depends on the realized PSU set) and independence (the
     within-cluster draws for distinct clusters use disjoint stretches of
@@ -813,51 +818,37 @@ class TwoStage(_Nesting):
             pi[members] = cpi[k] * sub.first_order
         return InclusionProbs(pi)
 
-    def draw(self, frame, rng):
-        cs = designs.select(self.psu, _cluster_frame(frame), rng)
-        clusters = frame.clusters()
-        # the empty arrays stand in when a random-size PSU design draws none
-        idx, pi, cond, labels = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)], []
-        # SSUs are drawn in cluster-frame order, as `mc_rows` draws them
-        for k, pi_c in sorted(zip(cs.idx.tolist(), cs.pi.tolist())):
-            label, members = clusters[k]
-            sub = designs.select(self.ssu_for(label), frame.restrict(members), rng)
-            take = members[sub.idx]
-            idx.append(take)
-            cond.append(sub.pi)
-            pi.append(pi_c * sub.pi)
-            labels.extend([label] * take.size)
-        idx = np.concatenate(idx)
-        order = np.argsort(idx, kind="stable")
-        return Sample(frame, idx[order], np.concatenate(pi)[order],
-                      conditional_pi=np.concatenate(cond)[order],
-                      design_tag="two_stage",
-                      psu_labels=tuple(labels[k] for k in order))
-
-    def mc_rows(self, frame, R, rng):
+    def _rows(self, frame, R, source):
         # Invariance and independence make a replicate's SSU sample in a
         # drawn cluster a fresh draw of that cluster's SSU design, from its
-        # own stretch of the stream.  So the PSU rows come first, then each
-        # cluster, in cluster-frame order as `draw` takes them, runs one
-        # batch over the replicates that drew it, its cells written at the
-        # PSU slot that drew it.
+        # own stretch of the stream.  So the PSU rows come first; then each
+        # drawn cluster, in cluster-frame order (its slots r * w + j grouped
+        # by a radix sort), draws one batch over the replicates that drew it,
+        # on their own Generators when each has one, written at those slots.
         N = frame.n_units
-        Design.require(self.psu, DesignError, "cannot select from {}")
-        cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, rng)
-        drawn = []
-        for k, (label, members) in enumerate(frame.clusters()):
-            drew = np.flatnonzero(cidx == k)  # the slots r * w + j that drew k
-            if drew.size:
-                child = self.ssu_for(label)
-                Design.require(child, DesignError, "cannot select from {}")
-                sidx, spi = child.mc_rows(frame.restrict(members), drew.size, rng)
-                drawn.append((drew, np.append(members, N)[sidx], cpi.flat[drew][:, None] * spi))
-        width = max((sidx.shape[1] for _, sidx, _ in drawn), default=0)
-        z = np.full((cidx.size, width), complex(N, 1.0))
-        for drew, sidx, spi in drawn:
-            z.real[drew, :sidx.shape[1]] = sidx
-            z.imag[drew, :sidx.shape[1]] = np.where(sidx < N, spi, 1.0)  # pads keep pi 1.0
-        return _sorted_rows(z.reshape(R, cidx.shape[1] * width))
+        clusters = frame.clusters()
+        cidx, cpi = _child_rows(self.psu, _cluster_frame(frame), R, source)
+        w, flat = cidx.shape[1], cidx.ravel()
+        slots = flat.astype(np.min_scalar_type(len(clusters))).argsort(kind="stable")
+        count = np.bincount(flat, minlength=len(clusters) + 1)[:-1]  # the pad K drew none
+        drawn = count.nonzero()[0]
+        sidx, cond, top = [], [], 0
+        for k, end in zip(drawn.tolist(), count[drawn].cumsum().tolist()):
+            label, members = clusters[k]
+            drew, top = slots[top:end], end
+            sub = (lambda i, reps=drew // w: source(reps[i])) if callable(source) else source
+            rows, spi = _child_rows(self.ssu_for(label), frame.restrict(members), drew.size, sub)
+            sidx.append(np.append(members, N)[rows])
+            cond.append(spi)
+        sidx, cond = kernels._stack(sidx, N), kernels._stack(cond, 1.0)
+        drew = slots[:top]
+        # (pi, conditional pi) tables sorted together, pads keeping pi 1.0
+        z = np.full((2, cidx.size, sidx.shape[1]), complex(N, 1.0))
+        z.real[:, drew] = sidx
+        z.imag[0, drew] = np.where(sidx < N, cpi.take(drew)[:, None] * cond, 1.0)
+        z.imag[1, drew] = cond
+        idx, pi = _sorted_rows(z.reshape(2, R, w * sidx.shape[1]))
+        return idx[0], pi[0], pi[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1062,15 +1053,18 @@ class TwoPhase(_Nesting):
                       design_tag="two_phase", phase1=s1,
                       psu_labels=labels, phase1_labels=all_labels)
 
-    def mc_rows(self, frame, R, rng):
+    def mc_rows(self, frame, R, source):
         # the phase-1 rows, then the rule's batched form; a cell the rule
-        # does not keep becomes a pad, where it sits
+        # does not keep becomes a pad, where it sits.  Without that form, or
+        # per replicate (`mc_cond` draws one shared block), select loops.
         cond_of = getattr(self.phase2, "mc_cond", None)
-        if cond_of is None:  # a rule without a batched form
-            return super().mc_rows(frame, R, rng)
-        Design.require(self.phase1, DesignError, "cannot select from {}")
-        idx, pi = self.phase1.mc_rows(frame, R, rng)
-        cond = cond_of(idx, frame, rng)
+        if cond_of is None or callable(source):
+            rngs = map(source, range(R)) if callable(source) else itertools.repeat(source, R)
+            samples = [designs.select(self, frame, rng) for rng in rngs]
+            return (kernels._stack([s.idx[None] for s in samples], frame.n_units),
+                    kernels._stack([s.pi[None] for s in samples], 1.0))
+        idx, pi = _child_rows(self.phase1, frame, R, source)
+        cond = cond_of(idx, frame, source)
         kept = cond > 0
         return np.where(kept, idx, frame.n_units), np.where(kept, pi * cond, 1.0)
 
@@ -1086,6 +1080,12 @@ def _aux_column(frame, column, idx):
         raise FrameError(f"phase-2 rule reads aux column {column}, but the frame "
                          f"has {width} aux column(s)")
     return frame.aux[idx, int(column)]
+
+
+def _child_rows(child, frame, R, source):
+    """child.mc_rows(frame, R, source), refusing a child as `select` does."""
+    Design.require(child, DesignError, "cannot select from {}")
+    return child.mc_rows(frame, R, source)
 
 
 def _check_srs_size(n, N):
@@ -1197,11 +1197,10 @@ def _cluster_members(frame, crows, *values):
 
 
 def _sorted_rows(z):
-    """The (idx, pi) tables held in the complex table z = idx + 1j * pi,
+    """The (idx, pi) tables held in the complex table(s) z = idx + 1j * pi,
     each row's cells sorted in place into ascending unit order, the pads N
-    last, as `draw` sorts a sample: complex numbers order by their real
-    part first."""
-    z.sort(axis=1)
+    last: complex numbers order by their real part first."""
+    z.sort(axis=-1)
     return z.real.astype(np.int64), z.imag
 
 
@@ -1245,6 +1244,6 @@ def load_design(path):
     return design_from_dict(doc)
 
 
-# Imported last, because it imports this module.  Nested designs draw
-# their children through its public entry point.
+# Imported last, because it imports this module.  Two-phase designs draw
+# their phase 1 through its public entry point.
 from . import designs  # noqa: E402

@@ -10,13 +10,10 @@ Every design kernel but Lahiri's takes a fixed number of uniforms per draw:
 selection-rejection one per frame unit, Chao one per stream unit (an
 entering unit's slot is read from the uniform that admitted it),
 conditional Poisson one per unit.  `_BATCHED` writes that count once per
-kernel.  On numpy a single draw (`_one_draw`) takes its uniforms as one
-``rng.random(k)`` block, and the batched Monte Carlo function `mc_draws`
-runs R replicates from ``rng.random((rows, k))`` blocks.  A block holds
+kernel.  On numpy a single draw (`_one_draw`) and a Monte Carlo batch
+(*Batched Monte Carlo* below) take their uniforms as blocks that hold
 exactly the doubles the scalar calls would return, on every bit generator,
-so both match the scalar kernel bit for bit.  Lahiri's count is random, so
-its batch runs on a speculative block of a PCG64 stream, after which the
-Generator is rewound and advanced by the doubles the kernel used.
+so both match the scalar kernel bit for bit.
 """
 
 import inspect
@@ -291,9 +288,7 @@ def conditional_poisson_select(q, n, rng):
 #   restore the state and `advance` by the doubles used (`_rewind`).  Other
 #   bit generators keep the scalar loop for it.
 #
-# `_mc_rows` picks among these and yields the replicates' index tables, on
-# one shared Generator or with each replicate on its own substream
-# (`monte_carlo`); `mc_draws` sums its tables.
+# `_mc_rows` picks among these and yields index tables; `mc_draws` sums them.
 
 _CHUNK_CELLS = 1 << 16  # the most cells one table of a batch holds
 
@@ -666,8 +661,10 @@ def _one_draw(select, args, rng):
 
 
 def _stack(tables, pad):
-    """Tables of index (or probability) rows stacked into one, every row
-    filled up at its end with `pad` to the widest table's width."""
+    """Tables of index (or probability) rows stacked into one (a lone table
+    as it is), every row filled up at its end with `pad` to the widest."""
+    if len({t.shape[1] for t in tables}) == 1:  # nothing to fill
+        return tables[0] if len(tables) == 1 else np.concatenate(tables)
     width = max((t.shape[1] for t in tables), default=0)
     out = np.full((sum(t.shape[0] for t in tables), width), pad,
                   dtype=np.result_type(pad, *tables))
@@ -687,7 +684,10 @@ def _mc_rows(select, args, N, R, source):
     stream is consumed as the scalar calls would consume it.  The
     replicates run on Lahiri's rewound block (a shared stream that
     rewinds), a fixed-count kernel's batched form, or else the scalar
-    kernel."""
+    kernel, which a lone replicate on a shared stream runs as `_one_draw`."""
+    if R == 1 and not callable(source):
+        yield _one_draw(select, args, source)[None]
+        return
     if callable(source):
         rngs = map(source, range(R))
 

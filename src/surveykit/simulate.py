@@ -50,10 +50,9 @@ def design_consistency_mc(design, frame, R, rng):
     loop.  Every other design derives the batch from its `mc_rows`, the
     replicates' index and pi tables: a nested design composes its
     children's rows (each stratum, the PSUs and then each drawn cluster,
-    phase 1 and then its rule's `mc_cond`), in the order `draw` takes
-    them, and a two-phase rule without `mc_cond` runs the `select` loop.
-    A composed batch keeps the design's law, but only a one-replicate
-    batch draws what one `select` draws."""
+    phase 1 and then its rule's `mc_cond`), and a two-phase rule without
+    `mc_cond` runs the `select` loop.  A composed batch keeps the design's
+    law; a one-replicate batch is what one `select` draws."""
     _check_replicates(R, 0)
     Design.require(design, DesignError, "cannot select from {}")
     return design.mc_batch(frame, R, as_generator(rng))
@@ -71,7 +70,8 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
     kernel's batched form takes row r of each block of uniforms from
     replicate r's own substream, and any other kernel (Lahiri's, or any
     on numba) runs on that substream itself, so the values are the select
-    loop's, bit for bit.  Nested designs run the select loop itself."""
+    loop's, bit for bit.  Stratified, one-stage cluster and two-stage
+    designs hand them to their children's rows; two-phase designs loop."""
     _check_replicates(R, 2)
     Design.require(design, DesignError, "cannot select from {}")
     values = np.empty(R)

@@ -72,6 +72,29 @@ def test_zero_size_unit_rejected_by_every_entry_point(design, mos):
             entry()
 
 
+def test_rejective_default_working_probabilities_refuse_a_zero_size_unit(tmp_path, capsys):
+    # compute_pips would give unit b working probability 0: never drawn, it
+    # would bias the HT total (a Monte Carlo mean of 18.9 against 21)
+    from surveykit.cli import main
+
+    mos = (1.0, 0.0, 1.2, 0.8, 1.1, 1.4)
+    frame = sk.Frame(ids=tuple("abcdef"), mos=np.array(mos), y=np.arange(1.0, 7.0))
+    design = sk.RejectivePoisson(3)
+    for entry in (lambda: sk.first_order_pips(design, frame),
+                  lambda: sk.select(design, frame, RngStream(2)),
+                  lambda: design_consistency_mc(design, frame, 10, RngStream(2)),
+                  lambda: sk.monte_carlo(design, frame, lambda s: 0.0, 10, seed=2),
+                  lambda: sk.enumerate_design(design, frame)):
+        with pytest.raises(NonProbabilityDesignError, match="unit 'b'"):
+            entry()
+    path = tmp_path / "frame.csv"
+    path.write_text("id,mos,y\n" + "".join(f"{u},{x},{i}\n" for i, (u, x) in
+                                           enumerate(zip("abcdef", mos), 1)), encoding="utf-8")
+    code = main(["draw", "--frame", str(path), "--design", "rejective", "--n", "3",
+                 "--seed", "1"])
+    assert code == 4 and "unit 'b'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("design", [sk.Brewer2(), sk.Durbin2()], ids=["brewer2", "durbin2"])
 def test_n2_sizes_summing_to_zero_rejected_by_every_entry_point(design):
     # p = mos / sum(mos) would be NaN, which passes the p < 1/2 and

@@ -2,10 +2,12 @@
 `kernels._mc_rows`, each replicate on its own substream: a fixed-count
 kernel's batched form takes row r of each block of uniforms from
 replicate r's substream, and any other kernel (Lahiri PPSWR, and every
-kernel on the numba backend) runs itself on that substream.  Replicate
-values, mean and var must equal the `select` loop's bit for bit, and every
-Sample the estimator sees must be the one `select` draws from that
-replicate's substream.  Nested designs keep the loop."""
+kernel on the numba backend) runs itself on that substream.  Stratified,
+one-stage cluster and two-stage designs compose their children's rows
+with the same per-replicate source; a two-phase design keeps the `select`
+loop.  Replicate values, mean and var must equal the `select` loop's bit
+for bit, and every Sample the estimator sees must be the one `select`
+draws from that replicate's substream."""
 
 import functools
 import time
@@ -16,6 +18,7 @@ import pytest
 import surveykit as sk
 from surveykit import designs, kernels
 from surveykit.design import Design, RngStream, _Leaf
+from test_simulate import NESTED_CASES, NESTED_FRAME
 
 N = 40
 MOS = np.array([3, 1, 2, 4, 1, 1, 2, 3, 2, 2] * 4, dtype=float)
@@ -37,7 +40,22 @@ LEAVES = {
     "rejective_poisson": sk.RejectivePoisson(4),
 }
 
-FIELDS = ("idx", "pi", "multiplicity", "weights")
+FIELDS = ("idx", "pi", "multiplicity", "weights", "conditional_pi")
+
+# nested designs on NESTED_FRAME, whose units carry strata and clusters
+NESTED = {
+    **NESTED_CASES,
+    "stratified": sk.Stratified({"a": sk.Chao(2), "b": sk.SRS(2, "reservoir")}),
+    "stratified-bernoulli": sk.Stratified({"a": sk.Bernoulli(0.3), "b": sk.Systematic(2)}),
+    "stratified-two_phase": sk.Stratified({
+        "a": sk.TwoPhase(sk.SRS(4), sk.StratifyOnAux(rate=0.5)),
+        "b": sk.TwoPhase(sk.SRS(4), sk.PoissonOnAux(2))}),
+    "one_stage_cluster": sk.OneStageCluster(sk.SRS(2)),
+    "one_stage_cluster-pps": sk.OneStageCluster(sk.SystematicPPS(2)),
+    "one_stage_cluster-bernoulli": sk.OneStageCluster(sk.Bernoulli(0.4)),
+    "two_stage-nested_ssu": sk.TwoStage(sk.Brewer2(), sk.SRS(2), per_cluster={
+        "c0": sk.OneStageCluster(sk.SRS(1)), "c3": sk.RejectivePoisson(2)}),
+}
 
 
 @pytest.fixture
@@ -71,16 +89,18 @@ def test_every_leaf_design_is_covered():
     assert {d.key for d in LEAVES.values()} == keys
 
 
+# R = 1030 spans two chunks of a nested design's per-replicate Generators
 @pytest.mark.parametrize("scalar", [False, True], ids=["batched", "scalar"])
-@pytest.mark.parametrize("R", [2, 7, 1000])
-@pytest.mark.parametrize("label", LEAVES)
+@pytest.mark.parametrize("label, R", [(label, R) for label in LEAVES for R in (2, 7, 1000)]
+                         + [(label, R) for label in NESTED for R in (2, 30)]
+                         + [("stratified", 1030), ("two_stage-per_cluster", 1030)])
 def test_batched_replicates_are_the_select_loop(label, R, scalar, frame, monkeypatch):
     # chunks of a few replicates, so that every batched form splits its run
     monkeypatch.setattr(kernels, "_CHUNK_CELLS", 64)
     if scalar:  # the path numba takes: every kernel runs itself on each substream
         monkeypatch.setattr(kernels, "_BATCHED", {})
         monkeypatch.setattr(kernels, "_REWOUND", {})
-    design = LEAVES[label]
+    design, frame = (LEAVES[label], frame) if label in LEAVES else (NESTED[label], NESTED_FRAME)
     seen = []
 
     def statistic(sample):
@@ -93,10 +113,14 @@ def test_batched_replicates_are_the_select_loop(label, R, scalar, frame, monkeyp
     for s, ref in zip(seen, select_loop(design, frame, R, 13)):
         for name in FIELDS:
             a, b = getattr(s, name), getattr(ref, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert (s.design_tag, s.flags, s.with_replacement) == \
-            (ref.design_tag, ref.flags, ref.with_replacement)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (s.design_tag, s.flags, s.with_replacement, s.psu_labels) == \
+            (ref.design_tag, ref.flags, ref.with_replacement, ref.psu_labels)
         assert (s.n, s.n_distinct, s.ids) == (ref.n, ref.n_distinct, ref.ids)
+        if s.design_tag in ("one_stage_cluster", "two_stage"):  # the frame's own labels
+            assert {type(x) for x in s.psu_labels} <= {str}
 
 
 @pytest.mark.parametrize("label", LEAVES)
@@ -109,16 +133,56 @@ def test_batched_leaf_designs_never_call_select(label, frame, monkeypatch):
 
 
 def test_designs_without_a_batch_run_the_select_loop(monkeypatch):
-    design = sk.Stratified({"a": sk.SRS(2), "b": sk.Chao(2)})
+    # a stratified design composes its strata's rows; a two-phase design
+    # keeps the select loop
     frame = sk.Frame(ids=tuple(f"u{i}" for i in range(12)), mos=MOS[:12],
-                     stratum=tuple("aaaaaabbbbbb"), y=np.arange(12.0))
-    calls = []
+                     stratum=tuple("aaaaaabbbbbb"), aux=MOS[:12, None], y=np.arange(12.0))
     select = designs.select
-    monkeypatch.setattr(designs, "select", lambda *a: calls.append(1) or select(*a))
-    batched = sk.monte_carlo(design, frame, ht_total_stat, 30, seed=4)
-    assert len(calls) >= 30
-    values = [ht_total_stat(s) for s in select_loop(design, frame, 30, 4)]
-    assert batched["replicates"].tolist() == values
+    for design, looped in [(sk.Stratified({"a": sk.SRS(2), "b": sk.Chao(2)}), False),
+                           (sk.TwoPhase(sk.SRS(6), sk.PoissonOnAux(3)), True)]:
+        values = [ht_total_stat(s) for s in select_loop(design, frame, 30, 4)]
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(designs, "select", lambda *a: calls.append(1) or select(*a))
+            batched = sk.monte_carlo(design, frame, ht_total_stat, 30, seed=4)
+        assert (len(calls) >= 30) if looped else not calls
+        assert batched["replicates"].tolist() == values
+
+
+@pytest.mark.parametrize("label", ["stratified", "stratified-bernoulli",
+                                   "one_stage_cluster", "one_stage_cluster-bernoulli",
+                                   "two_stage-per_cluster", "two_stage-nested_ssu"])
+def test_nested_select_composes_rows_without_select(label, monkeypatch):
+    def refused(*args):
+        raise AssertionError("designs.select called")
+
+    design = NESTED[label]
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(designs, "select", refused)
+    for _ in range(5):
+        design.draw(NESTED_FRAME, rng)
+    sk.monte_carlo(design, NESTED_FRAME, ht_total_stat, 20, seed=2)
+
+
+def test_one_replicate_leaf_batch_is_one_kernel_call(frame, monkeypatch):
+    # a lone replicate on a shared Generator runs the scalar kernel once, on
+    # the uniforms select draws, and leaves the stream where select does
+    calls = []
+    kernel = kernels.srs_selection_rejection
+
+    @functools.wraps(kernel)
+    def traced(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "srs_selection_rejection", traced)
+    design = sk.SRS(4)
+    rng_rows, rng_sel = np.random.default_rng(3), np.random.default_rng(3)
+    idx, pi = design.mc_rows(frame, 1, rng_rows)
+    assert len(calls) == 1
+    sample = sk.select(design, frame, rng_sel)
+    assert idx[0].tolist() == sample.idx.tolist() and pi[0].tobytes() == sample.pi.tobytes()
+    assert rng_rows.random() == rng_sel.random()
 
 
 def test_a_wrapped_kernel_keeps_the_batch(frame, monkeypatch):
@@ -148,4 +212,18 @@ def test_srs_monte_carlo_time_budget():
     start = time.perf_counter()
     out = sk.monte_carlo(sk.SRS(50), frame, ht_total_stat, 1000, seed=1)
     assert time.perf_counter() - start < 2.0
+    assert out["replicates"].size == 1000
+
+
+def test_nested_monte_carlo_time_budget():
+    # R = 1000 replicates of two SRS(25) strata from N = 1000: about 0.05 s
+    # composed from the strata's rows on a 2-core VM, where the select loop
+    # took about 0.2 s
+    gen = np.random.default_rng(4)
+    frame = sk.Frame(ids=tuple(map(str, range(1000))), stratum=("a", "b") * 500,
+                     y=gen.normal(8.0, 3.0, 1000))
+    design = sk.Stratified({"a": sk.SRS(25), "b": sk.SRS(25)})
+    start = time.perf_counter()
+    out = sk.monte_carlo(design, frame, ht_total_stat, 1000, seed=1)
+    assert time.perf_counter() - start < 1.0
     assert out["replicates"].size == 1000

@@ -384,8 +384,9 @@ def per_group_mc_cond(rule, idx, frame, rng):
     return cond
 
 
-# units u6..u8 (stratum c) have mos 0, so RejectivePoisson never draws them
-# and the rates need no entry for c
+# units u6..u8 (stratum c) have working probability 0, so RejectivePoisson
+# never draws them and the rates need no entry for c; the zeros are explicit,
+# since default working probabilities refuse a zero-size unit
 UNREACHED_FRAME = sk.Frame(ids=tuple(f"u{i}" for i in range(9)),
                            stratum=tuple("aaabbbccc"),
                            mos=np.array([1.0, 2.0, 3.0, 1.5, 2.5, 3.5, 0.0, 0.0, 0.0]),
@@ -393,8 +394,9 @@ UNREACHED_FRAME = sk.Frame(ids=tuple(f"u{i}" for i in range(9)),
 STRATIFY_CASES = {
     **{name: (design, NESTED_FRAME) for name, design in NESTED_CASES.items()
        if isinstance(getattr(design, "phase2", None), sk.StratifyOnAux)},
-    "two_phase-rates-unreached": (sk.TwoPhase(sk.RejectivePoisson(3), sk.StratifyOnAux(
-        rates={"a": 0.5, "b": 0.7})), UNREACHED_FRAME),
+    "two_phase-rates-unreached": (sk.TwoPhase(
+        sk.RejectivePoisson(3, working_pi=tuple(sk.compute_pips(UNREACHED_FRAME.mos, 3))),
+        sk.StratifyOnAux(rates={"a": 0.5, "b": 0.7})), UNREACHED_FRAME),
 }
 BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.MT19937]
 
