@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -94,41 +94,60 @@ class Sample:
         holds the fields a drawn Sample carries besides (design_tag, flags,
         with_replacement), and `multiplicity`, a table shaped like rows
         with 0 at the pads, the draw counts of a with-replacement draw;
-        without it each unit counts once.  idx and multiplicity are views
-        of the rows of read-only tables.  Without replacement, weights come
-        filled in from one reciprocal of the units the table uses, which is
-        1 / pi to the bit."""
+        without it each unit counts once.
+
+        The rows go in blocks of at most `kernels._CHUNK_CELLS` cells, and
+        each block gathers its pi once and, without replacement, its
+        weights 1 / pi, the bits `weights` computes.  A Sample's idx, pi,
+        multiplicity and weights are read-only views of the rows of these
+        tables, a whole row where it holds no pad.  Its __dict__ holds
+        only the fields that differ from the class defaults."""
+        from .kernels import _chunks  # not at import: a Sample alone needs no kernels
+
         N = frame.n_units
         pi = np.asarray(pi, dtype=float)
         used = np.zeros(N + 1, dtype=bool)
         used[rows] = True
-        used = used[:N]
-        seen = pi[used]
+        seen = pi[used[:N]]
         if seen.size and not (seen.min() > 0 and seen.max() <= 1 + 1e-12):
             for row in rows:  # the first failing row raises as its Sample would
                 idx = row[row < N]
                 cls(frame, idx, pi[idx])
-        base = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-        base.update(drawn, frame=frame)
-        widths = np.count_nonzero(rows < N, axis=1).tolist()
-        if multiplicity is not None:  # `weights` computes m / (n p) when read
+        base = {name: v for name, v in drawn.items() if v != getattr(cls, name)}
+        base["frame"] = frame
+        pad = np.append(pi, 1.0)  # units no set uses may have pi 0; pads read 1
+        width = rows.shape[1]
+        if multiplicity is None:
+            ones = np.ones(width, dtype=np.int64)
+            ones.setflags(write=False)
+        else:
             multiplicity.setflags(write=False)
-            for w, row, m in zip(widths, rows, multiplicity):
-                idx = row[:w]
-                s = cls.__new__(cls)
-                s.__dict__ = {**base, "idx": idx, "pi": pi[idx], "multiplicity": m[:w]}
-                yield s
-            return
-        inv = np.zeros(N)
-        inv[used] = 1 / seen  # units no set uses may have pi 0
-        ones = np.ones(rows.shape[1], dtype=np.int64)
-        ones.setflags(write=False)
-        for w, row in zip(widths, rows):
-            idx = row[:w]
-            s = cls.__new__(cls)
-            s.__dict__ = {**base, "idx": idx, "pi": pi[idx], "multiplicity": ones[:w],
-                          "weights": inv[idx]}
-            yield s
+        new = object.__new__
+        top = 0
+        for size in _chunks(len(rows), width):
+            block = rows[top:top + size]
+            widths = np.count_nonzero(block < N, axis=1).tolist()
+            p = pad[block]
+            p.setflags(write=False)
+            if multiplicity is not None:  # `weights` computes m / (n p) when read
+                for w, idx, p_row, m in zip(widths, block, p, multiplicity[top:top + size]):
+                    if w < width:
+                        idx, p_row, m = idx[:w], p_row[:w], m[:w]
+                    s = new(cls)
+                    s.__dict__ = {**base, "idx": idx, "pi": p_row, "multiplicity": m}
+                    yield s
+            else:
+                inv = 1 / p
+                inv.setflags(write=False)
+                for w, idx, p_row, inv_row in zip(widths, block, p, inv):
+                    m = ones
+                    if w < width:
+                        idx, p_row, m, inv_row = idx[:w], p_row[:w], ones[:w], inv_row[:w]
+                    s = new(cls)
+                    s.__dict__ = {**base, "idx": idx, "pi": p_row, "multiplicity": m,
+                                  "weights": inv_row}
+                    yield s
+            top += size
 
     @property
     def ids(self):
@@ -151,6 +170,11 @@ class Sample:
         return self.multiplicity / self.pi
 
     def y_values(self, j=0):
+        """The sampled units' study values (column j of a 2-D y), a fresh
+        array."""
+        y = self.frame.y
+        if y is not None and y.ndim == 1:
+            return y[self.idx]
         return self.frame.y_column(j)[self.idx]
 
     def aux_values(self):

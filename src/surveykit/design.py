@@ -668,8 +668,9 @@ class _Nesting(Design):
 
 class _Composed(_Nesting):
     """A nested design written once, as `_rows(frame, R, source)`: the
-    `mc_rows` tables and each cell's conditional pi (None where the design
-    records none).  source(r) gives replicate r the same Generator on every
+    `mc_rows` tables, and a function that builds the table of each cell's
+    conditional pi (None where the design records none), which only the
+    Samples read.  source(r) gives replicate r the same Generator on every
     call.  `draw` builds a Sample from the one replicate on rng, and
     `mc_samples` from each replicate on its own substream.  A row's units
     are ascending, or cluster by cluster for a one-stage cluster design,
@@ -690,7 +691,8 @@ class _Composed(_Nesting):
         return self._rows(frame, R, source)[:2]
 
     def _row_samples(self, frame, R, source):
-        idx, pi, cond = self._rows(frame, R, source)
+        idx, pi, cond_of = self._rows(frame, R, source)
+        cond = None if cond_of is None else cond_of()
         for r, w in enumerate((idx < frame.n_units).sum(axis=1).tolist()):
             take = idx[r, :w]
             labels = tuple(frame.cluster[i] for i in take.tolist()) if self.by_cluster else None
@@ -842,13 +844,19 @@ class TwoStage(_Composed):
             cond.append(spi)
         sidx, cond = kernels._stack(sidx, N), kernels._stack(cond, 1.0)
         drew = slots[:top]
-        # (pi, conditional pi) tables sorted together, pads keeping pi 1.0
-        z = np.full((2, cidx.size, sidx.shape[1]), complex(N, 1.0))
-        z.real[:, drew] = sidx
-        z.imag[0, drew] = np.where(sidx < N, cpi.take(drew)[:, None] * cond, 1.0)
-        z.imag[1, drew] = cond
-        idx, pi = _sorted_rows(z.reshape(2, R, w * sidx.shape[1]))
-        return idx[0], pi[0], pi[1]
+
+        def rows_of(values):
+            # the replicates' (idx, values) tables, sorted into unit order;
+            # the pads keep 1.0
+            z = np.full((cidx.size, sidx.shape[1]), complex(N, 1.0))
+            z.real[drew] = sidx
+            z.imag[drew] = values
+            return _sorted_rows(z.reshape(R, w * sidx.shape[1]))
+
+        # a row's units are distinct, so the conditional pi, sorted on its
+        # own when a Sample needs it, lands where the unit's pi does
+        idx, pi = rows_of(np.where(sidx < N, cpi.take(drew)[:, None] * cond, 1.0))
+        return idx, pi, lambda: rows_of(cond)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +958,8 @@ class StratifyOnAux(Phase2Rule):
             out_labels.extend([lab] * chosen.size)
         local, cond = np.concatenate(locals_), np.concatenate(conds)
         order = np.argsort(local, kind="stable")
-        return local[order], cond[order], tuple(np.asarray(out_labels)[order]), tuple(labels)
+        return (local[order], cond[order], tuple([out_labels[i] for i in order.tolist()]),
+                tuple(labels))
 
     def mc_cond(self, idx, frame, rng):
         # A replicate's cells in one stratum form a group, which draws what

@@ -17,18 +17,27 @@ __all__ = [
 Z95 = 1.96
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Estimate:
+    """A point estimate, its variance estimate when there is one, and
+    flags; a negative variance is flagged "negative_variance_estimate"."""
+
     value: float
     variance: float = None
     method: str = ""
     n_effective: float = None
     flags: tuple = ()
 
-    def __post_init__(self):
-        if self.variance is not None and self.variance < 0:
-            if "negative_variance_estimate" not in self.flags:
-                self.flags = self.flags + ("negative_variance_estimate",)
+    # written out rather than generated with a __post_init__: an estimator
+    # builds one Estimate per call, and per support set in exact_expectation
+    def __init__(self, value, variance=None, method="", n_effective=None, flags=()):
+        if variance is not None and variance < 0 and "negative_variance_estimate" not in flags:
+            flags = flags + ("negative_variance_estimate",)
+        self.value = value
+        self.variance = variance
+        self.method = method
+        self.n_effective = n_effective
+        self.flags = flags
 
     @property
     def se(self):
@@ -63,7 +72,8 @@ def ht_total(sample, y):
     (1/n) sum y/p."""
     if not isinstance(y, np.ndarray):
         y = np.asarray(y, dtype=float)
-    return Estimate(float(sample.weights.dot(y)), method="hansen_hurwitz"
+    # by position: a keyword would cost the call a dict
+    return Estimate(float(sample.weights.dot(y)), None, "hansen_hurwitz"
                     if sample.with_replacement else "horvitz_thompson")
 
 

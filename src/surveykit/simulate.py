@@ -27,13 +27,12 @@ def exact_expectation(design, frame, statistic, cap=None):
     dist = enumerate_design(design, frame, **kwargs)
     pips = first_order_pips(design, frame)
     rows, prob = dist._table()
-    mean_terms, sq_terms = [], []
-    for s, p in zip(Sample._of_rows(frame, rows, pips.first_order), prob.tolist()):
-        value = float(statistic(s))
-        mean_terms.append(p * value)
-        sq_terms.append(p * value * value)
-    mean = math.fsum(mean_terms)
-    var = math.fsum(sq_terms) - mean * mean
+    values = np.array([float(statistic(s))
+                       for s in Sample._of_rows(frame, rows, pips.first_order)])
+    # the products p * v and p * v * v of a per-set loop, to the bit
+    terms = prob * values
+    mean = math.fsum(terms.tolist())
+    var = math.fsum((terms * values).tolist()) - mean * mean
     return {"mean": mean, "variance": var, "support_size": len(dist)}
 
 
@@ -74,16 +73,16 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
     designs hand them to their children's rows; two-phase designs loop."""
     _check_replicates(R, 2)
     Design.require(design, DesignError, "cannot select from {}")
-    values = np.empty(R)
-    for r, sample in enumerate(design.mc_samples(frame, R, RngStream(seed, stream))):
-        values[r] = float(estimator(sample))
+    values = [float(estimator(s)) for s in design.mc_samples(frame, R, RngStream(seed, stream))]
     mean = math.fsum(values) / R
-    var = math.fsum((v - mean) ** 2 for v in values) / (R - 1)
+    # ** 2 of a float is libm's pow, as it is of a numpy float64; an
+    # array's ** 2 squares by multiplying, which rounds differently
+    var = math.fsum([(v - mean) ** 2 for v in values]) / (R - 1)
     return {
         "mean": mean,
         "var": var,
         "se_of_mean": math.sqrt(var / R),
-        "replicates": values,
+        "replicates": np.array(values),
     }
 
 

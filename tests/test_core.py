@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import math
 import time
@@ -612,3 +613,45 @@ class TestWeights:
         assert e.flags == ("negative_variance_estimate",)
         with pytest.raises(AttributeError):
             e.value_squared = 1.0
+        assert sk.Estimate.__slots__ == ESTIMATE_FIELDS and not hasattr(e, "__dict__")
+
+    def test_estimate_by_position_and_by_keyword(self):
+        e = sk.Estimate(2.5, 0.25, "horvitz_thompson", 7.0, ("a",))
+        assert tuple(getattr(e, name) for name in ESTIMATE_FIELDS) == \
+            (2.5, 0.25, "horvitz_thompson", 7.0, ("a",))
+        assert e == sk.Estimate(flags=("a",), n_effective=7.0, method="horvitz_thompson",
+                                variance=0.25, value=2.5)
+        assert e != sk.Estimate(2.5, 0.25, "horvitz_thompson", 7.0)
+        assert dataclasses.replace(e, value=3.0) == sk.Estimate(3.0, 0.25, "horvitz_thompson",
+                                                                7.0, ("a",))
+        bare = sk.Estimate(1.0)
+        assert tuple(getattr(bare, name) for name in ESTIMATE_FIELDS) == (1.0, None, "", None, ())
+        assert sk.Estimate(1.0, method="x") == sk.Estimate(1.0, None, "x")
+        assert [f.name for f in dataclasses.fields(sk.Estimate)] == list(ESTIMATE_FIELDS)
+        assert sk.Estimate.__match_args__ == ESTIMATE_FIELDS and sk.Estimate.__hash__ is None
+        for args, kwargs in [((), {}), ((1.0, None, "", None, (), 0), {}),
+                             ((1.0,), {"value": 1.0}), ((1.0,), {"values": 1.0})]:
+            with pytest.raises(TypeError):
+                sk.Estimate(*args, **kwargs)
+
+    def test_estimate_repr(self):
+        assert repr(sk.Estimate(2.5, 0.25, "ratio", 7.0, ("a",))) == (
+            "Estimate(value=2.5, variance=0.25, method='ratio', n_effective=7.0, flags=('a',))")
+        assert repr(sk.Estimate(1.0, -1.0)) == (
+            "Estimate(value=1.0, variance=-1.0, method='', n_effective=None, "
+            "flags=('negative_variance_estimate',))")
+
+    def test_negative_variance_is_flagged_once(self):
+        e = sk.Estimate(1.0, -2.0, flags=("a",))
+        assert e.flags == ("a", "negative_variance_estimate")
+        assert sk.Estimate(1.0, -2.0, flags=e.flags).flags == e.flags
+        assert sk.Estimate(1.0, variance=-2.0, flags=("negative_variance_estimate", "b")).flags \
+            == ("negative_variance_estimate", "b")
+        for variance in (None, 0.0, -0.0, 2.0, math.nan):
+            assert sk.Estimate(1.0, variance, flags=("a",)).flags == ("a",)
+        assert math.isnan(e.se) and e.ci95 is None
+        e.variance = -3.0  # a later write is the caller's, as it always was
+        assert e.flags == ("a", "negative_variance_estimate")
+
+
+ESTIMATE_FIELDS = ("value", "variance", "method", "n_effective", "flags")

@@ -215,25 +215,45 @@ def test_enumeration_matches_the_reference_loops(case, label):
     assert exact["support_size"] == len(ref)
 
 
-@pytest.mark.parametrize("label", ["poisson", "systematic", "stratified_systematic",
-                                   "one_stage_cluster_bernoulli", "durbin2"])
-def test_statistic_sees_the_samples_sample_from_ids_builds(label):
+@pytest.mark.parametrize("cells", [1, 7, None], ids=["cells1", "cells7", "default"])
+@pytest.mark.parametrize("label", list(designs_for(make_frame(13, "desc", 0))))
+def test_statistic_sees_the_samples_sample_from_ids_builds(label, cells, monkeypatch):
+    # Samples come in blocks of gathered rows: one row, a few rows, or the
+    # whole table; ragged rows (Bernoulli, Poisson, Systematic) and full ones
+    if cells is not None:
+        monkeypatch.setattr(sk.kernels, "_CHUNK_CELLS", cells)
     frame = make_frame(13, "desc", 0)
     design = designs_for(frame)[label]
-    seen = []
-    simulate.exact_expectation(design, frame, lambda s: seen.append(s) or 0.0)
+    seen, at_call = [], []
+
+    def keep(s):
+        seen.append(s)
+        at_call.append([getattr(s, name).tobytes() for name in SAMPLE_ARRAYS])
+        return ht_value(s)
+
+    exact = simulate.exact_expectation(design, frame, keep)
     pips = sk.first_order_pips(design, frame)
     ref = reference_support(design, frame)
     assert len(seen) == len(ref)
-    for s, (ids, _) in zip(seen, ref):
+    mean, var = reference_expectation(ref, design, frame, ht_value)
+    assert (bits(exact["mean"]), bits(exact["variance"])) == (bits(mean), bits(var))
+    for s, then, (ids, _) in zip(seen, at_call, ref):
         expect = sample_from_ids(frame, ids, pips)
         assert s.ids == expect.ids and s.n == expect.n
-        for name in ("idx", "pi", "multiplicity"):
+        # each kept Sample still holds its own values once later blocks exist
+        assert [getattr(s, name).tobytes() for name in SAMPLE_ARRAYS] == then
+        for name in SAMPLE_ARRAYS:
             got, want = getattr(s, name), getattr(expect, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         for name in ("conditional_pi", "design_tag", "with_replacement", "phase1",
                      "psu_labels", "phase1_labels", "flags"):
             assert getattr(s, name) == getattr(expect, name)
+        assert not s.pi.flags.writeable and not s.weights.flags.writeable
+        assert s.y_values().flags.writeable  # a fresh array, not a view
+        assert s.y_values().tobytes() == frame.y[expect.idx].tobytes()
+
+
+SAMPLE_ARRAYS = ("idx", "pi", "weights", "multiplicity")
 
 
 def test_distribution_built_from_tuples():

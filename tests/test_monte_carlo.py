@@ -10,6 +10,7 @@ for bit, and every Sample the estimator sees must be the one `select`
 draws from that replicate's substream."""
 
 import functools
+import math
 import time
 
 import numpy as np
@@ -119,8 +120,34 @@ def test_batched_replicates_are_the_select_loop(label, R, scalar, frame, monkeyp
         assert (s.design_tag, s.flags, s.with_replacement, s.psu_labels) == \
             (ref.design_tag, ref.flags, ref.with_replacement, ref.psu_labels)
         assert (s.n, s.n_distinct, s.ids) == (ref.n, ref.n_distinct, ref.ids)
-        if s.design_tag in ("one_stage_cluster", "two_stage"):  # the frame's own labels
-            assert {type(x) for x in s.psu_labels} <= {str}
+        # the frame's own labels, or a two-phase rule's strata
+        for labels in (s.psu_labels, s.phase1_labels):
+            assert {type(x) for x in labels or ()} <= {str}
+        if s.design_tag in ("one_stage_cluster", "two_stage"):
+            assert s.psu_labels is not None
+
+
+@pytest.mark.parametrize("cells", [1, 7, None], ids=["cells1", "cells7", "default"])
+@pytest.mark.parametrize("label", ["srswr", "ppswr-cumulative", "ppswr-lahiri"])
+def test_with_replacement_rows_are_the_samples_select_draws(label, cells, frame, monkeypatch):
+    # `Sample._of_rows` with a table of draw counts, gathered one row, a few
+    # rows or the whole batch at a time
+    if cells is not None:
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+    design = LEAVES[label]
+    samples = list(design.mc_samples(frame, 40, RngStream(5)))
+    refs = select_loop(design, frame, 40, 5)
+    assert len(samples) == len(refs)
+    assert any(s.n_distinct < s.n for s in refs)  # some unit drawn twice
+    for s, ref in zip(samples, refs):
+        for name in FIELDS:
+            a, b = getattr(s, name), getattr(ref, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (s.design_tag, s.flags, s.with_replacement, s.n) == \
+            (ref.design_tag, ref.flags, ref.with_replacement, ref.n)
+        assert not s.pi.flags.writeable and not s.multiplicity.flags.writeable
 
 
 @pytest.mark.parametrize("label", LEAVES)
@@ -201,6 +228,23 @@ def test_a_wrapped_kernel_keeps_the_batch(frame, monkeypatch):
     looped = loop_result(design, frame, ht_total_stat, 200, 6, monkeypatch)
     assert_same_result(batched, looped)
     assert len(calls) == (200 if sk.ACTIVE_BACKEND == "numba" else 0) + 200
+
+
+def test_mean_and_var_are_the_replicate_loops_sums(frame):
+    # compensated sums of the replicate values and of (v - mean) ** 2, as a
+    # loop over numpy floats adds them: ** 2 is libm's pow there, which
+    # rounds some squares differently from d * d (glibc's does on this d)
+    d = 1.6121007653006214
+    for R, values in [(2, [-d, d]), (2000, None)]:
+        source = iter(values or ())
+        statistic = (lambda s: next(source)) if values else ht_total_stat
+        res = sk.monte_carlo(sk.PPSWR(4), frame, statistic, R, seed=9)
+        values = res["replicates"]
+        mean = math.fsum(values) / R
+        var = math.fsum((v - mean) ** 2 for v in values) / (R - 1)
+        assert values.dtype == np.float64 and values.shape == (R,)
+        assert (res["mean"], res["var"]) == (mean, var)
+        assert res["se_of_mean"] == math.sqrt(var / R)
 
 
 def test_srs_monte_carlo_time_budget():
