@@ -155,42 +155,42 @@ class Design(_Document):
                             built from an index table of its sets
                             (`DesignDistribution._from_table`) once the
                             set count has passed the cap
-    draw(frame, rng)        one Sample, rng a numpy Generator
+    samples(frame, R, src)  the Samples of R replicates in replicate order,
+                            drawn from src, a shared Generator, or from
+                            src(r), replicate r's own
     mc_rows(frame, R, src)  (idx, pi), the Sample.idx and Sample.pi of R
                             replicates as (R, w) tables: row r, without its
                             pads (index N, pi 1.0, anywhere in the row), is
-                            replicate r's sample, drawn from src, a shared
-                            Generator, or from src(r), replicate r's own
+                            replicate r's sample, drawn from src as above
     mc_batch(frame, R, rng) (hits, values) over R replicates: appearances
                             per unit and the HT (or Hansen-Hurwitz) totals of
                             the frame's y
-    mc_samples(frame, R, base)
-                            the Samples of R replicates in replicate order,
-                            replicate r's the one `designs.select` draws
-                            from its own substream base.substream(r)
     to_dict() / from_dict   the document form, {key: {field: value}}
 
-    A leaf design (`_Leaf`) supplies its kernel binding instead of
-    `first_order`, `draw`, `mc_batch`, `mc_rows` and `mc_samples`, which
-    follow from it.  `first_order` returns the binding's probabilities,
-    so it refuses exactly the frames the draw refuses; Bernoulli, Poisson
-    and Chao write their own, which their binding reads, and
-    RejectivePoisson its own, the binding's marginals without its entry
-    table.  The three Monte Carlo methods run the kernel through
-    `kernels._mc_rows`, on the one Generator they are given or, for
-    `mc_samples`, on each replicate's own substream.  A nested design
-    writes its batch once, composed of its children's `mc_rows`;
-    Stratified, OneStageCluster and TwoStage (`_Composed`) build `draw`
-    and `mc_samples` from it too.  Defaults: `joint` builds the matrix from
-    the support, `first_order` and `support` raise NonEnumerableError,
-    `mc_samples` loops over `designs.select`, and `mc_batch` is derived
+    The base class writes `draw(frame, rng)`, the one Sample of
+    `samples(frame, 1, rng)`, and `mc_samples(frame, R, base)`, the
+    Samples with replicate r on its own substream base.substream(r).  A
+    leaf design (`_Leaf`) supplies its kernel binding instead of
+    `first_order`, `samples`, `mc_batch` and `mc_rows`, which follow from
+    it, and keeps a `draw` of one kernel call, the reference its batched
+    Samples are tested against.  `first_order` returns the binding's
+    probabilities, so it refuses exactly the frames the draw refuses;
+    Bernoulli, Poisson and Chao write their own, which their binding
+    reads, and RejectivePoisson its own, the binding's marginals without
+    its entry table.  The Monte Carlo methods run the kernel through
+    `kernels._mc_rows`.  A nested design writes its batch once, composed
+    of its children's `mc_rows`; Stratified, OneStageCluster and TwoStage
+    (`_Composed`) build `samples` from it too, and TwoPhase builds
+    `samples` from its phase 1's, one rule call a replicate.  Defaults:
+    `joint` builds the matrix from the support, `first_order` and
+    `support` raise NonEnumerableError, and `mc_batch` is derived
     from `mc_rows`: a bincount of the rows, and each row's y/pi added in
     row order from 0.0.  Only `_Leaf` overrides `mc_batch`, to weigh
     every with-replacement draw (Hansen-Hurwitz) and to keep the compiled
     loop on numba, and `_Independent` overrides it to draw through
     `kernels.mc_poisson`.  The public entry points
     (`core.first_order_pips`, `joint_pips`, `enumerate_design`,
-    `designs.select`, `simulate.design_consistency_mc`,
+    `select`, `simulate.design_consistency_mc`,
     `simulate.monte_carlo`) delegate here.  Nested designs take their
     children's probabilities and supports from them, draws from `mc_rows`.
     """
@@ -230,9 +230,14 @@ class Design(_Document):
             top += rows
         return np.bincount(idx.ravel(), minlength=N + 1)[:N].astype(float), vals
 
+    def draw(self, frame, rng):
+        return next(self.samples(frame, 1, rng))
+
     def mc_samples(self, frame, R, base):
-        for r in range(R):
-            yield designs.select(self, frame, base.substream(r))
+        # one Generator per replicate for the whole design, 1024 at a time
+        for top in range(0, R, 1024):
+            rngs = [base.substream(r) for r in range(top, min(R, top + 1024))]
+            yield from self.samples(frame, len(rngs), rngs.__getitem__)
 
 
 class _Leaf(Design):
@@ -282,10 +287,10 @@ class _Leaf(Design):
             idx = kernels._distinct(idx, N)
         return idx, np.append(p, 1.0)[idx]
 
-    def mc_samples(self, frame, R, base):
+    def samples(self, frame, R, source):
         kernel, args, p, tag = self._bind(frame)
         N = p.size
-        for idx in kernels._mc_rows(kernel, args, N, R, base.substream):
+        for idx in kernels._mc_rows(kernel, args, N, R, source):
             mult = None
             if self.with_replacement:  # each drawn unit once, with its count
                 idx, mult = kernels._counted(idx, N)
@@ -671,26 +676,16 @@ class _Composed(_Nesting):
     `mc_rows` tables, and a function that builds the table of each cell's
     conditional pi (None where the design records none), which only the
     Samples read.  source(r) gives replicate r the same Generator on every
-    call.  `draw` builds a Sample from the one replicate on rng, and
-    `mc_samples` from each replicate on its own substream.  A row's units
-    are ascending, or cluster by cluster for a one-stage cluster design,
-    and its pads last."""
+    call.  `samples` builds a Sample from each row.  A row's units are
+    ascending, or cluster by cluster for a one-stage cluster design, and
+    its pads last."""
 
     by_cluster = True  # the Sample names each unit's cluster
-
-    def draw(self, frame, rng):
-        return next(self._row_samples(frame, 1, rng))
-
-    def mc_samples(self, frame, R, base):
-        # one Generator per replicate for the whole composition, 1024 at a time
-        for top in range(0, R, 1024):
-            rngs = [base.substream(r) for r in range(top, min(R, top + 1024))]
-            yield from self._row_samples(frame, len(rngs), rngs.__getitem__)
 
     def mc_rows(self, frame, R, source):
         return self._rows(frame, R, source)[:2]
 
-    def _row_samples(self, frame, R, source):
+    def samples(self, frame, R, source):
         idx, pi, cond_of = self._rows(frame, R, source)
         cond = None if cond_of is None else cond_of()
         for r, w in enumerate((idx < frame.n_units).sum(axis=1).tolist()):
@@ -876,8 +871,8 @@ class Phase2Rule(_Document):
     A rule may also have a batched form, mc_cond(idx, frame, rng): given
     the phase-1 index table of `Design.mc_rows` (pad: frame.n_units), the
     conditional phase-2 probability of every cell, 0 where the unit is not
-    subsampled.  A two-phase design whose rule has none runs its Monte
-    Carlo batches through the select loop."""
+    subsampled.  Without it, or when each replicate has its own
+    Generator, a two-phase design calls the rule once a replicate."""
 
     registry = {}
     noun = "phase-2 rule"
@@ -1018,7 +1013,7 @@ class StratifyOnAux(Phase2Rule):
 @dataclass(frozen=True)
 class PoissonOnAux(Phase2Rule):
     """Poisson phase 2 with conditional probability proportional to an
-    observed nonnegative value, scaled to expected size r."""
+    observed nonnegative value, scaled to expected size min(r, phase-1 size)."""
 
     r: int
     column: int = 0
@@ -1032,7 +1027,7 @@ class PoissonOnAux(Phase2Rule):
         x = _aux_column(frame, self.column, phase1_sample.idx)
         if np.any(x <= 0):
             raise ValueError("Poisson phase-2 rule needs positive observed values")
-        p2 = np.minimum(compute_pips(x, self.r), 1.0)
+        p2 = np.minimum(compute_pips(x, min(self.r, x.size)), 1.0)
         local = kernels._one_draw(kernels._poisson_indices, (p2,), rng)
         return local, p2[local], None, None
 
@@ -1052,24 +1047,31 @@ class TwoPhase(_Nesting):
             raise DesignError(f"unknown phase-2 rule {self.phase2!r}")
         super().__post_init__()
 
-    def draw(self, frame, rng):
-        s1 = designs.select(self.phase1, frame, rng)
-        out = self.phase2(s1, frame, rng)
-        local, cond, labels, all_labels = out if len(out) == 4 else (*out, None, None)[:4]
-        if np.any(local >= s1.idx.size):
-            raise ValueError("phase-2 rule selected a unit outside the phase-1 sample")
-        return Sample(frame, s1.idx[local], s1.pi[local] * cond, conditional_pi=cond,
-                      design_tag="two_phase", phase1=s1,
-                      psu_labels=labels, phase1_labels=all_labels)
+    def samples(self, frame, R, source):
+        # phase 1 batches when each replicate has its own Generator; a shared
+        # one draws phase 1 and then the rule replicate by replicate, as select does
+        Design.require(self.phase1, DesignError, "cannot select from {}")
+        if callable(source):
+            firsts, rngs = self.phase1.samples(frame, R, source), map(source, range(R))
+        else:
+            firsts = (self.phase1.draw(frame, source) for _ in range(R))
+            rngs = itertools.repeat(source, R)
+        for s1, rng in zip(firsts, rngs):
+            out = self.phase2(s1, frame, rng)
+            local, cond, labels, all_labels = out if len(out) == 4 else (*out, None, None)[:4]
+            if np.any(local >= s1.idx.size):
+                raise ValueError("phase-2 rule selected a unit outside the phase-1 sample")
+            yield Sample(frame, s1.idx[local], s1.pi[local] * cond, conditional_pi=cond,
+                         design_tag="two_phase", phase1=s1,
+                         psu_labels=labels, phase1_labels=all_labels)
 
     def mc_rows(self, frame, R, source):
         # the phase-1 rows, then the rule's batched form; a cell the rule
         # does not keep becomes a pad, where it sits.  Without that form, or
-        # per replicate (`mc_cond` draws one shared block), select loops.
+        # per replicate (`mc_cond` draws one shared block), the Samples' rows.
         cond_of = getattr(self.phase2, "mc_cond", None)
         if cond_of is None or callable(source):
-            rngs = map(source, range(R)) if callable(source) else itertools.repeat(source, R)
-            samples = [designs.select(self, frame, rng) for rng in rngs]
+            samples = list(self.samples(frame, R, source))
             return (kernels._stack([s.idx[None] for s in samples], frame.n_units),
                     kernels._stack([s.pi[None] for s in samples], 1.0))
         idx, pi = _child_rows(self.phase1, frame, R, source)
@@ -1251,8 +1253,3 @@ def load_design(path):
     except ValueError as exc:
         raise DesignError(f"cannot parse design document {path}: {exc}") from exc
     return design_from_dict(doc)
-
-
-# Imported last, because it imports this module.  Two-phase designs draw
-# their phase 1 through its public entry point.
-from . import designs  # noqa: E402

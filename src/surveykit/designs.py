@@ -1,6 +1,11 @@
 """Sample selection: `select` draws from any declarative design, and the
 select_* helpers draw from one design family with plain arguments."""
 
+from . import design as dz
+# conditional_poisson_pips is importable from here: tools look it up
+from .core import NonProbabilityDesignError, conditional_poisson_pips  # noqa: F401
+from .design import as_generator
+
 __all__ = [
     "select", "select_srs", "select_srswr", "select_bernoulli",
     "select_poisson", "select_systematic", "select_pps_wr",
@@ -110,10 +115,3 @@ def select_two_phase(frame, phase1_design, phase2_rule, rng):
     """Two-phase sampling: the phase-2 rule may read phase-1 observations."""
     return dz.TwoPhase(phase1_design, phase2_rule).draw(frame, as_generator(rng))
 
-
-# Imported last: design imports this module at its end.
-from . import design as dz  # noqa: E402
-from .core import NonProbabilityDesignError  # noqa: E402
-# importable from here: tools look up designs.conditional_poisson_pips
-from .core import conditional_poisson_pips  # noqa: E402,F401
-from .design import as_generator  # noqa: E402

@@ -50,8 +50,9 @@ def design_consistency_mc(design, frame, R, rng):
     replicates' index and pi tables: a nested design composes its
     children's rows (each stratum, the PSUs and then each drawn cluster,
     phase 1 and then its rule's `mc_cond`), and a two-phase rule without
-    `mc_cond` runs the `select` loop.  A composed batch keeps the design's
-    law; a one-replicate batch is what one `select` draws."""
+    `mc_cond` gives the rows of the Samples a `select` loop draws.  A
+    composed batch keeps the design's law; a one-replicate batch is what
+    one `select` draws."""
     _check_replicates(R, 0)
     Design.require(design, DesignError, "cannot select from {}")
     return design.mc_batch(frame, R, as_generator(rng))
@@ -70,7 +71,8 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
     replicate r's own substream, and any other kernel (Lahiri's, or any
     on numba) runs on that substream itself, so the values are the select
     loop's, bit for bit.  Stratified, one-stage cluster and two-stage
-    designs hand them to their children's rows; two-phase designs loop."""
+    designs hand them to their children's rows, and a two-phase design to
+    its phase 1's Samples, calling its rule on each replicate's substream."""
     _check_replicates(R, 2)
     Design.require(design, DesignError, "cannot select from {}")
     values = [float(estimator(s)) for s in design.mc_samples(frame, R, RngStream(seed, stream))]

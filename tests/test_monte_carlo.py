@@ -4,10 +4,11 @@ kernel's batched form takes row r of each block of uniforms from
 replicate r's substream, and any other kernel (Lahiri PPSWR, and every
 kernel on the numba backend) runs itself on that substream.  Stratified,
 one-stage cluster and two-stage designs compose their children's rows
-with the same per-replicate source; a two-phase design keeps the `select`
-loop.  Replicate values, mean and var must equal the `select` loop's bit
-for bit, and every Sample the estimator sees must be the one `select`
-draws from that replicate's substream."""
+with the same per-replicate source; a two-phase design draws its phase-1
+Samples on those substreams and calls its rule on each.  Replicate
+values, mean and var must equal the `select` loop's bit for bit, and
+every Sample the estimator sees must be the one `select` draws from that
+replicate's substream."""
 
 import functools
 import math
@@ -43,6 +44,14 @@ LEAVES = {
 
 FIELDS = ("idx", "pi", "multiplicity", "weights", "conditional_pi")
 
+
+def halve(phase1_sample, frame, rng):
+    """A user's phase-2 rule, a plain function without `mc_cond`: each
+    phase-1 unit with probability 1/2.  It returns (local, cond) only."""
+    local = np.flatnonzero(rng.random(phase1_sample.idx.size) < 0.5)
+    return local, np.full(local.size, 0.5)
+
+
 # nested designs on NESTED_FRAME, whose units carry strata and clusters
 NESTED = {
     **NESTED_CASES,
@@ -56,6 +65,10 @@ NESTED = {
     "one_stage_cluster-bernoulli": sk.OneStageCluster(sk.Bernoulli(0.4)),
     "two_stage-nested_ssu": sk.TwoStage(sk.Brewer2(), sk.SRS(2), per_cluster={
         "c0": sk.OneStageCluster(sk.SRS(1)), "c3": sk.RejectivePoisson(2)}),
+    "two_phase-callable": sk.TwoPhase(sk.Stratified({"a": sk.SRS(3), "b": sk.Poisson(
+        tuple(np.linspace(0.3, 0.8, 6)))}), halve),
+    "stratified-two_phase-callable": sk.Stratified({
+        "a": sk.TwoPhase(sk.SRS(4), halve), "b": sk.SRS(2)}),
 }
 
 
@@ -75,8 +88,11 @@ def select_loop(design, frame, R, seed):
 
 def loop_result(design, frame, estimator, R, seed, monkeypatch):
     """monte_carlo with the design's Samples drawn by the select loop."""
+    def loop(self, frame, R, base):
+        return (sk.select(self, frame, base.substream(r)) for r in range(R))
+
     with monkeypatch.context() as m:
-        m.setattr(type(design), "mc_samples", Design.mc_samples)
+        m.setattr(type(design), "mc_samples", loop)
         return sk.monte_carlo(design, frame, estimator, R, seed)
 
 
@@ -159,26 +175,24 @@ def test_batched_leaf_designs_never_call_select(label, frame, monkeypatch):
     sk.monte_carlo(LEAVES[label], frame, ht_total_stat, 50, seed=2)
 
 
-def test_designs_without_a_batch_run_the_select_loop(monkeypatch):
+def test_designs_without_a_batch_never_call_select(monkeypatch):
     # a stratified design composes its strata's rows; a two-phase design
-    # keeps the select loop
+    # whose rule has no batched form batches its phase-1 Samples
     frame = sk.Frame(ids=tuple(f"u{i}" for i in range(12)), mos=MOS[:12],
                      stratum=tuple("aaaaaabbbbbb"), aux=MOS[:12, None], y=np.arange(12.0))
     select = designs.select
-    for design, looped in [(sk.Stratified({"a": sk.SRS(2), "b": sk.Chao(2)}), False),
-                           (sk.TwoPhase(sk.SRS(6), sk.PoissonOnAux(3)), True)]:
+    for design in [sk.Stratified({"a": sk.SRS(2), "b": sk.Chao(2)}),
+                   sk.TwoPhase(sk.SRS(6), sk.PoissonOnAux(3))]:
         values = [ht_total_stat(s) for s in select_loop(design, frame, 30, 4)]
         calls = []
         with monkeypatch.context() as m:
             m.setattr(designs, "select", lambda *a: calls.append(1) or select(*a))
             batched = sk.monte_carlo(design, frame, ht_total_stat, 30, seed=4)
-        assert (len(calls) >= 30) if looped else not calls
+        assert not calls
         assert batched["replicates"].tolist() == values
 
 
-@pytest.mark.parametrize("label", ["stratified", "stratified-bernoulli",
-                                   "one_stage_cluster", "one_stage_cluster-bernoulli",
-                                   "two_stage-per_cluster", "two_stage-nested_ssu"])
+@pytest.mark.parametrize("label", NESTED)
 def test_nested_select_composes_rows_without_select(label, monkeypatch):
     def refused(*args):
         raise AssertionError("designs.select called")

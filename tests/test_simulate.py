@@ -192,6 +192,8 @@ NESTED_CASES = {
                                                sk.StratifyOnAux(rate=0.5)),
     "two_phase-two_stage": sk.TwoPhase(sk.TwoStage(sk.SRS(2), sk.SRS(2)),
                                        sk.StratifyOnAux(rate=0.5)),
+    # a rule without a batched form; phase 1 often holds at most r units
+    "two_phase-poisson-small": sk.TwoPhase(sk.Bernoulli(0.3), sk.PoissonOnAux(3)),
 }
 
 
