@@ -157,7 +157,10 @@ class Design(_Document):
                             set count has passed the cap
     samples(frame, R, src)  the Samples of R replicates in replicate order,
                             drawn from src, a shared Generator, or from
-                            src(r), replicate r's own
+                            src(r), replicate r's own, which must be the
+                            same Generator on every call (a list's
+                            __getitem__, not RngStream.substream, which
+                            builds a new one each time)
     mc_rows(frame, R, src)  (idx, pi), the Sample.idx and Sample.pi of R
                             replicates as (R, w) tables: row r, without its
                             pads (index N, pi 1.0, anywhere in the row), is
@@ -181,8 +184,8 @@ class Design(_Document):
     `kernels._mc_rows`.  A nested design writes its batch once, composed
     of its children's `mc_rows`; Stratified, OneStageCluster and TwoStage
     (`_Composed`) build `samples` from it too, and TwoPhase builds
-    `samples` from its phase 1's, one rule call a replicate.  Defaults:
-    `joint` builds the matrix from the support, `first_order` and
+    `samples` from its phase 1's `draw` and one rule call a replicate.
+    Defaults: `joint` builds the matrix from the support, `first_order` and
     `support` raise NonEnumerableError, and `mc_batch` is derived
     from `mc_rows`: a bincount of the rows, and each row's y/pi added in
     row order from 0.0.  Only `_Leaf` overrides `mc_batch`, to weigh
@@ -675,10 +678,9 @@ class _Composed(_Nesting):
     """A nested design written once, as `_rows(frame, R, source)`: the
     `mc_rows` tables, and a function that builds the table of each cell's
     conditional pi (None where the design records none), which only the
-    Samples read.  source(r) gives replicate r the same Generator on every
-    call.  `samples` builds a Sample from each row.  A row's units are
-    ascending, or cluster by cluster for a one-stage cluster design, and
-    its pads last."""
+    Samples read.  `samples` builds a Sample from each row.  A row's units
+    are ascending, or cluster by cluster for a one-stage cluster design,
+    and its pads last."""
 
     by_cluster = True  # the Sample names each unit's cluster
 
@@ -1048,15 +1050,11 @@ class TwoPhase(_Nesting):
         super().__post_init__()
 
     def samples(self, frame, R, source):
-        # phase 1 batches when each replicate has its own Generator; a shared
-        # one draws phase 1 and then the rule replicate by replicate, as select does
+        # replicate by replicate, as select does: phase 1, then the rule,
+        # on the replicate's Generator
         Design.require(self.phase1, DesignError, "cannot select from {}")
-        if callable(source):
-            firsts, rngs = self.phase1.samples(frame, R, source), map(source, range(R))
-        else:
-            firsts = (self.phase1.draw(frame, source) for _ in range(R))
-            rngs = itertools.repeat(source, R)
-        for s1, rng in zip(firsts, rngs):
+        for rng in map(source, range(R)) if callable(source) else itertools.repeat(source, R):
+            s1 = self.phase1.draw(frame, rng)
             out = self.phase2(s1, frame, rng)
             local, cond, labels, all_labels = out if len(out) == 4 else (*out, None, None)[:4]
             if np.any(local >= s1.idx.size):

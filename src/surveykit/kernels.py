@@ -680,7 +680,7 @@ def _mc_rows(select, args, N, R, source):
     chunk: int64 tables whose row r, without the pads (index N, anywhere in
     the row), is replicate r's draw in kernel output order.  `source` is
     one Generator that the replicates share, or a function that gives
-    replicate r its own Generator source(r) (`RngStream.substream`); each
+    replicate r its own Generator source(r), called once a replicate; each
     stream is consumed as the scalar calls would consume it.  The
     replicates run on Lahiri's rewound block (a shared stream that
     rewinds), a fixed-count kernel's batched form, or else the scalar

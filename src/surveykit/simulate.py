@@ -71,8 +71,8 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
     replicate r's own substream, and any other kernel (Lahiri's, or any
     on numba) runs on that substream itself, so the values are the select
     loop's, bit for bit.  Stratified, one-stage cluster and two-stage
-    designs hand them to their children's rows, and a two-phase design to
-    its phase 1's Samples, calling its rule on each replicate's substream."""
+    designs hand them to their children's rows, and a two-phase design
+    draws phase 1 and then calls its rule on each replicate's substream."""
     _check_replicates(R, 2)
     Design.require(design, DesignError, "cannot select from {}")
     values = [float(estimator(s)) for s in design.mc_samples(frame, R, RngStream(seed, stream))]
