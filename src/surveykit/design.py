@@ -155,20 +155,20 @@ class Design(_Document):
                             built from an index table of its sets
                             (`DesignDistribution._from_table`) once the
                             set count has passed the cap
-    samples(frame, R, src)  the Samples of R replicates in replicate order,
-                            drawn from src, a shared Generator, or from
-                            src(r), replicate r's own, which must be the
-                            same Generator on every call (a list's
-                            __getitem__, not RngStream.substream, which
-                            builds a new one each time)
+    samples(frame, R, src)  the Samples of R replicates in replicate order
     mc_rows(frame, R, src)  (idx, pi), the Sample.idx and Sample.pi of R
                             replicates as (R, w) tables: row r, without its
                             pads (index N, pi 1.0, anywhere in the row), is
-                            replicate r's sample, drawn from src as above
+                            replicate r's sample
     mc_batch(frame, R, rng) (hits, values) over R replicates: appearances
                             per unit and the HT (or Hansen-Hurwitz) totals of
                             the frame's y
     to_dict() / from_dict   the document form, {key: {field: value}}
+
+    The source src of `samples` and `mc_rows` is one numpy Generator that
+    the replicates share, or a sequence of R Generators, src[r] replicate
+    r's own; anything else is refused before a draw
+    (`kernels._replicate_rngs`).
 
     The base class writes `draw(frame, rng)`, the one Sample of
     `samples(frame, 1, rng)`, and `mc_samples(frame, R, base)`, the
@@ -186,12 +186,12 @@ class Design(_Document):
     (`_Composed`) build `samples` from it too, and TwoPhase builds
     `samples` from its phase 1's `draw` and one rule call a replicate.
     Defaults: `joint` builds the matrix from the support, `first_order` and
-    `support` raise NonEnumerableError, and `mc_batch` is derived
-    from `mc_rows`: a bincount of the rows, and each row's y/pi added in
-    row order from 0.0.  Only `_Leaf` overrides `mc_batch`, to weigh
-    every with-replacement draw (Hansen-Hurwitz) and to keep the compiled
-    loop on numba, and `_Independent` overrides it to draw through
-    `kernels.mc_poisson`.  The public entry points
+    `support` raise NonEnumerableError, and `mc_batch` is the
+    `kernels._tally` of the `mc_rows` and each cell's y/pi.  Only `_Leaf`
+    overrides `mc_batch`, to weigh every with-replacement draw
+    (Hansen-Hurwitz) and to keep the compiled loop on numba, and
+    `_Independent` overrides it to draw through `kernels.mc_poisson`.
+    The public entry points
     (`core.first_order_pips`, `joint_pips`, `enumerate_design`,
     `select`, `simulate.design_consistency_mc`,
     `simulate.monte_carlo`) delegate here.  Nested designs take their
@@ -222,16 +222,11 @@ class Design(_Document):
         raise NonEnumerableError(f"{type(self).__name__} designs cannot be enumerated")
 
     def mc_batch(self, frame, R, rng):
-        N = frame.n_units
         y = np.append(frame.y_column(), 0.0)  # index N pads and weighs nothing
         idx, pi = self.mc_rows(frame, R, rng)
-        vals = np.empty(R)
-        top = 0
-        for rows in kernels._chunks(R, idx.shape[1]):
-            cells = slice(top, top + rows)
-            vals[cells] = kernels._row_totals(y[idx[cells]] / pi[cells])
-            top += rows
-        return np.bincount(idx.ravel(), minlength=N + 1)[:N].astype(float), vals
+        tops = list(itertools.accumulate(kernels._chunks(R, idx.shape[1]), initial=0))
+        return kernels._tally(((idx[a:b], y[idx[a:b]] / pi[a:b])
+                               for a, b in zip(tops, tops[1:])), frame.n_units)
 
     def draw(self, frame, rng):
         return next(self.samples(frame, 1, rng))
@@ -240,7 +235,7 @@ class Design(_Document):
         # one Generator per replicate for the whole design, 1024 at a time
         for top in range(0, R, 1024):
             rngs = [base.substream(r) for r in range(top, min(R, top + 1024))]
-            yield from self.samples(frame, len(rngs), rngs.__getitem__)
+            yield from self.samples(frame, len(rngs), rngs)
 
 
 class _Leaf(Design):
@@ -287,7 +282,7 @@ class _Leaf(Design):
         N = p.size
         idx = kernels._stack(list(kernels._mc_rows(kernel, args, N, R, rng)), N)
         if self.with_replacement:  # a Sample holds each drawn unit once
-            idx = kernels._distinct(idx, N)
+            idx = kernels._counted(idx, N)[0]
         return idx, np.append(p, 1.0)[idx]
 
     def samples(self, frame, R, source):
@@ -666,7 +661,8 @@ class RejectivePoisson(_Sized):
 class _Nesting(Design):
     """A design built from child designs, none of which may draw with
     replacement: the union would need each child's own Hansen-Hurwitz
-    weights, which a Sample does not carry."""
+    weights, which a Sample does not carry.  A child that is not a Design
+    is refused when the design is built (`_nested`)."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -753,7 +749,7 @@ class Stratified(_Composed):
         N = frame.n_units
         idx, pi = [], []
         for label, units in frame.strata():
-            cidx, cpi = _child_rows(self.child(label), frame.restrict(units), R, source)
+            cidx, cpi = self.child(label).mc_rows(frame.restrict(units), R, source)
             idx.append(np.append(units, N)[cidx])
             pi.append(cpi)
         z = np.empty((R, sum(t.shape[1] for t in idx)), dtype=complex)
@@ -783,7 +779,7 @@ class OneStageCluster(_Composed):
     def _rows(self, frame, R, source):
         # each drawn cluster expands into its members, clusters in the PSU
         # rows' order
-        cidx, cpi = _child_rows(self.psu, _cluster_frame(frame), R, source)
+        cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, source)
         return (*_cluster_members(frame, cidx, cpi), None)
 
 
@@ -826,7 +822,7 @@ class TwoStage(_Composed):
         # on their own Generators when each has one, written at those slots.
         N = frame.n_units
         clusters = frame.clusters()
-        cidx, cpi = _child_rows(self.psu, _cluster_frame(frame), R, source)
+        cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, source)
         w, flat = cidx.shape[1], cidx.ravel()
         slots = flat.astype(np.min_scalar_type(len(clusters))).argsort(kind="stable")
         count = np.bincount(flat, minlength=len(clusters) + 1)[:-1]  # the pad K drew none
@@ -835,8 +831,9 @@ class TwoStage(_Composed):
         for k, end in zip(drawn.tolist(), count[drawn].cumsum().tolist()):
             label, members = clusters[k]
             drew, top = slots[top:end], end
-            sub = (lambda i, reps=drew // w: source(reps[i])) if callable(source) else source
-            rows, spi = _child_rows(self.ssu_for(label), frame.restrict(members), drew.size, sub)
+            sub = (source if isinstance(source, np.random.Generator)
+                   else [source[r] for r in (drew // w).tolist()])
+            rows, spi = self.ssu_for(label).mc_rows(frame.restrict(members), drew.size, sub)
             sidx.append(np.append(members, N)[rows])
             cond.append(spi)
         sidx, cond = kernels._stack(sidx, N), kernels._stack(cond, 1.0)
@@ -1052,27 +1049,37 @@ class TwoPhase(_Nesting):
     def samples(self, frame, R, source):
         # replicate by replicate, as select does: phase 1, then the rule,
         # on the replicate's Generator
-        Design.require(self.phase1, DesignError, "cannot select from {}")
-        for rng in map(source, range(R)) if callable(source) else itertools.repeat(source, R):
+        for rng in kernels._replicate_rngs(source, R):
             s1 = self.phase1.draw(frame, rng)
             out = self.phase2(s1, frame, rng)
             local, cond, labels, all_labels = out if len(out) == 4 else (*out, None, None)[:4]
-            if np.any(local >= s1.idx.size):
-                raise ValueError("phase-2 rule selected a unit outside the phase-1 sample")
+            local, cond = self._checked(local, cond, s1.idx.size)
             yield Sample(frame, s1.idx[local], s1.pi[local] * cond, conditional_pi=cond,
                          design_tag="two_phase", phase1=s1,
                          psu_labels=labels, phase1_labels=all_labels)
 
+    def _checked(self, local, cond, n1):
+        """The rule's positions into a phase-1 sample of n1 units, distinct
+        integers in [0, n1), and their conditional pi, each in (0, 1]."""
+        local, cond = np.asarray(local), np.asarray(cond, dtype=float)
+        if local.shape != cond.shape or local.size and (
+                local.dtype.kind not in "iu" or local.min() < 0 or local.max() >= n1
+                or np.bincount(local).max() > 1 or not (cond.min() > 0 and cond.max() <= 1)):
+            raise ValueError(f"phase-2 rule {self.phase2!r} must select distinct integer "
+                             f"positions, none outside [0, {n1}), each with a conditional "
+                             "pi in (0, 1]")
+        return local.astype(np.int64, copy=False), cond
+
     def mc_rows(self, frame, R, source):
-        # the phase-1 rows, then the rule's batched form; a cell the rule
-        # does not keep becomes a pad, where it sits.  Without that form, or
-        # per replicate (`mc_cond` draws one shared block), the Samples' rows.
+        # the phase-1 rows, then the rule's batched form, a pad where it keeps
+        # no cell; without it, or per replicate (`mc_cond` draws one shared
+        # block), the Samples' rows
         cond_of = getattr(self.phase2, "mc_cond", None)
-        if cond_of is None or callable(source):
+        if cond_of is None or not isinstance(source, np.random.Generator):
             samples = list(self.samples(frame, R, source))
             return (kernels._stack([s.idx[None] for s in samples], frame.n_units),
                     kernels._stack([s.pi[None] for s in samples], 1.0))
-        idx, pi = _child_rows(self.phase1, frame, R, source)
+        idx, pi = self.phase1.mc_rows(frame, R, source)
         cond = cond_of(idx, frame, source)
         kept = cond > 0
         return np.where(kept, idx, frame.n_units), np.where(kept, pi * cond, 1.0)
@@ -1089,12 +1096,6 @@ def _aux_column(frame, column, idx):
         raise FrameError(f"phase-2 rule reads aux column {column}, but the frame "
                          f"has {width} aux column(s)")
     return frame.aux[idx, int(column)]
-
-
-def _child_rows(child, frame, R, source):
-    """child.mc_rows(frame, R, source), refusing a child as `select` does."""
-    Design.require(child, DesignError, "cannot select from {}")
-    return child.mc_rows(frame, R, source)
 
 
 def _check_srs_size(n, N):
@@ -1214,13 +1215,14 @@ def _sorted_rows(z):
 
 
 def _nested(design):
-    """`design` and every design nested in its fields."""
+    """`design` and every design in its Design fields, nested or in a
+    mapping, each refused unless it is a Design, as `select` refuses it."""
+    Design.require(design, DesignError, "cannot select from {}")
     yield design
-    if isinstance(design, Design):
-        for f in fields(design):
+    for f in fields(design):
+        if f.metadata.get("mapping", f.type) is Design:
             value = getattr(design, f.name)
-            children = [d for _, d in value or ()] if "mapping" in f.metadata else [value]
-            for child in children:
+            for child in (d for _, d in value or ()) if "mapping" in f.metadata else [value]:
                 yield from _nested(child)
 
 

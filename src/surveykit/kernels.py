@@ -19,6 +19,7 @@ so both match the scalar kernel bit for bit.
 import inspect
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -288,7 +289,7 @@ def conditional_poisson_select(q, n, rng):
 #   restore the state and `advance` by the doubles used (`_rewind`).  Other
 #   bit generators keep the scalar loop for it.
 #
-# `_mc_rows` picks among these and yields index tables; `mc_draws` sums them.
+# `_mc_rows` picks among these and yields index tables; `_tally` sums them.
 
 _CHUNK_CELLS = 1 << 16  # the most cells one table of a batch holds
 
@@ -675,51 +676,53 @@ def _stack(tables, pad):
     return out
 
 
+def _replicate_rngs(source, R):
+    """The Generators of R replicates in replicate order, from one Generator
+    that they share (`source` R times over) or a sequence of R Generators,
+    source[r] replicate r's own; anything else is refused before a draw."""
+    if isinstance(source, np.random.Generator):
+        return itertools.repeat(source, R)
+    if not isinstance(source, Sequence) or not all(
+            isinstance(rng, np.random.Generator) for rng in source):
+        raise TypeError("a Monte Carlo source is one numpy Generator that the replicates "
+                        f"share or a sequence of one Generator per replicate, not {source!r:.80}")
+    if len(source) != R:
+        raise ValueError(f"a source of {len(source)} Generators cannot draw {R} replicates")
+    return source
+
+
 def _mc_rows(select, args, N, R, source):
     """R replicates of `select(*args, rng)` on a frame of N units, chunk by
     chunk: int64 tables whose row r, without the pads (index N, anywhere in
-    the row), is replicate r's draw in kernel output order.  `source` is
-    one Generator that the replicates share, or a function that gives
-    replicate r its own Generator source(r), called once a replicate; each
-    stream is consumed as the scalar calls would consume it.  The
-    replicates run on Lahiri's rewound block (a shared stream that
-    rewinds), a fixed-count kernel's batched form, or else the scalar
-    kernel, which a lone replicate on a shared stream runs as `_one_draw`."""
-    if R == 1 and not callable(source):
-        yield _one_draw(select, args, source)[None]
-        return
-    if callable(source):
-        rngs = map(source, range(R))
-
-        def block(rows, k):
-            out = np.empty((rows, k))
-            for row, rng in zip(out, itertools.islice(rngs, rows)):
-                rng.random(out=row)
-            return out
-    else:
-        rngs = itertools.repeat(source, R)
-        block = lambda rows, k: source.random((rows, k))
+    the row), is replicate r's draw in kernel output order, on replicate
+    r's Generator of `source` (`_replicate_rngs`), consumed as the scalar
+    calls would consume it.  The replicates run on Lahiri's rewound block
+    (a shared stream that rewinds), a fixed-count kernel's batched form, or
+    else the scalar kernel, which a lone replicate on a shared stream runs
+    as `_one_draw`."""
+    rngs = iter(_replicate_rngs(source, R))
+    count, form = _entry(_BATCHED, select) or (None, None)
+    if isinstance(source, np.random.Generator):
+        if R == 1:
+            yield _one_draw(select, args, source)[None]
+            return
         rewound = _entry(_REWOUND, select)
         if (rewound is not None and type(source) is np.random.Generator
                 and type(source.bit_generator) in _ONE_STEP_PER_DOUBLE):
             yield from rewound(*args, R, source)
             return
-    entry = _entry(_BATCHED, select)
-    if entry is not None:
-        count, form = entry
-        k = count(*args)
-        yield from form(*args, R, lambda rows: block(rows, k))
+        uniforms = lambda rows: source.random((rows, count(*args)))
+    else:
+        def uniforms(rows):
+            out = np.empty((rows, count(*args)))
+            for row, rng in zip(out, itertools.islice(rngs, rows)):
+                rng.random(out=row)
+            return out
+    if form is not None:
+        yield from form(*args, R, uniforms)
         return
     for rows in _chunks(R, N):
         yield _stack([select(*args, rng)[None] for rng in itertools.islice(rngs, rows)], N)
-
-
-def _distinct(idx, N):
-    """Rows of with-replacement draws as their distinct units, ascending:
-    a repeat becomes the pad N, which sorts last."""
-    idx = np.sort(idx, axis=1)
-    idx[:, 1:][idx[:, 1:] == idx[:, :-1]] = N
-    return np.sort(idx, axis=1)
 
 
 def _counted(idx, N):
@@ -740,24 +743,28 @@ def _counted(idx, N):
     return units, counts
 
 
+def _tally(tables, N):
+    """(hits, totals) of the replicates on N units in their (units, weights)
+    tables, in replicate order: each unit's cells counted (pads N nowhere),
+    each row's weights added left to right from 0.0 (`_row_totals`)."""
+    counts = np.zeros(N + 1, dtype=np.int64)
+    totals = [np.empty(0)]
+    for units, w in tables:
+        totals.append(_row_totals(w))
+        counts += np.bincount(units.ravel(), minlength=N + 1)
+    return counts[:N].astype(float), np.concatenate(totals)
+
+
 def mc_draws(select, args, with_replacement, R, wvec, rng):
     """R replicates of `select(*args, rng)`, the kernel a design draws with:
-    (hits, vals) as `_mc_draws_loop` returns them, summed from the index
+    (hits, vals) as `_mc_draws_loop` returns them, the `_tally` of the
     tables of `_mc_rows`; on numba the compiled loop runs instead."""
     if ACTIVE_BACKEND == "numba":
         return _mc_draws_loop(select, args, with_replacement, R, wvec, rng)
     N = wvec.shape[0]
     w = np.append(wvec, 0.0)  # index N pads ragged rows and weighs nothing
-    counts = np.zeros(N + 1, dtype=np.int64)
-    vals = np.empty(R)
-    done = 0
-    for idx in _mc_rows(select, args, N, R, rng):
-        vals[done:done + idx.shape[0]] = _row_totals(w[idx])
-        done += idx.shape[0]
-        if with_replacement:  # a unit counts once per replicate
-            idx = _distinct(idx, N)
-        counts += np.bincount(idx.ravel(), minlength=N + 1)
-    return counts[:N].astype(float), vals
+    return _tally(((_counted(idx, N)[0] if with_replacement else idx, w[idx])
+                   for idx in _mc_rows(select, args, N, R, rng)), N)
 
 
 def mc_poisson(pi, R, wvec, rng):

@@ -43,15 +43,10 @@ def design_consistency_mc(design, frame, R, rng):
     the replicate HT (or Hansen-Hurwitz) totals of the frame's y.  R must
     be an integer of at least 0.
 
-    The batch is `Design.mc_batch`.  A leaf design runs its kernel's
-    batched form over the kernel, checks and weights that `select` uses,
-    with the draws, totals and stream position of the scalar replicate
-    loop.  Every other design derives the batch from its `mc_rows`, the
-    replicates' index and pi tables: a nested design composes its
-    children's rows (each stratum, the PSUs and then each drawn cluster,
-    phase 1 and then its rule's `mc_cond`), and a two-phase rule without
-    `mc_cond` gives the rows of the Samples a `select` loop draws.  A
-    composed batch keeps the design's law; a one-replicate batch is what
+    The batch is `Design.mc_batch`, all R replicates on the one Generator:
+    a leaf design repeats the draws, totals and stream position of the
+    scalar replicate loop, and a nested design composes its children's
+    `mc_rows`, which keeps the design's law.  A one-replicate batch is what
     one `select` draws."""
     _check_replicates(R, 0)
     Design.require(design, DesignError, "cannot select from {}")
@@ -65,14 +60,9 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
     not matter either.  R must be an integer of at least 2.
 
     The Samples come from `Design.mc_samples`, replicate r's the one
-    `select` draws from substream r.  A leaf design draws them through
-    `kernels._mc_rows` with the substreams as its source: a fixed-count
-    kernel's batched form takes row r of each block of uniforms from
-    replicate r's own substream, and any other kernel (Lahiri's, or any
-    on numba) runs on that substream itself, so the values are the select
-    loop's, bit for bit.  Stratified, one-stage cluster and two-stage
-    designs hand them to their children's rows, and a two-phase design
-    draws phase 1 and then calls its rule on each replicate's substream."""
+    `select` draws from substream r, so the values are the select loop's,
+    bit for bit; the list of substreams is the designs' per-replicate
+    source (see the README's RNG contract)."""
     _check_replicates(R, 2)
     Design.require(design, DesignError, "cannot select from {}")
     values = [float(estimator(s)) for s in design.mc_samples(frame, R, RngStream(seed, stream))]

@@ -661,6 +661,27 @@ class TestTwoPhase:
         with pytest.raises(ValueError, match="outside"):
             sk.select_two_phase(aux_frame, sk.SRS(5), bad_rule, RngStream(3))
 
+    @pytest.mark.parametrize("local, cond", [
+        ([-1, 0, 0], [0.5] * 3), ([0, 4], [0.5] * 2), ([1, 2, 1], [0.5] * 3),
+        ([0.0, 1.0], [0.5] * 2), ([0, 1], [0.5, 0.0]), ([0, 1], [1.5, 0.5]),
+        ([0, 1], [0.5, np.nan]), ([0, 1], [0.5]),
+    ], ids=["negative", "past_the_end", "repeated", "float", "zero", "above_one", "nan",
+            "short"])
+    def test_rule_output_is_checked(self, aux_frame, local, cond):
+        # each refusal names the rule; a repeated position would count a
+        # unit twice, a negative one a unit from the end of phase 1
+        def odd_rule(s1, frame, rng):
+            return np.asarray(local), np.asarray(cond)
+
+        design = sk.TwoPhase(sk.SRS(4), odd_rule)
+        named = r"odd_rule.* must select distinct integer positions, none outside \[0, 4\)"
+        with pytest.raises(ValueError, match=named):
+            sk.select(design, aux_frame, RngStream(3))
+        with pytest.raises(ValueError, match=named):
+            design_consistency_mc(design, aux_frame, 5, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=named):
+            sk.monte_carlo(design, aux_frame, lambda s: s.n, 5, seed=3)
+
     def test_poisson_phase2_dee_unbiased(self, aux_frame):
         base = RngStream(101)
         total = float(np.sum(aux_frame.y))

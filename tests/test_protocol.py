@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import surveykit as sk
+from surveykit import kernels
 from surveykit.core import NonEnumerableError
 from surveykit.design import Design, DesignError, _Leaf
 from surveykit.simulate import design_consistency_mc
@@ -142,3 +143,94 @@ def test_first_order_refuses_what_select_refuses(design, mos):
         assert np.all(np.isfinite(pips.first_order))
         assert sample.pi.tobytes() == pips.first_order[sample.idx].tobytes()
 
+
+def substreams(seed, R):
+    base = sk.RngStream(seed)
+    return [base.substream(r) for r in range(R)]
+
+
+@pytest.mark.parametrize("cls", DESIGN_CLASSES, ids=lambda cls: cls.key)
+def test_a_generator_per_replicate_draws_the_select_loop(cls):
+    # the per-replicate source of monte_carlo: replicate r's Sample, its
+    # mc_rows row and its Generator afterwards are what one select gives
+    design, _ = CASES[cls]
+    loop = substreams(5, R)
+    refs = [sk.select(design, FRAME, rng) for rng in loop]
+    rngs = substreams(5, R)
+    samples = list(design.samples(FRAME, R, rngs))
+    assert len(samples) == R
+    for s, ref in zip(samples, refs):
+        for name in ("idx", "pi", "multiplicity", "conditional_pi"):
+            a, b = getattr(s, name), getattr(ref, name)
+            assert (a is None) == (b is None), name
+            assert a is None or a.tobytes() == b.tobytes(), name
+    assert [g.random() for g in rngs] == [g.random() for g in loop]
+    idx, pi = design.mc_rows(FRAME, R, substreams(5, R))
+    assert idx.shape == pi.shape and len(idx) == R
+    for row, row_pi, ref in zip(idx, pi, refs):
+        kept = row < N
+        assert sorted(zip(row[kept].tolist(), row_pi[kept].tolist())) == \
+            sorted(zip(ref.idx.tolist(), ref.pi.tolist()))
+        assert np.all(row_pi[~kept] == 1.0)
+
+
+@pytest.mark.parametrize("cls", DESIGN_CLASSES, ids=lambda cls: cls.key)
+def test_a_source_of_another_form_is_refused_before_a_draw(cls):
+    # a function of r (RngStream.substream builds a new Generator on every
+    # call, so a nested design asking twice would replay its uniforms), an
+    # RngStream, a seed, a sequence of the wrong length or holding another
+    # object
+    design, _ = CASES[cls]
+    base, rngs = sk.RngStream(5), substreams(5, R)
+    before = [g.bit_generator.state for g in rngs]
+    refused = [(base.substream, TypeError), (rngs.__getitem__, TypeError), (base, TypeError),
+               (7, TypeError), ([*rngs[:-1], 7], TypeError), (rngs[:-1], ValueError),
+               (rngs + rngs[:1], ValueError)]
+    for source, error in refused:
+        message = "cannot draw" if error is ValueError else "one numpy Generator"
+        with pytest.raises(error, match=message):
+            list(design.samples(FRAME, R, source))
+        with pytest.raises(error, match=message):
+            design.mc_rows(FRAME, R, source)
+    assert [g.bit_generator.state for g in rngs] == before
+
+
+def test_strata_draw_on_their_own_stretch_of_each_replicate_generator():
+    # with a function source, stratum b asked RngStream.substream(r) for a
+    # fresh Generator and drew on stratum a's uniforms, the same positions 4
+    # units on: [2, 3, 6, 7] in four replicates of five
+    design = sk.Stratified({"a": sk.SRS(2), "b": sk.SRS(2)})
+    with pytest.raises(TypeError, match="not <bound method RngStream.substream"):
+        list(design.samples(FRAME, 5, sk.RngStream(1).substream))
+    drawn = [s.idx.tolist() for s in design.samples(FRAME, 5, substreams(1, 5))]
+    assert drawn == [sk.select(design, FRAME, rng).idx.tolist() for rng in substreams(1, 5)]
+    assert any(idx[2:] != [i + 4 for i in idx[:2]] for idx in drawn)
+
+
+def test_rejective_reference_draws_the_law_of_rejective_poisson():
+    # kernels.rejective_poisson_select, Poisson sampling tried until it takes
+    # n units, and RejectivePoisson's one-pass draw against the enumerated
+    # law of the 56 sets; the chi-square threshold (upper 1e-6 point, 55
+    # degrees of freedom) is fixed before any draw
+    from scipy import stats
+
+    work = np.array([0.2, 0.5, 0.3, 0.45, 0.25, 0.4, 0.35, 0.55])
+    design = sk.RejectivePoisson(3, tuple(work))
+    law = dict(sk.enumerate_design(design, FRAME))
+    assert len(law) == 56
+    sets, prob = list(law), np.array(list(law.values()))
+    threshold = stats.chi2.ppf(1 - 1e-6, len(sets) - 1)
+    draws = 20_000
+    rng = np.random.default_rng(2024)
+    reference = [kernels.rejective_poisson_select(work, 3, 10_000, rng) for _ in range(draws)]
+    one_pass, _ = design.mc_rows(FRAME, draws, np.random.default_rng(2025))
+    for drawn in (reference, one_pass):
+        counts = dict.fromkeys(sets, 0)
+        for idx in drawn:
+            ids = tuple(FRAME.ids[i] for i in sorted(idx.tolist()))
+            assert ids in counts, f"{ids} is outside the support"
+            counts[ids] += 1
+        expected = draws * prob
+        assert min(expected) >= 5
+        chi2 = (((np.array(list(counts.values())) - expected) ** 2) / expected).sum()
+        assert chi2 < threshold

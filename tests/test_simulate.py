@@ -473,16 +473,18 @@ class TestStratifyWalk:
         assert hits.all() and values.shape == (20_000,) and np.isfinite(values).all()
 
 
-@pytest.mark.parametrize("design", [sk.TwoStage("srs", sk.SRS(1)),
-                                    sk.TwoPhase("srs", sk.KeepAll())],
-                         ids=["two_stage", "two_phase"])
-def test_child_that_is_not_a_design_is_refused_by_the_batch(design):
+@pytest.mark.parametrize("build", [lambda: sk.TwoStage("srs", sk.SRS(1)),
+                                   lambda: sk.TwoStage(sk.SRS(1), sk.SRS(1),
+                                                       per_cluster={"c0": "srs"}),
+                                   lambda: sk.TwoPhase("srs", sk.KeepAll()),
+                                   lambda: sk.Stratified({"a": sk.SRS(1), "b": "srs"})],
+                         ids=["two_stage", "two_stage-per_cluster", "two_phase", "stratified"])
+def test_child_that_is_not_a_design_is_refused_by_the_batch(build):
+    # refused when the design is built, before it can reach select or a batch
     from surveykit.design import DesignError
 
     with pytest.raises(DesignError, match="cannot select from str"):
-        sk.select(design, NESTED_FRAME, 1)
-    with pytest.raises(DesignError, match="cannot select from str"):
-        design_consistency_mc(design, NESTED_FRAME, 10, 1)
+        build()
 
 
 def test_two_stage_without_cluster_labels_is_a_frame_error():
