@@ -86,68 +86,68 @@ class Sample:
             raise ValueError("without-replacement samples must have multiplicity 1")
 
     @classmethod
-    def _of_rows(cls, frame, rows, pi, multiplicity=None, **drawn):
-        """One Sample per row of an index table (frame indices ascending,
-        then pads N), each unit i with probability pi[i]: what
-        `Sample(frame, idx, pi[idx], multiplicity=m, **drawn)` gives for
-        the row, with the checks made once on the whole table.  `drawn`
-        holds the fields a drawn Sample carries besides (design_tag, flags,
-        with_replacement), and `multiplicity`, a table shaped like rows
-        with 0 at the pads, the draw counts of a with-replacement draw;
-        without it each unit counts once.
+    def _of_rows(cls, frame, rows, pi, multiplicity=None, conditional_pi=None, labels=None,
+                 **drawn):
+        """One Sample per row of an index table (a row's frame indices, then
+        pads N), with the table pi shaped like rows (1.0 at the pads): what
+        `Sample(frame, idx, p, multiplicity=m, conditional_pi=c,
+        psu_labels=tuple(labels[i] for i in idx), **drawn)` gives for each
+        row's units idx and their cells p, m and c, with the checks made
+        once on the whole table.  `drawn` holds the fields a drawn Sample
+        carries besides (design_tag, flags, with_replacement).  The optional
+        tables are shaped like rows too: `multiplicity`, 0 at the pads, the
+        draw counts of a with-replacement draw (without it each unit counts
+        once), and `conditional_pi`; `labels` names each frame unit's
+        cluster.
 
-        The rows go in blocks of at most `kernels._CHUNK_CELLS` cells, and
-        each block gathers its pi once and, without replacement, its
-        weights 1 / pi, the bits `weights` computes.  A Sample's idx, pi,
-        multiplicity and weights are read-only views of the rows of these
-        tables, a whole row where it holds no pad.  Its __dict__ holds
-        only the fields that differ from the class defaults."""
+        Every table is set read-only, and a Sample's idx, pi, multiplicity
+        and conditional_pi are views of their rows.  Without the optional
+        fields, the rows go in blocks of at most `kernels._CHUNK_CELLS`
+        cells, and each block's weights 1 / pi, the bits `weights`
+        computes, are divided once.  A Sample's __dict__ holds only the
+        fields that differ from the class defaults."""
         from .kernels import _chunks  # not at import: a Sample alone needs no kernels
 
         N = frame.n_units
-        pi = np.asarray(pi, dtype=float)
-        used = np.zeros(N + 1, dtype=bool)
-        used[rows] = True
-        seen = pi[used[:N]]
-        if seen.size and not (seen.min() > 0 and seen.max() <= 1 + 1e-12):
-            for row in rows:  # the first failing row raises as its Sample would
-                idx = row[row < N]
-                cls(frame, idx, pi[idx])
+        if pi.size and not (pi.min() > 0 and pi.max() <= 1 + 1e-12):
+            for idx, p in zip(rows, pi):  # the first failing row raises as its Sample would
+                cls(frame, idx[idx < N], p[idx < N])
         base = {name: v for name, v in drawn.items() if v != getattr(cls, name)}
         base["frame"] = frame
-        pad = np.append(pi, 1.0)  # units no set uses may have pi 0; pads read 1
+        for table in (rows, pi, multiplicity, conditional_pi):
+            if table is not None:
+                table.setflags(write=False)
         width = rows.shape[1]
-        if multiplicity is None:
-            ones = np.ones(width, dtype=np.int64)
-            ones.setflags(write=False)
-        else:
-            multiplicity.setflags(write=False)
+        widths = np.count_nonzero(rows < N, axis=1).tolist()
+        ones = np.ones(width, dtype=np.int64)
+        ones.setflags(write=False)
         new = object.__new__
-        top = 0
-        for size in _chunks(len(rows), width):
-            block = rows[top:top + size]
-            widths = np.count_nonzero(block < N, axis=1).tolist()
-            p = pad[block]
-            p.setflags(write=False)
-            if multiplicity is not None:  # `weights` computes m / (n p) when read
-                for w, idx, p_row, m in zip(widths, block, p, multiplicity[top:top + size]):
-                    if w < width:
-                        idx, p_row, m = idx[:w], p_row[:w], m[:w]
-                    s = new(cls)
-                    s.__dict__ = {**base, "idx": idx, "pi": p_row, "multiplicity": m}
-                    yield s
-            else:
-                inv = 1 / p
+        if multiplicity is None and conditional_pi is None and labels is None:
+            top = 0
+            for size in _chunks(len(rows), width):
+                end = top + size
+                inv = 1 / pi[top:end]
                 inv.setflags(write=False)
-                for w, idx, p_row, inv_row in zip(widths, block, p, inv):
+                for w, idx, p, inv_row in zip(widths[top:end], rows[top:end], pi[top:end], inv):
                     m = ones
                     if w < width:
-                        idx, p_row, m, inv_row = idx[:w], p_row[:w], ones[:w], inv_row[:w]
+                        idx, p, m, inv_row = idx[:w], p[:w], ones[:w], inv_row[:w]
                     s = new(cls)
-                    s.__dict__ = {**base, "idx": idx, "pi": p_row, "multiplicity": m,
+                    s.__dict__ = {**base, "idx": idx, "pi": p, "multiplicity": m,
                                   "weights": inv_row}
                     yield s
-            top += size
+                top = end
+            return
+        if multiplicity is None:
+            multiplicity = np.broadcast_to(ones, rows.shape)
+        for r, (w, idx, p, m) in enumerate(zip(widths, rows, pi, multiplicity)):
+            s = new(cls)
+            s.__dict__ = fields = {**base, "idx": idx[:w], "pi": p[:w], "multiplicity": m[:w]}
+            if conditional_pi is not None:
+                fields["conditional_pi"] = conditional_pi[r, :w]
+            if labels is not None:
+                fields["psu_labels"] = tuple([labels[i] for i in idx[:w].tolist()])
+            yield s
 
     @property
     def ids(self):

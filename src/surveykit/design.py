@@ -155,47 +155,36 @@ class Design(_Document):
                             built from an index table of its sets
                             (`DesignDistribution._from_table`) once the
                             set count has passed the cap
-    samples(frame, R, src)  the Samples of R replicates in replicate order
-    mc_rows(frame, R, src)  (idx, pi), the Sample.idx and Sample.pi of R
-                            replicates as (R, w) tables: row r, without its
-                            pads (index N, pi 1.0, anywhere in the row), is
-                            replicate r's sample
+    _rows(frame, R, src)    (idx, pi, fields): R replicates as (R, w)
+                            tables, row r replicate r's Sample.idx and
+                            Sample.pi, then pads (index N, pi 1.0); and a
+                            function of no arguments that gives the
+                            keyword fields only Samples read
+                            (`Sample._of_rows`: design tag, flags,
+                            multiplicity, conditional pi, cluster labels)
     mc_batch(frame, R, rng) (hits, values) over R replicates: appearances
                             per unit and the HT (or Hansen-Hurwitz) totals of
                             the frame's y
     to_dict() / from_dict   the document form, {key: {field: value}}
 
-    The source src of `samples` and `mc_rows` is one numpy Generator that
-    the replicates share, or a sequence of R Generators, src[r] replicate
-    r's own; anything else is refused before a draw
+    The source src is one numpy Generator that the replicates share, or a
+    sequence of R Generators, src[r] replicate r's own; any other source,
+    or an R that is not an integer of at least 0, is refused before a draw
     (`kernels._replicate_rngs`).
 
-    The base class writes `draw(frame, rng)`, the one Sample of
-    `samples(frame, 1, rng)`, and `mc_samples(frame, R, base)`, the
-    Samples with replicate r on its own substream base.substream(r).  A
-    leaf design (`_Leaf`) supplies its kernel binding instead of
-    `first_order`, `samples`, `mc_batch` and `mc_rows`, which follow from
-    it, and keeps a `draw` of one kernel call, the reference its batched
-    Samples are tested against.  `first_order` returns the binding's
-    probabilities, so it refuses exactly the frames the draw refuses;
-    Bernoulli, Poisson and Chao write their own, which their binding
-    reads, and RejectivePoisson its own, the binding's marginals without
-    its entry table.  The Monte Carlo methods run the kernel through
-    `kernels._mc_rows`.  A nested design writes its batch once, composed
-    of its children's `mc_rows`; Stratified, OneStageCluster and TwoStage
-    (`_Composed`) build `samples` from it too, and TwoPhase builds
-    `samples` from its phase 1's `draw` and one rule call a replicate.
-    Defaults: `joint` builds the matrix from the support, `first_order` and
-    `support` raise NonEnumerableError, and `mc_batch` is the
-    `kernels._tally` of the `mc_rows` and each cell's y/pi.  Only `_Leaf`
-    overrides `mc_batch`, to weigh every with-replacement draw
-    (Hansen-Hurwitz) and to keep the compiled loop on numba, and
-    `_Independent` overrides it to draw through `kernels.mc_poisson`.
-    The public entry points
-    (`core.first_order_pips`, `joint_pips`, `enumerate_design`,
-    `select`, `simulate.design_consistency_mc`,
-    `simulate.monte_carlo`) delegate here.  Nested designs take their
-    children's probabilities and supports from them, draws from `mc_rows`.
+    From `_rows` the base class writes `mc_rows` (its tables), `samples`
+    (a Sample from each row), `draw` (the one Sample of
+    `samples(frame, 1, rng)`), `mc_samples` (the Samples with replicate r
+    on its own substream base.substream(r)) and `mc_batch` (the
+    `kernels._tally` of the `mc_rows` and each cell's y/pi).  Defaults:
+    `joint` builds the matrix from the support, `first_order` and `support`
+    raise NonEnumerableError.  A leaf design (`_Leaf`) writes its methods
+    from its kernel binding.  A nested design composes its children's
+    `mc_rows`.  TwoPhase alone writes `samples` and `mc_rows` instead of
+    `_rows`: its Sample carries its phase-1 Sample and its rule's labels.
+    The public entry points (`core.first_order_pips`, `joint_pips`,
+    `enumerate_design`, `select`, `simulate.design_consistency_mc`,
+    `simulate.monte_carlo`) delegate here.
     """
 
     registry = {}
@@ -221,6 +210,13 @@ class Design(_Document):
     def support(self, frame, cap):
         raise NonEnumerableError(f"{type(self).__name__} designs cannot be enumerated")
 
+    def mc_rows(self, frame, R, source):
+        return self._rows(frame, R, source)[:2]
+
+    def samples(self, frame, R, source):
+        idx, pi, fields_of = self._rows(frame, R, source)
+        yield from Sample._of_rows(frame, idx, pi, **fields_of())
+
     def mc_batch(self, frame, R, rng):
         y = np.append(frame.y_column(), 0.0)  # index N pads and weighs nothing
         idx, pi = self.mc_rows(frame, R, rng)
@@ -233,6 +229,7 @@ class Design(_Document):
 
     def mc_samples(self, frame, R, base):
         # one Generator per replicate for the whole design, 1024 at a time
+        kernels._check_replicates(R, 0)
         for top in range(0, R, 1024):
             rngs = [base.substream(r) for r in range(top, min(R, top + 1024))]
             yield from self.samples(frame, len(rngs), rngs)
@@ -247,10 +244,15 @@ class _Leaf(Design):
     where kernel(*args, rng) draws one sample's frame indices (every draw,
     repeats included, for with-replacement designs), p holds each unit's
     inclusion probability (draw probability with replacement) and tag is
-    the Sample's design tag.  `first_order`, `draw` and the Monte Carlo
-    methods follow from the binding, so the probabilities it reports are
-    the ones a draw uses, on exactly the frames a draw accepts, and a
-    Monte Carlo replicate draws what one `select` draws."""
+    the Sample's design tag.  `first_order`, `_rows` and `mc_batch` follow
+    from the binding, so the probabilities it reports are the ones a draw
+    uses, on exactly the frames a draw accepts, and a Monte Carlo replicate
+    draws what one `select` draws.  `draw` is one kernel call, the
+    reference the batched Samples are tested against.  Bernoulli, Poisson
+    and Chao write a `first_order` that their binding reads, and
+    RejectivePoisson one without its binding's entry table; `mc_batch`
+    weighs every with-replacement draw (Hansen-Hurwitz), and `_Independent`
+    draws it through `kernels.mc_poisson`."""
 
     with_replacement = False
     flags = ()
@@ -277,27 +279,18 @@ class _Leaf(Design):
         wvec = y / (self.n * p) if self.with_replacement else y / p
         return kernels.mc_draws(kernel, args, self.with_replacement, R, wvec, rng)
 
-    def mc_rows(self, frame, R, rng):
-        kernel, args, p, _ = self._bind(frame)
-        N = p.size
-        idx = kernels._stack(list(kernels._mc_rows(kernel, args, N, R, rng)), N)
-        if self.with_replacement:  # a Sample holds each drawn unit once
-            idx = kernels._counted(idx, N)[0]
-        return idx, np.append(p, 1.0)[idx]
-
-    def samples(self, frame, R, source):
+    def _rows(self, frame, R, source):
         kernel, args, p, tag = self._bind(frame)
         N = p.size
-        for idx in kernels._mc_rows(kernel, args, N, R, source):
-            mult = None
-            if self.with_replacement:  # each drawn unit once, with its count
-                idx, mult = kernels._counted(idx, N)
-            else:  # ascending units, then the pads (Poisson's sit anywhere)
-                width = np.count_nonzero(idx < N, axis=1).max()
-                idx = np.sort(idx, axis=1)[:, :width]
-            idx.setflags(write=False)
-            yield from Sample._of_rows(frame, idx, p, mult, design_tag=tag, flags=self.flags,
-                                       with_replacement=self.with_replacement)
+        idx = kernels._stack(list(kernels._mc_rows(kernel, args, N, R, source)), N)
+        mult = None
+        if self.with_replacement:  # each drawn unit once, with its count
+            idx, mult = kernels._counted(idx, N)
+        elif (idx == N).any():  # ascending units, then the pads (Poisson's sit anywhere)
+            idx = np.sort(idx, axis=1)[:, :np.count_nonzero(idx < N, axis=1).max()]
+        return idx, np.append(p, 1.0)[idx], lambda: dict(
+            multiplicity=mult, design_tag=tag, flags=self.flags,
+            with_replacement=self.with_replacement)
 
 
 class _Sized(_Leaf):
@@ -662,7 +655,10 @@ class _Nesting(Design):
     """A design built from child designs, none of which may draw with
     replacement: the union would need each child's own Hansen-Hurwitz
     weights, which a Sample does not carry.  A child that is not a Design
-    is refused when the design is built (`_nested`)."""
+    is refused when the design is built (`_nested`).  Stratified,
+    OneStageCluster and TwoStage write `_rows` from their children's
+    `mc_rows`: a row's units ascending, or cluster by cluster for a
+    one-stage cluster design, then its pads."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -670,37 +666,13 @@ class _Nesting(Design):
             raise DesignError(f"{type(self).__name__} cannot nest a with-replacement design")
 
 
-class _Composed(_Nesting):
-    """A nested design written once, as `_rows(frame, R, source)`: the
-    `mc_rows` tables, and a function that builds the table of each cell's
-    conditional pi (None where the design records none), which only the
-    Samples read.  `samples` builds a Sample from each row.  A row's units
-    are ascending, or cluster by cluster for a one-stage cluster design,
-    and its pads last."""
-
-    by_cluster = True  # the Sample names each unit's cluster
-
-    def mc_rows(self, frame, R, source):
-        return self._rows(frame, R, source)[:2]
-
-    def samples(self, frame, R, source):
-        idx, pi, cond_of = self._rows(frame, R, source)
-        cond = None if cond_of is None else cond_of()
-        for r, w in enumerate((idx < frame.n_units).sum(axis=1).tolist()):
-            take = idx[r, :w]
-            labels = tuple(frame.cluster[i] for i in take.tolist()) if self.by_cluster else None
-            yield Sample(frame, take, pi[r, :w], design_tag=self.key, psu_labels=labels,
-                         conditional_pi=None if cond is None else cond[r, :w])
-
-
 @dataclass(frozen=True)
-class Stratified(_Composed):
+class Stratified(_Nesting):
     """Independent draws within each stratum; the union is the sample."""
 
     designs: tuple = _mapping(Design)  # ((stratum label, child design), ...)
     key = "stratified"
     inline = "designs"
-    by_cluster = False
 
     def child(self, label):
         for key, d in self.designs:
@@ -755,11 +727,11 @@ class Stratified(_Composed):
         z = np.empty((R, sum(t.shape[1] for t in idx)), dtype=complex)
         np.concatenate(idx, axis=1, out=z.real)
         np.concatenate(pi, axis=1, out=z.imag)
-        return (*_sorted_rows(z), None)
+        return (*_sorted_rows(z), lambda: {"design_tag": self.key})
 
 
 @dataclass(frozen=True)
-class OneStageCluster(_Composed):
+class OneStageCluster(_Nesting):
     """Draw whole clusters and observe every element inside them."""
 
     psu: Design  # design applied to the cluster frame
@@ -780,11 +752,12 @@ class OneStageCluster(_Composed):
         # each drawn cluster expands into its members, clusters in the PSU
         # rows' order
         cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, source)
-        return (*_cluster_members(frame, cidx, cpi), None)
+        return (*_cluster_members(frame, cidx, cpi),
+                lambda: {"design_tag": self.key, "labels": frame.cluster})
 
 
 @dataclass(frozen=True)
-class TwoStage(_Composed):
+class TwoStage(_Nesting):
     """Two-stage sampling under invariance (the SSU design attached to a
     cluster never depends on the realized PSU set) and independence (the
     within-cluster draws for distinct clusters use disjoint stretches of
@@ -850,7 +823,8 @@ class TwoStage(_Composed):
         # a row's units are distinct, so the conditional pi, sorted on its
         # own when a Sample needs it, lands where the unit's pi does
         idx, pi = rows_of(np.where(sidx < N, cpi.take(drew)[:, None] * cond, 1.0))
-        return idx, pi, lambda: rows_of(cond)[1]
+        return idx, pi, lambda: {"design_tag": self.key, "labels": frame.cluster,
+                                 "conditional_pi": rows_of(cond)[1]}
 
 
 # ---------------------------------------------------------------------------

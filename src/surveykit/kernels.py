@@ -676,10 +676,19 @@ def _stack(tables, pad):
     return out
 
 
+def _check_replicates(R, least):
+    """Refuse, before any draw, a replicate count R that is not an integer
+    (a bool is not one) of at least `least`."""
+    if isinstance(R, bool) or not isinstance(R, (int, np.integer)) or R < least:
+        raise ValueError(f"R must be an integer of at least {least}, got {R!r}")
+
+
 def _replicate_rngs(source, R):
     """The Generators of R replicates in replicate order, from one Generator
     that they share (`source` R times over) or a sequence of R Generators,
-    source[r] replicate r's own; anything else is refused before a draw."""
+    source[r] replicate r's own; any other source, or a replicate count
+    that is not an integer of at least 0, is refused before a draw."""
+    _check_replicates(R, 0)
     if isinstance(source, np.random.Generator):
         return itertools.repeat(source, R)
     if not isinstance(source, Sequence) or not all(
@@ -725,16 +734,23 @@ def _mc_rows(select, args, N, R, source):
         yield _stack([select(*args, rng)[None] for rng in itertools.islice(rngs, rows)], N)
 
 
+def _distinct(idx, N):
+    """Rows of with-replacement draws on N units, each sorted with every
+    repeat made a pad N: the units each replicate drew, once each."""
+    idx = np.sort(idx, axis=1)
+    idx[:, 1:][idx[:, 1:] == idx[:, :-1]] = N
+    return idx
+
+
 def _counted(idx, N):
     """Rows of with-replacement draws on N units as what `np.unique(row,
     return_counts=True)` gives for each: (units, counts) tables, every row
     its distinct units ascending and how often each was drawn, filled up to
     the widest row with pads N and counts 0."""
-    idx = np.sort(idx, axis=1)
-    first = np.ones(idx.shape, dtype=bool)
-    first[:, 1:] = idx[:, 1:] != idx[:, :-1]
-    starts = np.flatnonzero(first)
-    width = np.count_nonzero(first, axis=1)
+    idx = _distinct(idx, N)
+    once = idx < N  # the first of each unit's draws, where its run starts
+    starts = np.flatnonzero(once)
+    width = np.count_nonzero(once, axis=1)
     kept = np.arange(width.max(initial=0)) < width[:, None]  # row-major, as starts run
     units = np.full(kept.shape, N, dtype=np.int64)
     units[kept] = idx.ravel()[starts]
@@ -763,7 +779,7 @@ def mc_draws(select, args, with_replacement, R, wvec, rng):
         return _mc_draws_loop(select, args, with_replacement, R, wvec, rng)
     N = wvec.shape[0]
     w = np.append(wvec, 0.0)  # index N pads ragged rows and weighs nothing
-    return _tally(((_counted(idx, N)[0] if with_replacement else idx, w[idx])
+    return _tally(((_distinct(idx, N) if with_replacement else idx, w[idx])
                    for idx in _mc_rows(select, args, N, R, rng)), N)
 
 

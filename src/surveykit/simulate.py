@@ -6,6 +6,7 @@ import numpy as np
 
 from .core import Sample, enumerate_design, first_order_pips
 from .design import Design, DesignError, RngStream, as_generator
+from .kernels import _check_replicates
 
 __all__ = ["exact_expectation", "monte_carlo", "sample_from_ids"]
 
@@ -27,8 +28,8 @@ def exact_expectation(design, frame, statistic, cap=None):
     dist = enumerate_design(design, frame, **kwargs)
     pips = first_order_pips(design, frame)
     rows, prob = dist._table()
-    values = np.array([float(statistic(s))
-                       for s in Sample._of_rows(frame, rows, pips.first_order)])
+    cells = np.append(pips.first_order, 1.0)[rows]  # the pads N read 1.0
+    values = np.array([float(statistic(s)) for s in Sample._of_rows(frame, rows, cells)])
     # the products p * v and p * v * v of a per-set loop, to the bit
     terms = prob * values
     mean = math.fsum(terms.tolist())
@@ -76,10 +77,3 @@ def monte_carlo(design, frame, estimator, R, seed, stream=0):
         "se_of_mean": math.sqrt(var / R),
         "replicates": np.array(values),
     }
-
-
-def _check_replicates(R, least):
-    """Refuse, before any draw, a replicate count R that is not an integer
-    (a bool is not one) of at least `least`."""
-    if isinstance(R, bool) or not isinstance(R, (int, np.integer)) or R < least:
-        raise ValueError(f"R must be an integer of at least {least}, got {R!r}")

@@ -541,7 +541,7 @@ class TestSampleChecks:
         with pytest.raises(NonProbabilityDesignError) as expected:
             Sample(frame, [0, 1], pi[[0, 1]])
         with pytest.raises(NonProbabilityDesignError) as raised:
-            list(Sample._of_rows(frame, rows, pi))
+            list(Sample._of_rows(frame, rows, np.append(pi, 1.0)[rows]))
         assert str(raised.value) == str(expected.value)
         assert "'b'" in str(raised.value)
 
@@ -553,7 +553,44 @@ class TestSampleChecks:
         counts = np.ones_like(rows) if with_counts else None
         with pytest.raises(NonProbabilityDesignError,
                            match="^unit 'b' carries an inclusion probability"):
-            list(Sample._of_rows(frame, rows, pi, counts))
+            list(Sample._of_rows(frame, rows, np.append(pi, 1.0)[rows], counts))
+
+    def test_index_table_conditional_pi_and_labels_are_the_constructors(self):
+        frame = sk.Frame(ids=tuple("abcdef"), cluster=tuple("xxyyzz"))
+        rows = np.array([[0, 1, 4], [2, 6, 6], [6, 6, 6], [1, 3, 5]])  # the pad is N = 6
+        pi = np.where(rows < 6, np.arange(1.0, 13.0).reshape(4, 3) / 16, 1.0)
+        cond = np.where(rows < 6, 0.5, 1.0)
+        samples = list(Sample._of_rows(frame, rows, pi, conditional_pi=cond,
+                                       labels=frame.cluster, design_tag="two_stage"))
+        assert len(samples) == 4
+        for s, row, p, c in zip(samples, rows, pi, cond):
+            w = np.count_nonzero(row < 6)
+            ref = Sample(frame, row[:w], p[:w], conditional_pi=c[:w], design_tag="two_stage",
+                         psu_labels=tuple(frame.cluster[i] for i in row[:w]))
+            for f in dataclasses.fields(Sample):
+                a, b = getattr(s, f.name), getattr(ref, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+                else:
+                    assert a == b, f.name
+            assert s.weights.tobytes() == ref.weights.tobytes()
+            assert not (s.idx.flags.writeable or s.pi.flags.writeable
+                        or s.conditional_pi.flags.writeable)
+
+    @pytest.mark.parametrize("design", [
+        sk.Stratified({"a": sk.SRS(1), "b": sk.Poisson((0.5, 0.6))}),
+        sk.OneStageCluster(sk.SRS(2)),
+        sk.TwoStage(sk.SRS(2), sk.Bernoulli(0.6)),
+    ], ids=lambda d: d.key)
+    def test_composed_samples_are_read_only_views(self, design):
+        frame = sk.Frame(ids=tuple("abcdef"), stratum=tuple("aaaabb"), cluster=tuple("xxyyzz"))
+        samples = list(design.samples(frame, 20, np.random.default_rng(4)))
+        samples.append(sk.select(design, frame, np.random.default_rng(4)))
+        for s in samples:
+            for a in (s.idx, s.pi, s.multiplicity, s.conditional_pi):
+                assert a is None or not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                s.pi[:1] = 0.5
 
 
 class TestWeights:
@@ -593,7 +630,7 @@ class TestWeights:
                          mos=np.random.default_rng(3).uniform(1, 4, 9))
         pi = sk.compute_pips(frame.mos, 4)
         rows = sk.enumerate_design(sk.Poisson(tuple(pi)), frame)._table()[0]
-        samples = list(Sample._of_rows(frame, rows, pi))
+        samples = list(Sample._of_rows(frame, rows, np.append(pi, 1.0)[rows]))
         assert len(samples) == 2 ** 9
         for s in samples:
             assert s.weights.tobytes() == (s.multiplicity / s.pi).tobytes()
@@ -605,7 +642,7 @@ class TestWeights:
         rows = np.array([[0, 1, 4], [1, 3, 4], [0, 3, 4]])  # the pad is N = 4
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            samples = list(Sample._of_rows(frame, rows, pi))
+            samples = list(Sample._of_rows(frame, rows, np.append(pi, 1.0)[rows]))
         assert [s.weights.tolist() for s in samples] == [[2.0, 2.0], [2.0, 4.0], [2.0, 4.0]]
 
     def test_estimate_takes_no_new_attributes(self):

@@ -3,6 +3,10 @@
 A design class added to surveykit.design without a case here, or without
 one of the protocol methods, fails these tests."""
 
+import collections
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -207,30 +211,98 @@ def test_strata_draw_on_their_own_stretch_of_each_replicate_generator():
     assert any(idx[2:] != [i + 4 for i in idx[:2]] for idx in drawn)
 
 
+def exact_law(design):
+    """{((unit, draws), ...): probability}, the law of the design's Samples
+    on FRAME: its enumerated support, or for a with-replacement design the
+    multinomial law of its n independent draws."""
+    if getattr(design, "with_replacement", False):
+        p = sk.first_order_pips(design, FRAME).first_order
+        law = {}
+        for draws in itertools.combinations_with_replacement(range(N), design.n):
+            counts = collections.Counter(draws)
+            ways = math.factorial(design.n) / math.prod(map(math.factorial, counts.values()))
+            law[tuple(counts.items())] = ways * math.prod(p[u] ** c for u, c in counts.items())
+        return law
+    rows, prob = sk.enumerate_design(design, FRAME)._table()
+    return {tuple((u, 1) for u in row[row < N].tolist()): q
+            for row, q in zip(rows, prob.tolist())}
+
+
+def assert_drawn_from(drawn, law):
+    """The keys in drawn against the probabilities of law: a key outside
+    the support fails at once, then a chi-square test, cells expected
+    fewer than 5 times pooled, at the upper 1e-6 point fixed before any
+    draw."""
+    from scipy import stats
+
+    counts = collections.Counter(drawn)
+    outside = set(counts) - set(law)
+    assert not outside, f"{sorted(outside)[:3]} are outside the support"
+    expected = len(drawn) * np.array(list(law.values()))
+    observed = np.array([counts[key] for key in law], dtype=float)
+    small = expected < 5
+    if small.any():
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+    chi2 = (((observed - expected) ** 2) / expected).sum()
+    assert chi2 < stats.chi2.ppf(1 - 1e-6, expected.size - 1)
+
+
+# design classes whose law on FRAME is not written down yet (ROADMAP items 6, 7)
+LAWLESS = {sk.Chao, sk.TwoStage, sk.TwoPhase}
+
+
+@pytest.mark.parametrize("cls", [cls for cls in DESIGN_CLASSES if cls not in LAWLESS],
+                         ids=lambda cls: cls.key)
+def test_batches_draw_the_law_of_the_design(cls):
+    # the sets of a shared-Generator mc_rows batch and of mc_samples, each
+    # replicate on its own substream, against the exact law
+    design, _ = CASES[cls]
+    law = exact_law(design)
+    units = collections.defaultdict(float)  # mc_rows holds no draw counts
+    for key, q in law.items():
+        units[tuple(u for u, _ in key)] += q
+    idx, _ = design.mc_rows(FRAME, 20_000, np.random.default_rng(11))
+    assert_drawn_from([tuple(row[row < N].tolist()) for row in idx], units)
+    samples = design.mc_samples(FRAME, 4000, sk.RngStream(11))
+    assert_drawn_from([tuple(zip(s.idx.tolist(), s.multiplicity.tolist())) for s in samples],
+                      law)
+
+
 def test_rejective_reference_draws_the_law_of_rejective_poisson():
     # kernels.rejective_poisson_select, Poisson sampling tried until it takes
     # n units, and RejectivePoisson's one-pass draw against the enumerated
-    # law of the 56 sets; the chi-square threshold (upper 1e-6 point, 55
-    # degrees of freedom) is fixed before any draw
-    from scipy import stats
-
+    # law of the 56 sets
     work = np.array([0.2, 0.5, 0.3, 0.45, 0.25, 0.4, 0.35, 0.55])
     design = sk.RejectivePoisson(3, tuple(work))
-    law = dict(sk.enumerate_design(design, FRAME))
-    assert len(law) == 56
-    sets, prob = list(law), np.array(list(law.values()))
-    threshold = stats.chi2.ppf(1 - 1e-6, len(sets) - 1)
-    draws = 20_000
+    law = exact_law(design)
+    assert len(law) == 56 and min(law.values()) * 20_000 >= 5
     rng = np.random.default_rng(2024)
-    reference = [kernels.rejective_poisson_select(work, 3, 10_000, rng) for _ in range(draws)]
-    one_pass, _ = design.mc_rows(FRAME, draws, np.random.default_rng(2025))
+    reference = [kernels.rejective_poisson_select(work, 3, 10_000, rng) for _ in range(20_000)]
+    one_pass, _ = design.mc_rows(FRAME, 20_000, np.random.default_rng(2025))
     for drawn in (reference, one_pass):
-        counts = dict.fromkeys(sets, 0)
-        for idx in drawn:
-            ids = tuple(FRAME.ids[i] for i in sorted(idx.tolist()))
-            assert ids in counts, f"{ids} is outside the support"
-            counts[ids] += 1
-        expected = draws * prob
-        assert min(expected) >= 5
-        chi2 = (((np.array(list(counts.values())) - expected) ** 2) / expected).sum()
-        assert chi2 < threshold
+        assert_drawn_from([tuple((i, 1) for i in sorted(idx.tolist())) for idx in drawn], law)
+
+
+def test_every_design_but_two_phase_draws_through_rows():
+    # one Monte Carlo method a design: `_rows`, from which Design writes
+    # mc_rows and samples; TwoPhase writes those two instead
+    for cls in DESIGN_CLASSES:
+        inherited = (cls.samples is Design.samples, cls.mc_rows is Design.mc_rows)
+        assert inherited == ((False, False) if cls is sk.TwoPhase else (True, True)), cls
+        assert hasattr(cls, "_rows") == (cls is not sk.TwoPhase), cls
+
+
+@pytest.mark.parametrize("cls", DESIGN_CLASSES, ids=lambda cls: cls.key)
+def test_a_replicate_count_that_is_not_a_count_is_refused_before_a_draw(cls):
+    design, _ = CASES[cls]
+    rng = np.random.default_rng(3)
+    for R in (-3, True, 2.0, "3", None):
+        for call in (lambda: list(design.samples(FRAME, R, rng)),
+                     lambda: design.mc_rows(FRAME, R, rng),
+                     lambda: list(design.mc_samples(FRAME, R, sk.RngStream(3)))):
+            with pytest.raises(ValueError, match="R must be an integer of at least 0, got"):
+                call()
+    assert rng.random() == np.random.default_rng(3).random()  # nothing drawn
+    assert list(design.samples(FRAME, 0, rng)) == list(design.samples(FRAME, 0, [])) == []
+    assert [t.shape[0] for t in design.mc_rows(FRAME, 0, rng)] == [0, 0]
