@@ -146,7 +146,7 @@ class Sample:
             if conditional_pi is not None:
                 fields["conditional_pi"] = conditional_pi[r, :w]
             if labels is not None:
-                fields["psu_labels"] = tuple([labels[i] for i in idx[:w].tolist()])
+                fields["psu_labels"] = tuple([labels[i] for i in fields["idx"].tolist()])
             yield s
 
     @property
