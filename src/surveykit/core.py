@@ -101,19 +101,20 @@ class Sample:
         cluster.
 
         Every table is set read-only, and a Sample's idx, pi, multiplicity
-        and conditional_pi are views of their rows.  Without the optional
-        fields, the rows go in blocks of at most `kernels._CHUNK_CELLS`
-        cells, and each block's weights 1 / pi, the bits `weights`
-        computes, are divided once.  A Sample's __dict__ holds only the
-        fields that differ from the class defaults."""
+        and conditional_pi are views of their rows; without a multiplicity
+        table, the Samples of w units share one read-only view of w ones.
+        Without the optional fields, the rows go in blocks of at most
+        `kernels._CHUNK_CELLS` cells, and each block's weights 1 / pi, the
+        bits `weights` computes, are divided once.  A Sample's __dict__ is
+        written in one dict display and holds only the fields that differ
+        from the class defaults."""
         from .kernels import _chunks  # not at import: a Sample alone needs no kernels
 
         N = frame.n_units
         if pi.size and not (pi.min() > 0 and pi.max() <= 1 + 1e-12):
             for idx, p in zip(rows, pi):  # the first failing row raises as its Sample would
                 cls(frame, idx[idx < N], p[idx < N])
-        base = {name: v for name, v in drawn.items() if v != getattr(cls, name)}
-        base["frame"] = frame
+        extra = {name: v for name, v in drawn.items() if v != getattr(cls, name)}
         for table in (rows, pi, multiplicity, conditional_pi):
             if table is not None:
                 table.setflags(write=False)
@@ -121,6 +122,7 @@ class Sample:
         widths = np.count_nonzero(rows < N, axis=1).tolist()
         ones = np.ones(width, dtype=np.int64)
         ones.setflags(write=False)
+        counts = [ones[:w] for w in range(width + 1)]  # the multiplicity of a w-unit row
         new = object.__new__
         if multiplicity is None and conditional_pi is None and labels is None:
             top = 0
@@ -129,20 +131,20 @@ class Sample:
                 inv = 1 / pi[top:end]
                 inv.setflags(write=False)
                 for w, idx, p, inv_row in zip(widths[top:end], rows[top:end], pi[top:end], inv):
-                    m = ones
                     if w < width:
-                        idx, p, m, inv_row = idx[:w], p[:w], ones[:w], inv_row[:w]
+                        idx, p, inv_row = idx[:w], p[:w], inv_row[:w]
                     s = new(cls)
-                    s.__dict__ = {**base, "idx": idx, "pi": p, "multiplicity": m,
-                                  "weights": inv_row}
+                    s.__dict__ = {"frame": frame, "idx": idx, "pi": p, "multiplicity": counts[w],
+                                  "weights": inv_row, **extra}
                     yield s
                 top = end
             return
-        if multiplicity is None:
-            multiplicity = np.broadcast_to(ones, rows.shape)
-        for r, (w, idx, p, m) in enumerate(zip(widths, rows, pi, multiplicity)):
+        for r, (w, idx, p) in enumerate(zip(widths, rows, pi)):
             s = new(cls)
-            s.__dict__ = fields = {**base, "idx": idx[:w], "pi": p[:w], "multiplicity": m[:w]}
+            s.__dict__ = fields = {
+                "frame": frame, "idx": idx[:w], "pi": p[:w],
+                "multiplicity": counts[w] if multiplicity is None else multiplicity[r, :w],
+                **extra}
             if conditional_pi is not None:
                 fields["conditional_pi"] = conditional_pi[r, :w]
             if labels is not None:

@@ -369,10 +369,11 @@ class _Independent(_Leaf):
         member = (np.arange(2 ** free.size)[:, None] & (1 << np.arange(free.size))) != 0
         prob = _independent_prob(member, pi[free])  # a row per subset of the free units
         keep = prob > 0
-        rows = np.where(member[keep], free, N)
-        return DesignDistribution._from_table(
-            np.hstack([rows, np.broadcast_to(certain, (len(rows), certain.size))]),
-            prob[keep], frame)
+        # written in place: free units where member, pads N, then the certain units
+        rows = np.full((np.count_nonzero(keep), free.size + certain.size), N, dtype=np.int64)
+        np.copyto(rows[:, :free.size], free, where=member[keep])
+        rows[:, free.size:] = certain
+        return DesignDistribution._from_table(rows, prob[keep], frame)
 
     def _bind(self, frame):
         pi = self.first_order(frame).first_order

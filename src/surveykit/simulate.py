@@ -1,12 +1,13 @@
 """Exact-enumeration and Monte Carlo verification harness."""
 
+import itertools
 import math
 
 import numpy as np
 
 from .core import Sample, enumerate_design, first_order_pips
 from .design import Design, DesignError, RngStream, as_generator
-from .kernels import _check_replicates
+from .kernels import _check_replicates, _chunks
 
 __all__ = ["exact_expectation", "monte_carlo", "sample_from_ids"]
 
@@ -23,13 +24,23 @@ def exact_expectation(design, frame, statistic, cap=None):
     design: sum_A P(A) stat(A) and the matching second moment.  The design
     is enumerated once; the statistic gets, for each support set in support
     order, the Sample `sample_from_ids` would build, taken straight from the
-    support's index table with Sample's checks made once for all sets."""
+    support's index table block by block (`kernels._chunks`), each block
+    with its own gathered pi table, so the extra memory is one block's."""
     kwargs = {} if cap is None else {"cap": cap}
     dist = enumerate_design(design, frame, **kwargs)
     pips = first_order_pips(design, frame)
     rows, prob = dist._table()
-    cells = np.append(pips.first_order, 1.0)[rows]  # the pads N read 1.0
-    values = np.array([float(statistic(s)) for s in Sample._of_rows(frame, rows, cells)])
+    pi = np.append(pips.first_order, 1.0)  # the pads N read 1.0
+    tops = list(itertools.accumulate(_chunks(len(rows), rows.shape[1]), initial=0))
+    blocks = [rows[a:b] for a, b in zip(tops, tops[1:])]
+    if not (pi.min() > 0 and pi.max() <= 1 + 1e-12):
+        # before the statistic sees a set, the first set that uses a bad
+        # unit raises: a block's first Sample makes _of_rows check the block
+        for block in blocks:
+            next(Sample._of_rows(frame, block, pi[block]), None)
+    samples = itertools.chain.from_iterable(
+        Sample._of_rows(frame, block, pi[block]) for block in blocks)
+    values = np.array([float(statistic(s)) for s in samples])
     # the products p * v and p * v * v of a per-set loop, to the bit
     terms = prob * values
     mean = math.fsum(terms.tolist())

@@ -577,6 +577,54 @@ class TestSampleChecks:
             assert not (s.idx.flags.writeable or s.pi.flags.writeable
                         or s.conditional_pi.flags.writeable)
 
+    @pytest.mark.parametrize("case", ["fixed", "ragged", "drawn", "nested"])
+    def test_batched_samples_hold_the_constructors_fields(self, case):
+        frame = sk.Frame(ids=tuple("abcde"), cluster=tuple("xxyyz"))
+        kwargs = {}
+        if case == "fixed":
+            rows = sk.enumerate_design(sk.SRS(3), frame)._table()[0]
+        elif case == "ragged":  # the empty set is the all-pads row
+            rows = sk.enumerate_design(sk.Poisson((0.5, 0.4, 0.3, 0.2, 0.6)), frame)._table()[0]
+            assert (rows == 5).all(axis=1).any()
+        else:
+            rows = np.array([[0, 2, 5], [1, 5, 5], [0, 3, 4], [5, 5, 5]])  # the pad is N = 5
+            if case == "drawn":
+                kwargs = dict(multiplicity=np.array([[2, 1, 0], [3, 0, 0], [1, 1, 1], [0, 0, 0]]),
+                              design_tag="srswr", flags=("resampled",), with_replacement=True)
+            else:
+                kwargs = dict(conditional_pi=np.where(rows < 5, 0.5, 1.0), labels=frame.cluster,
+                              design_tag="two_stage", flags=(), with_replacement=False)
+        pi = np.where(rows < 5, (rows + 1) / 8, 1.0)
+        samples = list(Sample._of_rows(frame, rows, pi, **kwargs))
+        assert len(samples) == len(rows)
+        defaults = {f.name: f.default for f in dataclasses.fields(Sample)}
+        for r, s in enumerate(samples):
+            w = np.count_nonzero(rows[r] < 5)
+            tables = {name: kwargs[name][r, :w]
+                      for name in ("multiplicity", "conditional_pi") if name in kwargs}
+            if "labels" in kwargs:
+                tables["psu_labels"] = tuple(frame.cluster[i] for i in rows[r, :w])
+            drawn = {name: kwargs[name] for name in ("design_tag", "flags", "with_replacement")
+                     if name in kwargs}
+            ref = Sample(frame, rows[r, :w], pi[r, :w], **tables, **drawn)
+            s.weights, ref.weights  # both cache their weights
+            # the constructor writes every field; a batched Sample leaves out the defaults
+            want = {name: v for name, v in vars(ref).items()
+                    if not (v is defaults.get(name) or (type(v) is type(defaults.get(name))
+                                                        and v == defaults[name]))}
+            got = vars(s)
+            assert got.keys() == want.keys()
+            for name, v in want.items():
+                if isinstance(v, np.ndarray):
+                    assert (got[name].dtype, got[name].shape, got[name].tobytes()) == \
+                        (v.dtype, v.shape, v.tobytes()), name
+                else:
+                    assert got[name] == v, name
+        present = {"drawn": {"design_tag", "flags", "with_replacement"},
+                   "nested": {"design_tag", "conditional_pi", "psu_labels"}}.get(case, set())
+        assert vars(samples[0]).keys() - {"frame", "idx", "pi", "multiplicity", "weights"} == \
+            present
+
     @pytest.mark.parametrize("design", [
         sk.Stratified({"a": sk.SRS(1), "b": sk.Poisson((0.5, 0.6))}),
         sk.OneStageCluster(sk.SRS(2)),

@@ -395,6 +395,53 @@ def test_pi_outside_the_unit_interval_is_refused(factor, monkeypatch):
     assert str(raised.value) == str(expected.value)
 
 
+def test_exact_expectation_hands_the_support_over_block_by_block(monkeypatch):
+    frame = make_frame(13, "u", 1)
+    design = sk.Poisson(tuple(sk.compute_pips(frame.mos, 5)))
+    rows = sk.enumerate_design(design, frame)._table()[0]
+    assert rows.size > sk.kernels._CHUNK_CELLS  # 8192 sets of 13 cells
+    blocks = []
+    real = core.Sample._of_rows.__func__
+
+    def spy(cls, frame, rows, pi, *args, **kwargs):
+        blocks.append((rows, pi))
+        return real(cls, frame, rows, pi, *args, **kwargs)
+
+    monkeypatch.setattr(core.Sample, "_of_rows", classmethod(spy))
+    simulate.exact_expectation(design, frame, ht_value)
+    step = max(1, sk.kernels._CHUNK_CELLS // rows.shape[1])
+    assert len(blocks) > 1 and all(len(block) <= step for block, _ in blocks)
+    assert np.concatenate([block for block, _ in blocks]).tobytes() == rows.tobytes()
+    gathered = np.append(sk.first_order_pips(design, frame).first_order, 1.0)
+    assert all(pi.tobytes() == gathered[block].tobytes() for block, pi in blocks)
+
+
+class _LastUnitOutside(sk.SRS):
+    """SRS reporting an inclusion probability of 0 for its frame's last unit."""
+
+    key = None  # not a document variant
+
+    def first_order(self, frame):
+        pi = super().first_order(frame).first_order.copy()
+        pi[-1] = 0.0
+        return core.InclusionProbs(pi)
+
+
+def test_a_bad_pi_is_refused_before_the_statistic_sees_a_set(monkeypatch):
+    monkeypatch.setattr(sk.kernels, "_CHUNK_CELLS", 1)  # a block per set
+    frame = Frame(ids=("a", "b", "c", "d"), y=np.arange(4.0))
+    design = _LastUnitOutside(2)
+    rows = sk.enumerate_design(design, frame)._table()[0]
+    assert 3 not in rows[0] and 3 in rows  # "d" first appears after the first set
+    with pytest.raises(NonProbabilityDesignError) as expected:
+        sk.Sample(frame, [0, 3], [0.5, 0.0])
+    seen = []
+    with pytest.raises(NonProbabilityDesignError) as raised:
+        simulate.exact_expectation(design, frame, lambda s: seen.append(s) or 0.0)
+    assert seen == []
+    assert str(raised.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------------------
 # The support table a frame keeps.
 
