@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .frame import _CSV_BLOCK, FrameError, read_frame_csv
+from .frame import _CSV_BLOCK, FrameError, _read_table, read_frame_csv
 
 SCHEMA = 1
 
@@ -148,24 +148,13 @@ def cmd_draw(args):
     }, args.out)
 
 
-def _read_rows(path):
-    with open(path, encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
-
-
 def cmd_allocate(args):
     from . import allocation as alc
 
-    rows = _read_rows(args.strata)
-    if not rows:
-        raise DataError("strata CSV is empty")
-    try:
-        N_h = [int(float(r["N_h"])) for r in rows]
-        S_h = [float(r.get("S_h", 1.0) or 1.0) for r in rows]
-        c_h = [float(r.get("c_h", 1.0) or 1.0) for r in rows]
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"bad strata CSV: {exc}") from exc
-    problem = alc.AllocationProblem(N_h, S_h, c_h, n=args.n)
+    strata, _ = _read_table(args.strata, "strata", ["N_h"], ["S_h", "c_h"],
+                            fill={"S_h": 1.0, "c_h": 1.0})
+    problem = alc.AllocationProblem(strata["N_h"], strata.get("S_h"), strata.get("c_h"),
+                                    n=args.n)
     if args.method == "proportional":
         result = alc.proportional_allocation(problem)
     elif args.method == "neyman":
@@ -209,13 +198,26 @@ def _parse_totals(spec):
         return [float(v) for v in row]
 
 
+def _x_columns(frame, numbers=None):
+    """The frame's x columns of a comma list of 1-based numbers, by
+    default all of x1..xk."""
+    k = 0 if frame.aux is None else frame.aux.shape[1]
+    js = range(1, k + 1) if numbers is None else [
+        int(v) if v.strip().isdecimal() else 0 for v in numbers.split(",")]
+    if not js:
+        raise DataError("this estimator needs x1..xk columns")
+    if not all(1 <= j <= k for j in js):
+        raise UsageError(f"x column {numbers!r} is not among the frame's {k} x columns")
+    return frame.aux[:, [j - 1 for j in js]]
+
+
 def _c_values(frame, c_model):
     if c_model in (None, "const"):
         return None
     if c_model == "x":
-        return frame.aux[:, 0]
+        return _x_columns(frame)[:, 0]
     if c_model.startswith("x") and c_model[1:].isdigit():
-        return frame.aux[:, int(c_model[1:]) - 1]
+        return _x_columns(frame, c_model[1:])[:, 0]
     raise UsageError(f"unknown c-model {c_model!r}")
 
 
@@ -225,10 +227,6 @@ def cmd_estimate(args):
     frame = read_frame_csv(args.frame)
     sample = _weighted_sample(frame)
     y = frame.y_column(args.y)
-    xcols = None
-    if args.x is not None:
-        idx = [int(v) - 1 for v in str(args.x).split(",")]
-        xcols = frame.aux[:, idx]
     if args.estimator == "ht":
         e = est.ht_total(sample, y)
     elif args.estimator == "mean":
@@ -236,7 +234,7 @@ def cmd_estimate(args):
     elif args.estimator == "hajek":
         e = est.hajek_mean(sample, y)
     elif args.estimator == "ratio":
-        x = frame.aux[:, 0] if xcols is None else xcols[:, 0]
+        x = _x_columns(frame, args.x)[:, 0]
         if args.total is None:
             # the plain ratio of the two estimated totals
             w = sample.weights
@@ -246,7 +244,7 @@ def cmd_estimate(args):
             e = est.ratio_estimator(sample, y, x, args.total)
     elif args.estimator == "greg":
         totals = _parse_totals(args.totals)
-        x = frame.aux if xcols is None else xcols
+        x = _x_columns(frame, args.x)
         c = _c_values(frame, args.c_model)
         e, _fit, _w = est.regression_greg(sample, y, x, totals, c)
     else:
@@ -258,6 +256,8 @@ def cmd_variance(args):
     from . import variance as var
 
     frame = read_frame_csv(args.frame)
+    if args.method == "random_group" and not 2 <= args.replicates <= frame.n_units:
+        raise UsageError(f"--replicates must be between 2 and the {frame.n_units} units")
     sample = _weighted_sample(frame)
     y = frame.y_column()
     if args.method == "simplified":
@@ -331,18 +331,15 @@ def cmd_diagnose(args):
 def cmd_nonresponse(args):
     from . import nonresponse as nr
 
-    rows = _read_rows(args.frame)
-    if not rows:
-        raise DataError("respondent CSV is empty")
-    try:
-        delta = np.array([int(r["delta"]) for r in rows])
-        y = np.array([float(r["y"]) if r.get("y") else 0.0 for r in rows])
-        xcols = sorted(k for k in rows[0] if k.startswith("x"))
-        x = np.array([[float(r[c]) for c in xcols] for r in rows])
-        w = np.array([float(r.get("w", 1.0) or 1.0) for r in rows])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"bad respondent CSV: {exc}") from exc
-    data = nr.ResponseData(delta, x, y, w)
+    # a blank y reads as NaN, then as 0.0 for a nonrespondent
+    columns, x = _read_table(args.frame, "respondent", ["delta", "y"], ["w"],
+                             fill={"y": np.nan, "w": 1.0})
+    delta, y = columns["delta"], columns["y"]
+    for bad, problem in (((delta != 0) & (delta != 1), "a delta other than 0 or 1"),
+                         ((delta == 1) & np.isnan(y), "a respondent (delta 1) with a blank y")):
+        if bad.any():
+            raise DataError(f"respondent CSV: data row {np.argmax(bad) + 1} has {problem}")
+    data = nr.ResponseData(delta, x, np.where(delta == 1, y, 0.0), columns.get("w"))
     phi = nr.fit_propensity(data)
     p = nr.propensities(data, phi)
     e = nr.ps_estimator(data, p)
@@ -359,24 +356,14 @@ def cmd_nonresponse(args):
 def cmd_smallarea(args):
     from . import smallarea as sa
 
-    rows = _read_rows(args.frame)
-    if not rows:
-        raise DataError("area CSV is empty")
-    try:
-        direct = np.array([float(r["ghat"]) for r in rows])
-        vg = np.array([float(r["vg"]) for r in rows])
-        xcols = sorted(k for k in rows[0] if k.startswith("x"))
-        X = np.array([[float(r[c]) for c in xcols] for r in rows]) if xcols else None
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"bad area CSV: {exc}") from exc
-    model = sa.fit_fay_herriot(direct, vg, X)
-    payload = {
+    areas, x = _read_table(args.frame, "area", ["ghat", "vg"])
+    model = sa.fit_fay_herriot(areas["ghat"], areas["vg"], x if x.shape[1] else None)
+    _emit({
         "beta": model.beta.tolist(),
         "sigma2_u": model.sigma2_u,
-        "eblup": [sa.eblup(model, g).value for g in range(direct.size)],
-        "prasad_rao_mse": [sa.prasad_rao_mse(model, g) for g in range(direct.size)],
-    }
-    _emit(payload, args.out)
+        "eblup": [sa.eblup(model, g).value for g in range(model.direct.size)],
+        "prasad_rao_mse": [sa.prasad_rao_mse(model, g) for g in range(model.direct.size)],
+    }, args.out)
 
 
 def cmd_simulate(args):

@@ -175,7 +175,7 @@ class Sample:
         """The sampled units' study values (column j of a 2-D y), a fresh
         array."""
         y = self.frame.y
-        if y is not None and y.ndim == 1:
+        if j == 0 and y is not None and y.ndim == 1:
             return y[self.idx]
         return self.frame.y_column(j)[self.idx]
 

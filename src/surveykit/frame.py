@@ -103,6 +103,9 @@ class Frame:
         if self.y is None:
             raise FrameError("frame carries no study values")
         y = self.y
+        m = 1 if y.ndim == 1 else y.shape[1]
+        if not 0 <= j < m:
+            raise FrameError(f"frame has {m} study column(s), so no column {j}")
         return y if y.ndim == 1 else y[:, j]
 
     def clusters(self):
@@ -155,47 +158,59 @@ def _read_only(values):
 
 
 _CSV_BLOCK = 1 << 12  # lines parsed per block, which bounds the rows held
+_LABELS = ("id", "stratum", "cluster")  # columns read as strings
 
 
-def _read_frame_rows(handle, header):
-    """The frame of the CSV rows after the header, read from handle."""
-    cols = {name: j for j, name in enumerate(header)}
-    if len(cols) != len(header):
-        repeated = next(name for j, name in enumerate(header) if cols[name] != j)
-        raise FrameError(f"frame CSV repeats column {repeated!r}")
-    if "id" not in cols:
-        raise FrameError("frame CSV needs an 'id' column")
-    xcols = sorted(
-        (name for name in cols if name.startswith("x") and name[1:].isdigit()),
-        key=lambda name: int(name[1:]),
-    )
-    labels = {name: [] for name in ("id", "stratum", "cluster") if name in cols}
-    numeric = [name for name in ("mos", "y", *xcols) if name in cols]
-    js = [cols[name] for name in numeric]
-    blocks = []
-    for lines, columns in _column_blocks(handle, len(header), cols["id"]):
-        for name, out in labels.items():
-            out.extend(columns[cols[name]])
-        try:
-            values = np.array([columns[j] for j in js], dtype=float)
-        except ValueError:  # parse cell by cell, so that the error names the row
-            values = np.array([_floats(lineno, row, js)
-                               for lineno, row in zip(lines, zip(*columns))]).T
-        blocks.append(values.reshape(len(js), len(lines)))
+def _read_table(path_or_text, what, required, optional=(), fill=None):
+    """(columns, x) of the CSV table at path_or_text, a path or CSV text:
+    columns maps the names in required (which must be there) and optional
+    to tuples of strings (_LABELS) or float arrays, a blank cell of a column
+    in fill reading as its fill; x is x1..xk in numeric order, shape (n, k).
+    Errors name the table (what) and the row or column at fault."""
+    if isinstance(path_or_text, str) and "\n" in path_or_text:
+        source = io.StringIO(path_or_text)
+    else:
+        source = open(path_or_text, newline="", encoding="utf-8")
+    with source as handle:
+        header = next(csv.reader(handle), None)
+        if header is None:
+            raise FrameError(f"{what} CSV is empty")
+        header = [h.strip() for h in header]
+        cols = {name: j for j, name in enumerate(header)}
+        if len(cols) != len(header):
+            repeated = next(name for j, name in enumerate(header) if cols[name] != j)
+            raise FrameError(f"{what} CSV repeats column {repeated!r}")
+        for name in required:
+            if name not in cols:
+                raise FrameError(f"{what} CSV has no {name!r} column")
+        xcols = sorted(
+            (name for name in cols if name.startswith("x") and name[1:].isdigit()),
+            key=lambda name: int(name[1:]),
+        )
+        named = [name for name in (*required, *optional) if name in cols]
+        labels = {name: [] for name in named if name in _LABELS}
+        numbers = [name for name in named if name not in labels]
+        js = [cols[name] for name in numbers + xcols]
+        fills = [(fill or {}).get(name) for name in numbers + xcols]
+        blocks = []
+        for lines, columns in _column_blocks(handle, len(header), cols[required[0]]):
+            for name, out in labels.items():
+                out.extend(columns[cols[name]])
+            try:
+                values = np.array([columns[j] for j in js], dtype=float)
+            except ValueError:  # parse cell by cell: fills, and errors that name the row
+                values = np.array([_floats(lineno, row, js, fills)
+                                   for lineno, row in zip(lines, zip(*columns))]).T
+            blocks.append(values.reshape(len(js), len(lines)))
     if not blocks:
-        return Frame(ids=())
-    parsed = dict(zip(numeric, np.concatenate(blocks, axis=1)))
-    return Frame(
-        ids=tuple(labels["id"]),
-        mos=parsed.get("mos"),
-        stratum=tuple(labels["stratum"]) if "stratum" in labels else None,
-        cluster=tuple(labels["cluster"]) if "cluster" in labels else None,
-        aux=np.column_stack([parsed[c] for c in xcols]) if xcols else None,
-        y=parsed.get("y"),
-    )
+        raise FrameError(f"{what} is empty")
+    values = np.concatenate(blocks, axis=1)
+    columns = {name: tuple(out) for name, out in labels.items()}
+    columns.update(zip(numbers, values))
+    return columns, np.ascontiguousarray(values[len(numbers):].T)
 
 
-def _column_blocks(handle, width, id_col):
+def _column_blocks(handle, width, key_col):
     """The non-blank rows of the CSV lines in handle as (row numbers,
     columns) blocks of at most _CSV_BLOCK rows.  Plain blocks are split
     in one pass; the first block that is not, and every block after it (a
@@ -203,7 +218,7 @@ def _column_blocks(handle, width, id_col):
     stay csv row numbers."""
     start = 2
     while lines := list(islice(handle, _CSV_BLOCK)):
-        columns = _plain_columns(lines, width, id_col)
+        columns = _plain_columns(lines, width, key_col)
         if columns is None:
             for rows, block in _row_blocks(csv.reader(chain(lines, handle)), width, start):
                 yield rows, list(zip(*block))
@@ -212,11 +227,12 @@ def _column_blocks(handle, width, id_col):
         start += len(lines)
 
 
-def _plain_columns(lines, width, id_col):
+def _plain_columns(lines, width, key_col):
     """The columns of a block of CSV lines that csv.reader would read as
     one row a line, split on commas: no quote, no CR and no line longer
     than csv's field limit, width - 1 commas on every line, and text in
-    every id cell, so that no row is blank.  None for any other block."""
+    every cell of the required column key_col, so that no row is blank.
+    None for any other block."""
     text = "".join(lines)
     if ('"' in text or "\r" in text
             or set(map(str.count, lines, repeat(","))) != {width - 1}
@@ -226,7 +242,7 @@ def _plain_columns(lines, width, id_col):
     if text.endswith("\n"):
         cells.pop()
     columns = [cells[j::width] for j in range(width)]
-    return columns if all(map(str.strip, columns[id_col])) else None
+    return columns if all(map(str.strip, columns[key_col])) else None
 
 
 def _row_blocks(rows, width, start):
@@ -260,23 +276,19 @@ def _row_blocks(rows, width, start):
             yield kept_lines, kept
 
 
-def _floats(lineno, row, js):
-    """The cells js of a CSV row as floats; a bad cell names the row."""
+def _floats(lineno, row, js, fills):
+    """The cells js of a CSV row as floats, a blank cell as its column's
+    fill when it has one; a bad cell names the row."""
     try:
-        return [float(row[j]) for j in js]
+        return [fill if fill is not None and not row[j].strip() else float(row[j])
+                for j, fill in zip(js, fills)]
     except ValueError as exc:
         raise FrameError(f"row {lineno}: {exc}") from exc
 
 
 def read_frame_csv(path_or_text):
     """Load a frame from CSV: required column ``id``; optional ``mos``,
-    ``stratum``, ``cluster``, ``y`` and ``x1..xk``.  UTF-8, '.' decimal."""
-    if isinstance(path_or_text, str) and "\n" in path_or_text:
-        source = io.StringIO(path_or_text)
-    else:
-        source = open(path_or_text, newline="", encoding="utf-8")
-    with source as handle:
-        header = next(csv.reader(handle), None)
-        if header is None:
-            raise FrameError("frame CSV is empty")
-        return _read_frame_rows(handle, [h.strip() for h in header])
+    ``stratum``, ``cluster``, ``y`` and ``x1..xk``."""
+    columns, x = _read_table(path_or_text, "frame", ["id"],
+                             ["mos", "stratum", "cluster", "y"])
+    return Frame(ids=columns.pop("id"), aux=x if x.shape[1] else None, **columns)

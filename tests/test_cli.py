@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 
 import surveykit as sk
 from surveykit import calibration, simulate
-from surveykit.cli import _write_weights, main
+from surveykit.cli import _write_weights, build_parser, main
 from surveykit.frame import _CSV_BLOCK
 
 
@@ -319,6 +320,27 @@ class TestAllocate:
         assert code == 0
         assert json.loads(out)["n_h"] == [100, 26, 14]
 
+    def test_blank_sd_and_cost_read_as_1(self, tmp_path, capsys):
+        outs = []
+        for text in (STRATA_CSV, "N_h,S_h,c_h\n100,50,\n110,10,1\n120,5,1\n",
+                     "N_h,c_h,S_h\n100,1,50\n110,,10\n120,1,5\n"):
+            p = tmp_path / "strata.csv"
+            p.write_text(text, encoding="utf-8")
+            outs.append(run_cli(capsys, "allocate", "--strata", str(p), "--n", "140"))
+        assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("N_h,S_h\n100,5\n20\n30,2\n", "row 3: expected 2 fields, got 1"),
+        ("S_h,c_h\n5,1\n", "strata CSV has no 'N_h' column"),
+        ("N_h,S_h\n", "strata is empty"),
+    ], ids=["short-row", "no-N_h", "header-only"])
+    def test_malformed_strata_exit_3(self, text, message, tmp_path, capsys):
+        # the short row took its stratum's S_h as 1.0 and exited 0
+        p = tmp_path / "strata.csv"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--n", "20")
+        assert (code, out, err) == (3, "", f"data error: {message}\n")
+
 
 class TestEstimate:
     def test_ht_pipeline(self, frame_path, capsys):
@@ -350,6 +372,51 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.2135, abs=5e-4)
 
+    @pytest.mark.parametrize("flags", [
+        ("--estimator", "ratio", "--x", "0"),
+        ("--estimator", "ratio", "--x", "2"),
+        ("--estimator", "ratio", "--x", "-1"),
+        ("--estimator", "greg", "--totals", "36", "--x", "1,5"),
+        ("--estimator", "greg", "--totals", "36", "--c-model", "x0"),
+        ("--estimator", "greg", "--totals", "36", "--c-model", "x2"),
+    ], ids=" ".join)
+    def test_x_column_outside_x1_to_xk_exit_2(self, flags, frame_path, capsys):
+        # --x 0 and --c-model x0 read the last column, exit 0; --x 2 was an IndexError
+        code, out, err = run_cli(capsys, "estimate", "--frame", frame_path, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: x column ") and "the frame's 1 x columns" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--estimator", "ratio"),
+        ("--estimator", "ratio", "--total", "10"),
+        ("--estimator", "greg", "--totals", "36"),
+        ("--estimator", "greg", "--totals", "36", "--c-model", "x"),
+    ], ids=" ".join)
+    def test_estimator_on_a_frame_without_x_columns_exit_3(self, flags, tmp_path, capsys):
+        # a TypeError traceback at exit 1
+        p = tmp_path / "frame.csv"
+        p.write_text("id,mos,y\nu1,4,1\nu2,6,3\nu3,6,5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "estimate", "--frame", str(p), *flags)
+        assert (code, out, err) == (3, "", "data error: this estimator needs x1..xk columns\n")
+
+    def test_x_numbers_pick_the_columns_x1_to_xk(self, tmp_path, capsys):
+        p = tmp_path / "frame.csv"
+        p.write_text("id,mos,y,x2,x1\nu1,4,1,8,4\nu2,6,3,1,6\nu3,6,5,2,7\n",
+                     encoding="utf-8")
+        values = [json.loads(run_cli(capsys, "estimate", "--frame", str(p),
+                                     "--estimator", "ratio", *x)[1])["value"]
+                  for x in ((), ("--x", "1"), ("--x", "2"), ("--x", "2,1"))]
+        # the weights are the mos column: sum w*y = 52, sum w*x1 = 94, sum w*x2 = 50
+        assert values == pytest.approx([52 / 94, 52 / 94, 52 / 50, 52 / 50])
+
+    @pytest.mark.parametrize("j", ["1", "3", "-1"])
+    def test_study_column_the_frame_lacks_exit_3(self, j, frame_path, capsys):
+        # --y 3 estimated y, exit 0
+        code, out, err = run_cli(capsys, "estimate", "--frame", frame_path,
+                                 "--estimator", "ht", "--y", j)
+        assert (code, out) == (3, "")
+        assert err == f"data error: frame has 1 study column(s), so no column {j}\n"
+
 
 class TestVariance:
     def test_simplified(self, frame_path, capsys):
@@ -357,6 +424,20 @@ class TestVariance:
                                "--method", "simplified")
         assert code == 0
         assert json.loads(out)["value"] > 0
+
+    @pytest.mark.parametrize("groups", ["0", "1", "5", "-2"])
+    def test_random_group_count_outside_2_to_n_exit_2(self, groups, tmp_path, capsys):
+        # 5 groups of 3 units printed a bare NaN at exit 0; 0 groups warned
+        # from numpy before its exit 4
+        p = tmp_path / "three.csv"
+        p.write_text("id,mos,y\na,1,1\nb,2,2\nc,3,3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "variance", "--frame", str(p),
+                                 "--method", "random_group", "--replicates", groups)
+        assert (code, out) == (2, "")
+        assert err == "error: --replicates must be between 2 and the 3 units\n"
+        code, out, err = run_cli(capsys, "variance", "--frame", str(p),
+                                 "--method", "random_group", "--replicates", "3")
+        assert (code, err) == (0, "") and math.isfinite(json.loads(out)["value"])
 
 
 class TestZeroWeight:
@@ -532,6 +613,23 @@ class TestSmallArea:
         code, out, err = run_cli(capsys, "smallarea", "--frame", str(p))
         assert code == 3 and out == "" and err.startswith("data error:")
 
+    def test_covariates_are_x1_to_xk_in_numeric_order(self, tmp_path, capsys):
+        # they were sorted as strings (x1, x10, x2), and took any column
+        # whose name starts with x
+        from surveykit import smallarea
+
+        gen = np.random.default_rng(8)
+        X = np.round(gen.uniform(0, 1, (30, 3)), 3)
+        ghat = np.round(1 + X @ [0.5, -1.0, 2.0] + gen.normal(0, 0.4, 30), 3)
+        rows = ["x10,ghat,xid,x2,vg,x1"] + [
+            f"{x[2]},{g},7,{x[1]},0.2,{x[0]}" for x, g in zip(X.tolist(), ghat.tolist())]
+        p = tmp_path / "areas.csv"
+        p.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "smallarea", "--frame", str(p))
+        assert code == 0
+        model = smallarea.fit_fay_herriot(ghat, np.full(30, 0.2), X)
+        assert json.loads(out)["beta"] == pytest.approx(model.beta.tolist(), rel=1e-12)
+
 
 # `simulate` stdout on GOLDEN_CSV at 500 replicates, recorded before
 # monte_carlo drew leaf designs in batches; the batch must print the same
@@ -690,6 +788,103 @@ class TestNonresponseCmd:
         payload = json.loads(out)
         assert payload["variance"] > 0
 
+    RESPONDENTS = "delta,y,x1\n1,2.5,0.1\n0,,0.3\n1,3.0,-0.2\n1,2.0,0.5\n0,,-0.7\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("delta,x1\n1,0.1\n0,0.3\n1,-0.2\n", "respondent CSV has no 'y' column"),
+        (RESPONDENTS.replace("1,3.0,", "1,,"),
+         "respondent CSV: data row 3 has a respondent (delta 1) with a blank y"),
+        (RESPONDENTS + "2,1.5,0.4\n",
+         "respondent CSV: data row 6 has a delta other than 0 or 1"),
+    ], ids=["no-y-column", "respondent-without-y", "delta-2"])
+    def test_bad_response_data_exit_3(self, text, message, tmp_path, capsys):
+        # each read y as 0.0, or delta 2 as a response, and exited 0
+        p = tmp_path / "resp.csv"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "nonresponse", "--frame", str(p))
+        assert (code, out, err) == (3, "", f"data error: {message}\n")
+
+    def test_blank_cells_take_their_defaults(self, tmp_path, capsys):
+        # a blank w is 1.0, and a nonrespondent's y is not read
+        outs = []
+        for text in (self.RESPONDENTS.replace("\n", ",1\n").replace("x1,1", "x1,w"),
+                     self.RESPONDENTS.replace("\n", ",\n").replace("x1,", "x1,w"),
+                     self.RESPONDENTS.replace("0,,", "0,99,")):
+            p = tmp_path / "resp.csv"
+            p.write_text(text, encoding="utf-8")
+            outs.append(run_cli(capsys, "nonresponse", "--frame", str(p)))
+        assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
+
+    def test_covariates_are_x1_to_xk_in_numeric_order(self, tmp_path, capsys):
+        from surveykit import nonresponse
+
+        gen = np.random.default_rng(4)
+        X = np.round(gen.uniform(-1, 1, (300, 3)), 3)
+        delta = (gen.uniform(size=300) < 1 / (1 + np.exp(-X @ [0.5, 1.0, -1.5]))).astype(int)
+        y = np.round(2 + X.sum(axis=1) + gen.normal(0, 0.3, 300), 3)
+        rows = ["x10,delta,x2,y,xid,x1"] + [
+            f"{x[2]},{d},{x[1]},{v if d else ''},7,{x[0]}"
+            for x, d, v in zip(X.tolist(), delta.tolist(), y.tolist())]
+        p = tmp_path / "resp.csv"
+        p.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "nonresponse", "--frame", str(p))
+        assert code == 0
+        phi = nonresponse.fit_propensity(nonresponse.ResponseData(delta, X, y * delta))
+        assert json.loads(out)["phi"] == pytest.approx(phi.tolist(), rel=1e-12)
+
+
+def table_commands():
+    """Each subcommand that reads a table, with the option naming the table
+    and a value for each of its other required options."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    commands = {}
+    for name, parser in sub.choices.items():
+        options = {a.option_strings[0] for a in parser._actions if a.option_strings}
+        table = options & {"--frame", "--strata"}
+        if table:
+            others = [a.option_strings[0] for a in parser._actions
+                      if a.required and a.option_strings[0] not in table]
+            commands[name] = (table.pop(), [v for o in others for v in (o, "1")])
+    return commands
+
+
+TABLE_COMMANDS = table_commands()
+# every column some table command requires, and a row each reads
+TABLE_HEADER = "id,mos,y,x1,N_h,delta,ghat,vg"
+TABLE_ROW = "u{i},1.5,2,0.3,10,1,1.5,0.5"
+TABLE_FAULTS = {
+    "short-row": ("u9,1.5,2,0.3,10,1,1.5", "row 3: expected 8 fields, got 7"),
+    "extra-field": ("u9,1.5,2,0.3,10,1,1.5,0.5,4", "row 3: expected 8 fields, got 9"),
+    "repeated-header": (None, "repeats column 'x1'"),
+    "non-numeric-cell": ("u9,oops,oops,oops,oops,oops,oops,oops",
+                         "row 3: could not convert string to float: 'oops'"),
+}
+
+
+def test_table_commands_are_found():
+    assert {"draw", "allocate", "estimate", "calibrate", "nonresponse",
+            "smallarea", "simulate"} <= set(TABLE_COMMANDS)
+    assert "--totals" not in {option for option, _ in TABLE_COMMANDS.values()}
+
+
+@pytest.mark.parametrize("fault", TABLE_FAULTS)
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_every_table_goes_through_the_frame_reader(command, fault, tmp_path, capsys):
+    # allocate, nonresponse and smallarea had a csv.DictReader of their own,
+    # which cut an extra field, filled a short row with None and kept the
+    # last of two columns of one name
+    row, message = TABLE_FAULTS[fault]
+    header = TABLE_HEADER + ",x1" if row is None else TABLE_HEADER
+    good = [TABLE_ROW.format(i=i) + (",0.3" if row is None else "") for i in range(4)]
+    p = tmp_path / "table.csv"
+    p.write_text("\n".join([header, good[0], row or good[1], *good[2:]]) + "\n",
+                 encoding="utf-8")
+    option, others = TABLE_COMMANDS[command]
+    code, out, err = run_cli(capsys, command, option, str(p), *others)
+    assert (code, out) == (3, "")
+    assert err.startswith("data error: ") and message in err
+
 
 def test_entry_point_subprocess(tmp_path):
     p = tmp_path / "frame.csv"
@@ -743,3 +938,19 @@ def test_draw_loads_no_estimator_code(tmp_path):
     code, *modules = result.stdout.splitlines()[-1].split()
     assert code == "0"
     assert "surveykit.design" in modules and "surveykit.estimators" not in modules
+
+
+def test_allocate_loads_only_the_frame_reader_and_allocation(tmp_path):
+    p = tmp_path / "strata.csv"
+    p.write_text(STRATA_CSV, encoding="utf-8")
+    script = ("import sys\n"
+              "from surveykit.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('surveykit')))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, "allocate", "--strata", str(p), "--n", "140"],
+        capture_output=True, text=True)
+    code, *modules = result.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert modules == ["surveykit", "surveykit._backend", "surveykit.allocation",
+                       "surveykit.cli", "surveykit.frame"]

@@ -320,6 +320,38 @@ class TestFrameCSV:
         assert time.perf_counter() - start < 0.25
         assert frame.aux.shape == (50_000, 3) and frame.mos.tolist() == [r[0] for r in values]
 
+    @pytest.mark.parametrize("N", [5, _CSV_BLOCK + 5])
+    def test_table_fills_blank_cells_and_orders_x_columns(self, N):
+        # the one reader of every CLI table: a blank cell takes its column's
+        # fill, x1..xk come in numeric order, and other columns are not read
+        rows = [f"{i},{'' if i % 7 == 3 else i / 2},7,{-i},u{i},{2 * i}" for i in range(N)]
+        text = "\n".join(["x10,b,xid,x2,id,x1", *rows]) + "\n"
+        columns, x = frame_module._read_table(text, "test", ["b"], ["id", "c"],
+                                              fill={"b": -1.0})
+        assert list(columns) == ["id", "b"]
+        assert columns["id"] == tuple(f"u{i}" for i in range(N))
+        assert columns["b"].tolist() == [-1.0 if i % 7 == 3 else i / 2 for i in range(N)]
+        assert x.tolist() == [[2 * i, -i, i] for i in range(N)] and x.flags.c_contiguous
+        with pytest.raises(FrameError, match="^row 5: could not convert string to float: ''$"):
+            frame_module._read_table(text, "test", ["b"])
+        with pytest.raises(FrameError, match="^test CSV has no 'c' column$"):
+            frame_module._read_table(text, "test", ["b", "c"])
+
+    def test_study_column_past_the_frame_is_refused(self):
+        # y_column(j) and y_values(j) returned the one y column for any j
+        one = sk.Frame(ids=tuple("abc"), y=[1.0, 2.0, 3.0])
+        two = sk.Frame(ids=tuple("abc"), y=[[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+        for frame, m in ((one, 1), (two, 2)):
+            sample = sk.Sample(frame, np.array([0, 2]), np.array([0.5, 0.5]))
+            for j in range(m):
+                assert sample.y_values(j).tolist() == frame.y_column(j)[[0, 2]].tolist()
+            for j in (m, m + 2, -1):
+                for read in (frame.y_column, sample.y_values):
+                    with pytest.raises(FrameError, match=f"^frame has {m} study "
+                                       rf"column\(s\), so no column {j}$"):
+                        read(j)
+        assert one.y_column(0) is one.y and two.y_column(1).tolist() == [4.0, 5.0, 6.0]
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(Exception, match="unique"):
             sk.Frame(ids=("a", "a"))
