@@ -24,9 +24,12 @@ class AllocationProblem:
     target: str = "total"  # or "mean_difference"
 
     def __post_init__(self):
+        whole = _whole_sizes(self.N_h)
+        if not whole.all():
+            h = int(np.argmin(whole))
+            raise ValueError(f"stratum {h} has N_h {float(self.N_h[h])!r}; every stratum needs "
+                             "a whole number of units, at least 1")
         N_h = tuple(int(v) for v in self.N_h)
-        if any(v < 1 for v in N_h):
-            raise ValueError("every stratum needs at least one unit")
         object.__setattr__(self, "N_h", N_h)
         H = len(N_h)
         S_h = tuple(float(v) for v in (self.S_h if self.S_h is not None else [1.0] * H))
@@ -39,6 +42,13 @@ class AllocationProblem:
         object.__setattr__(self, "c_h", c_h)
         if (self.n is None) == (self.budget is None):
             raise ValueError("set exactly one of n and budget")
+
+
+def _whole_sizes(N_h):
+    """Which of the stratum sizes N_h are whole numbers of at least 1 (NaN
+    and the infinities are not)."""
+    N_h = np.asarray(N_h, dtype=float)
+    return np.isfinite(N_h) & (N_h >= 1) & (N_h == np.floor(N_h))
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,26 @@ def _write_weights(ids, weights):
 
 def _emit(payload, out_format):
     payload = {"schema": SCHEMA, **payload}
+    _check_finite(payload)
     if out_format == "json":
         print(json.dumps(payload, sort_keys=True, default=_jsonable))
     else:
         flat = _flatten(payload)
         sys.stdout.write(_csv_text([sorted(flat), [flat[k] for k in sorted(flat)]]))
+
+
+def _check_finite(payload, prefix=""):
+    """Refuse a payload with a NaN or an infinity, which JSON cannot hold
+    (RFC 8259), naming its field as --out csv does."""
+    for key, value in payload.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, dict):
+            _check_finite(value, name + ".")
+            continue
+        cells = np.asarray(value)
+        if cells.dtype.kind == "f" and not np.isfinite(cells).all():
+            bad = cells[~np.isfinite(cells)].flat[0]
+            raise ValueError(f"{name} holds {bad}, not a finite number")
 
 
 def _jsonable(obj):
@@ -97,6 +112,11 @@ def _flatten(payload, prefix=""):
         else:
             out[name] = value
     return out
+
+
+def _number(x):
+    """x as an error message spells it: every digit, no trailing .0."""
+    return np.format_float_positional(x, trim="-")
 
 
 def _estimate_payload(e):
@@ -153,6 +173,11 @@ def cmd_allocate(args):
 
     strata, _ = _read_table(args.strata, "strata", ["N_h"], ["S_h", "c_h"],
                             fill={"S_h": 1.0, "c_h": 1.0})
+    whole = alc._whole_sizes(strata["N_h"])
+    if not whole.all():
+        k = int(np.argmin(whole))
+        raise DataError(f"strata CSV: data row {k + 1} has N_h {_number(strata['N_h'][k])}; "
+                        "a stratum's N_h must be a whole number of units, at least 1")
     problem = alc.AllocationProblem(strata["N_h"], strata.get("S_h"), strata.get("c_h"),
                                     n=args.n)
     if args.method == "proportional":
@@ -173,16 +198,16 @@ def cmd_allocate(args):
 
 def _weighted_sample(frame):
     """Treat an analysis CSV frame as a realized sample: the mos column is
-    the unit weight, pi = 1/w."""
+    the unit weight, pi = 1/w, so a weight below 1 has no pi."""
     from .core import Sample
 
     w = np.asarray(frame.mos, dtype=float)  # finite and nonnegative, as Frame checks
-    zero = np.flatnonzero(w == 0)
-    if zero.size:
-        raise DataError(f"unit {frame.ids[int(zero[0])]!r} has weight 0 in the mos "
-                        "column; a sample unit's weight must be positive")
-    pi = 1.0 / w
-    return Sample(frame, np.arange(frame.n_units), np.clip(pi, None, 1.0))
+    low = np.flatnonzero(w < 1)
+    if low.size:
+        k = int(low[0])
+        raise DataError(f"unit {frame.ids[k]!r} has weight {_number(w[k])} in the mos "
+                        "column; a sample unit's weight must be at least 1")
+    return Sample(frame, np.arange(frame.n_units), 1.0 / w)
 
 
 def _parse_totals(spec):
@@ -334,6 +359,8 @@ def cmd_nonresponse(args):
     # a blank y reads as NaN, then as 0.0 for a nonrespondent
     columns, x = _read_table(args.frame, "respondent", ["delta", "y"], ["w"],
                              fill={"y": np.nan, "w": 1.0})
+    if not x.shape[1]:  # the propensity model has no intercept
+        raise DataError("nonresponse needs x1..xk columns")
     delta, y = columns["delta"], columns["y"]
     for bad, problem in (((delta != 0) & (delta != 1), "a delta other than 0 or 1"),
                          ((delta == 1) & np.isnan(y), "a respondent (delta 1) with a blank y")):

@@ -87,34 +87,34 @@ class Sample:
 
     @classmethod
     def _of_rows(cls, frame, rows, pi, multiplicity=None, conditional_pi=None, labels=None,
-                 **drawn):
+                 **fields):
         """One Sample per row of an index table (a row's frame indices, then
         pads N), with the table pi shaped like rows (1.0 at the pads): what
         `Sample(frame, idx, p, multiplicity=m, conditional_pi=c,
-        psu_labels=tuple(labels[i] for i in idx), **drawn)` gives for each
+        psu_labels=tuple(labels[i] for i in idx), **fields)` gives for each
         row's units idx and their cells p, m and c, with the checks made
-        once on the whole table.  `drawn` holds the fields a drawn Sample
-        carries besides (design_tag, flags, with_replacement).  The optional
-        tables are shaped like rows too: `multiplicity`, 0 at the pads, the
-        draw counts of a with-replacement draw (without it each unit counts
-        once), and `conditional_pi`; `labels` names each frame unit's
-        cluster.
+        once on the whole table.  `fields` holds the fields every Sample
+        of the table carries (design_tag, flags, with_replacement).  The
+        optional tables are shaped like rows too: `multiplicity`, 0 at the
+        pads, the draw counts of a with-replacement draw (without it each
+        unit counts once), and `conditional_pi`; `labels` names each frame
+        unit's cluster.
 
         Every table is set read-only, and a Sample's idx, pi, multiplicity
-        and conditional_pi are views of their rows; without a multiplicity
-        table, the Samples of w units share one read-only view of w ones.
-        Without the optional fields, the rows go in blocks of at most
-        `kernels._CHUNK_CELLS` cells, and each block's weights 1 / pi, the
-        bits `weights` computes, are divided once.  A Sample's __dict__ is
-        written in one dict display and holds only the fields that differ
-        from the class defaults."""
+        and conditional_pi are views of their rows.  Without a multiplicity
+        table, the rows go in blocks of at most `kernels._CHUNK_CELLS`
+        cells: the Samples of w units share one read-only view of w ones,
+        each block's weights 1 / pi, the bits `weights` computes, are
+        divided once, and its label tuples come from one gather of the
+        labels by its rows.  A Sample's __dict__ holds only the fields that
+        differ from the class defaults."""
         from .kernels import _chunks  # not at import: a Sample alone needs no kernels
 
         N = frame.n_units
         if pi.size and not (pi.min() > 0 and pi.max() <= 1 + 1e-12):
             for idx, p in zip(rows, pi):  # the first failing row raises as its Sample would
                 cls(frame, idx[idx < N], p[idx < N])
-        extra = {name: v for name, v in drawn.items() if v != getattr(cls, name)}
+        extra = {name: v for name, v in fields.items() if v != getattr(cls, name)}
         for table in (rows, pi, multiplicity, conditional_pi):
             if table is not None:
                 table.setflags(write=False)
@@ -123,33 +123,47 @@ class Sample:
         ones = np.ones(width, dtype=np.int64)
         ones.setflags(write=False)
         counts = [ones[:w] for w in range(width + 1)]  # the multiplicity of a w-unit row
+        if labels is not None:
+            named = np.empty(N + 1, dtype=object)  # the pads N are named None
+            named[:N] = labels
+        none = itertools.repeat(None)
         new = object.__new__
-        if multiplicity is None and conditional_pi is None and labels is None:
-            top = 0
-            for size in _chunks(len(rows), width):
-                end = top + size
-                inv = 1 / pi[top:end]
-                inv.setflags(write=False)
-                for w, idx, p, inv_row in zip(widths[top:end], rows[top:end], pi[top:end], inv):
-                    if w < width:
-                        idx, p, inv_row = idx[:w], p[:w], inv_row[:w]
-                    s = new(cls)
-                    s.__dict__ = {"frame": frame, "idx": idx, "pi": p, "multiplicity": counts[w],
-                                  "weights": inv_row, **extra}
-                    yield s
-                top = end
+        if multiplicity is not None:  # `weights` divides the counts when first read
+            for r, (w, idx, p) in enumerate(zip(widths, rows, pi)):
+                s = new(cls)
+                s.__dict__ = {"frame": frame, "idx": idx[:w], "pi": p[:w],
+                              "multiplicity": multiplicity[r, :w], **extra}
+                yield s
             return
-        for r, (w, idx, p) in enumerate(zip(widths, rows, pi)):
-            s = new(cls)
-            s.__dict__ = fields = {
-                "frame": frame, "idx": idx[:w], "pi": p[:w],
-                "multiplicity": counts[w] if multiplicity is None else multiplicity[r, :w],
-                **extra}
-            if conditional_pi is not None:
-                fields["conditional_pi"] = conditional_pi[r, :w]
-            if labels is not None:
-                fields["psu_labels"] = tuple([labels[i] for i in fields["idx"].tolist()])
-            yield s
+        # every Sample's __dict__ is a copy of this one, its row's views then
+        # written over the None placeholders
+        shared = {"frame": frame, "idx": None, "pi": None, "multiplicity": None,
+                  "weights": None, **extra}
+        top = 0
+        for size in _chunks(len(rows), width):
+            end = top + size
+            inv = 1 / pi[top:end]
+            inv.setflags(write=False)
+            cond = none if conditional_pi is None else conditional_pi[top:end]
+            names = none if labels is None else map(tuple, named[rows[top:end]].tolist())
+            for w, idx, p, inv_row, c, row_names in zip(
+                    widths[top:end], rows[top:end], pi[top:end], inv, cond, names):
+                if w < width:
+                    idx, p, inv_row = idx[:w], p[:w], inv_row[:w]
+                    if row_names is not None:
+                        row_names = row_names[:w]
+                s = new(cls)
+                s.__dict__ = attrs = shared.copy()
+                attrs["idx"] = idx
+                attrs["pi"] = p
+                attrs["multiplicity"] = counts[w]
+                attrs["weights"] = inv_row
+                if c is not None:
+                    attrs["conditional_pi"] = c[:w]
+                if row_names is not None:
+                    attrs["psu_labels"] = row_names
+                yield s
+            top = end
 
     @property
     def ids(self):

@@ -151,17 +151,18 @@ class Design(_Document):
     first_order(frame)      InclusionProbs of every frame unit (draw
                             probabilities for with-replacement designs)
     joint(frame, cap)       InclusionProbs with the joint matrix
-    support(frame, cap)     DesignDistribution: the exact sampling law,
-                            built from an index table of its sets
-                            (`DesignDistribution._from_table`) once the
-                            set count has passed the cap
-    _rows(frame, R, src)    (idx, pi, fields): R replicates as (R, w)
+    _law(frame, cap)        (rows, prob): the exact law, a row per set (its
+                            frame indices, pads N) and its probability, the
+                            sets counted against the cap before it is built
+    _rows(frame, R, src)    (idx, pi, drawn): R replicates as (R, w)
                             tables, row r replicate r's Sample.idx and
-                            Sample.pi, then pads (index N, pi 1.0); and a
-                            function of no arguments that gives the
-                            keyword fields only Samples read
-                            (`Sample._of_rows`: design tag, flags,
-                            multiplicity, conditional pi, cluster labels)
+                            Sample.pi, then pads (index N, pi 1.0), and a
+                            function of no arguments giving the tables a
+                            draw makes for `Sample._of_rows` (draw counts
+                            with replacement, the conditional pi)
+    _fields(frame)          what every Sample of the design carries, drawn
+                            or enumerated: design tag (`_tag`), flags,
+                            with_replacement, the frame's cluster labels
     mc_batch(frame, R, rng) (hits, values) over R replicates: appearances
                             per unit and the HT (or Hansen-Hurwitz) totals of
                             the frame's y
@@ -172,23 +173,25 @@ class Design(_Document):
     or an R that is not an integer of at least 0, is refused before a draw
     (`kernels._replicate_rngs`).
 
-    From `_rows` the base class writes `mc_rows` (its tables), `samples`
-    (a Sample from each row), `draw` (the one Sample of
-    `samples(frame, 1, rng)`), `mc_samples` (the Samples with replicate r
-    on its own substream base.substream(r)) and `mc_batch` (the
-    `kernels._tally` of the `mc_rows` and each cell's y/pi).  Defaults:
-    `joint` builds the matrix from the support, `first_order` and `support`
-    raise NonEnumerableError.  A leaf design (`_Leaf`) writes its methods
-    from its kernel binding.  A nested design composes its children's
-    `mc_rows`.  TwoPhase alone writes `samples` and `mc_rows` instead of
-    `_rows`: its Sample carries its phase-1 Sample and its rule's labels.
-    The public entry points (`core.first_order_pips`, `joint_pips`,
-    `enumerate_design`, `select`, `simulate.design_consistency_mc`,
-    `simulate.monte_carlo`) delegate here.
+    The base class writes `support` (the `_law` as a DesignDistribution,
+    in support order), `mc_rows` (the tables of `_rows`), `samples` (a Sample
+    from each row), `draw` (the one Sample of `samples(frame, 1, rng)`),
+    `mc_samples` (replicate r on its own substream base.substream(r)) and
+    `mc_batch` (the `kernels._tally` of the `mc_rows` and each cell's
+    y/pi).  `joint` defaults to the matrix of the support; `first_order`
+    and `_law` raise NonEnumerableError; the tag is the key.  A leaf design
+    (`_Leaf`) writes its methods from its kernel binding, and a nested one
+    composes its children's `mc_rows` and `_law`.  TwoPhase alone writes
+    `samples` and `mc_rows`: its Sample carries its phase-1 Sample and its
+    rule's labels.  The public entry points (`core`, `select`, `simulate`)
+    delegate here.
     """
 
     registry = {}
     noun = "design"
+    with_replacement = False
+    flags = ()
+    _tag = property(lambda self: self.key)  # the Samples' design tag
 
     @staticmethod
     def require(obj, error, message):
@@ -208,14 +211,21 @@ class Design(_Document):
         return InclusionProbs(first, pij, measurable=bool(np.all(off > 0)))
 
     def support(self, frame, cap):
+        return DesignDistribution._from_table(*self._law(frame, cap), frame)
+
+    def _law(self, frame, cap):
         raise NonEnumerableError(f"{type(self).__name__} designs cannot be enumerated")
+
+    def _fields(self, frame):
+        return {"design_tag": self._tag, "flags": self.flags,
+                "with_replacement": self.with_replacement}
 
     def mc_rows(self, frame, R, source):
         return self._rows(frame, R, source)[:2]
 
     def samples(self, frame, R, source):
-        idx, pi, fields_of = self._rows(frame, R, source)
-        yield from Sample._of_rows(frame, idx, pi, **fields_of())
+        idx, pi, drawn = self._rows(frame, R, source)
+        yield from Sample._of_rows(frame, idx, pi, **drawn(), **self._fields(frame))
 
     def mc_batch(self, frame, R, rng):
         y = np.append(frame.y_column(), 0.0)  # index N pads and weighs nothing
@@ -239,23 +249,20 @@ class _Leaf(Design):
     """A design drawn by one kernel call.  `_bind(frame)` runs every check
     the design makes on the frame and returns its kernel binding
 
-        (kernel, args, p, tag)
+        (kernel, args, p)
 
     where kernel(*args, rng) draws one sample's frame indices (every draw,
-    repeats included, for with-replacement designs), p holds each unit's
-    inclusion probability (draw probability with replacement) and tag is
-    the Sample's design tag.  `first_order`, `_rows` and `mc_batch` follow
-    from the binding, so the probabilities it reports are the ones a draw
-    uses, on exactly the frames a draw accepts, and a Monte Carlo replicate
-    draws what one `select` draws.  `draw` is one kernel call, the
-    reference the batched Samples are tested against.  Bernoulli, Poisson
-    and Chao write a `first_order` that their binding reads, and
+    repeats included, for with-replacement designs) and p holds each unit's
+    inclusion probability (draw probability with replacement); the Sample's
+    other fields are the design's `_fields`.  `first_order`, `_rows` and
+    `mc_batch` follow from the binding, so the probabilities it reports are
+    the ones a draw uses, on exactly the frames a draw accepts, and a Monte
+    Carlo replicate draws what one `select` draws.  `draw` is one kernel
+    call, the reference the batched Samples are tested against.  Bernoulli,
+    Poisson and Chao write a `first_order` that their binding reads, and
     RejectivePoisson one without its binding's entry table; `mc_batch`
     weighs every with-replacement draw (Hansen-Hurwitz), and `_Independent`
     draws it through `kernels.mc_poisson`."""
-
-    with_replacement = False
-    flags = ()
 
     def first_order(self, frame):
         return InclusionProbs(self._bind(frame)[2],
@@ -265,22 +272,21 @@ class _Leaf(Design):
         return self._sample(frame, self._bind(frame), rng)
 
     def _sample(self, frame, binding, rng):
-        kernel, args, p, tag = binding
+        kernel, args, p = binding
         idx = kernels._one_draw(kernel, args, rng)
-        if not self.with_replacement:
-            return Sample(frame, idx, p[idx], design_tag=tag, flags=self.flags)
-        idx, mult = np.unique(idx, return_counts=True)
-        return Sample(frame, idx, p[idx], multiplicity=mult, with_replacement=True,
-                      design_tag=tag, flags=self.flags)
+        mult = None
+        if self.with_replacement:
+            idx, mult = np.unique(idx, return_counts=True)
+        return Sample(frame, idx, p[idx], multiplicity=mult, **self._fields(frame))
 
     def mc_batch(self, frame, R, rng):
-        kernel, args, p, _ = self._bind(frame)
+        kernel, args, p = self._bind(frame)
         y = frame.y_column()
         wvec = y / (self.n * p) if self.with_replacement else y / p
         return kernels.mc_draws(kernel, args, self.with_replacement, R, wvec, rng)
 
     def _rows(self, frame, R, source):
-        kernel, args, p, tag = self._bind(frame)
+        kernel, args, p = self._bind(frame)
         N = p.size
         idx = kernels._stack(list(kernels._mc_rows(kernel, args, N, R, source)), N)
         mult = None
@@ -288,9 +294,7 @@ class _Leaf(Design):
             idx, mult = kernels._counted(idx, N)
         elif (idx == N).any():  # ascending units, then the pads (Poisson's sit anywhere)
             idx = np.sort(idx, axis=1)[:, :np.count_nonzero(idx < N, axis=1).max()]
-        return idx, np.append(p, 1.0)[idx], lambda: dict(
-            multiplicity=mult, design_tag=tag, flags=self.flags,
-            with_replacement=self.with_replacement)
+        return idx, np.append(p, 1.0)[idx], lambda: {"multiplicity": mult}
 
 
 class _Sized(_Leaf):
@@ -308,6 +312,7 @@ class SRS(_Sized):
     n: int
     method: str = "selection_rejection"
     key = "srs"
+    _tag = property(lambda self: f"srs:{self.method}")
 
     def __post_init__(self):
         if self.method not in SRS_METHODS:
@@ -321,19 +326,15 @@ class SRS(_Sized):
         np.fill_diagonal(pij, n / N)
         return InclusionProbs(first, pij)
 
-    def support(self, frame, cap):
-        N = frame.n_units
-        _check_srs_size(self.n, N)
-        _check_cap(math.comb(N, self.n), cap)
-        K = math.comb(N, self.n)
-        return DesignDistribution._from_table(_combinations(N, self.n), np.full(K, 1.0 / K),
-                                              frame)
+    def _law(self, frame, cap):
+        _check_srs_size(self.n, frame.n_units)
+        rows = _combinations(frame.n_units, self.n, cap)
+        return rows, np.full(len(rows), 1.0 / len(rows))
 
     def _bind(self, frame):
         N = frame.n_units
         _check_srs_size(self.n, N)
-        return (getattr(kernels, f"srs_{self.method}"), (self.n, N), np.full(N, self.n / N),
-                f"srs:{self.method}")
+        return getattr(kernels, f"srs_{self.method}"), (self.n, N), np.full(N, self.n / N)
 
 
 @dataclass(frozen=True)
@@ -347,7 +348,7 @@ class SRSWR(_Sized):
 
     def _bind(self, frame):
         N = frame.n_units
-        return kernels.srswr_draws, (self.n, N), np.full(N, 1.0 / N), "srswr"
+        return kernels.srswr_draws, (self.n, N), np.full(N, 1.0 / N)
 
 
 class _Independent(_Leaf):
@@ -360,7 +361,7 @@ class _Independent(_Leaf):
         np.fill_diagonal(pij, pi)
         return InclusionProbs(pi, pij)
 
-    def support(self, frame, cap):
+    def _law(self, frame, cap):
         N = frame.n_units
         pi = self.first_order(frame).first_order
         # a unit of pi 1 is in every set, and its factor 1.0 changes no product
@@ -373,11 +374,11 @@ class _Independent(_Leaf):
         rows = np.full((np.count_nonzero(keep), free.size + certain.size), N, dtype=np.int64)
         np.copyto(rows[:, :free.size], free, where=member[keep])
         rows[:, free.size:] = certain
-        return DesignDistribution._from_table(rows, prob[keep], frame)
+        return rows, prob[keep]
 
     def _bind(self, frame):
         pi = self.first_order(frame).first_order
-        return kernels._poisson_indices, (pi,), pi, self.key
+        return kernels._poisson_indices, (pi,), pi
 
     def mc_batch(self, frame, R, rng):
         # what `_Leaf.mc_batch` computes, called through kernels.mc_poisson:
@@ -431,17 +432,16 @@ class Systematic(_Sized):
             raise FrameError("systematic sampling needs n < N")
         return N // self.n
 
-    def support(self, frame, cap):
+    def _law(self, frame, cap):
         N = frame.n_units
         G = self._interval(N)
         rows = np.arange(G)[:, None] + G * np.arange((N - 1) // G + 1)
-        return DesignDistribution._from_table(
-            np.where(rows < N, rows, N), np.full(G, 1.0 / G), frame)
+        return np.where(rows < N, rows, N), np.full(G, 1.0 / G)
 
     def _bind(self, frame):
         N = frame.n_units
         G = self._interval(N)
-        return kernels.systematic_select, (N, G), np.full(N, 1.0 / G), "systematic"
+        return kernels.systematic_select, (N, G), np.full(N, 1.0 / G)
 
 
 @dataclass(frozen=True)
@@ -451,6 +451,7 @@ class SystematicPPS(_Sized):
 
     n: int
     key = "systematic_pps"
+    _tag = "systematic_pips"
 
     def _interval(self, x):
         a = x.sum() / self.n
@@ -458,7 +459,7 @@ class SystematicPPS(_Sized):
             raise ValueError(_ABOVE_CERTAINTY)
         return a
 
-    def support(self, frame, cap):
+    def _law(self, frame, cap):
         x = frame.mos
         a = self._interval(x)
         bounds = np.concatenate([[0.0], np.cumsum(x)])
@@ -469,14 +470,15 @@ class SystematicPPS(_Sized):
         keep = hi - lo > 1e-15
         lo, hi = lo[keep], hi[keep]
         chosen = kernels._systematic_pps_walk(x, a, self.n, (0.5 * (lo + hi))[:, None])
-        return DesignDistribution._from_table(chosen, (hi - lo) / a, frame)
+        # a set once, though a rounding sliver may draw its neighbour's
+        rows, inverse = np.unique(chosen, axis=0, return_inverse=True)
+        return rows, np.bincount(inverse.ravel(), weights=(hi - lo) / a)
 
     def _bind(self, frame):
         x = frame.mos
         self._interval(x)
         _name_zero_units(x, frame)
-        return (kernels.systematic_pps_select, (x, self.n), self.n * x / x.sum(),
-                "systematic_pips")
+        return kernels.systematic_pps_select, (x, self.n), self.n * x / x.sum()
 
 
 @dataclass(frozen=True)
@@ -489,6 +491,7 @@ class PPSWR(_Sized):
     bound: float = None  # Lahiri upper bound M > max mos
     key = "ppswr"
     with_replacement = True
+    _tag = property(lambda self: f"ppswr:{self.method}")
 
     def __post_init__(self):
         if self.method not in PPSWR_METHODS:
@@ -507,7 +510,7 @@ class PPSWR(_Sized):
             _name_zero_units(x, frame)
         kernel = getattr(kernels, f"ppswr_{self.method}")
         args = getattr(self, f"_{self.method}_args")(x)
-        return kernel, args, x / x.sum(), f"ppswr:{self.method}"
+        return kernel, args, x / x.sum()
 
     def _cumulative_args(self, x):
         return np.cumsum(x), self.n
@@ -529,17 +532,17 @@ class _N2(_Leaf):
         first = self.first_order(frame).first_order
         return InclusionProbs(first, _brewer_joint(_n2_draw_probs(frame.mos)))
 
-    def support(self, frame, cap):
+    def _law(self, frame, cap):
         p = _n2_draw_probs(frame.mos)
+        _check_cap(math.comb(p.size, 2), cap)
         theta, cond = self._two_draws(p)
         i, j = np.triu_indices(p.size, 1)
-        return DesignDistribution._from_table(
-            np.stack([i, j], axis=1), theta[i] * cond(i, j) + theta[j] * cond(j, i), frame)
+        return np.stack([i, j], axis=1), theta[i] * cond(i, j) + theta[j] * cond(j, i)
 
     def _bind(self, frame):
         p = _n2_draw_probs(frame.mos)
         _name_zero_units(p, frame)
-        return getattr(kernels, f"{self.key}_select"), (p,), 2 * p, self.key
+        return getattr(kernels, f"{self.key}_select"), (p,), 2 * p
 
 
 @dataclass(frozen=True)
@@ -594,7 +597,7 @@ class Chao(_Sized):
             pi = self.first_order(frame).first_order
             pi.flags.writeable = False
             frame._cache[key] = pi
-        return kernels.chao_select, (frame.mos, self.n), frame._cache[key], "chao"
+        return kernels.chao_select, (frame.mos, self.n), frame._cache[key]
 
 
 @dataclass(frozen=True)
@@ -635,21 +638,20 @@ class RejectivePoisson(_Sized):
     def first_order(self, frame):
         return InclusionProbs(conditional_poisson_pips(self._working(frame), self.n))
 
-    def support(self, frame, cap):
+    def _law(self, frame, cap):
         N = frame.n_units
         work = self._working(frame)
-        _check_cap(math.comb(N, self.n), cap)
-        rows = _combinations(N, self.n)
+        rows = _combinations(N, self.n, cap)
         member = np.zeros((len(rows), N), dtype=bool)
         np.put_along_axis(member, rows, True, axis=1)
         prob = _independent_prob(member, work)
-        return DesignDistribution._from_table(rows, prob / math.fsum(prob.tolist()), frame)
+        return rows, prob / math.fsum(prob.tolist())
 
     def _bind(self, frame):
         work = self._working(frame)
         pi = conditional_poisson_pips(work, self.n)  # raises if n cannot come up
         return (kernels.conditional_poisson_select, (core._entry_probs(work, self.n), self.n),
-                pi, "rejective_poisson")
+                pi)
 
 
 class _Nesting(Design):
@@ -663,7 +665,7 @@ class _Nesting(Design):
 
     def __post_init__(self):
         super().__post_init__()
-        if any(getattr(d, "with_replacement", False) for d in _nested(self)):
+        if any(d.with_replacement for d in _nested(self)):
             raise DesignError(f"{type(self).__name__} cannot nest a with-replacement design")
 
 
@@ -697,23 +699,17 @@ class Stratified(_Nesting):
             measurable &= child.measurable
         return InclusionProbs(pi, pij, measurable=measurable)
 
-    def support(self, frame, cap):
-        parts = []
-        size = 1
+    def _law(self, frame, cap):
+        # one row per stratum, combined in itertools.product order
+        rows, prob = np.empty((1, 0), dtype=np.int64), np.ones(1)
         for label, idx in frame.strata():
-            child = core.enumerate_design(self.child(label), frame.restrict(idx), cap=cap)
-            parts.append((np.append(idx, frame.n_units), *child._table()))
-            size *= len(child)
-            _check_cap(size, cap)
-        # every combination of one set per stratum, in itertools.product
-        # order, its probability multiplied in stratum order
-        picks = np.indices([len(cprob) for _, _, cprob in parts]).reshape(len(parts), size)
-        rows = np.concatenate([units[crows[k]] for (units, crows, _), k in zip(parts, picks)],
-                              axis=1)
-        prob = np.ones(size)
-        for (_, _, cprob), k in zip(parts, picks):
-            prob = prob * cprob[k]
-        return DesignDistribution._from_table(rows, prob, frame)
+            crows, cprob = self.child(label)._law(frame.restrict(idx), cap)
+            _check_cap(len(prob) * len(cprob), cap)
+            crows = np.append(idx, frame.n_units)[crows]
+            rows = np.concatenate([np.repeat(rows, len(crows), axis=0),
+                                   np.tile(crows, (len(rows), 1))], axis=1)
+            prob = np.outer(prob, cprob).ravel()
+        return rows, prob
 
     def _rows(self, frame, R, source):
         # strata draw independently, each from its own stretch of the
@@ -728,7 +724,7 @@ class Stratified(_Nesting):
         z = np.empty((R, sum(t.shape[1] for t in idx)), dtype=complex)
         np.concatenate(idx, axis=1, out=z.real)
         np.concatenate(pi, axis=1, out=z.imag)
-        return (*_sorted_rows(z), lambda: {"design_tag": self.key})
+        return (*_sorted_rows(z), lambda: {})
 
 
 @dataclass(frozen=True)
@@ -745,16 +741,18 @@ class OneStageCluster(_Nesting):
             pi[members] = cpi[k]
         return InclusionProbs(pi)
 
-    def support(self, frame, cap):
-        crows, cprob = core.enumerate_design(self.psu, _cluster_frame(frame), cap=cap)._table()
-        return DesignDistribution._from_table(_cluster_members(frame, crows)[0], cprob, frame)
+    def _law(self, frame, cap):
+        crows, cprob = self.psu._law(_cluster_frame(frame), cap)
+        return _cluster_members(frame, crows)[0], cprob
 
     def _rows(self, frame, R, source):
         # each drawn cluster expands into its members, clusters in the PSU
         # rows' order
         cidx, cpi = self.psu.mc_rows(_cluster_frame(frame), R, source)
-        return (*_cluster_members(frame, cidx, cpi),
-                lambda: {"design_tag": self.key, "labels": frame.cluster})
+        return (*_cluster_members(frame, cidx, cpi), lambda: {})
+
+    def _fields(self, frame):
+        return {**Design._fields(self, frame), "labels": frame.cluster}
 
 
 @dataclass(frozen=True)
@@ -824,8 +822,9 @@ class TwoStage(_Nesting):
         # a row's units are distinct, so the conditional pi, sorted on its
         # own when a Sample needs it, lands where the unit's pi does
         idx, pi = rows_of(np.where(sidx < N, cpi.take(drew)[:, None] * cond, 1.0))
-        return idx, pi, lambda: {"design_tag": self.key, "labels": frame.cluster,
-                                 "conditional_pi": rows_of(cond)[1]}
+        return idx, pi, lambda: {"conditional_pi": rows_of(cond)[1]}
+
+    _fields = OneStageCluster._fields  # the cluster labels too
 
 
 # ---------------------------------------------------------------------------
@@ -1030,8 +1029,8 @@ class TwoPhase(_Nesting):
             local, cond, labels, all_labels = out if len(out) == 4 else (*out, None, None)[:4]
             local, cond = self._checked(local, cond, s1.idx.size)
             yield Sample(frame, s1.idx[local], s1.pi[local] * cond, conditional_pi=cond,
-                         design_tag="two_phase", phase1=s1,
-                         psu_labels=labels, phase1_labels=all_labels)
+                         phase1=s1, psu_labels=labels, phase1_labels=all_labels,
+                         **self._fields(frame))
 
     def _checked(self, local, cond, n1):
         """The rule's positions into a phase-1 sample of n1 units, distinct
@@ -1084,10 +1083,11 @@ def _check_cap(size, cap):
         raise SupportTooLargeError(f"design support holds {size} sets, cap is {cap}")
 
 
-def _combinations(N, n):
+def _combinations(N, n, cap):
     """Every n-subset of range(N) as a row of ascending indices, in
-    itertools.combinations order."""
+    itertools.combinations order, once their count has passed the cap."""
     K = math.comb(N, n)
+    _check_cap(K, cap)
     flat = itertools.chain.from_iterable(itertools.combinations(range(N), n))
     return np.fromiter(flat, dtype=np.int64, count=K * n).reshape(K, n)
 

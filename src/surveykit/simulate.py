@@ -13,8 +13,8 @@ __all__ = ["exact_expectation", "monte_carlo", "sample_from_ids"]
 
 
 def sample_from_ids(frame, ids, pips):
-    """Build the Sample a design would report for a given realized id set,
-    using the design's first-order inclusion probabilities."""
+    """The Sample of a realized id set with the design's first-order
+    inclusion probabilities: idx and pi only, none of `Design._fields`."""
     idx = np.asarray(sorted(frame.index_of(u) for u in ids), dtype=np.int64)
     return Sample(frame, idx, np.asarray(pips.first_order)[idx])
 
@@ -22,15 +22,14 @@ def sample_from_ids(frame, ids, pips):
 def exact_expectation(design, frame, statistic, cap=None):
     """Exact mean and design variance of a statistic over an enumerable
     design: sum_A P(A) stat(A) and the matching second moment.  The design
-    is enumerated once; the statistic gets, for each support set in support
-    order, the Sample `sample_from_ids` would build, taken straight from the
+    is enumerated once; the statistic gets, for each set in support order,
+    the Sample a draw of that set builds (`Design._fields`), taken from the
     support's index table block by block (`kernels._chunks`), each block
     with its own gathered pi table, so the extra memory is one block's."""
     kwargs = {} if cap is None else {"cap": cap}
     dist = enumerate_design(design, frame, **kwargs)
-    pips = first_order_pips(design, frame)
     rows, prob = dist._table()
-    pi = np.append(pips.first_order, 1.0)  # the pads N read 1.0
+    pi = np.append(first_order_pips(design, frame).first_order, 1.0)  # the pads N read 1.0
     tops = list(itertools.accumulate(_chunks(len(rows), rows.shape[1]), initial=0))
     blocks = [rows[a:b] for a, b in zip(tops, tops[1:])]
     if not (pi.min() > 0 and pi.max() <= 1 + 1e-12):
@@ -39,7 +38,7 @@ def exact_expectation(design, frame, statistic, cap=None):
         for block in blocks:
             next(Sample._of_rows(frame, block, pi[block]), None)
     samples = itertools.chain.from_iterable(
-        Sample._of_rows(frame, block, pi[block]) for block in blocks)
+        Sample._of_rows(frame, block, pi[block], **design._fields(frame)) for block in blocks)
     values = np.array([float(statistic(s)) for s in samples])
     # the products p * v and p * v * v of a per-set loop, to the bit
     terms = prob * values

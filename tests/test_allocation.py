@@ -22,6 +22,12 @@ class TestProportional:
         with pytest.raises(ValueError):
             sk.proportional_allocation(sk.AllocationProblem([5, 5, 5], n=2))
 
+    @pytest.mark.parametrize("size", [math.inf, math.nan, 0, 2.5])
+    def test_stratum_size_must_be_a_whole_number_of_at_least_1(self, size):
+        # inf raised OverflowError, and 2.5 was taken as 2
+        with pytest.raises(ValueError, match=r"^stratum 1 has N_h "):
+            sk.AllocationProblem([5, size, 5], n=4)
+
     def test_minimizes_representation_distance(self):
         # brute force over integer compositions of n with n_h >= 1
         N_h = (9, 5, 3)

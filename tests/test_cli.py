@@ -341,6 +341,17 @@ class TestAllocate:
         code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--n", "20")
         assert (code, out, err) == (3, "", f"data error: {message}\n")
 
+    @pytest.mark.parametrize("size", ["inf", "nan", "0", "2.5"])
+    def test_stratum_size_that_is_not_a_whole_number_exit_3(self, size, tmp_path, capsys):
+        # inf ended in an OverflowError traceback, nan and 0 in a numerical
+        # failure, and 2.5 was read as 2
+        p = tmp_path / "strata.csv"
+        p.write_text(f"N_h,S_h\n100,5\n{size},2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--n", "20")
+        assert (code, out) == (3, "")
+        assert err == (f"data error: strata CSV: data row 2 has N_h {size}; a stratum's "
+                       "N_h must be a whole number of units, at least 1\n")
+
 
 class TestEstimate:
     def test_ht_pipeline(self, frame_path, capsys):
@@ -440,21 +451,51 @@ class TestVariance:
         assert (code, err) == (0, "") and math.isfinite(json.loads(out)["value"])
 
 
+WEIGHED_COMMANDS = [
+    ("variance", "--method", "simplified"), ("variance", "--method", "jackknife"),
+    ("estimate", "--estimator", "ht"), ("estimate", "--estimator", "hajek"),
+]
+
+
 class TestZeroWeight:
     # the mos column is the unit weight, pi = 1/w: a weight of 0 has no pi
     ZERO_CSV = "id,mos,y\na,2,1\nb,0,10\nc,4,20\n"
 
-    @pytest.mark.parametrize("command", [
-        ("variance", "--method", "simplified"), ("variance", "--method", "jackknife"),
-        ("estimate", "--estimator", "ht"), ("estimate", "--estimator", "hajek"),
-    ], ids=" ".join)
+    @pytest.mark.parametrize("command", WEIGHED_COMMANDS, ids=" ".join)
     def test_zero_weight_is_a_data_error(self, command, tmp_path, capsys):
         p = tmp_path / "zero.csv"
         p.write_text(self.ZERO_CSV, encoding="utf-8")
         code, out, err = run_cli(capsys, command[0], "--frame", str(p), *command[1:])
         assert code == 3 and out == ""
         assert err == "data error: unit 'b' has weight 0 in the mos column; " \
-                      "a sample unit's weight must be positive\n"
+                      "a sample unit's weight must be at least 1\n"
+
+    @pytest.mark.parametrize("command", WEIGHED_COMMANDS, ids=" ".join)
+    def test_weight_below_1_is_a_data_error(self, command, tmp_path, capsys):
+        # pi = 1/w was clipped at 1: weights 0.5, 0.5, 2 gave an HT total
+        # of 90.0 where the weighted total is 75
+        p = tmp_path / "half.csv"
+        p.write_text("id,mos,y\na,2,30\nb,0.5,10\nc,0.5,20\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, command[0], "--frame", str(p), *command[1:])
+        assert (code, out) == (3, "")
+        assert err == "data error: unit 'b' has weight 0.5 in the mos column; " \
+                      "a sample unit's weight must be at least 1\n"
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+@pytest.mark.parametrize("command, field", [
+    (("estimate", "--estimator", "ht"), "value"),
+    (("variance", "--method", "jackknife"), "value"),
+], ids=["estimate-ht", "variance-jackknife"])
+def test_a_non_finite_output_is_a_numerical_failure(command, field, out_format, tmp_path,
+                                                    capsys):
+    # a nan y cell printed "value": NaN, which is not JSON, at exit 0
+    p = tmp_path / "nan.csv"
+    p.write_text("id,mos,y\na,2,1\nb,3,nan\nc,4,20\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "--out", out_format, command[0], "--frame", str(p),
+                             *command[1:])
+    assert (code, out) == (4, "")
+    assert err == f"numerical failure: {field} holds nan, not a finite number\n"
 
 
 class TestCalibrate:
@@ -803,6 +844,14 @@ class TestNonresponseCmd:
         p.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "nonresponse", "--frame", str(p))
         assert (code, out, err) == (3, "", f"data error: {message}\n")
+
+    def test_no_covariates_exit_3(self, tmp_path, capsys):
+        # the propensity model has no intercept: without x columns every
+        # propensity was 1/2, and this printed an estimate of 12.0 at exit 0
+        p = tmp_path / "resp.csv"
+        p.write_text("delta,y\n1,2\n0,\n1,3\n0,\n1,1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "nonresponse", "--frame", str(p))
+        assert (code, out, err) == (3, "", "data error: nonresponse needs x1..xk columns\n")
 
     def test_blank_cells_take_their_defaults(self, tmp_path, capsys):
         # a blank w is 1.0, and a nonrespondent's y is not read

@@ -215,6 +215,22 @@ def test_enumeration_matches_the_reference_loops(case, label):
     assert exact["support_size"] == len(ref)
 
 
+def test_a_set_drawn_from_two_pieces_is_one_row_of_the_stratum_law():
+    # on this frame stratum b's SystematicPPS(3) draws one set from two
+    # pieces of the start interval, one of them a rounding sliver; its
+    # probability is added up before it multiplies stratum a's, as the
+    # reference adds it
+    frame = make_frame(16, "u", 0)
+    design = sk.Stratified((("a", sk.SRS(2)), ("b", sk.SystematicPPS(3))))
+    dist = sk.enumerate_design(design, frame)
+    ref = reference_support(design, frame)
+    assert dist.support == ref
+    assert [bits(p) for _, p in dist] == [bits(p) for _, p in ref]
+    exact = simulate.exact_expectation(design, frame, ht_value)
+    mean, var = reference_expectation(ref, design, frame, ht_value)
+    assert (bits(exact["mean"]), bits(exact["variance"])) == (bits(mean), bits(var))
+
+
 @pytest.mark.parametrize("cells", [1, 7, None], ids=["cells1", "cells7", "default"])
 @pytest.mark.parametrize("label", list(designs_for(make_frame(13, "desc", 0))))
 def test_statistic_sees_the_samples_sample_from_ids_builds(label, cells, monkeypatch):
@@ -233,6 +249,7 @@ def test_statistic_sees_the_samples_sample_from_ids_builds(label, cells, monkeyp
 
     exact = simulate.exact_expectation(design, frame, keep)
     pips = sk.first_order_pips(design, frame)
+    drawn = sk.select(design, frame, sk.RngStream(0))
     ref = reference_support(design, frame)
     assert len(seen) == len(ref)
     mean, var = reference_expectation(ref, design, frame, ht_value)
@@ -245,15 +262,42 @@ def test_statistic_sees_the_samples_sample_from_ids_builds(label, cells, monkeyp
         for name in SAMPLE_ARRAYS:
             got, want = getattr(s, name), getattr(expect, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        # the fields a draw of the design gives its Samples
         for name in ("conditional_pi", "design_tag", "with_replacement", "phase1",
-                     "psu_labels", "phase1_labels", "flags"):
-            assert getattr(s, name) == getattr(expect, name)
+                     "phase1_labels", "flags"):
+            assert getattr(s, name) == getattr(drawn, name)
+        labels = None if drawn.psu_labels is None else tuple(frame.cluster[i] for i in s.idx)
+        assert s.psu_labels == labels
         assert not s.pi.flags.writeable and not s.weights.flags.writeable
         assert s.y_values().flags.writeable  # a fresh array, not a view
         assert s.y_values().tobytes() == frame.y[expect.idx].tobytes()
 
 
 SAMPLE_ARRAYS = ("idx", "pi", "weights", "multiplicity")
+
+
+@pytest.mark.parametrize("cluster", ["abbbcccaadcd", "aaabbbcccddd"],
+                         ids=["interleaved", "contiguous"])
+def test_a_cluster_variance_read_from_the_labels_is_exact(cluster):
+    # M^2 (1 - m/M) s_t^2 / m, its cluster totals t summed by psu_labels,
+    # is the unbiased variance estimator of the HT total under SRS of m of
+    # M clusters: its exact mean is the HT total's exact variance
+    gen = np.random.default_rng(5)
+    frame = Frame(ids=tuple(f"u{i}" for i in range(12)), cluster=tuple(cluster),
+                  y=np.round(gen.normal(8, 3, 12), 3))
+    M, m = 4, 2
+    design = sk.OneStageCluster(sk.SRS(m))
+
+    def cluster_variance(sample):
+        totals = {}
+        for label, y in zip(sample.psu_labels, sample.y_values().tolist()):
+            totals[label] = totals.get(label, 0.0) + y
+        assert len(totals) == m
+        return M * M * (1 - m / M) * np.var(list(totals.values()), ddof=1) / m
+
+    variance = simulate.exact_expectation(design, frame, ht_value)["variance"]
+    mean = simulate.exact_expectation(design, frame, cluster_variance)["mean"]
+    assert mean == pytest.approx(variance, rel=1e-12, abs=0)
 
 
 def test_distribution_built_from_tuples():

@@ -753,11 +753,11 @@ def test_every_leaf_design_is_listed():
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox],
                          ids=lambda g: g.__name__)
-@pytest.mark.parametrize("design", LEAVES, ids=lambda d: d._bind(FRAME_12)[3])
+@pytest.mark.parametrize("design", LEAVES, ids=lambda d: d._fields(FRAME_12)["design_tag"])
 def test_every_leaf_kernel_batches_on_numpy(design, bit_generator):
     # no design falls back to the scalar Monte Carlo loop, but Lahiri on a
     # stream that cannot be rewound
-    kernel, args, _, _ = design._bind(FRAME_12)
+    kernel, args, _ = design._bind(FRAME_12)
     calls = kernel_calls(kernel, args, design.with_replacement, 5, weights(12),
                          np.random.Generator(bit_generator(1)))
     scalar = kernel is kernels.ppswr_lahiri and bit_generator is np.random.Philox

@@ -6,12 +6,14 @@ one of the protocol methods, fails these tests."""
 import collections
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import surveykit as sk
-from surveykit import kernels
+from surveykit import kernels, simulate
 from surveykit.core import NonEnumerableError
 from surveykit.design import Design, DesignError, _Leaf
 from surveykit.simulate import design_consistency_mc
@@ -176,6 +178,47 @@ def test_a_generator_per_replicate_draws_the_select_loop(cls):
         assert sorted(zip(row[kept].tolist(), row_pi[kept].tolist())) == \
             sorted(zip(ref.idx.tolist(), ref.pi.tolist()))
         assert np.all(row_pi[~kept] == 1.0)
+
+
+ENUMERABLE = [cls for cls in DESIGN_CLASSES if CASES[cls][1]]
+
+
+@pytest.mark.parametrize("cls", ENUMERABLE, ids=lambda cls: cls.key)
+def test_exact_samples_are_the_samples_a_draw_builds(cls):
+    # every Sample drawn by samples (on a shared Generator and on one per
+    # replicate) and by select, against the Sample exact_expectation hands
+    # its statistic for the same set; unit by unit, since a one-stage
+    # cluster draw lists its units cluster by cluster
+    design, _ = CASES[cls]
+    exact = {}
+
+    def keep(s):
+        exact[tuple(s.idx.tolist())] = s
+        return 0.0
+
+    simulate.exact_expectation(design, FRAME, keep)
+    drawn = [*design.samples(FRAME, R, np.random.default_rng(11)),
+             *design.samples(FRAME, R, substreams(11, R)),
+             *(sk.select(design, FRAME, rng) for rng in substreams(12, R))]
+    for s in drawn:
+        order = np.argsort(s.idx, kind="stable")
+        e = exact[tuple(s.idx[order].tolist())]
+        for name in ("idx", "pi", "weights", "multiplicity", "conditional_pi"):
+            a, b = getattr(s, name), getattr(e, name)
+            assert (a is None) == (b is None), name
+            assert a is None or (a[order].dtype == b.dtype
+                                 and a[order].tobytes() == b.tobytes()), name
+        for name in ("design_tag", "flags", "with_replacement", "phase1", "phase1_labels"):
+            assert getattr(s, name) == getattr(e, name), name
+        assert (s.psu_labels is None) == (e.psu_labels is None)
+        assert s.psu_labels is None or tuple(s.psu_labels[i] for i in order) == e.psu_labels
+
+
+def test_readme_lists_the_enumerable_designs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"returns a `DesignDistribution` for\s+(.*?)\.", text, re.S).group(1)
+    names = re.split(r",\s+|\s+and\s+", " ".join(listed.split()))
+    assert set(names) == {cls.__name__ for cls in ENUMERABLE}
 
 
 @pytest.mark.parametrize("cls", DESIGN_CLASSES, ids=lambda cls: cls.key)
