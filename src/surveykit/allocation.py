@@ -33,12 +33,12 @@ class AllocationProblem:
         object.__setattr__(self, "N_h", N_h)
         H = len(N_h)
         S_h = tuple(float(v) for v in (self.S_h if self.S_h is not None else [1.0] * H))
-        if any(v < 0 for v in S_h):
-            raise ValueError("stratum standard deviations must be nonnegative")
+        if not all(0 <= v < math.inf for v in S_h):  # NaN fails too
+            raise ValueError("stratum standard deviations must be finite and nonnegative")
         object.__setattr__(self, "S_h", S_h)
         c_h = tuple(float(v) for v in (self.c_h if self.c_h is not None else [1.0] * H))
-        if any(v <= 0 for v in c_h):
-            raise ValueError("unit costs must be positive")
+        if not all(0 < v < math.inf for v in c_h):
+            raise ValueError("unit costs must be finite and positive")
         object.__setattr__(self, "c_h", c_h)
         if (self.n is None) == (self.budget is None):
             raise ValueError("set exactly one of n and budget")

@@ -173,11 +173,16 @@ def cmd_allocate(args):
 
     strata, _ = _read_table(args.strata, "strata", ["N_h"], ["S_h", "c_h"],
                             fill={"S_h": 1.0, "c_h": 1.0})
-    whole = alc._whole_sizes(strata["N_h"])
-    if not whole.all():
-        k = int(np.argmin(whole))
-        raise DataError(f"strata CSV: data row {k + 1} has N_h {_number(strata['N_h'][k])}; "
-                        "a stratum's N_h must be a whole number of units, at least 1")
+    # NaN and the infinities fail each test
+    for name, ok, rule in (
+            ("N_h", alc._whole_sizes, "a whole number of units, at least 1"),
+            ("S_h", lambda v: np.isfinite(v) & (v >= 0), "a finite number, at least 0"),
+            ("c_h", lambda v: np.isfinite(v) & (v > 0), "a finite number above 0")):
+        good = ok(strata[name]) if name in strata else True
+        if not np.all(good):
+            k = int(np.argmin(good))
+            raise DataError(f"strata CSV: data row {k + 1} has {name} "
+                            f"{_number(strata[name][k])}; a stratum's {name} must be {rule}")
     problem = alc.AllocationProblem(strata["N_h"], strata.get("S_h"), strata.get("c_h"),
                                     n=args.n)
     if args.method == "proportional":
@@ -356,14 +361,15 @@ def cmd_diagnose(args):
 def cmd_nonresponse(args):
     from . import nonresponse as nr
 
-    # a blank y reads as NaN, then as 0.0 for a nonrespondent
+    # a blank (or NaN) y reads as NaN, then as 0.0 for a nonrespondent
     columns, x = _read_table(args.frame, "respondent", ["delta", "y"], ["w"],
                              fill={"y": np.nan, "w": 1.0})
     if not x.shape[1]:  # the propensity model has no intercept
         raise DataError("nonresponse needs x1..xk columns")
     delta, y = columns["delta"], columns["y"]
     for bad, problem in (((delta != 0) & (delta != 1), "a delta other than 0 or 1"),
-                         ((delta == 1) & np.isnan(y), "a respondent (delta 1) with a blank y")):
+                         ((delta == 1) & np.isnan(y),
+                          "a respondent (delta 1) with a blank or non-finite y")):
         if bad.any():
             raise DataError(f"respondent CSV: data row {np.argmax(bad) + 1} has {problem}")
     data = nr.ResponseData(delta, x, np.where(delta == 1, y, 0.0), columns.get("w"))

@@ -87,18 +87,18 @@ class Sample:
 
     @classmethod
     def _of_rows(cls, frame, rows, pi, multiplicity=None, conditional_pi=None, labels=None,
-                 **fields):
+                 each=None, **fields):
         """One Sample per row of an index table (a row's frame indices, then
         pads N), with the table pi shaped like rows (1.0 at the pads): what
         `Sample(frame, idx, p, multiplicity=m, conditional_pi=c,
-        psu_labels=tuple(labels[i] for i in idx), **fields)` gives for each
-        row's units idx and their cells p, m and c, with the checks made
-        once on the whole table.  `fields` holds the fields every Sample
-        of the table carries (design_tag, flags, with_replacement).  The
-        optional tables are shaped like rows too: `multiplicity`, 0 at the
-        pads, the draw counts of a with-replacement draw (without it each
-        unit counts once), and `conditional_pi`; `labels` names each frame
-        unit's cluster.
+        psu_labels=tuple(labels[i] for i in idx), **e, **fields)` gives for
+        each row r's units idx, their cells p, m and c and its own fields
+        e = each[r] (a two-phase Sample's phase 1 and labels), with the
+        checks made once on the whole table.  The optional tables are shaped
+        like rows too: `multiplicity`, 0 at the pads, the draw counts of a
+        with-replacement draw (without it each unit counts once), and
+        `conditional_pi`; `labels` names each frame unit's cluster or
+        phase-2 stratum.
 
         Every table is set read-only, and a Sample's idx, pi, multiplicity
         and conditional_pi are views of their rows.  Without a multiplicity
@@ -106,8 +106,8 @@ class Sample:
         cells: the Samples of w units share one read-only view of w ones,
         each block's weights 1 / pi, the bits `weights` computes, are
         divided once, and its label tuples come from one gather of the
-        labels by its rows.  A Sample's __dict__ holds only the fields that
-        differ from the class defaults."""
+        labels by its rows.  A Sample's __dict__ holds its row's `each` and,
+        of the other fields, only those that differ from the class defaults."""
         from .kernels import _chunks  # not at import: a Sample alone needs no kernels
 
         N = frame.n_units
@@ -132,7 +132,8 @@ class Sample:
             for r, (w, idx, p) in enumerate(zip(widths, rows, pi)):
                 s = new(cls)
                 s.__dict__ = {"frame": frame, "idx": idx[:w], "pi": p[:w],
-                              "multiplicity": multiplicity[r, :w], **extra}
+                              "multiplicity": multiplicity[r, :w], **extra,
+                              **({} if each is None else each[r])}
                 yield s
             return
         # every Sample's __dict__ is a copy of this one, its row's views then
@@ -146,8 +147,9 @@ class Sample:
             inv.setflags(write=False)
             cond = none if conditional_pi is None else conditional_pi[top:end]
             names = none if labels is None else map(tuple, named[rows[top:end]].tolist())
-            for w, idx, p, inv_row, c, row_names in zip(
-                    widths[top:end], rows[top:end], pi[top:end], inv, cond, names):
+            own = none if each is None else each[top:end]
+            for w, idx, p, inv_row, c, row_names, row_fields in zip(
+                    widths[top:end], rows[top:end], pi[top:end], inv, cond, names, own):
                 if w < width:
                     idx, p, inv_row = idx[:w], p[:w], inv_row[:w]
                     if row_names is not None:
@@ -162,6 +164,8 @@ class Sample:
                     attrs["conditional_pi"] = c[:w]
                 if row_names is not None:
                     attrs["psu_labels"] = row_names
+                if row_fields is not None:
+                    attrs.update(row_fields)
                 yield s
             top = end
 

@@ -157,9 +157,10 @@ class Design(_Document):
     _rows(frame, R, src)    (idx, pi, drawn): R replicates as (R, w)
                             tables, row r replicate r's Sample.idx and
                             Sample.pi, then pads (index N, pi 1.0), and a
-                            function of no arguments giving the tables a
+                            function of no arguments giving what else a
                             draw makes for `Sample._of_rows` (draw counts
-                            with replacement, the conditional pi)
+                            with replacement, the conditional pi, a
+                            two-phase Sample's phase 1 and labels)
     _fields(frame)          what every Sample of the design carries, drawn
                             or enumerated: design tag (`_tag`), flags,
                             with_replacement, the frame's cluster labels
@@ -181,10 +182,8 @@ class Design(_Document):
     y/pi).  `joint` defaults to the matrix of the support; `first_order`
     and `_law` raise NonEnumerableError; the tag is the key.  A leaf design
     (`_Leaf`) writes its methods from its kernel binding, and a nested one
-    composes its children's `mc_rows` and `_law`.  TwoPhase alone writes
-    `samples` and `mc_rows`: its Sample carries its phase-1 Sample and its
-    rule's labels.  The public entry points (`core`, `select`, `simulate`)
-    delegate here.
+    composes its children's tables and `_law`.  The public entry points
+    (`core`, `select`, `simulate`) delegate here.
     """
 
     registry = {}
@@ -658,10 +657,10 @@ class _Nesting(Design):
     """A design built from child designs, none of which may draw with
     replacement: the union would need each child's own Hansen-Hurwitz
     weights, which a Sample does not carry.  A child that is not a Design
-    is refused when the design is built (`_nested`).  Stratified,
-    OneStageCluster and TwoStage write `_rows` from their children's
-    `mc_rows`: a row's units ascending, or cluster by cluster for a
-    one-stage cluster design, then its pads."""
+    is refused when the design is built (`_nested`).  Each writes `_rows`
+    from its children's tables: a row's units ascending, cluster by
+    cluster for OneStageCluster or in phase-1 order for TwoPhase, then
+    its pads."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -841,11 +840,12 @@ class Phase2Rule(_Document):
     stratify).  Any callable with that signature is a rule too; it may
     return the first two only.
 
-    A rule may also have a batched form, mc_cond(idx, frame, rng): given
-    the phase-1 index table of `Design.mc_rows` (pad: frame.n_units), the
-    conditional phase-2 probability of every cell, 0 where the unit is not
-    subsampled.  Without it, or when each replicate has its own
-    Generator, a two-phase design calls the rule once a replicate."""
+    A rule may also have a batched form: mc_cond(idx, frame, rng), the
+    conditional phase-2 probability of every cell of a phase-1 index table
+    (pad: frame.n_units), 0 where it is not subsampled, and
+    mc_labels(frame), every frame unit's stratum label, or None.  A
+    two-phase design calls the rule itself once a replicate, unless R > 1
+    replicates share one Generator and the rule has that form."""
 
     registry = {}
     noun = "phase-2 rule"
@@ -861,6 +861,9 @@ class KeepAll(Phase2Rule):
 
     def mc_cond(self, idx, frame, rng):
         return (idx < frame.n_units).astype(float)
+
+    def mc_labels(self, frame):
+        return None
 
 
 @dataclass(frozen=True)
@@ -929,6 +932,9 @@ class StratifyOnAux(Phase2Rule):
         return (local[order], cond[order], tuple([out_labels[i] for i in order.tolist()]),
                 tuple(labels))
 
+    def mc_labels(self, frame):
+        return self._labels(frame, np.arange(frame.n_units))
+
     def mc_cond(self, idx, frame, rng):
         # A replicate's cells in one stratum form a group, which draws what
         # __call__ draws for the stratum: r_h of its n_h cells by
@@ -937,7 +943,7 @@ class StratifyOnAux(Phase2Rule):
         # one flat block of uniforms over the cells sorted that way gives
         # every cell its uniform, and a one-replicate batch draws what
         # __call__ draws.  One walk then runs every group, chunk by chunk.
-        labels = self._labels(frame, np.arange(frame.n_units))
+        labels = self.mc_labels(frame)
         names = sorted(set(labels))
         H, W = len(names), idx.shape[1]
         code = {name: h for h, name in enumerate(names)}
@@ -1020,43 +1026,56 @@ class TwoPhase(_Nesting):
             raise DesignError(f"unknown phase-2 rule {self.phase2!r}")
         super().__post_init__()
 
-    def samples(self, frame, R, source):
-        # replicate by replicate, as select does: phase 1, then the rule,
-        # on the replicate's Generator
-        for rng in kernels._replicate_rngs(source, R):
-            s1 = self.phase1.draw(frame, rng)
-            out = self.phase2(s1, frame, rng)
-            local, cond, labels, all_labels = out if len(out) == 4 else (*out, None, None)[:4]
-            local, cond = self._checked(local, cond, s1.idx.size)
-            yield Sample(frame, s1.idx[local], s1.pi[local] * cond, conditional_pi=cond,
-                         phase1=s1, psu_labels=labels, phase1_labels=all_labels,
-                         **self._fields(frame))
+    def _rows(self, frame, R, source):
+        # R > 1 replicates on one shared Generator go through the rule's batched
+        # form: phase 1's rows, then `mc_cond`, each row's kept cells moved to
+        # its front; other replicates run one by one, as select draws them
+        rngs = kernels._replicate_rngs(source, R)  # refuses a bad R or source first
+        if (not hasattr(self.phase2, "mc_cond") or R < 2
+                or not isinstance(source, np.random.Generator)):
+            rows = [self._replicate(frame, rng) for rng in rngs]
+            idx, pi, cond = (kernels._stack([r[k][None] for r in rows], pad)
+                             for k, pad in ((0, frame.n_units), (1, 1.0), (2, 1.0)))
+            return idx, pi, lambda: {"conditional_pi": cond, "each": [r[3] for r in rows]}
+        idx1, pi1, drawn1 = self.phase1._rows(frame, R, source)
+        cond = self.phase2.mc_cond(idx1, frame, source)
+        kept = np.flatnonzero(cond > 0)
+        width = np.bincount(kept // cond.shape[1], minlength=R)
+        # kept cell j goes to flat slot j + (its row's first slot - its row's first j)
+        shift = np.arange(R) * cond.shape[1] - width.cumsum() + width
+        slots = np.arange(kept.size) + np.repeat(shift, width)
 
-    def _checked(self, local, cond, n1):
-        """The rule's positions into a phase-1 sample of n1 units, distinct
-        integers in [0, n1), and their conditional pi, each in (0, 1]."""
-        local, cond = np.asarray(local), np.asarray(cond, dtype=float)
+        def table(values, pad):  # the kept cells of a table, moved to their slots
+            out = np.full(cond.shape, pad, dtype=values.dtype)
+            out.ravel()[slots] = values.ravel()[kept]
+            return out
+
+        def drawn():
+            labels = self.phase2.mc_labels(frame)
+            phase1 = Sample._of_rows(frame, idx1, pi1, **drawn1(), **self.phase1._fields(frame))
+            return {"conditional_pi": table(cond, 1.0), "labels": labels, "each": [
+                {"phase1": s1, "phase1_labels": None if labels is None
+                 else tuple([labels[i] for i in s1.idx.tolist()])} for s1 in phase1]}
+
+        return table(idx1, frame.n_units), table(pi1 * cond, 1.0), drawn
+
+    def _replicate(self, frame, rng):
+        """One replicate's (idx, pi, conditional pi, own fields): phase 1's
+        draw, then the rule on the same Generator, its positions distinct
+        integers in [0, n1) for n1 phase-1 units, its conditional pi in (0, 1]."""
+        s1 = self.phase1.draw(frame, rng)
+        out = self.phase2(s1, frame, rng)
+        local, cond, labels, all_labels = out if len(out) == 4 else (*out, None, None)[:4]
+        local, cond, n1 = np.asarray(local), np.asarray(cond, dtype=float), s1.idx.size
         if local.shape != cond.shape or local.size and (
                 local.dtype.kind not in "iu" or local.min() < 0 or local.max() >= n1
                 or np.bincount(local).max() > 1 or not (cond.min() > 0 and cond.max() <= 1)):
             raise ValueError(f"phase-2 rule {self.phase2!r} must select distinct integer "
                              f"positions, none outside [0, {n1}), each with a conditional "
                              "pi in (0, 1]")
-        return local.astype(np.int64, copy=False), cond
-
-    def mc_rows(self, frame, R, source):
-        # the phase-1 rows, then the rule's batched form, a pad where it keeps
-        # no cell; without it, or per replicate (`mc_cond` draws one shared
-        # block), the Samples' rows
-        cond_of = getattr(self.phase2, "mc_cond", None)
-        if cond_of is None or not isinstance(source, np.random.Generator):
-            samples = list(self.samples(frame, R, source))
-            return (kernels._stack([s.idx[None] for s in samples], frame.n_units),
-                    kernels._stack([s.pi[None] for s in samples], 1.0))
-        idx, pi = self.phase1.mc_rows(frame, R, source)
-        cond = cond_of(idx, frame, source)
-        kept = cond > 0
-        return np.where(kept, idx, frame.n_units), np.where(kept, pi * cond, 1.0)
+        local = local.astype(np.int64, copy=False)
+        return (s1.idx[local], s1.pi[local] * cond, cond,
+                {"phase1": s1, "psu_labels": labels, "phase1_labels": all_labels})
 
 
 # ---------------------------------------------------------------------------

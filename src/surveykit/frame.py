@@ -166,7 +166,10 @@ def _read_table(path_or_text, what, required, optional=(), fill=None):
     columns maps the names in required (which must be there) and optional
     to tuples of strings (_LABELS) or float arrays, a blank cell of a column
     in fill reading as its fill; x is x1..xk in numeric order, shape (n, k).
-    Errors name the table (what) and the row or column at fault."""
+    A cell that reads as NaN or an infinity is refused, unless it is NaN in
+    a column whose fill is NaN, where it means what a blank means; in one
+    block of rows, a cell that is no number at all is named first.  Errors
+    name the table (what) and the row or column at fault."""
     if isinstance(path_or_text, str) and "\n" in path_or_text:
         source = io.StringIO(path_or_text)
     else:
@@ -191,7 +194,9 @@ def _read_table(path_or_text, what, required, optional=(), fill=None):
         labels = {name: [] for name in named if name in _LABELS}
         numbers = [name for name in named if name not in labels]
         js = [cols[name] for name in numbers + xcols]
-        fills = [(fill or {}).get(name) for name in numbers + xcols]
+        names = numbers + xcols
+        fills = [(fill or {}).get(name) for name in names]
+        nan_fill = np.array([f is not None and np.isnan(f) for f in fills], bool)[:, None]
         blocks = []
         for lines, columns in _column_blocks(handle, len(header), cols[required[0]]):
             for name, out in labels.items():
@@ -201,7 +206,10 @@ def _read_table(path_or_text, what, required, optional=(), fill=None):
             except ValueError:  # parse cell by cell: fills, and errors that name the row
                 values = np.array([_floats(lineno, row, js, fills)
                                    for lineno, row in zip(lines, zip(*columns))]).T
-            blocks.append(values.reshape(len(js), len(lines)))
+            values = values.reshape(len(js), len(lines))
+            if not np.isfinite(values).all():
+                _check_finite(values, lines, [columns[j] for j in js], names, nan_fill)
+            blocks.append(values)
     if not blocks:
         raise FrameError(f"{what} is empty")
     values = np.concatenate(blocks, axis=1)
@@ -284,6 +292,18 @@ def _floats(lineno, row, js, fills):
                 for j, fill in zip(js, fills)]
     except ValueError as exc:
         raise FrameError(f"row {lineno}: {exc}") from exc
+
+
+def _check_finite(values, lines, cells, names, nan_fill):
+    """Refuse the first cell, in row order, of the (columns names, rows
+    lines) table values that reads as NaN or an infinity, unless it is NaN
+    where nan_fill marks its column; cells[k][r] is cell (k, r)'s text."""
+    bad = np.isinf(values) | np.isnan(values) & ~nan_fill
+    if bad.any():
+        r = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, r]))
+        raise FrameError(f"row {lines[r]}: {names[k]} holds {cells[k][r].strip()!r}, "
+                         "not a finite number")
 
 
 def read_frame_csv(path_or_text):

@@ -28,6 +28,17 @@ class TestProportional:
         with pytest.raises(ValueError, match=r"^stratum 1 has N_h "):
             sk.AllocationProblem([5, size, 5], n=4)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("S_h", -1.0, "stratum standard deviations"),
+        ("S_h", math.nan, "stratum standard deviations"),
+        ("S_h", math.inf, "stratum standard deviations"), ("c_h", 0.0, "unit costs"),
+        ("c_h", -2.0, "unit costs"), ("c_h", math.nan, "unit costs"),
+        ("c_h", math.inf, "unit costs")])
+    def test_sd_and_cost_must_be_finite(self, field, value, message):
+        # NaN passed both the v < 0 and the v <= 0 test
+        with pytest.raises(ValueError, match=f"^{message} must be finite"):
+            sk.AllocationProblem([5, 6, 7], n=4, **{field: [1.0, value, 1.0]})
+
     def test_minimizes_representation_distance(self):
         # brute force over integer compositions of n with n_h >= 1
         N_h = (9, 5, 3)

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -344,13 +345,35 @@ class TestAllocate:
     @pytest.mark.parametrize("size", ["inf", "nan", "0", "2.5"])
     def test_stratum_size_that_is_not_a_whole_number_exit_3(self, size, tmp_path, capsys):
         # inf ended in an OverflowError traceback, nan and 0 in a numerical
-        # failure, and 2.5 was read as 2
+        # failure, and 2.5 was read as 2; the table reader refuses inf and nan
         p = tmp_path / "strata.csv"
         p.write_text(f"N_h,S_h\n100,5\n{size},2\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--n", "20")
         assert (code, out) == (3, "")
-        assert err == (f"data error: strata CSV: data row 2 has N_h {size}; a stratum's "
+        assert err == (f"data error: row 3: N_h holds {size!r}, not a finite number\n"
+                       if size in ("inf", "nan") else
+                       f"data error: strata CSV: data row 2 has N_h {size}; a stratum's "
                        "N_h must be a whole number of units, at least 1\n")
+
+    @pytest.mark.parametrize("column, value, rule", [
+        ("S_h", "-5", "S_h must be a finite number, at least 0"),
+        ("c_h", "0", "c_h must be a finite number above 0"),
+        ("c_h", "-2", "c_h must be a finite number above 0"),
+        ("S_h", "nan", None), ("S_h", "inf", None), ("c_h", "nan", None), ("c_h", "-inf", None),
+    ])
+    def test_bad_sd_or_cost_exit_3(self, column, value, rule, tmp_path, capsys):
+        # a negative S_h and a c_h of 0 were numerical failures, and a nan
+        # S_h got past the v < 0 test to fail the output check
+        p = tmp_path / "strata.csv"
+        row = {"S_h": "10", "c_h": "1", column: value}
+        p.write_text(f"N_h,S_h,c_h\n100,50,1\n110,{row['S_h']},{row['c_h']}\n",
+                     encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--n", "20")
+        assert (code, out) == (3, "")
+        assert err == (f"data error: row 3: {column} holds {value!r}, not a finite number\n"
+                       if rule is None else
+                       f"data error: strata CSV: data row 2 has {column} {value}; "
+                       f"a stratum's {rule}\n")
 
 
 class TestEstimate:
@@ -483,19 +506,22 @@ class TestZeroWeight:
 
 
 @pytest.mark.parametrize("out_format", ["json", "csv"])
-@pytest.mark.parametrize("command, field", [
-    (("estimate", "--estimator", "ht"), "value"),
-    (("variance", "--method", "jackknife"), "value"),
+@pytest.mark.parametrize("command, field, bad", [
+    (("estimate", "--estimator", "ht"), "value", "inf"),
+    (("variance", "--method", "jackknife"), "value", "nan"),  # the replicates hold inf
 ], ids=["estimate-ht", "variance-jackknife"])
-def test_a_non_finite_output_is_a_numerical_failure(command, field, out_format, tmp_path,
+def test_a_non_finite_output_is_a_numerical_failure(command, field, bad, out_format, tmp_path,
                                                     capsys):
-    # a nan y cell printed "value": NaN, which is not JSON, at exit 0
-    p = tmp_path / "nan.csv"
-    p.write_text("id,mos,y\na,2,1\nb,3,nan\nc,4,20\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "--out", out_format, command[0], "--frame", str(p),
-                             *command[1:])
+    # a nan y cell printed "value": NaN, which is not JSON, at exit 0; the
+    # table reader now refuses such a cell, so a total that overflows stands in
+    p = tmp_path / "big.csv"
+    p.write_text("id,mos,y\na,2,1\nb,3,1e308\nc,4,20\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+        code, out, err = run_cli(capsys, "--out", out_format, command[0], "--frame", str(p),
+                                 *command[1:])
     assert (code, out) == (4, "")
-    assert err == f"numerical failure: {field} holds nan, not a finite number\n"
+    assert err == f"numerical failure: {field} holds {bad}, not a finite number\n"
 
 
 class TestCalibrate:
@@ -834,10 +860,14 @@ class TestNonresponseCmd:
     @pytest.mark.parametrize("text, message", [
         ("delta,x1\n1,0.1\n0,0.3\n1,-0.2\n", "respondent CSV has no 'y' column"),
         (RESPONDENTS.replace("1,3.0,", "1,,"),
-         "respondent CSV: data row 3 has a respondent (delta 1) with a blank y"),
+         "respondent CSV: data row 3 has a respondent (delta 1) with a blank or non-finite y"),
+        (RESPONDENTS.replace("1,3.0,", "1,nan,"),
+         "respondent CSV: data row 3 has a respondent (delta 1) with a blank or non-finite y"),
+        (RESPONDENTS.replace("0,,0.3", "0,inf,0.3"), "row 3: y holds 'inf', not a finite number"),
         (RESPONDENTS + "2,1.5,0.4\n",
          "respondent CSV: data row 6 has a delta other than 0 or 1"),
-    ], ids=["no-y-column", "respondent-without-y", "delta-2"])
+    ], ids=["no-y-column", "respondent-without-y", "respondent-nan-y", "nonrespondent-inf-y",
+            "delta-2"])
     def test_bad_response_data_exit_3(self, text, message, tmp_path, capsys):
         # each read y as 0.0, or delta 2 as a response, and exited 0
         p = tmp_path / "resp.csv"
@@ -858,11 +888,12 @@ class TestNonresponseCmd:
         outs = []
         for text in (self.RESPONDENTS.replace("\n", ",1\n").replace("x1,1", "x1,w"),
                      self.RESPONDENTS.replace("\n", ",\n").replace("x1,", "x1,w"),
-                     self.RESPONDENTS.replace("0,,", "0,99,")):
+                     self.RESPONDENTS.replace("0,,", "0,99,"),
+                     self.RESPONDENTS.replace("0,,", "0,nan,")):
             p = tmp_path / "resp.csv"
             p.write_text(text, encoding="utf-8")
             outs.append(run_cli(capsys, "nonresponse", "--frame", str(p)))
-        assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
+        assert outs[0] == outs[1] == outs[2] == outs[3] and outs[0][0] == 0
 
     def test_covariates_are_x1_to_xk_in_numeric_order(self, tmp_path, capsys):
         from surveykit import nonresponse
@@ -933,6 +964,34 @@ def test_every_table_goes_through_the_frame_reader(command, fault, tmp_path, cap
     code, out, err = run_cli(capsys, command, option, str(p), *others)
     assert (code, out) == (3, "")
     assert err.startswith("data error: ") and message in err
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_a_non_finite_cell_is_a_data_error(command, tmp_path, capsys):
+    # the reader took nan, inf and -inf for numbers: an HT total of a nan y
+    # failed the output check (exit 4), and a nan S_h passed the S_h < 0 test.
+    # A column the command reads refuses 'oops'; one it does not read leaves
+    # the run as it was
+    option, others = TABLE_COMMANDS[command]
+    header = TABLE_HEADER.split(",")
+    p = tmp_path / "table.csv"
+    read = []
+    for j, column in enumerate(header[1:], start=1):
+        runs = {}
+        for cell in ("oops", "nan", "inf", "-inf"):
+            row = TABLE_ROW.format(i=9).split(",")
+            row[j] = cell
+            good = [TABLE_ROW.format(i=i) for i in range(4)]
+            p.write_text("\n".join([TABLE_HEADER, good[0], ",".join(row), *good[2:]]) + "\n",
+                         encoding="utf-8")
+            runs[cell] = run_cli(capsys, command, option, str(p), *others)
+        if "could not convert string to float: 'oops'" not in runs.pop("oops")[2]:
+            continue
+        read.append(column)
+        for cell, (code, out, err) in runs.items():
+            assert (code, out) == (3, ""), (column, cell)
+            assert err.startswith("data error: ") and "Traceback" not in err
+    assert read
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -327,13 +327,27 @@ def test_rejective_reference_draws_the_law_of_rejective_poisson():
         assert_drawn_from([tuple((i, 1) for i in sorted(idx.tolist())) for idx in drawn], law)
 
 
-def test_every_design_but_two_phase_draws_through_rows():
+def test_every_design_draws_through_rows():
     # one Monte Carlo method a design: `_rows`, from which Design writes
-    # mc_rows and samples; TwoPhase writes those two instead
+    # mc_rows and samples
+    assert not hasattr(Design, "_rows")
     for cls in DESIGN_CLASSES:
-        inherited = (cls.samples is Design.samples, cls.mc_rows is Design.mc_rows)
-        assert inherited == ((False, False) if cls is sk.TwoPhase else (True, True)), cls
-        assert hasattr(cls, "_rows") == (cls is not sk.TwoPhase), cls
+        assert cls.samples is Design.samples and cls.mc_rows is Design.mc_rows, cls
+        assert hasattr(cls, "_rows"), cls
+
+
+@pytest.mark.parametrize("cls", DESIGN_CLASSES, ids=lambda cls: cls.key)
+def test_samples_hold_the_rows_of_mc_rows(cls):
+    # on shared Generators of equal seed, a batch's Samples are its rows:
+    # the same units with the same pi, in row order, and the same stream
+    design, _ = CASES[cls]
+    rng_samples, rng_rows = np.random.default_rng(6), np.random.default_rng(6)
+    samples = list(design.samples(FRAME, R, rng_samples))
+    idx, pi = design.mc_rows(FRAME, R, rng_rows)
+    assert [list(zip(s.idx.tolist(), s.pi.tolist())) for s in samples] == [
+        [(i, p) for i, p in zip(row.tolist(), prow.tolist()) if i < N]
+        for row, prow in zip(idx, pi)]
+    assert rng_samples.random() == rng_rows.random()
 
 
 @pytest.mark.parametrize("cls", DESIGN_CLASSES, ids=lambda cls: cls.key)

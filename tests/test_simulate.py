@@ -473,6 +473,37 @@ class TestStratifyWalk:
         assert hits.all() and values.shape == (20_000,) and np.isfinite(values).all()
 
 
+# The rules with a batched form: `mc_cond` on the one-row table of a
+# phase-1 Sample must draw what `select` draws by calling the rule.
+BATCHED_RULE_CASES = {
+    **{name: (design, NESTED_FRAME) for name, design in NESTED_CASES.items()
+       if hasattr(getattr(design, "phase2", None), "mc_cond")},
+    **STRATIFY_CASES,
+}
+
+
+@pytest.mark.parametrize("case", BATCHED_RULE_CASES.values(), ids=BATCHED_RULE_CASES)
+def test_batched_form_of_one_phase_1_sample_is_the_rule(case):
+    design, frame = case
+    rule = design.phase2
+    labels = rule.mc_labels(frame)
+    for seed in range(20):
+        s1 = sk.select(design.phase1, frame, np.random.default_rng(seed))
+        rng_cond, rng_rule = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+        cond = rule.mc_cond(s1.idx[None], frame, rng_cond)
+        local, c, psu_labels, phase1_labels = rule(s1, frame, rng_rule)
+        want = np.zeros((1, s1.idx.size))  # the conditional pi at the rule's positions
+        want[0, local] = c
+        assert cond.tobytes() == want.tobytes()
+        assert rng_cond.random() == rng_rule.random()
+        # the batched form's unit labels are the ones the rule assigns
+        if labels is None:
+            assert psu_labels is None and phase1_labels is None
+        else:
+            assert phase1_labels == tuple(labels[i] for i in s1.idx)
+            assert psu_labels == tuple(labels[i] for i in s1.idx[local])
+
+
 @pytest.mark.parametrize("build", [lambda: sk.TwoStage("srs", sk.SRS(1)),
                                    lambda: sk.TwoStage(sk.SRS(1), sk.SRS(1),
                                                        per_cluster={"c0": "srs"}),
