@@ -974,6 +974,7 @@ def test_a_non_finite_cell_is_a_data_error(command, tmp_path, capsys):
     # the run as it was
     option, others = TABLE_COMMANDS[command]
     header = TABLE_HEADER.split(",")
+    good = [TABLE_ROW.format(i=i) for i in range(4)]
     p = tmp_path / "table.csv"
     read = []
     for j, column in enumerate(header[1:], start=1):
@@ -981,7 +982,6 @@ def test_a_non_finite_cell_is_a_data_error(command, tmp_path, capsys):
         for cell in ("oops", "nan", "inf", "-inf"):
             row = TABLE_ROW.format(i=9).split(",")
             row[j] = cell
-            good = [TABLE_ROW.format(i=i) for i in range(4)]
             p.write_text("\n".join([TABLE_HEADER, good[0], ",".join(row), *good[2:]]) + "\n",
                          encoding="utf-8")
             runs[cell] = run_cli(capsys, command, option, str(p), *others)
