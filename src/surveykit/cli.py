@@ -114,6 +114,40 @@ def _flatten(payload, prefix=""):
     return out
 
 
+def _option_type(kind, ok, rule):
+    """The argparse type of an option whose value is a kind (float or
+    int) that passes ok: anything else is a usage error naming the option."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+    return parse
+
+
+_finite = _option_type(float, np.isfinite, "a finite number")  # NaN and the infinities fail
+_seed = _option_type(int, lambda v: v >= 0, "a whole number of at least 0")
+_replicates = _option_type(int, lambda v: v >= 2, "a whole number of at least 2")
+
+
+def _finites(text):
+    """An option's comma list of finite numbers."""
+    return [_finite(v) for v in text.split(",")]
+
+
+def _totals(text):
+    """--totals: a comma list of finite numbers, or the path of a one-line
+    CSV of them."""
+    try:
+        [float(v) for v in text.split(",")]
+    except ValueError:  # not a list of numbers: a path
+        return text
+    return _finites(text)
+
+
 def _number(x):
     """x as an error message spells it: every digit, no trailing .0."""
     return np.format_float_positional(x, trim="-")
@@ -218,14 +252,13 @@ def _weighted_sample(frame):
 def _parse_totals(spec):
     if spec is None:
         raise UsageError("this estimator needs --totals")
-    try:
-        if "," in spec or not spec.strip().endswith(".csv"):
-            return [float(v) for v in spec.split(",")]
-    except ValueError:
-        pass
+    if isinstance(spec, list):
+        return spec
     with open(spec, encoding="utf-8") as handle:
-        row = next(csv.reader(handle))
-        return [float(v) for v in row]
+        row = [float(v) for v in next(csv.reader(handle))]
+    if not np.isfinite(row).all():
+        raise DataError(f"--totals file {spec} holds a value that is not a finite number")
+    return row
 
 
 def _x_columns(frame, numbers=None):
@@ -320,11 +353,10 @@ def cmd_calibrate(args):
     frame = read_frame_csv(args.frame)
     if frame.aux is None:
         raise DataError("calibration needs x1..xk columns")
-    targets = [float(v) for v in args.targets.split(",")]
     problem = cal.CalibrationProblem(
         base_weights=frame.mos,
         constraints=frame.aux,
-        targets=targets,
+        targets=args.targets,
         entropy=args.entropy,
         family="entropy" if args.debias else "divergence",
         debias=args.debias,
@@ -333,13 +365,11 @@ def cmd_calibrate(args):
         result = cal.solve_chi_square(problem)
     else:
         result = cal.solve_entropy(problem)
+    report = {"schema": SCHEMA, "lambda": [float(v) for v in result.lagrange],
+              "iterations": result.iterations, "residual": result.residual}
+    _check_finite({"weights": result.weights, **report})
     _write_weights(frame.ids, result.weights.tolist())
-    print(json.dumps({
-        "schema": SCHEMA,
-        "lambda": [float(v) for v in result.lagrange],
-        "iterations": result.iterations,
-        "residual": result.residual,
-    }, sort_keys=True), file=sys.stderr)
+    print(json.dumps(report, sort_keys=True), file=sys.stderr)
 
 
 def cmd_diagnose(args):
@@ -435,9 +465,9 @@ def build_parser():
     drawing.add_argument("--design")
     drawing.add_argument("--design-file")
     drawing.add_argument("--n", type=int)
-    drawing.add_argument("--pi", type=float)
+    drawing.add_argument("--pi", type=_finite)
     drawing.add_argument("--method")
-    drawing.add_argument("--seed", type=int, required=True)
+    drawing.add_argument("--seed", type=_seed, required=True)
 
     p = sub.add_parser("draw", parents=[drawing], help="draw one sample from a design")
     p.set_defaults(func=cmd_draw)
@@ -446,7 +476,7 @@ def build_parser():
     p.add_argument("--strata", required=True, help="CSV with N_h,S_h,c_h")
     p.add_argument("--method", default="neyman")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_finite, default=0.5)
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("estimate")
@@ -454,9 +484,9 @@ def build_parser():
     p.add_argument("--estimator", required=True)
     p.add_argument("--y", type=int, default=0, help="study column index")
     p.add_argument("--x", help="aux columns, e.g. 1 or 1,3")
-    p.add_argument("--total", type=float)
-    p.add_argument("--totals", help="comma list or a one-line CSV path")
-    p.add_argument("--N", type=float)
+    p.add_argument("--total", type=_finite)
+    p.add_argument("--totals", type=_totals, help="comma list or a one-line CSV path")
+    p.add_argument("--N", type=_finite)
     p.add_argument("--c-model", default="const",
                    help="const, x, or an aux column like x2")
     p.set_defaults(func=cmd_estimate)
@@ -470,7 +500,7 @@ def build_parser():
     p = sub.add_parser("calibrate")
     p.add_argument("--frame", required=True)
     p.add_argument("--entropy", default="squared")
-    p.add_argument("--targets", required=True)
+    p.add_argument("--targets", type=_finites, required=True)
     p.add_argument("--debias", action="store_true")
     p.set_defaults(func=cmd_calibrate)
 
@@ -487,7 +517,7 @@ def build_parser():
     p.set_defaults(func=cmd_smallarea)
 
     p = sub.add_parser("simulate", parents=[drawing])
-    p.add_argument("--replicates", type=int, default=1000)
+    p.add_argument("--replicates", type=_replicates, default=1000)
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -100,14 +100,15 @@ class Sample:
         `conditional_pi`; `labels` names each frame unit's cluster or
         phase-2 stratum.
 
-        Every table is set read-only, and a Sample's idx, pi, multiplicity
-        and conditional_pi are views of their rows.  Without a multiplicity
-        table, the rows go in blocks of at most `kernels._CHUNK_CELLS`
-        cells: the Samples of w units share one read-only view of w ones,
-        each block's weights 1 / pi, the bits `weights` computes, are
-        divided once, and its label tuples come from one gather of the
-        labels by its rows.  A Sample's __dict__ holds its row's `each` and,
-        of the other fields, only those that differ from the class defaults."""
+        Every table is set read-only, and a Sample's idx, pi, multiplicity,
+        weights and conditional_pi are views of their rows.  The rows go in
+        blocks of at most `kernels._CHUNK_CELLS` cells: each block's
+        weights, the bits `weights` computes (1 / pi, or m / (n p) with
+        draw counts m), are divided once, and its label tuples come from
+        one gather of the labels by its rows; without draw counts the
+        Samples of w units share one read-only view of w ones.  A Sample's
+        __dict__ holds its row's `each` and, of the other fields, only
+        those that differ from the class defaults."""
         from .kernels import _chunks  # not at import: a Sample alone needs no kernels
 
         N = frame.n_units
@@ -128,14 +129,6 @@ class Sample:
             named[:N] = labels
         none = itertools.repeat(None)
         new = object.__new__
-        if multiplicity is not None:  # `weights` divides the counts when first read
-            for r, (w, idx, p) in enumerate(zip(widths, rows, pi)):
-                s = new(cls)
-                s.__dict__ = {"frame": frame, "idx": idx[:w], "pi": p[:w],
-                              "multiplicity": multiplicity[r, :w], **extra,
-                              **({} if each is None else each[r])}
-                yield s
-            return
         # every Sample's __dict__ is a copy of this one, its row's views then
         # written over the None placeholders
         shared = {"frame": frame, "idx": None, "pi": None, "multiplicity": None,
@@ -143,13 +136,18 @@ class Sample:
         top = 0
         for size in _chunks(len(rows), width):
             end = top + size
-            inv = 1 / pi[top:end]
+            if multiplicity is None:
+                mult, inv = none, 1 / pi[top:end]
+            else:  # Hansen-Hurwitz: an all-pads row has no draws, so n = 0
+                mult = multiplicity[top:end]
+                inv = np.divide(mult, mult.sum(axis=1, keepdims=True) * pi[top:end],
+                                out=np.zeros(mult.shape), where=mult > 0)
             inv.setflags(write=False)
             cond = none if conditional_pi is None else conditional_pi[top:end]
             names = none if labels is None else map(tuple, named[rows[top:end]].tolist())
             own = none if each is None else each[top:end]
-            for w, idx, p, inv_row, c, row_names, row_fields in zip(
-                    widths[top:end], rows[top:end], pi[top:end], inv, cond, names, own):
+            for w, idx, p, inv_row, m, c, row_names, row_fields in zip(
+                    widths[top:end], rows[top:end], pi[top:end], inv, mult, cond, names, own):
                 if w < width:
                     idx, p, inv_row = idx[:w], p[:w], inv_row[:w]
                     if row_names is not None:
@@ -158,7 +156,7 @@ class Sample:
                 s.__dict__ = attrs = shared.copy()
                 attrs["idx"] = idx
                 attrs["pi"] = p
-                attrs["multiplicity"] = counts[w]
+                attrs["multiplicity"] = counts[w] if m is None else m[:w]
                 attrs["weights"] = inv_row
                 if c is not None:
                     attrs["conditional_pi"] = c[:w]
@@ -395,10 +393,6 @@ def _size_pmfs(p, n):
     return table
 
 
-_COND_POISSON_CACHE = {}
-_ENTRY_CACHE = {}
-
-
 def conditional_poisson_pips(working_pi, n):
     """Exact first-order inclusion probabilities of Poisson sampling
     conditioned on realized size n (rejective sampling; Chen, Dempster &
@@ -408,26 +402,17 @@ def conditional_poisson_pips(working_pi, n):
 
         pi_i = p_i * sum_j L[i, j] T[i+1, n-1-j] / L[N, n],
 
-    a sum of nonnegative products, in O(N n).  Memoized: the marginals are
-    reused on every draw from the same design, and come back read-only."""
+    a sum of nonnegative products, in O(N n)."""
     p = np.asarray(working_pi, dtype=float)
     N = p.size
     if not 0 < n <= N:
         raise ValueError("need 0 < n <= N")
-    key = (p.tobytes(), n)
-    if key in _COND_POISSON_CACHE:
-        return _COND_POISSON_CACHE[key]
     prefix = _size_pmfs(p, n)
     if prefix[N, n] <= 0:
         raise ValueError("target size has zero probability under the working design")
     suffix = _size_pmfs(p[::-1], n)[::-1]
     rest = (prefix[:N, :n] * suffix[1:, n - 1::-1]).sum(axis=1)
-    pi = p * rest / prefix[N, n]
-    if len(_COND_POISSON_CACHE) > 1024:
-        _COND_POISSON_CACHE.clear()
-    pi.setflags(write=False)  # handed out on every call, so nobody may write it
-    _COND_POISSON_CACHE[key] = pi
-    return pi
+    return p * rest / prefix[N, n]
 
 
 def _entry_probs(working_pi, n):
@@ -437,21 +422,13 @@ def _entry_probs(working_pi, n):
     as in `conditional_poisson_pips`, and 0 where r = 0 or T[k, r] = 0.
     Where units k..N-1 must all enter, T[k, r] is p_k T[k+1, r-1] to the
     bit (the recursion adds it to 0.0), so q is exactly 1.0 there and a
-    draw always takes n units.  Memoized and read-only like the marginals;
-    a table holds N (n + 1) doubles, so fewer are kept."""
+    draw always takes n units."""
     p = np.asarray(working_pi, dtype=float)
-    key = (p.tobytes(), n)
-    q = _ENTRY_CACHE.get(key)
-    if q is None:
-        N = p.size
-        suffix = _size_pmfs(p[::-1], n)[::-1]
-        q = np.zeros((N, n + 1))
-        np.divide(p[:, None] * suffix[1:, :n], suffix[:N, 1:], out=q[:, 1:],
-                  where=suffix[:N, 1:] > 0)
-        if len(_ENTRY_CACHE) > 64:
-            _ENTRY_CACHE.clear()
-        q.setflags(write=False)
-        _ENTRY_CACHE[key] = q
+    N = p.size
+    suffix = _size_pmfs(p[::-1], n)[::-1]
+    q = np.zeros((N, n + 1))
+    np.divide(p[:, None] * suffix[1:, :n], suffix[:N, 1:], out=q[:, 1:],
+              where=suffix[:N, 1:] > 0)
     return q
 
 

@@ -258,10 +258,11 @@ class _Leaf(Design):
     the ones a draw uses, on exactly the frames a draw accepts, and a Monte
     Carlo replicate draws what one `select` draws.  `draw` is one kernel
     call, the reference the batched Samples are tested against.  Bernoulli,
-    Poisson and Chao write a `first_order` that their binding reads, and
-    RejectivePoisson one without its binding's entry table; `mc_batch`
-    weighs every with-replacement draw (Hansen-Hurwitz), and `_Independent`
-    draws it through `kernels.mc_poisson`."""
+    Poisson, Chao and RejectivePoisson write a `first_order` that their
+    binding reads; Chao and RejectivePoisson keep what it checks and builds
+    on the frame (`Frame._memo`, keyed by the design).  `mc_batch` weighs
+    every with-replacement draw (Hansen-Hurwitz), and `_Independent` draws
+    it through `kernels.mc_poisson`."""
 
     def first_order(self, frame):
         return InclusionProbs(self._bind(frame)[2],
@@ -591,12 +592,8 @@ class Chao(_Sized):
 
     def _bind(self, frame):
         # the checks and pi of every draw on a frame are its first draw's
-        key = ("chao", self.n)
-        if key not in frame._cache:
-            pi = self.first_order(frame).first_order
-            pi.flags.writeable = False
-            frame._cache[key] = pi
-        return kernels.chao_select, (frame.mos, self.n), frame._cache[key]
+        pi = frame._memo(("pi", self), lambda: self.first_order(frame).first_order)
+        return kernels.chao_select, (frame.mos, self.n), pi
 
 
 @dataclass(frozen=True)
@@ -628,14 +625,15 @@ class RejectivePoisson(_Sized):
             if work.size != frame.n_units:
                 raise ValueError("working probabilities must cover the frame")
         else:
-            work = _default_working(frame, self.n)
+            work = frame._memo(("working", self), lambda: compute_pips(frame.mos, self.n))
             _name_zero_units(work, frame)
         if not np.all((work >= 0) & (work < 1)):  # NaN fails too
             raise ValueError("rejective sampling needs working probabilities in [0, 1)")
         return work
 
     def first_order(self, frame):
-        return InclusionProbs(conditional_poisson_pips(self._working(frame), self.n))
+        return InclusionProbs(frame._memo(
+            ("pi", self), lambda: conditional_poisson_pips(self._working(frame), self.n)))
 
     def _law(self, frame, cap):
         N = frame.n_units
@@ -647,10 +645,9 @@ class RejectivePoisson(_Sized):
         return rows, prob / math.fsum(prob.tolist())
 
     def _bind(self, frame):
-        work = self._working(frame)
-        pi = conditional_poisson_pips(work, self.n)  # raises if n cannot come up
-        return (kernels.conditional_poisson_select, (core._entry_probs(work, self.n), self.n),
-                pi)
+        pi = self.first_order(frame).first_order  # raises if n cannot come up
+        q = frame._memo(("entry", self), lambda: core._entry_probs(self._working(frame), self.n))
+        return kernels.conditional_poisson_select, (q, self.n), pi
 
 
 class _Nesting(Design):
@@ -1151,22 +1148,10 @@ def _brewer_joint(p):
 def _cluster_frame(frame):
     """One row per cluster; mos is the cluster's total mos (its size when
     the frame carries no explicit mos).  Memoized on the frame."""
-    if "cluster_frame" not in frame._cache:
-        clusters = frame.clusters()
-        frame._cache["cluster_frame"] = Frame(
-            ids=tuple(label for label, _ in clusters),
-            mos=np.array([frame.mos[members].sum() for _, members in clusters]))
-    return frame._cache["cluster_frame"]
-
-
-def _default_working(frame, n):
-    """compute_pips(frame.mos, n), read-only and memoized on the frame."""
-    key = ("rejective_working", n)
-    if key not in frame._cache:
-        work = compute_pips(frame.mos, n)
-        work.flags.writeable = False
-        frame._cache[key] = work
-    return frame._cache[key]
+    clusters = frame.clusters()
+    return frame._memo("cluster_frame", lambda: Frame(
+        ids=tuple(label for label, _ in clusters),
+        mos=np.array([frame.mos[members].sum() for _, members in clusters])))
 
 
 def _cluster_members(frame, crows, *values):
@@ -1176,13 +1161,13 @@ def _cluster_members(frame, crows, *values):
     N.  Each table of `values`, shaped like crows, comes back as a table of
     each member's cluster's value, 1.0 at the pads.  The flat member array
     and each cluster's offset into it are memoized on the frame."""
-    if "members" not in frame._cache:
+    def members():
         clusters = [m for _, m in frame.clusters()]
         sizes = np.array([m.size for m in clusters] + [0])  # the pad K has none
         flat = np.concatenate([np.empty(0, dtype=np.int64), *clusters])
-        flat.flags.writeable = False
-        frame._cache["members"] = flat, np.cumsum(sizes) - sizes, sizes
-    flat, offset, sizes = frame._cache["members"]
+        return flat, np.cumsum(sizes) - sizes, sizes
+
+    flat, offset, sizes = frame._memo("members", members)
     n = sizes[crows].ravel()
     start = np.concatenate([[0], np.cumsum(n)])  # each cell's start in the run, then its end
     width = np.diff(start[np.arange(len(crows) + 1) * crows.shape[1]])

@@ -28,7 +28,9 @@ class Frame:
     y          optional study values, shape (N,) or (N, m), used by the
                simulation harness
 
-    mos, aux and y are read-only copies of the arrays given.
+    mos, aux and y are read-only copies of the arrays given.  Whatever is
+    derived from them (index sets, sub-frames, a design's probabilities) is
+    built once by `_memo`, read-only, and freed with the frame.
     """
 
     ids: tuple
@@ -120,32 +122,47 @@ class Frame:
         labels = getattr(self, name)
         if labels is None:
             raise FrameError(f"frame carries no {name} labels")
-        if name not in self._cache:
+
+        def build():
             members = {}  # keeps first-appearance order
             for i, label in enumerate(labels):
                 members.setdefault(label, []).append(i)
-            self._cache[name] = [(label, np.asarray(m, dtype=np.int64))
-                                 for label, m in members.items()]
-        return self._cache[name]
+            return [(label, np.asarray(m, dtype=np.int64)) for label, m in members.items()]
+
+        return self._memo(name, build)
 
     def restrict(self, idx):
         """Sub-frame of the given dense indices (used for per-stratum and
         per-cluster draws); memoized, since designs restrict to the same
         index sets on every replicate."""
         idx = np.asarray(idx, dtype=np.int64)
-        key = ("restrict", idx.tobytes())
+        return self._memo(("restrict", idx.tobytes()), lambda: Frame(
+            ids=tuple(self.ids[i] for i in idx),
+            mos=self.mos[idx],
+            stratum=None if self.stratum is None else tuple(self.stratum[i] for i in idx),
+            cluster=None if self.cluster is None else tuple(self.cluster[i] for i in idx),
+            aux=None if self.aux is None else self.aux[idx],
+            y=None if self.y is None else self.y[idx],
+        ))
+
+    def _memo(self, key, build):
+        """The value build() gives, built once per frame and key and stored
+        on the frame, so it is freed with it.  Every array in the value (the
+        value itself, or one held in a tuple or list) is set read-only first:
+        each caller gets the same arrays."""
         if key not in self._cache:
-            self._cache[key] = Frame(
-                ids=tuple(self.ids[i] for i in idx),
-                mos=self.mos[idx],
-                stratum=None if self.stratum is None
-                else tuple(self.stratum[i] for i in idx),
-                cluster=None if self.cluster is None
-                else tuple(self.cluster[i] for i in idx),
-                aux=None if self.aux is None else self.aux[idx],
-                y=None if self.y is None else self.y[idx],
-            )
+            self._cache[key] = _frozen(build())
         return self._cache[key]
+
+
+def _frozen(value):
+    """value, every array in it (at any depth of tuples and lists) read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _frozen(item)
+    return value
 
 
 def _read_only(values):

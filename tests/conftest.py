@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import surveykit as sk
+
+# the interpreters tests start import this checkout too
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
 
 
 @pytest.fixture

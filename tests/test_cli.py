@@ -994,6 +994,128 @@ def test_a_non_finite_cell_is_a_data_error(command, tmp_path, capsys):
     assert read
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def numeric_options():
+    """{command: [(option, kind)]}: each option of build_parser() whose
+    type reads '1' as a number, kind float (a list of floats too) or int."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for name, parser in sub.choices.items():
+        for a in parser._actions:
+            try:
+                value = a.type("1") if callable(a.type) else None
+            except (ValueError, argparse.ArgumentTypeError):
+                continue
+            kind = type(value[0] if isinstance(value, list) else value)
+            if kind in (int, float):
+                found.setdefault(name, []).append((a.option_strings[0], kind))
+    return found
+
+
+NUMERIC_OPTIONS = numeric_options()
+FLOAT_OPTIONS = [(c, o) for c, options in NUMERIC_OPTIONS.items()
+                 for o, kind in options if kind is float]
+# a well-formed run of each command with a numeric option, {frame} and
+# {strata} the paths of FRAME_CSV and STRATA_CSV
+NUMERIC_RUNS = {
+    "draw": ["--frame", "{frame}", "--design", "srs", "--n", "2", "--seed", "3"],
+    "allocate": ["--strata", "{strata}", "--n", "140", "--method", "power"],
+    "estimate": ["--frame", "{frame}", "--estimator", "ratio", "--total", "36"],
+    "variance": ["--frame", "{frame}", "--method", "random_group", "--replicates", "2"],
+    "calibrate": ["--frame", "{frame}", "--targets", "40"],
+    "simulate": ["--frame", "{frame}", "--design", "srs", "--n", "2", "--seed", "3",
+                 "--replicates", "50"],
+}
+
+
+def numeric_run(command, tmp_path):
+    paths = {"frame": tmp_path / "frame.csv", "strata": tmp_path / "strata.csv"}
+    paths["frame"].write_text(FRAME_CSV, encoding="utf-8")
+    paths["strata"].write_text(STRATA_CSV, encoding="utf-8")
+    return [command] + [v.format(**paths) for v in NUMERIC_RUNS[command]]
+
+
+def test_numeric_options_are_found():
+    assert set(NUMERIC_OPTIONS) == set(NUMERIC_RUNS)
+    assert set(FLOAT_OPTIONS) == {("draw", "--pi"), ("simulate", "--pi"),
+                                  ("allocate", "--alpha"), ("estimate", "--total"),
+                                  ("estimate", "--totals"), ("estimate", "--N"),
+                                  ("calibrate", "--targets")}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option", FLOAT_OPTIONS, ids="".join)
+def test_a_non_finite_option_is_a_usage_error(command, option, bad, tmp_path, capsys):
+    # calibrate --targets nan printed every weight as nan at exit 0, and
+    # estimate --N nan reached the output check (exit 4)
+    code, out, err = run_cli(capsys, *numeric_run(command, tmp_path), f"{option}={bad}")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: '{bad}' is not a finite number\n")
+
+
+@pytest.mark.parametrize("command, option, bad", [
+    ("draw", "--seed", "-1"), ("simulate", "--seed", "-1"), ("draw", "--seed", "x"),
+    ("simulate", "--replicates", "1"), ("simulate", "--replicates", "0"),
+])
+def test_a_count_out_of_range_is_a_usage_error(command, option, bad, tmp_path, capsys):
+    # simulate --seed -1 and --replicates 1 failed inside the run (exit 4)
+    code, out, err = run_cli(capsys, *numeric_run(command, tmp_path), f"{option}={bad}")
+    assert (code, out) == (2, "")
+    low = {"--seed": 0, "--replicates": 2}[option]
+    assert err.endswith(f"argument {option}: '{bad}' is not a whole number of at least {low}\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1", "0"])
+@pytest.mark.parametrize("command, option",
+                         [(c, o) for c, options in NUMERIC_OPTIONS.items() for o, _ in options],
+                         ids="".join)
+def test_a_bad_number_in_any_option_is_refused_cleanly(command, option, bad, tmp_path, capsys):
+    # every numeric option, set to each value in a well-formed run: an exit
+    # code of the CLI's, no traceback, and nothing on stdout that is not JSON
+    argv = numeric_run(command, tmp_path)
+    assert main(argv) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, f"{option}={bad}")
+    assert code in (0, 2, 3, 4) and "Traceback" not in err
+    if command == "calibrate":  # the weights as CSV, then the JSON report on stderr
+        out = err if code == 0 else out
+    if out:
+        strict_json(out)
+
+
+def test_a_non_finite_totals_file_is_a_data_error(frame_path, tmp_path, capsys):
+    p = tmp_path / "totals.csv"
+    p.write_text("nan\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "estimate", "--frame", frame_path, "--estimator", "greg",
+                             "--totals", str(p))
+    assert (code, out) == (3, "")
+    assert err == f"data error: --totals file {p} holds a value that is not a finite number\n"
+
+
+def test_calibrate_refuses_a_non_finite_result(frame_path, capsys, monkeypatch):
+    # the report went to stderr through json.dumps, which writes NaN
+    real = calibration.solve_chi_square
+
+    def broken(problem):
+        result = real(problem)
+        result.weights[1] = np.nan
+        return result
+
+    monkeypatch.setattr(calibration, "solve_chi_square", broken)
+    code, out, err = run_cli(capsys, "calibrate", "--frame", frame_path, "--targets", "40")
+    assert (code, out) == (4, "")
+    assert err == "numerical failure: weights holds nan, not a finite number\n"
+
+
 def test_entry_point_subprocess(tmp_path):
     p = tmp_path / "frame.csv"
     p.write_text(FRAME_CSV, encoding="utf-8")

@@ -531,6 +531,42 @@ class TestConditionalPoisson:
         sk.first_order_pips(design, frame)
         assert len(calls) == 1
 
+    def test_marginals_and_entry_table_are_built_once_a_frame(self, monkeypatch):
+        from surveykit import core
+        from surveykit import design as dz
+
+        calls = Counter()
+
+        def counted(name, real):
+            return lambda *args: calls.update([name]) or real(*args)
+
+        monkeypatch.setattr(dz, "conditional_poisson_pips",
+                            counted("marginals", dz.conditional_poisson_pips))
+        monkeypatch.setattr(core, "_entry_probs", counted("entry", core._entry_probs))
+        frame = sk.Frame(ids=tuple(map(str, range(12))), mos=np.arange(1.0, 13.0),
+                         y=np.arange(12.0))
+        design, rng = sk.RejectivePoisson(3), np.random.default_rng(5)
+        for _ in range(50):
+            sk.select(design, frame, rng)
+        sk.first_order_pips(design, frame)
+        design_consistency_mc(design, frame, 100, rng)
+        assert calls == {"marginals": 1, "entry": 1}
+        # first_order alone builds no entry table
+        calls.clear()
+        sk.first_order_pips(design, sk.Frame(ids=frame.ids, mos=frame.mos))
+        assert calls == {"marginals": 1}
+
+    def test_memoized_marginals_are_freed_with_their_frame(self):
+        import gc
+        import weakref
+
+        frame = sk.Frame(ids=tuple(map(str, range(12))), mos=np.arange(1.0, 13.0))
+        pi = weakref.ref(sk.first_order_pips(sk.RejectivePoisson(3), frame).first_order)
+        assert pi() is not None  # the frame holds it
+        del frame
+        gc.collect()
+        assert pi() is None
+
 
 class TestStratified:
     @pytest.fixture

@@ -363,3 +363,40 @@ def test_a_replicate_count_that_is_not_a_count_is_refused_before_a_draw(cls):
     assert rng.random() == np.random.default_rng(3).random()  # nothing drawn
     assert list(design.samples(FRAME, 0, rng)) == list(design.samples(FRAME, 0, [])) == []
     assert [t.shape[0] for t in design.mc_rows(FRAME, 0, rng)] == [0, 0]
+
+
+def cached_arrays(frame, path="frame"):
+    """(path, array) for every array a frame keeps in its cache, through
+    tuples and lists and into the caches of the frames it keeps
+    (restricted frames, the cluster frame)."""
+    stack = [(f"{path}[{key!r}]", value) for key, value in frame._cache.items()]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, np.ndarray):
+            yield where, value
+        elif isinstance(value, (tuple, list)):
+            stack.extend((f"{where}[{k}]", v) for k, v in enumerate(value))
+        elif isinstance(value, sk.Frame):
+            yield from cached_arrays(value, where)
+
+
+@pytest.mark.parametrize("cls", DESIGN_CLASSES, ids=lambda cls: cls.key)
+def test_every_array_a_frame_keeps_is_read_only(cls):
+    # every caller of frame.strata(), a sub-frame or a design's memo gets
+    # the same arrays: a write into one would change every later draw
+    design, enumerable = CASES[cls]
+    frame = sk.Frame(ids=FRAME.ids, mos=FRAME.mos, stratum=FRAME.stratum,
+                     cluster=FRAME.cluster, aux=FRAME.aux, y=FRAME.y)
+    sk.select(design, frame, np.random.default_rng(1))
+    list(design.samples(frame, R, np.random.default_rng(2)))
+    design_consistency_mc(design, frame, R, np.random.default_rng(3))
+    try:
+        sk.first_order_pips(design, frame)
+    except NonEnumerableError:  # a two-phase design has no closed form
+        assert cls is sk.TwoPhase
+    if enumerable:
+        sk.enumerate_design(design, frame)
+    arrays = list(cached_arrays(frame))
+    assert [where for where, a in arrays if a.flags.writeable] == []
+    if isinstance(design, (sk.Stratified, sk.OneStageCluster, sk.TwoStage)):
+        assert arrays  # the index sets at least
