@@ -115,8 +115,9 @@ def _flatten(payload, prefix=""):
 
 
 def _option_type(kind, ok, rule):
-    """The argparse type of an option whose value is a kind (float or
-    int) that passes ok: anything else is a usage error naming the option."""
+    """The argparse type of an option whose value is a kind (float, int or
+    another option type, whose own errors stand) that passes ok: anything
+    else is a usage error naming the option."""
     def parse(text):
         try:
             value = kind(text)
@@ -131,6 +132,8 @@ def _option_type(kind, ok, rule):
 _finite = _option_type(float, np.isfinite, "a finite number")  # NaN and the infinities fail
 _seed = _option_type(int, lambda v: v >= 0, "a whole number of at least 0")
 _replicates = _option_type(int, lambda v: v >= 2, "a whole number of at least 2")
+_size = _option_type(int, lambda v: v >= 1, "a whole number of at least 1")
+_positive = _option_type(_finite, lambda v: v > 0, "a finite number above 0")
 
 
 def _finites(text):
@@ -205,6 +208,10 @@ def cmd_draw(args):
 def cmd_allocate(args):
     from . import allocation as alc
 
+    # checked here, not by the option type: every numeric option's type
+    # reads '1', the probe by which the CLI tests find them
+    if not 0 < args.alpha < 1:
+        raise UsageError(f"argument --alpha: {_number(args.alpha)} is not between 0 and 1")
     strata, _ = _read_table(args.strata, "strata", ["N_h"], ["S_h", "c_h"],
                             fill={"S_h": 1.0, "c_h": 1.0})
     # NaN and the infinities fail each test
@@ -293,7 +300,8 @@ def cmd_estimate(args):
     if args.estimator == "ht":
         e = est.ht_total(sample, y)
     elif args.estimator == "mean":
-        e = est.ht_mean(sample, y, args.N or float(np.sum(sample.weights)))
+        N = args.N if args.N is not None else float(np.sum(sample.weights))
+        e = est.ht_mean(sample, y, N)
     elif args.estimator == "hajek":
         e = est.hajek_mean(sample, y)
     elif args.estimator == "ratio":
@@ -475,8 +483,8 @@ def build_parser():
     p = sub.add_parser("allocate", help="allocate a stratified sample size")
     p.add_argument("--strata", required=True, help="CSV with N_h,S_h,c_h")
     p.add_argument("--method", default="neyman")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=_finite, default=0.5)
+    p.add_argument("--n", type=_size, required=True)
+    p.add_argument("--alpha", type=_finite, default=0.5, help="between 0 and 1")
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("estimate")
@@ -486,7 +494,7 @@ def build_parser():
     p.add_argument("--x", help="aux columns, e.g. 1 or 1,3")
     p.add_argument("--total", type=_finite)
     p.add_argument("--totals", type=_totals, help="comma list or a one-line CSV path")
-    p.add_argument("--N", type=_finite)
+    p.add_argument("--N", type=_positive)
     p.add_argument("--c-model", default="const",
                    help="const, x, or an aux column like x2")
     p.set_defaults(func=cmd_estimate)

@@ -230,9 +230,10 @@ def chao_select(x, n, rng):
 
 # Poisson tries until one takes exactly n units.  No design draws with it:
 # RejectivePoisson draws the same law in one pass (conditional_poisson_select),
-# and this loop is its reference.
+# and this loop is its reference.  On numpy, rejective_poisson_select reads
+# each try from a Generator as one block; the loop stays, compiled on numba.
 @jit
-def rejective_poisson_select(pi, n, max_tries, rng):
+def _rejective_poisson_loop(pi, n, max_tries, rng):
     N = pi.shape[0]
     out = np.empty(n, dtype=np.int64)
     for _ in range(max_tries):
@@ -248,6 +249,44 @@ def rejective_poisson_select(pi, n, max_tries, rng):
         if count == n and not overfull:
             return out
     return np.empty(0, dtype=np.int64)
+
+
+def rejective_poisson_select(pi, n, max_tries, rng):
+    """_rejective_poisson_loop, bit for bit.  From a Generator each try reads
+    a window of N uniforms: the unread tail of the last window, then fresh
+    doubles for the cells the last try read (one `random(out=...)` holds
+    exactly the doubles of as many scalar calls).  A try that takes n units
+    reads all N; one that takes fewer reads all N and fails; an overfull one
+    stops at its (n + 1)-th hit.  Each try reads at least one double, so a
+    double drawn ahead is read within N - 1 more tries: the Generator's
+    state is saved N tries before the last, and if the tries run out with
+    a tail unread, it goes back to that state and skips the doubles read
+    since.  Any other source runs the loop."""
+    if type(rng) is not np.random.Generator:
+        return _rejective_poisson_loop(pi, n, max_tries, rng)
+    N = pi.shape[0]
+    u = np.empty(N)
+    fresh, read = N, 0  # the cells the last try read, and all since the save
+    for t in range(max_tries):
+        if t == max(max_tries - N, 0):
+            # the tail is drawn already, so it counts against the doubles read
+            state, read = rng.bit_generator.state, fresh - N
+        u[:N - fresh] = u[fresh:]
+        rng.random(out=u[N - fresh:])
+        hits = np.flatnonzero(u < pi)
+        if hits.size == n:
+            return hits.astype(np.int64, copy=False)
+        fresh = hits[n] + 1 if hits.size > n else N
+        read += fresh
+    if fresh < N:
+        rng.bit_generator.state = state
+        for size in _chunks(read, 1):
+            rng.random(size)
+    return np.empty(0, dtype=np.int64)
+
+
+if ACTIVE_BACKEND == "numba":
+    rejective_poisson_select = _rejective_poisson_loop  # _mc_draws_loop calls it
 
 
 @jit

@@ -313,6 +313,32 @@ class TestDraw:
 
 
 class TestAllocate:
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.5"])
+    def test_power_alpha_outside_0_to_1_exit_2(self, alpha, tmp_path, capsys):
+        # a numerical failure (exit 4) in power_allocation before
+        p = tmp_path / "strata.csv"
+        p.write_text(STRATA_CSV, encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--method", "power",
+                                 "--n", "140", "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert err == f"error: argument --alpha: {alpha} is not between 0 and 1\n"
+
+    @pytest.mark.parametrize("n", ["0", "-3", "2.5"])
+    def test_sample_size_below_1_exit_2(self, n, tmp_path, capsys):
+        # 0 and -3 were numerical failures (exit 4)
+        p = tmp_path / "strata.csv"
+        p.write_text(STRATA_CSV, encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--strata", str(p), f"--n={n}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --n: '{n}' is not a whole number of at least 1\n")
+
+    def test_sample_size_below_the_stratum_count_reaches_the_library(self, tmp_path, capsys):
+        p = tmp_path / "strata.csv"
+        p.write_text(STRATA_CSV, encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--n", "2")
+        assert (code, out) == (4, "")
+        assert "sample size cannot give every free stratum one unit" in err
+
     def test_neyman_fixture(self, tmp_path, capsys):
         p = tmp_path / "strata.csv"
         p.write_text(STRATA_CSV, encoding="utf-8")
@@ -377,6 +403,22 @@ class TestAllocate:
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("N", ["0", "-5"])
+    def test_population_size_not_above_0_exit_2(self, N, frame_path, capsys):
+        # --N 0 fell back to the weight sum and --N -5 gave a negative mean,
+        # both at exit 0
+        code, out, err = run_cli(capsys, "estimate", "--frame", frame_path,
+                                 "--estimator", "mean", f"--N={N}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --N: '{N}' is not a finite number above 0\n")
+
+    def test_mean_over_a_given_population_size(self, frame_path, capsys):
+        # HT total 352 over --N, or over the weight sum 36 without it
+        for argv, N in ((["--N", "14"], 14), ([], 36)):
+            code, out, _ = run_cli(capsys, "estimate", "--frame", frame_path,
+                                   "--estimator", "mean", *argv)
+            assert code == 0 and json.loads(out)["value"] == pytest.approx(352 / N, rel=1e-12)
+
     def test_ht_pipeline(self, frame_path, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--frame", frame_path,
                                "--estimator", "ht")

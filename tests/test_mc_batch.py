@@ -9,9 +9,10 @@ Every design kernel but Lahiri's takes a fixed uniform count.  Lahiri's
 batch runs on a speculative block of a PCG64 stream, after which the
 Generator is rewound and advanced by the doubles used; it must match the
 scalar loop bit for bit as well, and every other bit generator must keep
-the scalar loop for it.  The rejective loop `rejective_poisson_select`, the
-reference for RejectivePoisson's law, has no block form and keeps the
-scalar loop everywhere."""
+the scalar loop for it.  The rejective kernel `rejective_poisson_select`, the
+reference for RejectivePoisson's law, has no batched form; a single draw
+from a Generator reads each try as one block, and it must equal its scalar
+loop `_rejective_poisson_loop` bit for bit on every bit generator."""
 
 import functools
 import itertools
@@ -514,6 +515,67 @@ def test_kernels_without_a_fixed_count_draw_on_the_generator():
         idx = kernels._one_draw(kernel, args, source)
         assert source.calls > 1
         assert idx.tobytes() == kernel(*args, np.random.Generator(np.random.MT19937(5))).tobytes()
+
+
+# (N, n, max_tries) of the rejective kernel's checks against its loop, n
+# from 0 to N around a middle value; at N = 1000 the loop takes about a
+# second to fail 10,000 tries of n = 0, 1 or N, so there only the middle n
+# runs them
+REJECTIVE_MIDDLE = {3: 2, 8: 3, 12: 4, 1000: 50}
+REJECTIVE_CASES = [(N, n, tries) for N, mid in REJECTIVE_MIDDLE.items()
+                   for n in (0, 1, mid, N) for tries in (0, 1, 2, 10_000)
+                   if N < 1000 or tries < 10_000 or n == mid]
+
+
+def assert_rejective_is_the_loop(pi, n, max_tries, bit_generator):
+    # the same indices, dtype and next doubles as the scalar loop, draw
+    # after draw
+    rng_a, rng_b = (np.random.Generator(bit_generator(pi.size + n)) for _ in range(2))
+    for _ in range(2):
+        a = kernels.rejective_poisson_select(pi, n, max_tries, rng_a)
+        b = kernels._rejective_poisson_loop(pi, n, max_tries, rng_b)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert rng_a.random(3).tobytes() == rng_b.random(3).tobytes()
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("N, n, max_tries", REJECTIVE_CASES)
+def test_rejective_blocks_are_the_loop(N, n, max_tries, bit_generator):
+    pi = sk.compute_pips(size_measures(N), REJECTIVE_MIDDLE[N]) * 0.9
+    assert_rejective_is_the_loop(pi, n, max_tries, bit_generator)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("max_tries", [1, 2, 3, 11, 12, 13, 30, 10_000])
+def test_overfull_rejective_tries_run_out_like_the_loop(max_tries, bit_generator):
+    # nearly every try stops at its second hit, so the tries run out with
+    # uniforms of the last block unread; the kernel saves the stream's
+    # state N = 12 tries before the last
+    assert_rejective_is_the_loop(np.full(12, 0.9), 1, max_tries, bit_generator)
+
+
+def test_rejective_kernel_calls_random_once_per_uniform_off_a_generator():
+    pi = sk.compute_pips(size_measures(12), 4) * 0.9
+    source = CountingSource(4)
+    idx = kernels.rejective_poisson_select(pi, 4, 100, source)
+    rng, skipped = (np.random.Generator(np.random.MT19937(4)) for _ in range(2))
+    assert idx.tobytes() == kernels.rejective_poisson_select(pi, 4, 100, rng).tobytes()
+    skipped.random(source.calls)
+    assert source.rng.random() == rng.random() == skipped.random()
+
+
+def test_rejective_kernel_time_budget():
+    # five draws of n = 50 from N = 1000 on the benchmark's kernel frame:
+    # about 2 ms on a 2-core VM, where a scalar call per uniform took
+    # 115-190 ms
+    N, n = 1000, 50
+    g = np.random.default_rng([7, 1000])
+    pi = sk.compute_pips(np.abs(g.normal(2.0, 0.5, N)) + 0.1, n) * 0.9
+    rng = np.random.default_rng(8)
+    start = time.perf_counter()
+    draws = [kernels.rejective_poisson_select(pi, n, 10_000, rng) for _ in range(5)]
+    assert time.perf_counter() - start < 0.05
+    assert all(np.unique(d).size == n for d in draws)
 
 
 def test_variable_count_designs_match_select_loop():
