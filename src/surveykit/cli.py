@@ -134,6 +134,7 @@ _seed = _option_type(int, lambda v: v >= 0, "a whole number of at least 0")
 _replicates = _option_type(int, lambda v: v >= 2, "a whole number of at least 2")
 _size = _option_type(int, lambda v: v >= 1, "a whole number of at least 1")
 _positive = _option_type(_finite, lambda v: v > 0, "a finite number above 0")
+_alpha = _option_type(_finite, lambda v: 0 < v < 1, "a number between 0 and 1")
 
 
 def _finites(text):
@@ -208,10 +209,6 @@ def cmd_draw(args):
 def cmd_allocate(args):
     from . import allocation as alc
 
-    # checked here, not by the option type: every numeric option's type
-    # reads '1', the probe by which the CLI tests find them
-    if not 0 < args.alpha < 1:
-        raise UsageError(f"argument --alpha: {_number(args.alpha)} is not between 0 and 1")
     strata, _ = _read_table(args.strata, "strata", ["N_h"], ["S_h", "c_h"],
                             fill={"S_h": 1.0, "c_h": 1.0})
     # NaN and the infinities fail each test
@@ -484,7 +481,7 @@ def build_parser():
     p.add_argument("--strata", required=True, help="CSV with N_h,S_h,c_h")
     p.add_argument("--method", default="neyman")
     p.add_argument("--n", type=_size, required=True)
-    p.add_argument("--alpha", type=_finite, default=0.5, help="between 0 and 1")
+    p.add_argument("--alpha", type=_alpha, default=0.5, help="between 0 and 1")
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("estimate")

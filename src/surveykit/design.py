@@ -273,7 +273,7 @@ class _Leaf(Design):
 
     def _sample(self, frame, binding, rng):
         kernel, args, p = binding
-        idx = kernels._one_draw(kernel, args, rng)
+        idx = kernel(*args, rng)
         mult = None
         if self.with_replacement:
             idx, mult = np.unique(idx, return_counts=True)
@@ -920,7 +920,7 @@ class StratifyOnAux(Phase2Rule):
         for lab in sorted(groups):
             pos = np.asarray(groups[lab], dtype=np.int64)
             r_h = self._subsample_size(lab, pos.size)
-            chosen = kernels._one_draw(kernels.srs_selection_rejection, (r_h, pos.size), rng)
+            chosen = kernels.srs_selection_rejection(r_h, pos.size, rng)
             locals_.append(pos[chosen])
             conds.append(np.full(chosen.size, r_h / pos.size))
             out_labels.extend([lab] * chosen.size)
@@ -1004,7 +1004,7 @@ class PoissonOnAux(Phase2Rule):
         if np.any(x <= 0):
             raise ValueError("Poisson phase-2 rule needs positive observed values")
         p2 = np.minimum(compute_pips(x, min(self.r, x.size)), 1.0)
-        local = kernels._one_draw(kernels._poisson_indices, (p2,), rng)
+        local = kernels._poisson_indices(p2, rng)
         return local, p2[local], None, None
 
 

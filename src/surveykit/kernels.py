@@ -1,19 +1,23 @@
 """Hot selection kernels.
 
-Each kernel draws one sample given dense arrays and a numpy Generator.  They
-are compiled with numba when the numba backend is active and run as plain
-Python otherwise; both paths consume the Generator identically (randomness
-enters only through ``rng.random()``), so the selected indices are
-bit-for-bit reproducible across backends.
-
+Each kernel draws one sample given dense arrays and a numpy Generator.
 Every design kernel but Lahiri's takes a fixed number of uniforms per draw:
 selection-rejection one per frame unit, Chao one per stream unit (an
 entering unit's slot is read from the uniform that admitted it),
-conditional Poisson one per unit.  `_BATCHED` writes that count once per
-kernel.  On numpy a single draw (`_one_draw`) and a Monte Carlo batch
-(*Batched Monte Carlo* below) take their uniforms as blocks that hold
-exactly the doubles the scalar calls would return, on every bit generator,
-so both match the scalar kernel bit for bit.
+conditional Poisson one per unit.
+
+Each public kernel but Lahiri's, which is one, has a scalar loop,
+`_LOOPS[name]`, that calls ``rng.random()`` once per uniform.  With numba
+active the loops are compiled and every public name is its loop.  On
+numpy a fixed-count kernel reads its k uniforms as one `rng.random(k)`
+block and computes the draw vectorized: the row code of its batched form
+(*Batched Monte Carlo* below) at one replicate, a survivor filter for the
+two one-pass walks, a loop over the block for draw-by-draw, running totals
+for Brewer's and Durbin's methods.  A block holds exactly the doubles of k
+scalar calls on every bit generator, so the indices, their dtype and
+order, and the Generator's state afterwards are bit-identical to the loop
+and the same on both backends; the rejective kernel reads each try as a
+block the same way.  The loops stay as the tests' reference.
 """
 
 import inspect
@@ -34,6 +38,9 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# Scalar loops: one `rng.random()` call per uniform.
+
 @jit
 def _unit_index(u, m):
     # map a uniform in [0,1) to {0..m-1}
@@ -44,7 +51,7 @@ def _unit_index(u, m):
 
 
 @jit
-def srs_draw_by_draw(n, N, rng):
+def _srs_draw_by_draw_loop(n, N, rng):
     pool = np.arange(N, dtype=np.int64)
     out = np.empty(n, dtype=np.int64)
     m = N
@@ -57,7 +64,7 @@ def srs_draw_by_draw(n, N, rng):
 
 
 @jit
-def srs_selection_rejection(n, N, rng):
+def _srs_selection_rejection_loop(n, N, rng):
     out = np.empty(n, dtype=np.int64)
     chosen = 0
     for k in range(N):
@@ -69,7 +76,7 @@ def srs_selection_rejection(n, N, rng):
 
 
 @jit
-def srs_reservoir(n, N, rng):
+def _srs_reservoir_loop(n, N, rng):
     res = np.arange(n, dtype=np.int64)
     for k in range(n, N):
         j = _unit_index(rng.random(), k + 1)
@@ -79,7 +86,7 @@ def srs_reservoir(n, N, rng):
 
 
 @jit
-def srs_random_sort(n, N, rng):
+def _srs_random_sort_loop(n, N, rng):
     keys = np.empty(N)
     for i in range(N):
         keys[i] = rng.random()
@@ -88,7 +95,7 @@ def srs_random_sort(n, N, rng):
 
 
 @jit
-def srswr_draws(n, N, rng):
+def _srswr_draws_loop(n, N, rng):
     out = np.empty(n, dtype=np.int64)
     for k in range(n):
         out[k] = _unit_index(rng.random(), N)
@@ -96,7 +103,7 @@ def srswr_draws(n, N, rng):
 
 
 @jit
-def poisson_select(pi, rng):
+def _poisson_select_loop(pi, rng):
     N = pi.shape[0]
     mask = np.zeros(N, dtype=np.bool_)
     for i in range(N):
@@ -106,13 +113,7 @@ def poisson_select(pi, rng):
 
 
 @jit
-def _poisson_indices(pi, rng):
-    # the units poisson_select includes, as the frame indices a design draws
-    return np.nonzero(poisson_select(pi, rng))[0]
-
-
-@jit
-def systematic_select(N, G, rng):
+def _systematic_select_loop(N, G, rng):
     r = _unit_index(rng.random(), G)
     count = (N - 1 - r) // G + 1
     out = np.empty(count, dtype=np.int64)
@@ -122,7 +123,7 @@ def systematic_select(N, G, rng):
 
 
 @jit
-def systematic_pps_select(x, n, rng):
+def _systematic_pps_select_loop(x, n, rng):
     N = x.shape[0]
     total = 0.0
     for i in range(N):
@@ -142,7 +143,7 @@ def systematic_pps_select(x, n, rng):
 
 
 @jit
-def ppswr_cumulative(cum, n, rng):
+def _ppswr_cumulative_loop(cum, n, rng):
     total = cum[cum.shape[0] - 1]
     out = np.empty(n, dtype=np.int64)
     for k in range(n):
@@ -185,7 +186,7 @@ def _draw_categorical(weights, skip, rng):
 
 
 @jit
-def brewer2_select(p, rng):
+def _brewer2_select_loop(p, rng):
     N = p.shape[0]
     theta = np.empty(N)
     for i in range(N):
@@ -201,7 +202,7 @@ def brewer2_select(p, rng):
 
 
 @jit
-def durbin2_select(p, rng):
+def _durbin2_select_loop(p, rng):
     N = p.shape[0]
     first = _draw_categorical(p, -1, rng)
     cond = np.empty(N)
@@ -217,7 +218,7 @@ def durbin2_select(p, rng):
 
 
 @jit
-def chao_select(x, n, rng):
+def _chao_select_loop(x, n, rng):
     res = np.arange(n, dtype=np.int64)
     prob = n * x[n:] / np.cumsum(x)[n:]  # n x_k over the running total
     for k in range(n, x.shape[0]):
@@ -230,8 +231,7 @@ def chao_select(x, n, rng):
 
 # Poisson tries until one takes exactly n units.  No design draws with it:
 # RejectivePoisson draws the same law in one pass (conditional_poisson_select),
-# and this loop is its reference.  On numpy, rejective_poisson_select reads
-# each try from a Generator as one block; the loop stays, compiled on numba.
+# and this loop is its reference.
 @jit
 def _rejective_poisson_loop(pi, n, max_tries, rng):
     N = pi.shape[0]
@@ -249,6 +249,139 @@ def _rejective_poisson_loop(pi, n, max_tries, rng):
         if count == n and not overfull:
             return out
     return np.empty(0, dtype=np.int64)
+
+
+@jit
+def _conditional_poisson_select_loop(q, n, rng):
+    # one pass of N uniforms: with m units taken, unit k enters with
+    # probability q[k, n - m] (core._entry_probs); q[k, 0] = 0 and the
+    # forced tail has q = 1.0, so exactly n units are taken
+    N = q.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    m = 0
+    for k in range(N):
+        if rng.random() < q[k, n - m]:
+            out[m] = k
+            m += 1
+    return out
+
+
+@jit
+def _poisson_indices(pi, rng):
+    # the units poisson_select includes, as the frame indices a design draws
+    return np.nonzero(poisson_select(pi, rng))[0]
+
+
+# ---------------------------------------------------------------------------
+# The public kernels on numpy, each bit for bit its loop (module
+# docstring); with numba active every name is rebound to its loop
+# (`_LOOPS`, below).
+
+def _one_row(form, args, rng):
+    """One draw by a batched form: its row at R = 1, the k uniforms it
+    asks for one `rng.random((1, k))` block."""
+    return next(form(*args, 1, lambda *shape: rng.random(shape)))[0]
+
+
+def srs_draw_by_draw(n, N, rng):
+    pool = np.arange(N, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
+    for k, u in enumerate(rng.random(n).tolist()):
+        j = _unit_index(u, N - k)
+        out[k] = pool[j]
+        pool[j] = pool[N - k - 1]
+    return np.sort(out)
+
+
+def srs_selection_rejection(n, N, rng):
+    # the loop takes unit k only if u_k (N - k) < n - chosen, so never
+    # where u_k (N - k) >= n: the walk visits the other units alone
+    out = np.empty(n, dtype=np.int64)
+    v = rng.random(N)
+    v *= np.arange(N, 0, -1)
+    keep = (v < n).nonzero()[0]
+    chosen = 0
+    for k, vk in zip(keep.tolist(), v[keep].tolist()):
+        if vk < n - chosen:
+            out[chosen] = k
+            chosen += 1
+    return out
+
+
+def srs_reservoir(n, N, rng):
+    return _one_row(_srs_reservoir_rows, (n, N), rng)
+
+
+def srs_random_sort(n, N, rng):
+    return _one_row(_srs_random_sort_rows, (n, N), rng)
+
+
+def srswr_draws(n, N, rng):
+    return _one_row(_srswr_draws_rows, (n, N), rng)
+
+
+def poisson_select(pi, rng):
+    return rng.random(pi.shape[0]) < pi
+
+
+def systematic_select(N, G, rng):
+    # one row needs no pads: about 3 numpy calls where the row code takes 9
+    r = _unit_index(rng.random(1)[0], G)
+    return r + G * np.arange((N - 1 - r) // G + 1)
+
+
+def systematic_pps_select(x, n, rng):
+    return _one_row(_systematic_pps_select_rows, (x, n), rng)
+
+
+def ppswr_cumulative(cum, n, rng):
+    return _one_row(_ppswr_cumulative_rows, (cum, n), rng)
+
+
+def _n2_draw(theta, cond, rng):
+    """_draw_categorical twice, on one block of two uniforms: the first
+    unit f from theta, then the second from the weights cond(f) gives,
+    without f.  A zero weight at f leaves the other units' running totals;
+    past the last total the loop keeps the last unit but f."""
+    N = theta.shape[0]
+    u = rng.random(2).tolist()
+    cum = theta.cumsum()
+    first = min(int(cum.searchsorted(u[0] * cum[-1], "right")), N - 1)
+    w = cond(first)
+    w[first] = 0.0
+    cum = w.cumsum()
+    second = min(int(cum.searchsorted(u[1] * cum[-1], "right")), N - 1 - (first == N - 1))
+    return np.array([min(first, second), max(first, second)], dtype=np.int64)
+
+
+def brewer2_select(p, rng):
+    return _n2_draw(p * (1.0 - p) / (1.0 - 2.0 * p), lambda f: p.copy(), rng)
+
+
+def durbin2_select(p, rng):
+    return _n2_draw(p, lambda f: p * (1.0 / (1.0 - 2.0 * p[f]) + 1.0 / (1.0 - 2.0 * p)), rng)
+
+
+def chao_select(x, n, rng):
+    return _one_row(_chao_select_rows, (x, n), rng)
+
+
+def conditional_poisson_select(q, n, rng):
+    # the loop takes unit k only if u_k < q[k, need], so never where u_k
+    # is at least the largest entry of row k: the walk visits the other
+    # units alone.  (A column test at need n would drop the forced tail,
+    # where q[k, n] is 0 and a smaller need's entry 1.0.)
+    N = q.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    u = rng.random(N)
+    top = q[np.arange(N), q.argmax(axis=1)]  # quicker than q.max(axis=1)
+    keep = (u < top).nonzero()[0]
+    m = 0
+    for k, uk in zip(keep.tolist(), u[keep].tolist()):
+        if uk < q.item(k, n - m):
+            out[m] = k
+            m += 1
+    return out
 
 
 def rejective_poisson_select(pi, n, max_tries, rng):
@@ -285,23 +418,27 @@ def rejective_poisson_select(pi, n, max_tries, rng):
     return np.empty(0, dtype=np.int64)
 
 
+# public kernel -> its scalar loop: numba's kernel, and the reference the
+# public kernel is tested against
+_LOOPS = {
+    "srs_draw_by_draw": _srs_draw_by_draw_loop,
+    "srs_selection_rejection": _srs_selection_rejection_loop,
+    "srs_reservoir": _srs_reservoir_loop,
+    "srs_random_sort": _srs_random_sort_loop,
+    "srswr_draws": _srswr_draws_loop,
+    "poisson_select": _poisson_select_loop,
+    "systematic_select": _systematic_select_loop,
+    "systematic_pps_select": _systematic_pps_select_loop,
+    "ppswr_cumulative": _ppswr_cumulative_loop,
+    "brewer2_select": _brewer2_select_loop,
+    "durbin2_select": _durbin2_select_loop,
+    "chao_select": _chao_select_loop,
+    "conditional_poisson_select": _conditional_poisson_select_loop,
+    "rejective_poisson_select": _rejective_poisson_loop,
+}
+
 if ACTIVE_BACKEND == "numba":
-    rejective_poisson_select = _rejective_poisson_loop  # _mc_draws_loop calls it
-
-
-@jit
-def conditional_poisson_select(q, n, rng):
-    # one pass of N uniforms: with m units taken, unit k enters with
-    # probability q[k, n - m] (core._entry_probs); q[k, 0] = 0 and the
-    # forced tail has q = 1.0, so exactly n units are taken
-    N = q.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    m = 0
-    for k in range(N):
-        if rng.random() < q[k, n - m]:
-            out[m] = k
-            m += 1
-    return out
+    globals().update(_LOOPS)  # _mc_draws_loop and _poisson_indices call them
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +552,13 @@ def _rewind(rng, state, used):
 
 # Batched forms of the fixed-count kernels: `form(*args, R, uniforms)`
 # yields, chunk by chunk, the index rows kernel(*args, rng) returns for
-# consecutive replicates, in its output order; `uniforms(rows)` gives the
-# next rows replicates' uniforms, one row of the kernel's count each.
+# consecutive replicates, in its output order; `uniforms(rows, k)` gives
+# the next rows replicates' uniforms, k to a row, k the count one draw
+# takes (written once, in the form).
 
 def _srs_draw_by_draw_rows(n, N, R, uniforms):
     for rows in _chunks(R, N):
-        u = uniforms(rows)
+        u = uniforms(rows, n)
         pool = np.tile(np.arange(N, dtype=np.int64), (rows, 1))
         out = np.empty((rows, n), dtype=np.int64)
         r = np.arange(rows)
@@ -453,20 +591,20 @@ def _entries(enter):
 def _srs_reservoir_rows(n, N, R, uniforms):
     stream = np.arange(n, N)
     for rows in _chunks(R, N):
-        j = _unit_indices(uniforms(rows), stream + 1)
+        j = _unit_indices(uniforms(rows, N - n), stream + 1)
         r, c, flat = _entries(j < n)
         yield _reservoirs(n, rows, r, j.ravel()[flat], stream[c])
 
 
 def _srs_random_sort_rows(n, N, R, uniforms):
     for rows in _chunks(R, N):
-        order = np.argsort(-uniforms(rows), axis=1)
+        order = np.argsort(-uniforms(rows, N), axis=1)
         yield np.sort(order[:, :n], axis=1)
 
 
 def _srswr_draws_rows(n, N, R, uniforms):
     for rows in _chunks(R, n):
-        yield _unit_indices(uniforms(rows), N)
+        yield _unit_indices(uniforms(rows, n), N)
 
 
 def _poisson_indices_rows(pi, R, uniforms):
@@ -474,14 +612,14 @@ def _poisson_indices_rows(pi, R, uniforms):
     N = pi.shape[0]
     units = np.arange(N)
     for rows in _chunks(R, N):
-        yield np.where(uniforms(rows) < pi, units, N)
+        yield np.where(uniforms(rows, N) < pi, units, N)
 
 
 def _systematic_select_rows(N, G, R, uniforms):
     # rows are ragged (n or n+1 units); index N pads the short ones
     steps = np.arange((N - 1) // G + 1) * G
     for rows in _chunks(R, steps.size):
-        idx = _unit_indices(uniforms(rows), G) + steps
+        idx = _unit_indices(uniforms(rows, 1), G) + steps
         idx[idx >= N] = N
         yield idx
 
@@ -498,13 +636,13 @@ def _systematic_pps_walk(x, a, n, starts):
 def _systematic_pps_select_rows(x, n, R, uniforms):
     a = np.cumsum(x)[-1] / n  # the loop's running total
     for rows in _chunks(R, n):
-        yield _systematic_pps_walk(x, a, n, (1.0 - uniforms(rows)) * a)
+        yield _systematic_pps_walk(x, a, n, (1.0 - uniforms(rows, 1)) * a)
 
 
 def _ppswr_cumulative_rows(cum, n, R, uniforms):
     total = cum[cum.shape[0] - 1]
     for rows in _chunks(R, n):
-        u = uniforms(rows) * total
+        u = uniforms(rows, n) * total
         yield _in_frame(np.searchsorted(cum, u, side="right"), cum.shape[0])
 
 
@@ -526,7 +664,7 @@ def _n2_rows(theta, cond, R, uniforms):
     N = theta.shape[0]
     cum = np.cumsum(theta)
     for rows in _chunks(R, 2):
-        u = uniforms(rows)
+        u = uniforms(rows, 2)
         first = _categorical(cum, u[:, 0])
         order = np.argsort(first, kind="stable")  # replicates by first unit
         new = np.empty(rows, dtype=bool)
@@ -605,13 +743,13 @@ def _srs_selection_rejection_rows(n, N, R, uniforms):
     for rows in _chunks(R, N):
         # the loop's test, u * (N - k) < n - chosen, unit k in row k
         v = np.empty((N, rows))
-        np.multiply(uniforms(rows).T, steps, out=v)
+        np.multiply(uniforms(rows, N).T, steps, out=v)
         yield _walk_rows(v, n, lambda k, need: need)
 
 
 def _conditional_poisson_select_rows(q, n, R, uniforms):
     for rows in _chunks(R, q.shape[0]):
-        u = np.ascontiguousarray(uniforms(rows).T)
+        u = np.ascontiguousarray(uniforms(rows, q.shape[0]).T)
         yield _walk_rows(u, n, lambda k, need: q[k, need])
 
 
@@ -620,7 +758,7 @@ def _chao_select_rows(x, n, R, uniforms):
     prob = n * x[n:] / np.cumsum(x)[n:]  # as the kernel computes it
     stream = np.arange(n, N)
     for rows in _chunks(R, N):
-        u = uniforms(rows)
+        u = uniforms(rows, N - n)
         r, c, flat = _entries(u < prob)
         yield _reservoirs(n, rows, r, _unit_indices(u.ravel()[flat] / prob[c], n), stream[c])
 
@@ -646,23 +784,21 @@ def _ppswr_lahiri_rows(x, bound, n, R, rng):
         yield np.concatenate(picks).reshape(rows, n)
 
 
-# kernel -> (count, form): count(*args) is how many uniforms one draw takes,
-# the one place it is written; form is the batched form.  None on numba,
-# which runs the compiled loops.
+# kernel -> its batched form; none on numba, which runs the compiled loops
 _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
-    srs_draw_by_draw: (lambda n, N: n, _srs_draw_by_draw_rows),
-    srs_selection_rejection: (lambda n, N: N, _srs_selection_rejection_rows),
-    srs_reservoir: (lambda n, N: N - n, _srs_reservoir_rows),
-    srs_random_sort: (lambda n, N: N, _srs_random_sort_rows),
-    srswr_draws: (lambda n, N: n, _srswr_draws_rows),
-    _poisson_indices: (lambda pi: pi.shape[0], _poisson_indices_rows),
-    systematic_select: (lambda N, G: 1, _systematic_select_rows),
-    systematic_pps_select: (lambda x, n: 1, _systematic_pps_select_rows),
-    ppswr_cumulative: (lambda cum, n: n, _ppswr_cumulative_rows),
-    brewer2_select: (lambda p: 2, _brewer2_select_rows),
-    durbin2_select: (lambda p: 2, _durbin2_select_rows),
-    chao_select: (lambda x, n: x.shape[0] - n, _chao_select_rows),
-    conditional_poisson_select: (lambda q, n: q.shape[0], _conditional_poisson_select_rows),
+    srs_draw_by_draw: _srs_draw_by_draw_rows,
+    srs_selection_rejection: _srs_selection_rejection_rows,
+    srs_reservoir: _srs_reservoir_rows,
+    srs_random_sort: _srs_random_sort_rows,
+    srswr_draws: _srswr_draws_rows,
+    _poisson_indices: _poisson_indices_rows,
+    systematic_select: _systematic_select_rows,
+    systematic_pps_select: _systematic_pps_select_rows,
+    ppswr_cumulative: _ppswr_cumulative_rows,
+    brewer2_select: _brewer2_select_rows,
+    durbin2_select: _durbin2_select_rows,
+    chao_select: _chao_select_rows,
+    conditional_poisson_select: _conditional_poisson_select_rows,
 }
 
 # kernel -> batched form(*args, R, rng) that runs only on a Generator whose
@@ -676,28 +812,6 @@ def _entry(table, select):
     (functools.wraps, as a tracer installs) is matched by the function it
     wraps."""
     return table.get(select) or table.get(inspect.unwrap(select))
-
-
-class _Block:
-    """A uniform source over one block of doubles drawn ahead: `random()`
-    returns them in turn."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, doubles):
-        self.random = iter(doubles.tolist()).__next__
-
-
-def _one_draw(select, args, rng):
-    """select(*args, rng), one draw of a kernel.  A fixed-count kernel runs
-    on exactly its k uniforms, drawn as one `rng.random(k)` block, which
-    leaves rng where its scalar calls would on every bit generator; one
-    that takes a single uniform draws it from rng itself."""
-    entry = _entry(_BATCHED, select)
-    k = entry[0](*args) if entry else 0
-    if k < 2:
-        return select(*args, rng)
-    return select(*args, _Block(rng.random(k)))
 
 
 def _stack(tables, pad):
@@ -744,25 +858,25 @@ def _mc_rows(select, args, N, R, source):
     chunk: int64 tables whose row r, without the pads (index N, anywhere in
     the row), is replicate r's draw in kernel output order, on replicate
     r's Generator of `source` (`_replicate_rngs`), consumed as the scalar
-    calls would consume it.  The replicates run on Lahiri's rewound block
-    (a shared stream that rewinds), a fixed-count kernel's batched form, or
-    else the scalar kernel, which a lone replicate on a shared stream runs
-    as `_one_draw`."""
+    calls would consume it.  A lone replicate on a shared stream is one
+    kernel call; the others run on Lahiri's rewound block (a shared stream
+    that rewinds), a fixed-count kernel's batched form, or else the kernel
+    replicate by replicate."""
     rngs = iter(_replicate_rngs(source, R))
-    count, form = _entry(_BATCHED, select) or (None, None)
+    form = _entry(_BATCHED, select)
     if isinstance(source, np.random.Generator):
         if R == 1:
-            yield _one_draw(select, args, source)[None]
+            yield select(*args, source)[None]
             return
         rewound = _entry(_REWOUND, select)
         if (rewound is not None and type(source) is np.random.Generator
                 and type(source.bit_generator) in _ONE_STEP_PER_DOUBLE):
             yield from rewound(*args, R, source)
             return
-        uniforms = lambda rows: source.random((rows, count(*args)))
+        uniforms = lambda *shape: source.random(shape)
     else:
-        def uniforms(rows):
-            out = np.empty((rows, count(*args)))
+        def uniforms(rows, k):
+            out = np.empty((rows, k))
             for row, rng in zip(out, itertools.islice(rngs, rows)):
                 rng.random(out=row)
             return out

@@ -321,7 +321,9 @@ class TestAllocate:
         code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--method", "power",
                                  "--n", "140", "--alpha", alpha)
         assert (code, out) == (2, "")
-        assert err == f"error: argument --alpha: {alpha} is not between 0 and 1\n"
+        assert err.startswith("usage: ")
+        assert err.endswith(
+            f"error: argument --alpha: '{alpha}' is not a number between 0 and 1\n")
 
     @pytest.mark.parametrize("n", ["0", "-3", "2.5"])
     def test_sample_size_below_1_exit_2(self, n, tmp_path, capsys):
@@ -1045,14 +1047,16 @@ def strict_json(text):
 
 def numeric_options():
     """{command: [(option, kind)]}: each option of build_parser() whose
-    type reads '1' as a number, kind float (a list of floats too) or int."""
+    type reads a number, kind float (a list of floats too) or int.  The
+    probe is the option's default where that is a number, else '1'."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     found = {}
     for name, parser in sub.choices.items():
         for a in parser._actions:
+            numeric = isinstance(a.default, (int, float)) and not isinstance(a.default, bool)
             try:
-                value = a.type("1") if callable(a.type) else None
+                value = a.type(str(a.default) if numeric else "1") if callable(a.type) else None
             except (ValueError, argparse.ArgumentTypeError):
                 continue
             kind = type(value[0] if isinstance(value, list) else value)

@@ -264,7 +264,7 @@ def test_systematic_pps_support_matches_the_kernel_walk(n):
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi - lo > 1e-9:
                 mid = 0.5 * (lo + hi)
-                idx = sk.kernels.systematic_pps_select(mos, n, _FixedUniform(1 - mid / a))
+                idx = sk.kernels._systematic_pps_select_loop(mos, n, _FixedUniform(1 - mid / a))
                 mass[tuple(sorted(frame.ids[i] for i in idx))] += (hi - lo) / a
         assert set(mass) == set(support)
         for key, p in support.items():

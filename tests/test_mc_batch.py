@@ -12,7 +12,11 @@ scalar loop bit for bit as well, and every other bit generator must keep
 the scalar loop for it.  The rejective kernel `rejective_poisson_select`, the
 reference for RejectivePoisson's law, has no batched form; a single draw
 from a Generator reads each try as one block, and it must equal its scalar
-loop `_rejective_poisson_loop` bit for bit on every bit generator."""
+loop `_rejective_poisson_loop` bit for bit on every bit generator.
+
+On numpy every public kernel is a vector form that reads one block of
+uniforms per draw; its scalar loop (`kernels._LOOPS`) is the reference
+every single draw and every batch here is held to."""
 
 import functools
 import itertools
@@ -73,6 +77,15 @@ def bindings(N, n):
     ]
 
 
+def loop_of(kernel):
+    """The scalar loop a kernel is held to: its entry in `kernels._LOOPS`,
+    the loop's mask as indices for `_poisson_indices`, and Lahiri's kernel,
+    itself a loop, as it is."""
+    if kernel is kernels._poisson_indices:
+        return lambda pi, rng: np.nonzero(kernels._poisson_select_loop(pi, rng))[0]
+    return kernels._LOOPS.get(kernel.__name__, kernel)
+
+
 def assert_same_run(batched, reference, seed):
     """Run both with Generators from one seed and compare hits, values and
     the next double, bit for bit."""
@@ -87,7 +100,8 @@ def assert_same_run(batched, reference, seed):
 def check_kernel(kernel, args, with_replacement, R, wvec, seed):
     assert_same_run(
         lambda rng: kernels.mc_draws(kernel, args, with_replacement, R, wvec, rng),
-        lambda rng: kernels._mc_draws_loop(kernel, args, with_replacement, R, wvec, rng),
+        lambda rng: kernels._mc_draws_loop(loop_of(kernel), args, with_replacement, R, wvec,
+                                           rng),
         seed)
 
 
@@ -176,7 +190,7 @@ def test_n2_chunks_and_blocks(monkeypatch, kernel, cells):
         np.copyto(out, p)
 
     rng = np.random.default_rng(cells)
-    rows = list(kernels._n2_rows(p, cond, 203, lambda rows: rng.random((rows, 2))))
+    rows = list(kernels._n2_rows(p, cond, 203, lambda rows, k: rng.random((rows, k))))
     assert sum(len(r) for r in rows) == 203 and max(len(r) for r in rows) <= max(1, cells // 2)
     assert all(k * n <= max(cells, N) and n == N for k, n in blocks)
     assert max(k for k, _ in blocks) == max(1, cells // N)
@@ -220,7 +234,7 @@ def test_mc_poisson_matches_scalar_loop(N, R):
     pi = np.clip(sk.compute_pips(size_measures(N), N // 4), 0.05, 1.0)
     wvec = weights(N) / pi
     assert_same_run(lambda rng: kernels.mc_poisson(pi, R, wvec, rng),
-                    lambda rng: kernels._mc_draws_loop(kernels._poisson_indices, (pi,),
+                    lambda rng: kernels._mc_draws_loop(loop_of(kernels._poisson_indices), (pi,),
                                                        False, R, wvec, rng), seed=R)
 
 
@@ -229,7 +243,7 @@ def test_mc_poisson_spanning_several_chunks(monkeypatch):
     pi = np.linspace(0.1, 0.9, 12)
     wvec = weights(12) / pi
     assert_same_run(lambda rng: kernels.mc_poisson(pi, 101, wvec, rng),
-                    lambda rng: kernels._mc_draws_loop(kernels._poisson_indices, (pi,),
+                    lambda rng: kernels._mc_draws_loop(loop_of(kernels._poisson_indices), (pi,),
                                                        False, 101, wvec, rng), seed=9)
 
 
@@ -245,7 +259,7 @@ def test_wrapped_kernel_keeps_the_batched_path():
 
     wvec = weights(12)
     assert_same_run(lambda rng: kernels.mc_draws(traced, (4, 12), False, 300, wvec, rng),
-                    lambda rng: kernels._mc_draws_loop(kernels.srs_reservoir, (4, 12),
+                    lambda rng: kernels._mc_draws_loop(kernels._srs_reservoir_loop, (4, 12),
                                                        False, 300, wvec, rng), seed=4)
     assert calls == []
 
@@ -261,8 +275,8 @@ def test_stratified_stream_continues_across_strata():
     def reference(rng):
         # all R draws of stratum a, then all R of stratum b, on one stream;
         # each replicate's units then add y/pi in ascending order from 0.0
-        a = [kernels.srs_reservoir(2, 6, rng) for _ in range(R)]
-        b = [6 + kernels.systematic_select(6, 3, rng) for _ in range(R)]
+        a = [kernels._srs_reservoir_loop(2, 6, rng) for _ in range(R)]
+        b = [6 + kernels._systematic_select_loop(6, 3, rng) for _ in range(R)]
         hits, vals = np.zeros(N), np.zeros(R)
         for r in range(R):
             total = 0.0
@@ -383,9 +397,9 @@ def test_other_bit_generators_keep_the_scalar_loop(bit_generator, binding):
     _, kernel, args, with_replacement = binding
     wvec = weights(12)
     runs = []
-    for run in (kernels.mc_draws, kernels._mc_draws_loop):
+    for run, select in ((kernels.mc_draws, kernel), (kernels._mc_draws_loop, loop_of(kernel))):
         rng = np.random.Generator(bit_generator(77))
-        hits, vals = run(kernel, args, with_replacement, 300, wvec, rng)
+        hits, vals = run(select, args, with_replacement, 300, wvec, rng)
         runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
     assert runs[0] == runs[1]
     rng = np.random.Generator(bit_generator(77))
@@ -397,20 +411,21 @@ HALF_CASES = [(12, b) for b in variable_bindings(12, 3)] + [
 
 
 def rewinding_runs(kernel, args, with_replacement, N, R):
-    """(rewound, scalar): a single draw (`_one_draw`, one exact block of
-    uniforms for a fixed-count kernel) then a Monte Carlo batch (which
-    rewinds for Lahiri on a PCG64 stream), and the scalar calls they stand
-    for; each returns its arrays as bytes."""
+    """(rewound, scalar): a single draw (one exact block of uniforms for a
+    fixed-count kernel) then a Monte Carlo batch (which rewinds for Lahiri
+    on a PCG64 stream), and the scalar loops they stand for; each returns
+    its arrays as bytes."""
     wvec = weights(N)
+    loop = loop_of(kernel)
 
     def rewound(rng):
-        out = (kernels._one_draw(kernel, args, rng),
+        out = (kernel(*args, rng),
                *kernels.mc_draws(kernel, args, with_replacement, R, wvec, rng))
         return [a.tobytes() for a in out]
 
     def scalar(rng):
-        out = (kernel(*args, rng),
-               *kernels._mc_draws_loop(kernel, args, with_replacement, R, wvec, rng))
+        out = (loop(*args, rng),
+               *kernels._mc_draws_loop(loop, args, with_replacement, R, wvec, rng))
         return [a.tobytes() for a in out]
 
     return rewound, scalar
@@ -461,13 +476,13 @@ SINGLE_CASES = [(N, b) for N, n in [(3, 2), (24, 4), (1000, 50)] for b in bindin
                          ids=[f"{b[0]}-N{N}" for N, b in SINGLE_CASES])
 def test_single_draws_match_the_kernel(N, binding, bit_generator):
     # one exact block of uniforms per draw: the same indices in the same
-    # order, and the stream where the kernel's scalar calls leave it
+    # order, and the stream where the loop's scalar calls leave it
     _, kernel, args, _ = binding
     assert kernel in kernels._BATCHED
     rng_a, rng_b = (np.random.Generator(bit_generator(N)) for _ in range(2))
     for _ in range(3):
-        a = kernels._one_draw(kernel, args, rng_a)
-        b = kernel(*args, rng_b)
+        a = kernel(*args, rng_a)
+        b = loop_of(kernel)(*args, rng_b)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert rng_a.random(3).tobytes() == rng_b.random(3).tobytes()
 
@@ -475,8 +490,8 @@ def test_single_draws_match_the_kernel(N, binding, bit_generator):
 class CountingSource:
     """A Generator that counts its `random` calls."""
 
-    def __init__(self, seed):
-        self.rng, self.calls = np.random.Generator(np.random.MT19937(seed)), 0
+    def __init__(self, seed, bit_generator=np.random.MT19937):
+        self.rng, self.calls = np.random.Generator(bit_generator(seed)), 0
 
     def random(self, *args):
         self.calls += 1
@@ -487,24 +502,115 @@ class CountingSource:
 def test_a_single_draw_calls_random_once(binding):
     _, kernel, args, _ = binding
     source = CountingSource(7)
-    idx = kernels._one_draw(kernel, args, source)
+    idx = kernel(*args, source)
     assert source.calls == 1
-    assert idx.tobytes() == kernel(*args, np.random.Generator(np.random.MT19937(7))).tobytes()
+    loop = loop_of(kernel)
+    assert idx.tobytes() == loop(*args, np.random.Generator(np.random.MT19937(7))).tobytes()
 
 
-def test_wrapped_kernel_keeps_the_block_path():
-    # a functools.wraps wrapper, as a tracer installs, is matched by the
-    # kernel it wraps, and is itself what draws
-    sources = []
+# public kernel -> its arguments on a frame of N units at sample size n;
+# Brewer's and Durbin's methods always take two units
+KERNEL_ARGS = {
+    "srs_draw_by_draw": lambda N, n: (n, N),
+    "srs_selection_rejection": lambda N, n: (n, N),
+    "srs_reservoir": lambda N, n: (n, N),
+    "srs_random_sort": lambda N, n: (n, N),
+    "srswr_draws": lambda N, n: (n, N),
+    "poisson_select": lambda N, n: (np.minimum(size_measures(N) * n / size_measures(N).sum(),
+                                               1.0),),
+    "systematic_select": lambda N, n: (N, N // n),
+    "systematic_pps_select": lambda N, n: (size_measures(N), n),
+    "ppswr_cumulative": lambda N, n: (np.cumsum(size_measures(N)), n),
+    "brewer2_select": lambda N, n: (n2_probs(N),),
+    "durbin2_select": lambda N, n: (n2_probs(N),),
+    "chao_select": lambda N, n: (size_measures(N), n),
+    "conditional_poisson_select": lambda N, n: (entry_probs(N, n), n),
+}
 
-    @functools.wraps(kernels.srs_selection_rejection)
+
+def sample_sizes(name, N):
+    """n in {0, 1, N // 2, N} where the kernel takes it: the systematic
+    kernels divide by n, and the n = 2 kernels take none."""
+    if name in ("brewer2_select", "durbin2_select"):
+        return [2]
+    return sorted({0, 1, N // 2, N} - ({0} if name.startswith("systematic") else set()))
+
+
+VECTOR_CASES = [(name, N, n) for name in KERNEL_ARGS for N in (1, 2, 3, 12, 24, 1000)
+                for n in sample_sizes(name, N)]
+
+
+def test_every_fixed_count_kernel_has_a_loop():
+    fixed = set(kernels.__all__) - {"ppswr_lahiri", "rejective_poisson_select"}
+    assert set(KERNEL_ARGS) == fixed == set(kernels._LOOPS) - {"rejective_poisson_select"}
+
+
+def draws_and_next(kernel, args, rng, source):
+    """Two draws of kernel from rng, each as (dtype, bytes) or the error it
+    raised as (type, message), then the next three doubles of source."""
+    out = []
+    for _ in range(2):
+        try:
+            idx = kernel(*args, rng)
+            out.append((idx.dtype, idx.tobytes()))
+        except Exception as exc:  # the loop's error, whatever it is, must be the same
+            out.append((type(exc), str(exc)))
+    return out + [source.random(3).tobytes()]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("name, N, n", VECTOR_CASES,
+                         ids=[f"{name}-N{N}-n{n}" for name, N, n in VECTOR_CASES])
+def test_public_kernel_is_its_loop(name, N, n, bit_generator):
+    # the vector form reads one block a draw and draws what the loop draws,
+    # in its dtype and order, leaving the stream where the loop leaves it
+    args = KERNEL_ARGS[name](N, n)
+    source = CountingSource(N + n, bit_generator)
+    vector = draws_and_next(getattr(kernels, name), args, source, source.rng)
+    assert source.calls == 2
+    rng = np.random.Generator(bit_generator(N + n))
+    assert vector == draws_and_next(kernels._LOOPS[name], args, rng, rng)
+
+
+def test_single_draw_time_budget():
+    # five draws of each of the benchmark's eleven kernel cases on its
+    # frame: 3.5-4.2 ms on a 2-core VM, where the loops took 20-38 ms
+    N, n = 1000, 50
+    g = np.random.default_rng([7, 1000])
+    x = np.abs(g.normal(2.0, 0.5, N)) + 0.1
+    pips = sk.compute_pips(x, n) * 0.9
+    cum, small_p = np.cumsum(x), np.array([0.1, 0.2, 0.3, 0.4])
+    cases = [(kernels.srs_draw_by_draw, (n, N)), (kernels.srs_selection_rejection, (n, N)),
+             (kernels.srs_reservoir, (n, N)), (kernels.srs_random_sort, (n, N)),
+             (kernels.srswr_draws, (n, N)), (kernels.poisson_select, (pips,)),
+             (kernels.systematic_pps_select, (x, n)), (kernels.ppswr_cumulative, (cum, n)),
+             (kernels.brewer2_select, (small_p,)), (kernels.chao_select, (x, n)),
+             (kernels.rejective_poisson_select, (pips, n, 10_000))]
+    rng = np.random.default_rng(8)
+    start = time.perf_counter()
+    draws = [kernel(*args, rng) for kernel, args in cases for _ in range(5)]
+    assert time.perf_counter() - start < 0.01
+    assert all(d.size for d in draws)
+
+
+def test_wrapped_kernel_keeps_the_block_path(monkeypatch):
+    # a functools.wraps wrapper, as a tracer installs, is what a design
+    # draws with; it hands the kernel the design's source, which the kernel
+    # reads as one block, and the draw is the loop's
+    sources, kernel = [], kernels.srs_selection_rejection
+
+    @functools.wraps(kernel)
     def traced(n, N, rng):
         sources.append(rng)
-        return kernels.srs_selection_rejection(n, N, rng)
+        return kernel(n, N, rng)
 
+    monkeypatch.setattr(kernels, "srs_selection_rejection", traced)
+    frame = sk.Frame(ids=tuple(map(str, range(24))), y=weights(24))
     source = CountingSource(3)
-    kernels._one_draw(traced, (4, 24), source)
-    assert source.calls == 1 and isinstance(sources[0], kernels._Block)
+    sample = sk.SRS(4).draw(frame, source)
+    assert source.calls == 1 and sources == [source]
+    loop = kernels._srs_selection_rejection_loop
+    assert sample.idx.tobytes() == loop(4, 24, np.random.Generator(np.random.MT19937(3))).tobytes()
 
 
 def test_kernels_without_a_fixed_count_draw_on_the_generator():
@@ -512,9 +618,10 @@ def test_kernels_without_a_fixed_count_draw_on_the_generator():
     for kernel, args in ((kernels.ppswr_lahiri, lahiri_args(x, 3)),
                          (kernels.rejective_poisson_select, (sk.compute_pips(x, 3), 3, 100))):
         source = CountingSource(5)
-        idx = kernels._one_draw(kernel, args, source)
+        idx = kernel(*args, source)
         assert source.calls > 1
-        assert idx.tobytes() == kernel(*args, np.random.Generator(np.random.MT19937(5))).tobytes()
+        loop = loop_of(kernel)
+        assert idx.tobytes() == loop(*args, np.random.Generator(np.random.MT19937(5))).tobytes()
 
 
 # (N, n, max_tries) of the rejective kernel's checks against its loop, n
@@ -605,9 +712,9 @@ def check_batched_on(bit_generator, kernel, args, N):
     scalar loop, and never runs it."""
     wvec = weights(N)
     runs = []
-    for run in (kernels.mc_draws, kernels._mc_draws_loop):
+    for run, select in ((kernels.mc_draws, kernel), (kernels._mc_draws_loop, loop_of(kernel))):
         rng = np.random.Generator(bit_generator(41))
-        hits, vals = run(kernel, args, False, 300, wvec, rng)
+        hits, vals = run(select, args, False, 300, wvec, rng)
         runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
     assert runs[0] == runs[1]
     assert kernel_calls(kernel, args, False, 5, wvec, np.random.Generator(bit_generator(41))) == 0
@@ -638,10 +745,11 @@ def test_selection_rejection_and_chao_take_a_fixed_count_of_uniforms(bit_generat
     for kernel, args, used in ((kernels.srs_selection_rejection, (n, N), N),
                                (kernels.chao_select, (x, n), N - n)):
         for seed in range(20):
-            rng, ahead = (np.random.Generator(bit_generator(seed)) for _ in range(2))
-            kernel(*args, rng)
-            ahead.random(used)
-            assert rng.random() == ahead.random()
+            for draw in (kernel, loop_of(kernel)):
+                rng, ahead = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+                draw(*args, rng)
+                ahead.random(used)
+                assert rng.random() == ahead.random()
 
 
 def reference_walk(u, n, bound):

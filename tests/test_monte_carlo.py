@@ -114,9 +114,11 @@ def test_every_leaf_design_is_covered():
 def test_batched_replicates_are_the_select_loop(label, R, scalar, frame, monkeypatch):
     # chunks of a few replicates, so that every batched form splits its run
     monkeypatch.setattr(kernels, "_CHUNK_CELLS", 64)
-    if scalar:  # the path numba takes: every kernel runs itself on each substream
+    if scalar:  # the path numba takes: every kernel's loop runs on each substream
         monkeypatch.setattr(kernels, "_BATCHED", {})
         monkeypatch.setattr(kernels, "_REWOUND", {})
+        for name, loop in kernels._LOOPS.items():
+            monkeypatch.setattr(kernels, name, loop)
     design, frame = (LEAVES[label], frame) if label in LEAVES else (NESTED[label], NESTED_FRAME)
     seen = []
 

@@ -239,6 +239,8 @@ class TestNestedBatches:
             if scalar:
                 monkeypatch.setattr(kernels, "_BATCHED", {})
                 monkeypatch.setattr(kernels, "_REWOUND", {})
+                for name, loop in kernels._LOOPS.items():
+                    monkeypatch.setattr(kernels, name, loop)
             rng = sk.RngStream(4).generator()
             hits, values = design_consistency_mc(design, NESTED_FRAME, 300, rng)
             runs.append((hits.tobytes(), values.tobytes(), rng.random()))
@@ -315,6 +317,8 @@ def test_random_size_designs_that_draw_nothing(design, scalar, monkeypatch):
 
         monkeypatch.setattr(kernels, "_BATCHED", {})
         monkeypatch.setattr(kernels, "_REWOUND", {})
+        for name, loop in kernels._LOOPS.items():
+            monkeypatch.setattr(kernels, name, loop)
     # on this stream Bernoulli(0.05) draws no cluster and no phase-1 unit
     sample = sk.select(design, EMPTY_FRAME, np.random.default_rng(1))
     assert sample.idx.size == 0 and sample.pi.size == 0
