@@ -830,37 +830,39 @@ class Phase2Rule(_Document):
     """Base class of the declarative phase-2 rules.  A rule maps the realized
     phase-1 sample to the conditional second-phase selection, and may read
     phase-1 observations: that is what distinguishes two-phase from
-    two-stage sampling.  It is called as rule(phase1_sample, frame, rng) and
-    returns the local positions into phase1_sample.idx, their conditional
-    probabilities, the realized phase-2 stratum labels, and the stratum
-    labels it assigned to every phase-1 unit (None when it does not
-    stratify).  Any callable with that signature is a rule too; it may
-    return the first two only.
-
-    A rule may also have a batched form: mc_cond(idx, frame, rng), the
-    conditional phase-2 probability of every cell of a phase-1 index table
-    (pad: frame.n_units), 0 where it is not subsampled, and
-    mc_labels(frame), every frame unit's stratum label, or None.  A
-    two-phase design calls the rule itself once a replicate, unless R > 1
-    replicates share one Generator and the rule has that form."""
+    two-stage sampling.  A declarative rule is its batched form,
+    mc_cond(idx, frame, source): the conditional probability of every cell
+    of a table of phase-1 rows (pads frame.n_units, anywhere in a row), 0
+    where the cell is not subsampled, row r drawn from the one shared
+    Generator or from source[r]; mc_labels(frame) is every frame unit's
+    phase-2 stratum label, or None.  A call, rule(phase1_sample, frame,
+    rng), is its batch of one: the kept positions into phase1_sample.idx,
+    their conditional probabilities, their stratum labels and every phase-1
+    unit's (None and None without labels).  Any callable with that
+    signature is a rule too, called once a replicate; it may return the
+    first two only."""
 
     registry = {}
     noun = "phase-2 rule"
+
+    def mc_labels(self, frame):
+        return None
+
+    def __call__(self, phase1_sample, frame, rng):
+        cond = self.mc_cond(phase1_sample.idx[None], frame, rng)[0]
+        local, labels = np.flatnonzero(cond), self.mc_labels(frame)
+        if labels is None:
+            return local, cond[local], None, None
+        own = tuple([labels[i] for i in phase1_sample.idx.tolist()])
+        return local, cond[local], tuple([own[j] for j in local.tolist()]), own
 
 
 @dataclass(frozen=True)
 class KeepAll(Phase2Rule):
     key = "keep_all"
 
-    def __call__(self, phase1_sample, frame, rng):
-        n1 = phase1_sample.idx.size
-        return np.arange(n1, dtype=np.int64), np.ones(n1), None, None
-
-    def mc_cond(self, idx, frame, rng):
+    def mc_cond(self, idx, frame, source):
         return (idx < frame.n_units).astype(float)
-
-    def mc_labels(self, frame):
-        return None
 
 
 @dataclass(frozen=True)
@@ -910,36 +912,17 @@ class StratifyOnAux(Phase2Rule):
                                  f"stratify rule {self.to_dict()}")
         return max(1, int(round(float(nu) * n_h)))
 
-    def __call__(self, phase1_sample, frame, rng):
-        labels = self._labels(frame, phase1_sample.idx)
-        groups = {}
-        for pos, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(pos)
-        # the empty arrays stand in when the phase-1 sample is empty
-        locals_, conds, out_labels = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
-        for lab in sorted(groups):
-            pos = np.asarray(groups[lab], dtype=np.int64)
-            r_h = self._subsample_size(lab, pos.size)
-            chosen = kernels.srs_selection_rejection(r_h, pos.size, rng)
-            locals_.append(pos[chosen])
-            conds.append(np.full(chosen.size, r_h / pos.size))
-            out_labels.extend([lab] * chosen.size)
-        local, cond = np.concatenate(locals_), np.concatenate(conds)
-        order = np.argsort(local, kind="stable")
-        return (local[order], cond[order], tuple([out_labels[i] for i in order.tolist()]),
-                tuple(labels))
-
     def mc_labels(self, frame):
         return self._labels(frame, np.arange(frame.n_units))
 
-    def mc_cond(self, idx, frame, rng):
-        # A replicate's cells in one stratum form a group, which draws what
-        # __call__ draws for the stratum: r_h of its n_h cells by
-        # selection-rejection, one uniform per cell in row order.  Groups
-        # draw in stratum label order, then by n_h, then by replicate, so
-        # one flat block of uniforms over the cells sorted that way gives
-        # every cell its uniform, and a one-replicate batch draws what
-        # __call__ draws.  One walk then runs every group, chunk by chunk.
+    def mc_cond(self, idx, frame, source):
+        # A replicate's cells in one stratum form a group, which draws r_h of
+        # its n_h cells by selection-rejection (`srs_selection_rejection`),
+        # one uniform per cell in row order.  Groups draw in stratum label
+        # order, then by n_h, then by replicate, so the cells sorted that way
+        # read one block of a shared Generator, and replicate r's cells read
+        # source[r] in that order: strata in label order, cells in row
+        # order.  One walk then runs every group, chunk by chunk.
         labels = self.mc_labels(frame)
         names = sorted(set(labels))
         H, W = len(names), idx.shape[1]
@@ -965,7 +948,7 @@ class StratifyOnAux(Phase2Rule):
         for c in np.flatnonzero(np.bincount(key)).tolist():
             r[c] = self._subsample_size(names[c // (W + 1)], c % (W + 1))
         r = r[key]
-        u = rng.random(pos.size)
+        u = kernels._cell_uniforms(source, pos // W)
         cond = np.zeros(idx.size)
         top, width = 0, size.max(initial=0)
         k = np.arange(width)[:, None]
@@ -999,13 +982,19 @@ class PoissonOnAux(Phase2Rule):
         if self.r < 1:
             raise DesignError("a poisson rule needs expected size r >= 1")
 
-    def __call__(self, phase1_sample, frame, rng):
-        x = _aux_column(frame, self.column, phase1_sample.idx)
+    def mc_cond(self, idx, frame, source):
+        # each row's p2 over its phase-1 cells, then a uniform per cell, row-major
+        real = idx < frame.n_units
+        x = _aux_column(frame, self.column, idx[real])
         if np.any(x <= 0):
             raise ValueError("Poisson phase-2 rule needs positive observed values")
-        p2 = np.minimum(compute_pips(x, min(self.r, x.size)), 1.0)
-        local = kernels._poisson_indices(p2, rng)
-        return local, p2[local], None, None
+        n1 = np.count_nonzero(real, axis=1)
+        p2 = np.concatenate([np.empty(0)] + [np.minimum(compute_pips(
+            x_row, min(self.r, x_row.size)), 1.0) for x_row in np.split(x, np.cumsum(n1)[:-1])])
+        u = kernels._cell_uniforms(source, np.repeat(np.arange(len(idx)), n1))
+        cond = np.zeros(idx.shape)
+        cond[real] = np.where(u < p2, p2, 0.0)
+        return cond
 
 
 @dataclass(frozen=True)
@@ -1024,12 +1013,11 @@ class TwoPhase(_Nesting):
         super().__post_init__()
 
     def _rows(self, frame, R, source):
-        # R > 1 replicates on one shared Generator go through the rule's batched
-        # form: phase 1's rows, then `mc_cond`, each row's kept cells moved to
-        # its front; other replicates run one by one, as select draws them
+        # a declarative rule is its batched form: phase 1's rows, then
+        # `mc_cond` on the same source, each row's kept cells moved to its
+        # front; a plain callable runs once a replicate, as select calls it
         rngs = kernels._replicate_rngs(source, R)  # refuses a bad R or source first
-        if (not hasattr(self.phase2, "mc_cond") or R < 2
-                or not isinstance(source, np.random.Generator)):
+        if not isinstance(self.phase2, Phase2Rule):
             rows = [self._replicate(frame, rng) for rng in rngs]
             idx, pi, cond = (kernels._stack([r[k][None] for r in rows], pad)
                              for k, pad in ((0, frame.n_units), (1, 1.0), (2, 1.0)))
@@ -1058,7 +1046,7 @@ class TwoPhase(_Nesting):
 
     def _replicate(self, frame, rng):
         """One replicate's (idx, pi, conditional pi, own fields): phase 1's
-        draw, then the rule on the same Generator, its positions distinct
+        draw, then the callable rule on the same Generator, its positions distinct
         integers in [0, n1) for n1 phase-1 units, its conditional pi in (0, 1]."""
         s1 = self.phase1.draw(frame, rng)
         out = self.phase2(s1, frame, rng)

@@ -149,6 +149,8 @@ def _ppswr_cumulative_loop(cum, n, rng):
     for k in range(n):
         u = rng.random() * total
         out[k] = np.searchsorted(cum, u, side="right")
+        if out[k] == cum.shape[0]:  # u * total rounded up to total, or a zero total
+            raise IndexError("a cumulative PPS draw stepped past the last unit")
     return out
 
 
@@ -851,6 +853,17 @@ def _replicate_rngs(source, R):
     if len(source) != R:
         raise ValueError(f"a source of {len(source)} Generators cannot draw {R} replicates")
     return source
+
+
+def _cell_uniforms(source, rep):
+    """One uniform per cell, cell j replicate rep[j]'s, in cell order: one block of a
+    shared Generator, or replicate r's cells from one block of source[r]."""
+    if isinstance(source, np.random.Generator):
+        return source.random(rep.size)
+    u, count = np.empty(rep.size), np.bincount(rep, minlength=len(source)).tolist()
+    u[np.argsort(rep, kind="stable")] = np.concatenate(
+        [np.empty(0)] + [source[r].random(k) for r, k in enumerate(count) if k])
+    return u
 
 
 def _mc_rows(select, args, N, R, source):

@@ -21,7 +21,7 @@ def sample_from_ids(frame, ids, pips):
 
 def exact_expectation(design, frame, statistic, cap=None):
     """Exact mean and design variance of a statistic over an enumerable
-    design: sum_A P(A) stat(A) and the matching second moment.  The design
+    design: sum_A P(A) stat(A) and the central second moment.  The design
     is enumerated once; the statistic gets, for each set in support order,
     the Sample a draw of that set builds (`Design._fields`), taken from the
     support's index table block by block (`kernels._chunks`), each block
@@ -40,10 +40,9 @@ def exact_expectation(design, frame, statistic, cap=None):
     samples = itertools.chain.from_iterable(
         Sample._of_rows(frame, block, pi[block], **design._fields(frame)) for block in blocks)
     values = np.array([float(statistic(s)) for s in samples])
-    # the products p * v and p * v * v of a per-set loop, to the bit
-    terms = prob * values
-    mean = math.fsum(terms.tolist())
-    var = math.fsum((terms * values).tolist()) - mean * mean
+    # central moments, as a per-set loop adds p * v, then p * d * d for d = v - mean
+    mean = math.fsum((prob * values).tolist())
+    var = math.fsum((prob * (values - mean) * (values - mean)).tolist())
     return {"mean": mean, "variance": var, "support_size": len(dist)}
 
 

@@ -8,7 +8,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+import surveykit as sk
+from surveykit import kernels
 
 DRIVER = r"""
 import json
@@ -46,8 +50,15 @@ print(json.dumps({"backend": sk.ACTIVE_BACKEND, "draws": out}, sort_keys=True))
 """
 
 
-def run_with_backend(backend):
-    env = dict(os.environ, SURVEYKIT_BACKEND=backend)
+SRC = os.path.dirname(os.path.dirname(sk.__file__))
+NUMBA_STUB = os.path.join(os.path.dirname(__file__), "_numba_stub")
+
+
+def run_with_backend(backend, *path):
+    """The DRIVER's output in a fresh interpreter with the given backend,
+    `path` and this checkout's package first on its PYTHONPATH."""
+    env = dict(os.environ, SURVEYKIT_BACKEND=backend, PYTHONPATH=os.pathsep.join(
+        [*path, SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
     result = subprocess.run([sys.executable, "-c", DRIVER], env=env,
                             capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
@@ -74,6 +85,30 @@ def test_backends_draw_identical_samples():
     b = run_with_backend("numba")
     assert a["backend"] == "numpy" and b["backend"] == "numba"
     assert a["draws"] == b["draws"]
+
+
+def test_numba_code_path_draws_what_numpy_draws():
+    """The DRIVER under a stand-in for numba (tests/_numba_stub), whose njit
+    returns the function unchanged: the numba backend's code path (every
+    public kernel its scalar loop, `_mc_draws_loop` for the batches, no
+    batched forms) runs interpreted and must draw what the numpy backend
+    draws.  The stand-in checks that logic only, not numba's nopython
+    typing, its compilation, or its own Generator."""
+    a = run_with_backend("numpy")
+    b = run_with_backend("numba", NUMBA_STUB)
+    assert a["backend"] == "numpy" and b["backend"] == "numba"
+    assert len(b["draws"]) == 30
+    assert a["draws"] == b["draws"]
+
+
+def test_cumulative_pps_loop_refuses_a_draw_past_the_last_unit():
+    # sizes that sum to 0 put every draw at index N, as u * total rounding
+    # up to the total would; the loop and the numpy kernel both refuse it
+    cum = np.array([0.0, 0.0])
+    with pytest.raises(IndexError, match="past the last unit"):
+        kernels._ppswr_cumulative_loop(cum, 2, np.random.default_rng(1))
+    with pytest.raises(IndexError):
+        kernels.ppswr_cumulative(cum, 2, np.random.default_rng(1))
 
 
 def test_bad_backend_value_rejected():

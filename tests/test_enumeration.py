@@ -127,13 +127,12 @@ def reference_joint(support, frame):
 
 def reference_expectation(support, design, frame, statistic):
     pips = sk.first_order_pips(design, frame)
-    mean_terms, sq_terms = [], []
+    probs, values = [], []
     for ids, p in support:
-        value = float(statistic(sample_from_ids(frame, ids, pips)))
-        mean_terms.append(p * value)
-        sq_terms.append(p * value * value)
-    mean = math.fsum(mean_terms)
-    return mean, math.fsum(sq_terms) - mean * mean
+        probs.append(p)
+        values.append(float(statistic(sample_from_ids(frame, ids, pips))))
+    mean = math.fsum([p * v for p, v in zip(probs, values)])
+    return mean, math.fsum([p * (v - mean) * (v - mean) for p, v in zip(probs, values)])
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +228,54 @@ def test_a_set_drawn_from_two_pieces_is_one_row_of_the_stratum_law():
     exact = simulate.exact_expectation(design, frame, ht_value)
     mean, var = reference_expectation(ref, design, frame, ht_value)
     assert (bits(exact["mean"]), bits(exact["variance"])) == (bits(mean), bits(var))
+
+
+# ---------------------------------------------------------------------------
+# Exact moments are central moments: the variance adds p (v - mean)^2, so a
+# statistic whose mean is large against its spread keeps its variance, where
+# E[v^2] - mean^2 cancels to noise.
+
+def shifted(frame, y):
+    return Frame(ids=frame.ids, mos=frame.mos, y=y, stratum=frame.stratum,
+                 cluster=frame.cluster)
+
+
+def test_exact_variance_of_a_shifted_total_is_the_closed_form():
+    # HT total under SRS(3) of 12 units, y = c + k: N^2 (1 - f) S^2 / n = 468
+    # for every c (E[v^2] - mean^2 gave 512 at c = 1e8, -16384 at c = 1e9)
+    for c in (0.0, 1e6, 1e8, 1e9, 1e10):
+        frame = Frame(ids=tuple(map(str, range(12))), y=c + np.arange(12.0))
+        exact = simulate.exact_expectation(sk.SRS(3), frame, ht_value)
+        assert exact["variance"] == pytest.approx(468.0, rel=1e-12)
+        assert exact["mean"] == pytest.approx(12 * c + 66.0, rel=1e-15)
+
+
+# the fixed-size designs of designs_for: sum over a set of c pi is c n
+FIXED_SIZE = ["srs", "systematic_pps", "brewer2", "durbin2", "rejective_poisson",
+              "stratified_systematic"]
+
+
+@pytest.mark.parametrize("label", FIXED_SIZE)
+def test_adding_c_pi_to_y_leaves_the_exact_variance(label):
+    # each HT total grows by c n, so the variance stays; the mean's rounding
+    # at c n reaches the variance only through the deviations
+    frame = make_frame(13, "u", 0)
+    design = designs_for(frame)[label]
+    pi = sk.first_order_pips(design, frame).first_order
+    base = simulate.exact_expectation(design, frame, ht_value)["variance"]
+    for c in (1e6, 1e8, 1e10):
+        exact = simulate.exact_expectation(design, shifted(frame, frame.y + c * pi), ht_value)
+        assert exact["variance"] == pytest.approx(base, rel=1e-6)
+
+
+@pytest.mark.parametrize("label", list(designs_for(make_frame(13, "u", 0))))
+def test_exact_variance_is_never_negative(label):
+    frame = make_frame(13, "u", 0)
+    design = designs_for(frame)[label]
+    for c in (1e8, 1e9, 1e10):
+        for statistic in (ht_value, lambda s, c=c: c + 0.1):
+            exact = simulate.exact_expectation(design, shifted(frame, frame.y + c), statistic)
+            assert exact["variance"] >= 0.0
 
 
 @pytest.mark.parametrize("cells", [1, 7, None], ids=["cells1", "cells7", "default"])

@@ -5,7 +5,9 @@ replicate r's substream, and any other kernel (Lahiri PPSWR, and every
 kernel on the numba backend) runs itself on that substream.  Stratified,
 one-stage cluster and two-stage designs compose their children's rows
 with the same per-replicate source; a two-phase design draws its phase-1
-Samples on those substreams and calls its rule on each.  Replicate
+rows on those substreams, then its rule's batched form reads each
+replicate's cells from its substream (a plain callable rule is called on
+each).  Replicate
 values, mean and var must equal the `select` loop's bit for bit, and
 every Sample the estimator sees must be the one `select` draws from that
 replicate's substream."""
@@ -19,7 +21,7 @@ import pytest
 
 import surveykit as sk
 from surveykit import designs, kernels
-from surveykit.design import Design, RngStream, _Leaf
+from surveykit.design import Design, Phase2Rule, RngStream, _Leaf
 from test_simulate import NESTED_CASES, NESTED_FRAME
 
 N = 40
@@ -110,7 +112,8 @@ def test_every_leaf_design_is_covered():
 @pytest.mark.parametrize("scalar", [False, True], ids=["batched", "scalar"])
 @pytest.mark.parametrize("label, R", [(label, R) for label in LEAVES for R in (2, 7, 1000)]
                          + [(label, R) for label in NESTED for R in (2, 30)]
-                         + [("stratified", 1030), ("two_stage-per_cluster", 1030)])
+                         + [("stratified", 1030), ("two_stage-per_cluster", 1030),
+                            ("two_phase-rate", 1030)])
 def test_batched_replicates_are_the_select_loop(label, R, scalar, frame, monkeypatch):
     # chunks of a few replicates, so that every batched form splits its run
     monkeypatch.setattr(kernels, "_CHUNK_CELLS", 64)
@@ -179,7 +182,7 @@ def test_batched_leaf_designs_never_call_select(label, frame, monkeypatch):
 
 def test_designs_without_a_batch_never_call_select(monkeypatch):
     # a stratified design composes its strata's rows; a two-phase design
-    # whose rule has no batched form batches its phase-1 Samples
+    # batches its phase-1 rows and its rule's batched form
     frame = sk.Frame(ids=tuple(f"u{i}" for i in range(12)), mos=MOS[:12],
                      stratum=tuple("aaaaaabbbbbb"), aux=MOS[:12, None], y=np.arange(12.0))
     select = designs.select
@@ -192,6 +195,21 @@ def test_designs_without_a_batch_never_call_select(monkeypatch):
             batched = sk.monte_carlo(design, frame, ht_total_stat, 30, seed=4)
         assert not calls
         assert batched["replicates"].tolist() == values
+
+
+@pytest.mark.parametrize("label", [label for label, design in NESTED_CASES.items()
+                                   if isinstance(getattr(design, "phase2", None),
+                                                 Phase2Rule)])
+def test_two_phase_batches_never_call_a_declarative_rule(label, monkeypatch):
+    # the rule's batched form runs once a batch, not its call once a replicate
+    def refused(*args):
+        raise AssertionError("a declarative rule was called once a replicate")
+
+    design = NESTED_CASES[label]
+    for cls in (Phase2Rule, type(design.phase2)):
+        monkeypatch.setattr(cls, "__call__", refused)
+    out = sk.monte_carlo(design, NESTED_FRAME, ht_total_stat, 30, seed=3)
+    assert out["replicates"].shape == (30,)
 
 
 @pytest.mark.parametrize("label", NESTED)

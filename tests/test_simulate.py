@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import surveykit as sk
+from surveykit.design import Phase2Rule
 from surveykit.frame import FrameError
 from surveykit.simulate import design_consistency_mc
 
@@ -165,6 +166,13 @@ NESTED_FRAME = sk.Frame(
     cluster=tuple(f"c{i // 3}" for i in range(NESTED_N)),
     aux=NESTED_MOS[:, None], y=np.round(np.random.default_rng(12).normal(8, 3, NESTED_N), 3))
 
+
+def poisson_rule(phase1_sample, frame, rng):
+    """A plain callable phase-2 rule, with no batched form: the Poisson
+    rule of expected size 3, called as a function."""
+    return sk.PoissonOnAux(3)(phase1_sample, frame, rng)
+
+
 NESTED_CASES = {
     "two_stage-per_cluster": sk.TwoStage(
         sk.SRS(2), sk.SRS(2), per_cluster={"c1": sk.Bernoulli(0.5), "c3": sk.Systematic(1)}),
@@ -192,8 +200,10 @@ NESTED_CASES = {
                                                sk.StratifyOnAux(rate=0.5)),
     "two_phase-two_stage": sk.TwoPhase(sk.TwoStage(sk.SRS(2), sk.SRS(2)),
                                        sk.StratifyOnAux(rate=0.5)),
-    # a rule without a batched form; phase 1 often holds at most r units
+    # phase 1 often holds at most r units
     "two_phase-poisson-small": sk.TwoPhase(sk.Bernoulli(0.3), sk.PoissonOnAux(3)),
+    # a plain callable rule, called once a replicate
+    "two_phase-callable": sk.TwoPhase(sk.SRS(6), poisson_rule),
 }
 
 
@@ -268,7 +278,8 @@ class TestNestedBatches:
         se = values.std(ddof=1) / math.sqrt(R)
         assert abs(values.mean() - NESTED_FRAME.y.sum()) <= 6 * se
 
-    @pytest.mark.parametrize("case", ["two_phase-rate", "two_phase-numeric-rates"])
+    @pytest.mark.parametrize("case", ["two_phase-rate", "two_phase-numeric-rates",
+                                      "two_phase-poisson-small"])
     def test_two_phase_matches_the_select_loop(self, case):
         design = NESTED_CASES[case]
         R, R_loop = 100_000, 20_000
@@ -283,7 +294,7 @@ class TestNestedBatches:
         assert abs(values.mean() - NESTED_FRAME.y.sum()) <= 6 * values.std(ddof=1) / math.sqrt(R)
 
     def test_rule_without_batched_form_keeps_the_select_loop(self):
-        design = sk.TwoPhase(sk.SRS(6), sk.PoissonOnAux(3))
+        design = NESTED_CASES["two_phase-callable"]
         batch = design_consistency_mc(design, NESTED_FRAME, 40, np.random.default_rng(5))
         loop = select_loop(design, NESTED_FRAME, 40, np.random.default_rng(5))
         assert batch[0].tobytes() == loop[0].tobytes()
@@ -477,35 +488,104 @@ class TestStratifyWalk:
         assert hits.all() and values.shape == (20_000,) and np.isfinite(values).all()
 
 
-# The rules with a batched form: `mc_cond` on the one-row table of a
-# phase-1 Sample must draw what `select` draws by calling the rule.
-BATCHED_RULE_CASES = {
+# A declarative rule is its batched form, and a call is its batch of one.
+# The references below draw each rule the way it was first written, one
+# replicate at a time: the stratify rule one selection-rejection draw per
+# phase-2 stratum, the Poisson rule one Poisson draw over the phase-1 units.
+
+def keep_all_reference(rule, phase1_sample, frame, rng):
+    n1 = phase1_sample.idx.size
+    return np.arange(n1, dtype=np.int64), np.ones(n1), None, None
+
+
+def stratify_reference(rule, phase1_sample, frame, rng):
+    from surveykit import kernels
+
+    labels = rule._labels(frame, phase1_sample.idx)
+    groups = {}
+    for pos, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(pos)
+    # the empty arrays stand in when the phase-1 sample is empty
+    locals_, conds, out_labels = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
+    for lab in sorted(groups):
+        pos = np.asarray(groups[lab], dtype=np.int64)
+        r_h = rule._subsample_size(lab, pos.size)
+        chosen = kernels.srs_selection_rejection(r_h, pos.size, rng)
+        locals_.append(pos[chosen])
+        conds.append(np.full(chosen.size, r_h / pos.size))
+        out_labels.extend([lab] * chosen.size)
+    local, cond = np.concatenate(locals_), np.concatenate(conds)
+    order = np.argsort(local, kind="stable")
+    return (local[order], cond[order], tuple([out_labels[i] for i in order.tolist()]),
+            tuple(labels))
+
+
+def poisson_reference(rule, phase1_sample, frame, rng):
+    from surveykit import kernels
+
+    x = frame.aux[phase1_sample.idx, rule.column]
+    if np.any(x <= 0):
+        raise ValueError("Poisson phase-2 rule needs positive observed values")
+    p2 = np.minimum(sk.compute_pips(x, min(rule.r, x.size)), 1.0)
+    local = kernels._poisson_indices(p2, rng)
+    return local, p2[local], None, None
+
+
+RULE_REFERENCES = {sk.KeepAll: keep_all_reference, sk.StratifyOnAux: stratify_reference,
+                   sk.PoissonOnAux: poisson_reference}
+RULE_CASES = {
     **{name: (design, NESTED_FRAME) for name, design in NESTED_CASES.items()
-       if hasattr(getattr(design, "phase2", None), "mc_cond")},
+       if isinstance(getattr(design, "phase2", None), Phase2Rule)},
     **STRATIFY_CASES,
 }
 
 
-@pytest.mark.parametrize("case", BATCHED_RULE_CASES.values(), ids=BATCHED_RULE_CASES)
-def test_batched_form_of_one_phase_1_sample_is_the_rule(case):
+def assert_same_rule_output(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("case", RULE_CASES.values(), ids=RULE_CASES)
+def test_batched_form_of_one_phase_1_sample_is_the_rule(case, bit_generator):
     design, frame = case
     rule = design.phase2
-    labels = rule.mc_labels(frame)
+    reference = RULE_REFERENCES[type(rule)]
     for seed in range(20):
         s1 = sk.select(design.phase1, frame, np.random.default_rng(seed))
-        rng_cond, rng_rule = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
-        cond = rule.mc_cond(s1.idx[None], frame, rng_cond)
-        local, c, psu_labels, phase1_labels = rule(s1, frame, rng_rule)
-        want = np.zeros((1, s1.idx.size))  # the conditional pi at the rule's positions
-        want[0, local] = c
-        assert cond.tobytes() == want.tobytes()
-        assert rng_cond.random() == rng_rule.random()
-        # the batched form's unit labels are the ones the rule assigns
-        if labels is None:
-            assert psu_labels is None and phase1_labels is None
-        else:
-            assert phase1_labels == tuple(labels[i] for i in s1.idx)
-            assert psu_labels == tuple(labels[i] for i in s1.idx[local])
+        rng_rule, rng_ref = (np.random.Generator(bit_generator(seed + 50)) for _ in range(2))
+        assert_same_rule_output(rule(s1, frame, rng_rule), reference(rule, s1, frame, rng_ref))
+        assert rng_rule.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("case", RULE_CASES.values(), ids=RULE_CASES)
+def test_batched_form_on_one_generator_per_row_is_the_rule_row_by_row(case, bit_generator):
+    # row r's cells read source[r] as the rule reads its own Generator;
+    # the phase-1 units keep their order, the pads sit anywhere among them
+    design, frame = case
+    rule = design.phase2
+    reference = RULE_REFERENCES[type(rule)]
+    N, R = frame.n_units, 40
+    phase1 = [sk.select(design.phase1, frame, np.random.default_rng(r)) for r in range(R)]
+    width = max(s.idx.size for s in phase1) + 2
+    gen = np.random.default_rng(9)
+    idx = np.full((R, width), N)
+    slots = []
+    for row, s1 in zip(idx, phase1):
+        slots.append(np.sort(gen.permutation(width)[:s1.idx.size]))
+        row[slots[-1]] = s1.idx
+    source = [np.random.Generator(bit_generator(100 + r)) for r in range(R)]
+    cond = rule.mc_cond(idx, frame, source)
+    assert np.all(cond[idx == N] == 0)
+    for r, s1 in enumerate(phase1):
+        rng_ref = np.random.Generator(bit_generator(100 + r))
+        local, c = reference(rule, s1, frame, rng_ref)[:2]
+        want = np.zeros(width)
+        want[slots[r][local]] = c
+        assert cond[r].tobytes() == want.tobytes()
+        assert source[r].random() == rng_ref.random()
 
 
 @pytest.mark.parametrize("build", [lambda: sk.TwoStage("srs", sk.SRS(1)),
