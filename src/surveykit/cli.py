@@ -221,6 +221,10 @@ def cmd_allocate(args):
             k = int(np.argmin(good))
             raise DataError(f"strata CSV: data row {k + 1} has {name} "
                             f"{_number(strata[name][k])}; a stratum's {name} must be {rule}")
+    H, units = strata["N_h"].size, int(strata["N_h"].sum())
+    if not H <= args.n <= units:
+        raise UsageError(f"--n must be between the {H} strata and their {units} units, "
+                         f"got {args.n}")
     problem = alc.AllocationProblem(strata["N_h"], strata.get("S_h"), strata.get("c_h"),
                                     n=args.n)
     if args.method == "proportional":
@@ -499,7 +503,7 @@ def build_parser():
     p = sub.add_parser("variance")
     p.add_argument("--frame", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--replicates", type=int, default=10)
+    p.add_argument("--replicates", type=_replicates, default=10)
     p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("calibrate")

@@ -322,6 +322,27 @@ def difference_estimator(sample, y, y0_population):
     return Estimate(value, method="difference")
 
 
+def _phase2_strata(sample2p, y):
+    """(n1, est, parts) of a two-phase sample whose phase-2 rule
+    stratifies: n1 the phase-1 size, parts per phase-2 stratum in label
+    order (w_h, ybar_h, r_h, s2_h), with w_h = n_h / n1 the stratum's
+    phase-1 share and ybar_h, r_h and s2_h the mean, count and variance
+    (0.0 for one unit) of its phase-2 y, and est the sum of w_h * ybar_h."""
+    if sample2p.psu_labels is None or sample2p.phase1_labels is None:
+        raise ValueError("stratified mode needs a stratifying phase-2 rule")
+    labels = np.asarray(sample2p.psu_labels)
+    s1_labels = np.asarray(sample2p.phase1_labels)
+    n1 = sample2p.phase1.idx.size
+    est, parts = 0.0, []
+    for lab in sorted(set(labels.tolist())):
+        mask = labels == lab
+        w_h, ybar = int(np.sum(s1_labels == lab)) / n1, float(np.mean(y[mask]))
+        r_h = int(mask.sum())
+        est += w_h * ybar
+        parts.append((w_h, ybar, r_h, float(np.var(y[mask], ddof=1)) if r_h > 1 else 0.0))
+    return n1, est, parts
+
+
 def two_phase_estimator(sample2p, y, mode="dee", x=None, x_phase1=None,
                         c=None):
     """Estimators for two-phase samples.
@@ -340,17 +361,7 @@ def two_phase_estimator(sample2p, y, mode="dee", x=None, x_phase1=None,
     if mode == "dee":
         return Estimate(float(np.sum(w_star * y)), method="double_expansion")
     if mode == "stratified":
-        if sample2p.psu_labels is None or sample2p.phase1_labels is None:
-            raise ValueError("stratified mode needs a stratifying phase-2 rule")
-        labels = np.asarray(sample2p.psu_labels)
-        s1_labels = np.asarray(sample2p.phase1_labels)
-        n1 = s1.idx.size
-        value = 0.0
-        for lab in sorted(set(labels.tolist())):
-            n_h = int(np.sum(s1_labels == lab))
-            mask = labels == lab
-            value += (n_h / n1) * float(np.mean(y[mask]))
-        return Estimate(value, method="two_phase_stratified")
+        return Estimate(_phase2_strata(sample2p, y)[1], method="two_phase_stratified")
     if mode == "regression":
         if x is None or x_phase1 is None:
             raise ValueError("regression mode needs phase-2 x and phase-1 x")

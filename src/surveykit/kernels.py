@@ -8,12 +8,13 @@ conditional Poisson one per unit.
 
 Each public kernel but Lahiri's, which is one, has a scalar loop,
 `_LOOPS[name]`, that calls ``rng.random()`` once per uniform.  With numba
-active the loops are compiled and every public name is its loop.  On
-numpy a fixed-count kernel reads its k uniforms as one `rng.random(k)`
-block and computes the draw vectorized: the row code of its batched form
-(*Batched Monte Carlo* below) at one replicate, a survivor filter for the
-two one-pass walks, a loop over the block for draw-by-draw, running totals
-for Brewer's and Durbin's methods.  A block holds exactly the doubles of k
+active the loops are compiled and every public name is its loop; that is
+all the backend decides, and a Monte Carlo batch runs the same numpy code
+on both.  On numpy a fixed-count kernel reads its k uniforms as one
+`rng.random(k)` block and computes the draw vectorized: the row code of
+its batched form (*Batched Monte Carlo* below) at one replicate, a
+survivor filter for the two one-pass walks, a loop over the block for
+draw-by-draw, running totals for Brewer's and Durbin's methods.  A block holds exactly the doubles of k
 scalar calls on every bit generator, so the indices, their dtype and
 order, and the Generator's state afterwards are bit-identical to the loop
 and the same on both backends; the rejective kernel reads each try as a
@@ -439,8 +440,11 @@ _LOOPS = {
     "rejective_poisson_select": _rejective_poisson_loop,
 }
 
+# The one backend switch: with numba active every public name is its
+# compiled loop, which `_poisson_indices` calls and `_BATCHED` and
+# `_REWOUND` below are keyed by.
 if ACTIVE_BACKEND == "numba":
-    globals().update(_LOOPS)  # _mc_draws_loop and _poisson_indices call them
+    globals().update(_LOOPS)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +452,11 @@ if ACTIVE_BACKEND == "numba":
 # returns per-unit appearance counts and the replicate values of sum(wvec)
 # over each sample (with wvec = y/pi the HT total, with wvec = y/(n p) the
 # Hansen-Hurwitz form).  Replicate loops are the package's hot path, where
-# a round trip through `select` per replicate would swamp the kernels:
+# a round trip through `select` per replicate would swamp the kernels.  A
+# batch is the same code on both backends; numba compiles only the single
+# draws it falls back on:
 #
-# - compiled (numba), the scalar loop `_mc_draws_loop` keeps the whole run
-#   out of Python;
-# - on numpy, a kernel that takes a fixed number k of uniforms per draw has
+# - a kernel that takes a fixed number k of uniforms per draw has
 #   a batched form that takes one (rows, k) block of uniforms per chunk of
 #   replicates, row r for replicate r.  From a Generator that block is
 #   `rng.random((rows, k))`, which holds exactly the doubles of rows * k
@@ -461,41 +465,16 @@ if ACTIVE_BACKEND == "numba":
 #   bit-identical to the scalar loop.  Every sum keeps the scalar loops'
 #   order, left to right from 0.0 (`np.cumsum`, never the pairwise
 #   `x.sum()`).  This holds on every bit generator;
-# - Lahiri's kernel takes a random number of uniforms, so on numpy with a
-#   PCG64 stream it runs on a speculative block: save the bit generator's
+# - Lahiri's kernel takes a random number of uniforms, so on a PCG64
+#   stream it runs on a speculative block: save the bit generator's
 #   state, draw a block of pairs, take the first R * n accepted ones, then
 #   restore the state and `advance` by the doubles used (`_rewind`).  Other
-#   bit generators keep the scalar loop for it.
+#   bit generators, and one Generator per replicate, call the kernel
+#   replicate by replicate, as they do the rejective kernel.
 #
 # `_mc_rows` picks among these and yields index tables; `_tally` sums them.
 
 _CHUNK_CELLS = 1 << 16  # the most cells one table of a batch holds
-
-
-@jit
-def _mc_draws_loop(select, args, with_replacement, R, wvec, rng):
-    """R replicates of `select(*args, rng)`, the kernel a design draws with.
-    With replacement, a unit drawn twice in a replicate appears once in
-    `hits` but adds its weight per draw."""
-    N = wvec.shape[0]
-    hits = np.zeros(N)
-    vals = np.empty(R)
-    seen = np.zeros(N, dtype=np.int64)
-    for r in range(R):
-        total = 0.0
-        idx = select(*args, rng)
-        if with_replacement:
-            for k in idx:
-                total += wvec[k]
-                if seen[k] != r + 1:
-                    seen[k] = r + 1
-                    hits[k] += 1.0
-        else:
-            for k in idx:
-                hits[k] += 1.0
-                total += wvec[k]
-        vals[r] = total
-    return hits, vals
 
 
 def _chunks(R, width):
@@ -786,8 +765,8 @@ def _ppswr_lahiri_rows(x, bound, n, R, rng):
         yield np.concatenate(picks).reshape(rows, n)
 
 
-# kernel -> its batched form; none on numba, which runs the compiled loops
-_BATCHED = {} if ACTIVE_BACKEND == "numba" else {
+# kernel -> its batched form
+_BATCHED = {
     srs_draw_by_draw: _srs_draw_by_draw_rows,
     srs_selection_rejection: _srs_selection_rejection_rows,
     srs_reservoir: _srs_reservoir_rows,
@@ -804,9 +783,8 @@ _BATCHED = {} if ACTIVE_BACKEND == "numba" else {
 }
 
 # kernel -> batched form(*args, R, rng) that runs only on a Generator whose
-# stream rewinds double by double (a compiled kernel cannot read a Python
-# source, so none on numba)
-_REWOUND = {} if ACTIVE_BACKEND == "numba" else {ppswr_lahiri: _ppswr_lahiri_rows}
+# stream rewinds double by double
+_REWOUND = {ppswr_lahiri: _ppswr_lahiri_rows}
 
 
 def _entry(table, select):
@@ -939,10 +917,9 @@ def _tally(tables, N):
 
 def mc_draws(select, args, with_replacement, R, wvec, rng):
     """R replicates of `select(*args, rng)`, the kernel a design draws with:
-    (hits, vals) as `_mc_draws_loop` returns them, the `_tally` of the
-    tables of `_mc_rows`; on numba the compiled loop runs instead."""
-    if ACTIVE_BACKEND == "numba":
-        return _mc_draws_loop(select, args, with_replacement, R, wvec, rng)
+    the `_tally` of the tables of `_mc_rows`, (hits, vals) with hits[k] the
+    replicates that drew unit k (once each, drawn twice or not) and vals[r]
+    the sum of wvec over replicate r's draws, a repeat adding again."""
     N = wvec.shape[0]
     w = np.append(wvec, 0.0)  # index N pads ragged rows and weighs nothing
     return _tally(((_distinct(idx, N) if with_replacement else idx, w[idx])

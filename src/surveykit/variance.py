@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from .estimators import Estimate
+from .estimators import Estimate, _phase2_strata
 
 __all__ = [
     "ht_variance_est", "simplified_variance", "hh_variance",
@@ -341,19 +341,7 @@ def two_phase_variance(sample2p, y, mode="stratified", x=None, beta=None,
         raise ValueError("sample carries no phase-1 lineage")
     y = np.asarray(y, dtype=float)
     if mode == "stratified":
-        labels = np.asarray(sample2p.psu_labels)
-        s1_labels = np.asarray(sample2p.phase1_labels)
-        n1 = s1.idx.size
-        est = 0.0
-        parts = []
-        for lab in sorted(set(labels.tolist())):
-            mask = labels == lab
-            w_h = float(np.sum(s1_labels == lab)) / n1
-            ybar = float(np.mean(y[mask]))
-            r_h = int(mask.sum())
-            s2 = float(np.var(y[mask], ddof=1)) if r_h > 1 else 0.0
-            est += w_h * ybar
-            parts.append((w_h, ybar, r_h, s2))
+        n1, est, parts = _phase2_strata(sample2p, y)
         value = 0.0
         for w_h, ybar, r_h, s2 in parts:
             value += w_h * (ybar - est) ** 2 / n1 + w_h ** 2 * s2 / r_h

@@ -50,16 +50,53 @@ print(json.dumps({"backend": sk.ACTIVE_BACKEND, "draws": out}, sort_keys=True))
 """
 
 
+# a functools.wraps spy on a fixed-count kernel counts the kernel calls of
+# one select and of two batches of 50 replicates (a shared Generator, then
+# monte_carlo's one substream per replicate)
+SPY = r"""
+import functools
+import json
+import numpy as np
+import surveykit as sk
+from surveykit import kernels
+from surveykit.simulate import design_consistency_mc
+
+calls = []
+kernel = kernels.srs_reservoir
+
+@functools.wraps(kernel)
+def spy(*args):
+    calls.append(1)
+    return kernel(*args)
+
+kernels.srs_reservoir = spy
+frame = sk.Frame(ids=tuple(str(i) for i in range(12)), mos=np.linspace(1.0, 4.0, 12),
+                 y=np.linspace(2.0, 13.0, 12))
+design = sk.SRS(4, "reservoir")
+out = {"backend": sk.ACTIVE_BACKEND}
+for name, run in (
+        ("select", lambda: sk.select(design, frame, np.random.default_rng(1))),
+        ("design_consistency_mc",
+         lambda: design_consistency_mc(design, frame, 50, np.random.default_rng(1))),
+        ("monte_carlo", lambda: sk.monte_carlo(
+            design, frame, lambda s: sk.ht_total(s, frame.y[s.idx]).value, 50, seed=2))):
+    calls.clear()
+    run()
+    out[name] = len(calls)
+print(json.dumps(out))
+"""
+
+
 SRC = os.path.dirname(os.path.dirname(sk.__file__))
 NUMBA_STUB = os.path.join(os.path.dirname(__file__), "_numba_stub")
 
 
-def run_with_backend(backend, *path):
-    """The DRIVER's output in a fresh interpreter with the given backend,
+def run_with_backend(backend, *path, script=DRIVER):
+    """The output of `script` in a fresh interpreter with the given backend,
     `path` and this checkout's package first on its PYTHONPATH."""
     env = dict(os.environ, SURVEYKIT_BACKEND=backend, PYTHONPATH=os.pathsep.join(
         [*path, SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    result = subprocess.run([sys.executable, "-c", DRIVER], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
@@ -90,15 +127,25 @@ def test_backends_draw_identical_samples():
 def test_numba_code_path_draws_what_numpy_draws():
     """The DRIVER under a stand-in for numba (tests/_numba_stub), whose njit
     returns the function unchanged: the numba backend's code path (every
-    public kernel its scalar loop, `_mc_draws_loop` for the batches, no
-    batched forms) runs interpreted and must draw what the numpy backend
-    draws.  The stand-in checks that logic only, not numba's nopython
-    typing, its compilation, or its own Generator."""
+    public kernel its scalar loop, the same batched forms as on numpy)
+    runs interpreted and must draw what the numpy backend draws.  The
+    stand-in checks that logic only, not numba's nopython typing, its
+    compilation, or its own Generator."""
     a = run_with_backend("numpy")
     b = run_with_backend("numba", NUMBA_STUB)
     assert a["backend"] == "numpy" and b["backend"] == "numba"
     assert len(b["draws"]) == 30
     assert a["draws"] == b["draws"]
+
+
+def test_numba_batches_never_call_a_fixed_count_kernel():
+    """Under the stand-in, a batch of a fixed-count kernel runs its batched
+    form, as on numpy: the kernel, numba's compiled loop, runs only for a
+    single draw.  A second Monte Carlo path, the loop once per replicate,
+    would call it 50 times a batch."""
+    out = run_with_backend("numba", NUMBA_STUB, script=SPY)
+    assert out == {"backend": "numba", "select": 1, "design_consistency_mc": 0,
+                   "monte_carlo": 0}
 
 
 def test_cumulative_pps_loop_refuses_a_draw_past_the_last_unit():

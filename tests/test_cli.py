@@ -334,12 +334,22 @@ class TestAllocate:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument --n: '{n}' is not a whole number of at least 1\n")
 
-    def test_sample_size_below_the_stratum_count_reaches_the_library(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["proportional", "neyman", "power"])
+    @pytest.mark.parametrize("n", ["2", "331"])
+    def test_sample_size_outside_the_strata_and_their_units_exit_2(self, n, method, tmp_path,
+                                                                   capsys):
+        # n = 2 on three strata was a numerical failure (exit 4), and power
+        # allocation gave a stratum no unit at exit 0; n = 331 above the 330
+        # units gave a negative proportional variance at exit 0
         p = tmp_path / "strata.csv"
         p.write_text(STRATA_CSV, encoding="utf-8")
-        code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--n", "2")
-        assert (code, out) == (4, "")
-        assert "sample size cannot give every free stratum one unit" in err
+        code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--n", n,
+                                 "--method", method)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be between the 3 strata and their 330 units, got {n}\n"
+        code, out, err = run_cli(capsys, "allocate", "--strata", str(p), "--n", "330",
+                                 "--method", method)
+        assert (code, err) == (0, "") and json.loads(out)["n_h"] == [100, 110, 120]
 
     def test_neyman_fixture(self, tmp_path, capsys):
         p = tmp_path / "strata.csv"
@@ -506,13 +516,16 @@ class TestVariance:
     @pytest.mark.parametrize("groups", ["0", "1", "5", "-2"])
     def test_random_group_count_outside_2_to_n_exit_2(self, groups, tmp_path, capsys):
         # 5 groups of 3 units printed a bare NaN at exit 0; 0 groups warned
-        # from numpy before its exit 4
+        # from numpy before its exit 4.  A count below 2 fails when parsed,
+        # one above the units when the frame is read
         p = tmp_path / "three.csv"
         p.write_text("id,mos,y\na,1,1\nb,2,2\nc,3,3\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "variance", "--frame", str(p),
                                  "--method", "random_group", "--replicates", groups)
         assert (code, out) == (2, "")
-        assert err == "error: --replicates must be between 2 and the 3 units\n"
+        assert err.endswith(
+            "error: --replicates must be between 2 and the 3 units\n" if groups == "5" else
+            f"error: argument --replicates: '{groups}' is not a whole number of at least 2\n")
         code, out, err = run_cli(capsys, "variance", "--frame", str(p),
                                  "--method", "random_group", "--replicates", "3")
         assert (code, err) == (0, "") and math.isfinite(json.loads(out)["value"])
@@ -1109,9 +1122,12 @@ def test_a_non_finite_option_is_a_usage_error(command, option, bad, tmp_path, ca
 @pytest.mark.parametrize("command, option, bad", [
     ("draw", "--seed", "-1"), ("simulate", "--seed", "-1"), ("draw", "--seed", "x"),
     ("simulate", "--replicates", "1"), ("simulate", "--replicates", "0"),
+    ("variance", "--replicates", "-3"), ("variance", "--replicates", "1"),
 ])
 def test_a_count_out_of_range_is_a_usage_error(command, option, bad, tmp_path, capsys):
-    # simulate --seed -1 and --replicates 1 failed inside the run (exit 4)
+    # simulate --seed -1 and --replicates 1 failed inside the run (exit 4),
+    # and variance --replicates -3, checked only by random_group after the
+    # frame was read, was ignored by jackknife (exit 0)
     code, out, err = run_cli(capsys, *numeric_run(command, tmp_path), f"{option}={bad}")
     assert (code, out) == (2, "")
     low = {"--seed": 0, "--replicates": 2}[option]

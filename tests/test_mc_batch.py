@@ -1,7 +1,7 @@
-"""Batched Monte Carlo parity without numba: on the numpy backend every
-kernel with a fixed uniform count runs R replicates from one uniform block
-per chunk.  Hits, replicate values and the Generator state afterwards must
-equal the scalar reference loop `_mc_draws_loop` bit for bit, because a
+"""Batched Monte Carlo parity: every kernel with a fixed uniform count runs
+R replicates from one uniform block per chunk, the same code on both
+backends.  Hits, replicate values and the Generator state afterwards must
+equal the scalar reference loop `mc_draws_loop` bit for bit, because a
 block of rng.random((rows, k)) holds exactly the doubles of rows * k scalar
 calls.
 
@@ -33,8 +33,12 @@ from surveykit.design import PPSWR_METHODS, SRS_METHODS, Design, RngStream, _Lea
 from surveykit.estimators import ht_total
 from surveykit.simulate import design_consistency_mc, monte_carlo
 
+# The batches are the same on numba, but numba rebinds every public kernel
+# to its loop, and many cases here hold numpy's single-draw forms, their
+# time budgets or the lockstep cutoff.
 pytestmark = pytest.mark.skipif(
-    sk.ACTIVE_BACKEND != "numpy", reason="batched forms run on the numpy backend")
+    sk.ACTIVE_BACKEND != "numpy",
+    reason="holds numpy's public single-draw forms; on numba each is its scalar loop")
 
 
 def size_measures(N, seed=5):
@@ -86,6 +90,33 @@ def loop_of(kernel):
     return kernels._LOOPS.get(kernel.__name__, kernel)
 
 
+def mc_draws_loop(select, args, with_replacement, R, wvec, rng):
+    """The scalar reference of `kernels.mc_draws`: R replicates of
+    `select(*args, rng)`, one call each, with each draw's units counted and
+    its weights added left to right from 0.0.  With replacement, a unit
+    drawn twice in a replicate appears once in `hits` but adds its weight
+    per draw."""
+    N = wvec.shape[0]
+    hits = np.zeros(N)
+    vals = np.empty(R)
+    seen = np.zeros(N, dtype=np.int64)
+    for r in range(R):
+        total = 0.0
+        idx = select(*args, rng)
+        if with_replacement:
+            for k in idx:
+                total += wvec[k]
+                if seen[k] != r + 1:
+                    seen[k] = r + 1
+                    hits[k] += 1.0
+        else:
+            for k in idx:
+                hits[k] += 1.0
+                total += wvec[k]
+        vals[r] = total
+    return hits, vals
+
+
 def assert_same_run(batched, reference, seed):
     """Run both with Generators from one seed and compare hits, values and
     the next double, bit for bit."""
@@ -100,8 +131,7 @@ def assert_same_run(batched, reference, seed):
 def check_kernel(kernel, args, with_replacement, R, wvec, seed):
     assert_same_run(
         lambda rng: kernels.mc_draws(kernel, args, with_replacement, R, wvec, rng),
-        lambda rng: kernels._mc_draws_loop(loop_of(kernel), args, with_replacement, R, wvec,
-                                           rng),
+        lambda rng: mc_draws_loop(loop_of(kernel), args, with_replacement, R, wvec, rng),
         seed)
 
 
@@ -234,8 +264,8 @@ def test_mc_poisson_matches_scalar_loop(N, R):
     pi = np.clip(sk.compute_pips(size_measures(N), N // 4), 0.05, 1.0)
     wvec = weights(N) / pi
     assert_same_run(lambda rng: kernels.mc_poisson(pi, R, wvec, rng),
-                    lambda rng: kernels._mc_draws_loop(loop_of(kernels._poisson_indices), (pi,),
-                                                       False, R, wvec, rng), seed=R)
+                    lambda rng: mc_draws_loop(loop_of(kernels._poisson_indices), (pi,),
+                                              False, R, wvec, rng), seed=R)
 
 
 def test_mc_poisson_spanning_several_chunks(monkeypatch):
@@ -243,8 +273,8 @@ def test_mc_poisson_spanning_several_chunks(monkeypatch):
     pi = np.linspace(0.1, 0.9, 12)
     wvec = weights(12) / pi
     assert_same_run(lambda rng: kernels.mc_poisson(pi, 101, wvec, rng),
-                    lambda rng: kernels._mc_draws_loop(loop_of(kernels._poisson_indices), (pi,),
-                                                       False, 101, wvec, rng), seed=9)
+                    lambda rng: mc_draws_loop(loop_of(kernels._poisson_indices), (pi,),
+                                              False, 101, wvec, rng), seed=9)
 
 
 def test_wrapped_kernel_keeps_the_batched_path():
@@ -259,8 +289,8 @@ def test_wrapped_kernel_keeps_the_batched_path():
 
     wvec = weights(12)
     assert_same_run(lambda rng: kernels.mc_draws(traced, (4, 12), False, 300, wvec, rng),
-                    lambda rng: kernels._mc_draws_loop(kernels._srs_reservoir_loop, (4, 12),
-                                                       False, 300, wvec, rng), seed=4)
+                    lambda rng: mc_draws_loop(kernels._srs_reservoir_loop, (4, 12),
+                                              False, 300, wvec, rng), seed=4)
     assert calls == []
 
 
@@ -397,7 +427,7 @@ def test_other_bit_generators_keep_the_scalar_loop(bit_generator, binding):
     _, kernel, args, with_replacement = binding
     wvec = weights(12)
     runs = []
-    for run, select in ((kernels.mc_draws, kernel), (kernels._mc_draws_loop, loop_of(kernel))):
+    for run, select in ((kernels.mc_draws, kernel), (mc_draws_loop, loop_of(kernel))):
         rng = np.random.Generator(bit_generator(77))
         hits, vals = run(select, args, with_replacement, 300, wvec, rng)
         runs.append((hits.tobytes(), vals.tobytes(), rng.random()))
@@ -425,7 +455,7 @@ def rewinding_runs(kernel, args, with_replacement, N, R):
 
     def scalar(rng):
         out = (loop(*args, rng),
-               *kernels._mc_draws_loop(loop, args, with_replacement, R, wvec, rng))
+               *mc_draws_loop(loop, args, with_replacement, R, wvec, rng))
         return [a.tobytes() for a in out]
 
     return rewound, scalar
@@ -712,7 +742,7 @@ def check_batched_on(bit_generator, kernel, args, N):
     scalar loop, and never runs it."""
     wvec = weights(N)
     runs = []
-    for run, select in ((kernels.mc_draws, kernel), (kernels._mc_draws_loop, loop_of(kernel))):
+    for run, select in ((kernels.mc_draws, kernel), (mc_draws_loop, loop_of(kernel))):
         rng = np.random.Generator(bit_generator(41))
         hits, vals = run(select, args, False, 300, wvec, rng)
         runs.append((hits.tobytes(), vals.tobytes(), rng.random()))

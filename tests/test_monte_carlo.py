@@ -1,8 +1,8 @@
 """`monte_carlo` draws a leaf design's replicates in batches through
 `kernels._mc_rows`, each replicate on its own substream: a fixed-count
 kernel's batched form takes row r of each block of uniforms from
-replicate r's substream, and any other kernel (Lahiri PPSWR, and every
-kernel on the numba backend) runs itself on that substream.  Stratified,
+replicate r's substream, on both backends, and any other kernel (Lahiri
+PPSWR, the rejective reference) runs itself on that substream.  Stratified,
 one-stage cluster and two-stage designs compose their children's rows
 with the same per-replicate source; a two-phase design draws its phase-1
 rows on those substreams, then its rule's batched form reads each
@@ -117,7 +117,8 @@ def test_every_leaf_design_is_covered():
 def test_batched_replicates_are_the_select_loop(label, R, scalar, frame, monkeypatch):
     # chunks of a few replicates, so that every batched form splits its run
     monkeypatch.setattr(kernels, "_CHUNK_CELLS", 64)
-    if scalar:  # the path numba takes: every kernel's loop runs on each substream
+    if scalar:  # every kernel on the per-replicate fallback, which Lahiri's kernel
+        # takes on these substreams and the rejective reference always, as its loop
         monkeypatch.setattr(kernels, "_BATCHED", {})
         monkeypatch.setattr(kernels, "_REWOUND", {})
         for name, loop in kernels._LOOPS.items():
@@ -261,7 +262,7 @@ def test_a_wrapped_kernel_keeps_the_batch(frame, monkeypatch):
     batched = sk.monte_carlo(design, frame, ht_total_stat, 200, seed=6)
     looped = loop_result(design, frame, ht_total_stat, 200, 6, monkeypatch)
     assert_same_result(batched, looped)
-    assert len(calls) == (200 if sk.ACTIVE_BACKEND == "numba" else 0) + 200
+    assert len(calls) == 200  # the select loop's; the batch calls no kernel
 
 
 def test_mean_and_var_are_the_replicate_loops_sums(frame):

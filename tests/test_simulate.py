@@ -240,8 +240,9 @@ class TestNestedBatches:
 
     @pytest.mark.parametrize("design", NESTED_CASES.values(), ids=NESTED_CASES)
     def test_scalar_rows_path_gives_the_same_batch(self, design, monkeypatch):
-        # every kernel on its scalar loop draws what its batched form draws,
-        # so the nested batch cannot tell the paths apart
+        # the per-replicate fallback (Lahiri's and the rejective kernel's path)
+        # with every kernel on it as its scalar loop draws what the batched
+        # forms draw, so the nested batch cannot tell the paths apart
         from surveykit import kernels
 
         runs = []
@@ -323,7 +324,8 @@ EMPTY_CASES = {
 @pytest.mark.parametrize("design", EMPTY_CASES.values(), ids=EMPTY_CASES)
 @pytest.mark.parametrize("scalar", [False, True], ids=["batched", "scalar_rows"])
 def test_random_size_designs_that_draw_nothing(design, scalar, monkeypatch):
-    if scalar:  # on the scalar rows path a chunk of empty draws has no columns
+    if scalar:  # on the per-replicate fallback, every kernel its loop, a chunk of
+        # empty draws has no columns
         from surveykit import kernels
 
         monkeypatch.setattr(kernels, "_BATCHED", {})

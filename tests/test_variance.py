@@ -525,6 +525,16 @@ class TestTwoStageVariance:
 
 
 class TestTwoPhaseVariance:
+    def test_stratified_mode_without_strata_is_refused(self):
+        # a Poisson phase-2 rule labels no strata; the variance failed with
+        # a TypeError on the missing labels where the estimator refused
+        frame = sk.Frame(ids=tuple(map(str, range(12))), mos=np.ones(12),
+                         aux=np.linspace(1.0, 4.0, 12)[:, None], y=np.arange(12.0))
+        s = sk.select(sk.TwoPhase(sk.SRS(6), sk.PoissonOnAux(3)), frame, RngStream(5))
+        for statistic in (sk.two_phase_estimator, sk.two_phase_variance):
+            with pytest.raises(ValueError, match="stratified mode needs a stratifying"):
+                statistic(s, s.y_values(), mode="stratified")
+
     def test_census_phase2_collapses(self, farm_frame):
         s = sk.select_two_phase(farm_frame, sk.SRS(3), sk.KeepAll(),
                                 RngStream(137))
