@@ -328,7 +328,7 @@ def cmd_variance(args):
     from . import variance as var
 
     frame = read_frame_csv(args.frame)
-    if args.method == "random_group" and not 2 <= args.replicates <= frame.n_units:
+    if args.method == "random_group" and args.replicates > frame.n_units:
         raise UsageError(f"--replicates must be between 2 and the {frame.n_units} units")
     sample = _weighted_sample(frame)
     y = frame.y_column()

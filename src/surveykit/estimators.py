@@ -325,9 +325,9 @@ def difference_estimator(sample, y, y0_population):
 def _phase2_strata(sample2p, y):
     """(n1, est, parts) of a two-phase sample whose phase-2 rule
     stratifies: n1 the phase-1 size, parts per phase-2 stratum in label
-    order (w_h, ybar_h, r_h, s2_h), with w_h = n_h / n1 the stratum's
-    phase-1 share and ybar_h, r_h and s2_h the mean, count and variance
-    (0.0 for one unit) of its phase-2 y, and est the sum of w_h * ybar_h."""
+    order (w_h, ybar_h, y_h), with w_h = n_h / n1 the stratum's phase-1
+    share and y_h and ybar_h its phase-2 y and their mean, and est the sum
+    of w_h * ybar_h."""
     if sample2p.psu_labels is None or sample2p.phase1_labels is None:
         raise ValueError("stratified mode needs a stratifying phase-2 rule")
     labels = np.asarray(sample2p.psu_labels)
@@ -335,11 +335,10 @@ def _phase2_strata(sample2p, y):
     n1 = sample2p.phase1.idx.size
     est, parts = 0.0, []
     for lab in sorted(set(labels.tolist())):
-        mask = labels == lab
-        w_h, ybar = int(np.sum(s1_labels == lab)) / n1, float(np.mean(y[mask]))
-        r_h = int(mask.sum())
+        y_h = y[labels == lab]
+        w_h, ybar = int(np.sum(s1_labels == lab)) / n1, float(np.mean(y_h))
         est += w_h * ybar
-        parts.append((w_h, ybar, r_h, float(np.var(y[mask], ddof=1)) if r_h > 1 else 0.0))
+        parts.append((w_h, ybar, y_h))
     return n1, est, parts
 
 

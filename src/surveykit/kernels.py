@@ -790,8 +790,9 @@ _REWOUND = {ppswr_lahiri: _ppswr_lahiri_rows}
 def _entry(table, select):
     """The entry of kernel `select` in table, or None.  A wrapped kernel
     (functools.wraps, as a tracer installs) is matched by the function it
-    wraps."""
-    return table.get(select) or table.get(inspect.unwrap(select))
+    wraps, unwrapping no further than the first key: a numba Dispatcher
+    carries a __wrapped__ of its own."""
+    return table.get(inspect.unwrap(select, stop=table.__contains__))
 
 
 def _stack(tables, pad):

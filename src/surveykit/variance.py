@@ -343,7 +343,9 @@ def two_phase_variance(sample2p, y, mode="stratified", x=None, beta=None,
     if mode == "stratified":
         n1, est, parts = _phase2_strata(sample2p, y)
         value = 0.0
-        for w_h, ybar, r_h, s2 in parts:
+        for w_h, ybar, y_h in parts:
+            r_h = y_h.size
+            s2 = float(np.var(y_h, ddof=1)) if r_h > 1 else 0.0
             value += w_h * (ybar - est) ** 2 / n1 + w_h ** 2 * s2 / r_h
         return Estimate(value, method="two_phase_stratified")
     if mode == "regression_reverse":

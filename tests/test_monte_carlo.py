@@ -265,6 +265,28 @@ def test_a_wrapped_kernel_keeps_the_batch(frame, monkeypatch):
     assert len(calls) == 200  # the select loop's; the batch calls no kernel
 
 
+def test_a_wrapper_over_a_wrapping_key_finds_that_key():
+    # numba's Dispatcher wraps its Python function (functools.update_wrapper),
+    # so the batch tables are keyed by wrappers; a tracer's wrapper over one
+    # must unwrap to that key, not on to the Python loop behind it
+    def loop():
+        pass
+
+    @functools.wraps(loop)
+    def dispatcher():
+        pass
+
+    @functools.wraps(dispatcher)
+    def traced():
+        pass
+
+    form = object()
+    table = {dispatcher: form}
+    assert kernels._entry(table, traced) is form
+    assert kernels._entry(table, dispatcher) is form
+    assert kernels._entry(table, loop) is None
+
+
 def test_mean_and_var_are_the_replicate_loops_sums(frame):
     # compensated sums of the replicate values and of (v - mean) ** 2, as a
     # loop over numpy floats adds them: ** 2 is libm's pow there, which
