@@ -1,5 +1,6 @@
 """Sample-size allocation and stratum-boundary search."""
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,15 @@ class AllocationProblem:
         object.__setattr__(self, "c_h", c_h)
         if (self.n is None) == (self.budget is None):
             raise ValueError("set exactly one of n and budget")
+        if self.n is not None:
+            if not (_whole_sizes([self.n]).all() and H <= self.n <= sum(N_h)):
+                raise ValueError(f"n must be a whole number between the {H} strata and "
+                                 f"their {sum(N_h)} units, got {self.n!r}")
+            object.__setattr__(self, "n", int(self.n))
+        elif not math.fsum(c_h) <= self.budget - self.fixed_cost < math.inf:  # NaN fails too
+            raise ValueError(f"budget - fixed_cost must be finite and pay for one unit per "
+                             f"stratum ({math.fsum(c_h)!r}), "
+                             f"got {self.budget - self.fixed_cost!r}")
 
 
 def _whole_sizes(N_h):
@@ -56,7 +66,7 @@ class Allocation:
     n_h: tuple
     variance: float
     capped: tuple = ()
-    raw_n_h: tuple = None  # integerized allocation before caps were applied
+    raw_n_h: tuple = None  # the same seating with no stratum caps
     flags: tuple = ()
 
     @property
@@ -65,129 +75,94 @@ class Allocation:
 
 
 def _stratified_total_variance(N_h, S_h, n_h):
-    v = 0.0
-    for N, S, n in zip(N_h, S_h, n_h):
-        if n > 0:
-            v += N ** 2 / n * (1 - n / N) * S ** 2
-    return v
+    return sum(N ** 2 / n * (1 - n / N) * S ** 2 for N, S, n in zip(N_h, S_h, n_h))
 
 
-def _largest_remainder(shares, n, caps):
-    """Integerize nonnegative shares to sum n, each >= 1 and <= cap."""
-    H = len(shares)
-    shares = np.asarray(shares, dtype=float)
-    base = np.maximum(np.floor(shares).astype(int), 1)
-    base = np.minimum(base, caps)
-    rem = n - base.sum()
-    order = np.argsort(-(shares - np.floor(shares)))
-    k = 0
-    while rem > 0:
-        h = order[k % H]
-        if base[h] < caps[h]:
-            base[h] += 1
-            rem -= 1
-        k += 1
-        if k > 10 * H and rem > 0:
-            raise ValueError("allocation does not fit under the stratum caps")
-    while rem < 0:
-        h = int(np.argmax(base - np.maximum(1, shares)))
-        if base[h] <= 1:
-            h = int(np.argmax(base))
-        base[h] -= 1
-        rem += 1
-    return tuple(int(v) for v in base)
+def _seat(weight, N_h, caps, costs, money):
+    """Huntington-Hill seating: one unit per stratum, then each further unit
+    to the stratum with the largest weight_h / sqrt(s_h (s_h + 1)) among
+    those below caps_h whose cost fits in the money left (a stratum that no
+    longer fits never will); ties go to the larger N_h, then the lower
+    index.
 
-
-def proportional_allocation(problem, n=None):
-    """Integer proportional allocation by the Huntington-Hill priority rule:
-    after seeding one unit per stratum, seats go greedily to the largest
-    priority value N_h / sqrt(s(s+1))."""
-    N_h = problem.N_h if isinstance(problem, AllocationProblem) else tuple(problem)
-    if n is None:
-        n = problem.n
-    H = len(N_h)
-    if n < H:
-        raise ValueError(f"need n >= {H} to give every stratum one unit")
+    The greedy order gives every unit whose priority exceeds a threshold D
+    before any other.  With D = sum(costs * weight) / room, those units cost
+    at most money - max(costs), so all of them fit, and each unit below
+    weight_h / D - 1 is one of them: the seating starts there."""
+    H, top = len(weight), max(costs)
     n_h = [1] * H
-    heap = [(h, N_h[h] / math.sqrt(n_h[h] * (n_h[h] + 1))) for h in range(H)]
-    for _ in range(n - H):
-        h = max(range(H), key=lambda j: (heap[j][1], N_h[j]))
-        n_h[h] += 1
-        heap[h] = (h, N_h[h] / math.sqrt(n_h[h] * (n_h[h] + 1)))
-    S_h = problem.S_h if isinstance(problem, AllocationProblem) else (1.0,) * H
-    return Allocation(tuple(n_h), _stratified_total_variance(N_h, S_h, n_h))
+    room = money - math.fsum(costs) - top
+    total = math.fsum(c * w for c, w in zip(costs, weight))
+    if room > 0 and total > 0:
+        D = total / room
+        n_h = [max(1, min(cap, math.floor(w / D) - 1)) for w, cap in zip(weight, caps)]
+
+    def money_left():
+        return money - math.fsum(c * s for c, s in zip(costs, n_h))
+
+    def entry(h):
+        return -weight[h] / math.sqrt(n_h[h] * (n_h[h] + 1)), -N_h[h], h
+
+    heap = [entry(h) for h in range(H) if n_h[h] < caps[h]]
+    heapq.heapify(heap)
+    left = money_left()
+    while heap:
+        h = heapq.heappop(heap)[2]
+        if left < costs[h] + top:  # near the end: recount, so no rounding drift decides
+            left = money_left()
+        if costs[h] <= left:
+            n_h[h] += 1
+            left -= costs[h]
+            if n_h[h] < caps[h]:
+                heapq.heappush(heap, entry(h))
+    return tuple(n_h)
+
+
+def _allocate(problem, weight):
+    """Seat the problem's n units, or as many as budget - fixed_cost buys,
+    by `weight`, within [1, N_h]; raw_n_h is the seating with no caps."""
+    H = len(problem.N_h)
+    if problem.n is None:
+        costs, money = problem.c_h, problem.budget - problem.fixed_cost
+    else:
+        costs, money = (1.0,) * H, problem.n
+    n_h = _seat(weight, problem.N_h, problem.N_h, costs, money)
+    raw_n_h = _seat(weight, problem.N_h, (math.inf,) * H, costs, money)
+    return Allocation(n_h, _stratified_total_variance(problem.N_h, problem.S_h, n_h),
+                      capped=tuple(h for h in range(H) if raw_n_h[h] > problem.N_h[h]),
+                      raw_n_h=raw_n_h)
+
+
+def _fixed_size(problem, method):
+    if problem.n is None:
+        raise ValueError(f"{method} allocation needs the sample size n, not a budget")
+    return problem
+
+
+def proportional_allocation(problem):
+    """Integer proportional allocation: Huntington-Hill seating of n units
+    on the weights N_h."""
+    return _allocate(_fixed_size(problem, "proportional"), problem.N_h)
 
 
 def optimal_allocation(problem):
-    """Neyman/optimal allocation n_h proportional to sqrt(Q_h / c_h), with
-    Q_h = N_h^2 S_h^2 for total estimation and S_h^2 when stratum means are
-    being compared.  Strata whose share exceeds N_h are fixed at N_h and the
-    remainder re-solved, as many times as needed.  Integerization is by
-    largest remainder, with every stratum kept at one unit or more."""
-    N_h = np.asarray(problem.N_h, dtype=float)
-    S_h = np.asarray(problem.S_h, dtype=float)
-    c_h = np.asarray(problem.c_h, dtype=float)
-    if np.all(S_h == 0):
+    """Neyman/optimal allocation: Huntington-Hill seating on the weights
+    sqrt(Q_h / c_h), with Q_h = N_h^2 S_h^2 for total estimation and S_h^2
+    when stratum means are being compared, of n units or of as many as
+    budget - fixed_cost buys.  With c_h = 1 the seating on N_h S_h is the
+    exact integer Neyman allocation within [1, N_h] (Wright 2012)."""
+    if not any(problem.S_h):
         raise ValueError("every stratum has zero variance; nothing to optimize")
-    H = len(N_h)
-    Q_h = (N_h ** 2) * (S_h ** 2) if problem.target == "total" else S_h ** 2
-    weight = np.sqrt(Q_h / c_h)
-    capped = np.zeros(H, dtype=bool)
-    raw_n_h = None
-    while True:
-        free = ~capped
-        shares = np.zeros(H)
-        if problem.n is not None:
-            n_free = problem.n - int(N_h[capped].sum())
-            if n_free < int(free.sum()):
-                raise ValueError("sample size cannot give every free stratum one unit")
-            total_w = weight[free].sum()
-            if total_w == 0:
-                shares[free] = n_free / int(free.sum())
-            else:
-                shares[free] = n_free * weight[free] / total_w
-        else:
-            budget = problem.budget - problem.fixed_cost - float(
-                (c_h[capped] * N_h[capped]).sum()
-            )
-            if budget <= 0:
-                raise ValueError("budget exhausted by certainty strata")
-            denom = float(np.sum(np.sqrt(Q_h[free] * c_h[free])))
-            shares[free] = budget * weight[free] / denom
-        if raw_n_h is None:
-            raw_total = problem.n if problem.n is not None else int(round(shares.sum()))
-            raw_n_h = _largest_remainder(shares, raw_total, np.full(H, 10 ** 12, dtype=int))
-        over = free & (shares > N_h)
-        if not over.any():
-            break
-        capped |= over
-    n_h = np.zeros(H, dtype=int)
-    n_h[capped] = N_h[capped].astype(int)
-    free = ~capped
-    if free.any():
-        if problem.n is not None:
-            n_free = problem.n - int(N_h[capped].sum())
-        else:
-            n_free = int(round(shares[free].sum()))
-        ints = _largest_remainder(shares[free], n_free, N_h[free].astype(int))
-        n_h[free] = ints
-    variance = _stratified_total_variance(problem.N_h, problem.S_h, n_h)
-    return Allocation(tuple(int(v) for v in n_h), variance,
-                      capped=tuple(np.nonzero(capped)[0].tolist()),
-                      raw_n_h=tuple(int(v) for v in raw_n_h))
+    return _allocate(problem, [(N if problem.target == "total" else 1) * S / math.sqrt(c)
+                               for N, S, c in zip(problem.N_h, problem.S_h, problem.c_h)])
 
 
-def power_allocation(problem, alpha, n=None):
-    """Compromise allocation n_h proportional to N_h^alpha, 0 < alpha < 1,
-    integerized by largest remainder."""
+def power_allocation(problem, alpha):
+    """Compromise allocation: Huntington-Hill seating of n units on the
+    weights N_h^alpha, 0 < alpha < 1."""
     if not 0 < alpha < 1:
         raise ValueError("power allocation needs alpha in (0, 1)")
-    N_h = np.asarray(problem.N_h, dtype=float)
-    if n is None:
-        n = problem.n
-    shares = n * (N_h ** alpha) / (N_h ** alpha).sum()
-    n_h = _largest_remainder(shares, n, N_h.astype(int))
-    return Allocation(n_h, _stratified_total_variance(problem.N_h, problem.S_h, n_h))
+    return _allocate(_fixed_size(problem, "power"), [N ** alpha for N in problem.N_h])
 
 
 def cluster_subsample_size(c1, c2, s2_between, s2_within, M):

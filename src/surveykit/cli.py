@@ -347,9 +347,10 @@ def cmd_variance(args):
         e = var.jackknife_variance(w0, fn, structure=structure,
                                    strata=frame.stratum)
     elif args.method == "random_group":
+        # group g's HT total, scaled up by G: the replicates average to sum w y
         groups = np.arange(frame.n_units) % args.replicates
-        reps = [float(np.mean(y[groups == g]) * np.sum(sample.weights))
-                for g in range(args.replicates)]
+        reps = args.replicates * np.bincount(groups, weights=sample.weights * y,
+                                             minlength=args.replicates)
         e = var.random_group_variance(reps)
     else:
         raise UsageError(f"unknown variance method {args.method!r}")

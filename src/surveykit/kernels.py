@@ -855,7 +855,6 @@ def _mc_rows(select, args, N, R, source):
     that rewinds), a fixed-count kernel's batched form, or else the kernel
     replicate by replicate."""
     rngs = iter(_replicate_rngs(source, R))
-    form = _entry(_BATCHED, select)
     if isinstance(source, np.random.Generator):
         if R == 1:
             yield select(*args, source)[None]
@@ -872,6 +871,7 @@ def _mc_rows(select, args, N, R, source):
             for row, rng in zip(out, itertools.islice(rngs, rows)):
                 rng.random(out=row)
             return out
+    form = _entry(_BATCHED, select)
     if form is not None:
         yield from form(*args, R, uniforms)
         return

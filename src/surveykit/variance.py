@@ -347,7 +347,10 @@ def two_phase_variance(sample2p, y, mode="stratified", x=None, beta=None,
             r_h = y_h.size
             s2 = float(np.var(y_h, ddof=1)) if r_h > 1 else 0.0
             value += w_h * (ybar - est) ** 2 / n1 + w_h ** 2 * s2 / r_h
-        return Estimate(value, method="two_phase_stratified")
+        # a lone phase-2 unit has no spread to measure: its s2_h of 0 understates
+        lone = any(y_h.size == 1 for _, _, y_h in parts)
+        return Estimate(value, method="two_phase_stratified",
+                        flags=("single_unit_phase2_stratum",) if lone else ())
     if mode == "regression_reverse":
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         if x2.shape[0] != y.size:

@@ -3,9 +3,154 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surveykit as sk
 from surveykit.allocation import homogeneous_second_phase_rate
+
+SKEWED = [100, 1, 1]  # one large stratum and two of one unit
+
+
+def seat_one_by_one(weight, N_h, c_h=None, money=None):
+    """The seating rule unit by unit: n_h = 1, then each further unit to the
+    stratum with the largest weight / sqrt(n_h (n_h + 1)) (ties to the larger
+    N_h, then the lower index) among those below N_h whose cost fits; `money`
+    None seats units up to sum N_h."""
+    H = len(weight)
+    c_h = [1.0] * H if c_h is None else c_h
+    n_h, money = [1] * H, sum(N_h) if money is None else money
+    while True:
+        left = money - math.fsum(c * a for c, a in zip(c_h, n_h))
+        fits = [h for h in range(H) if n_h[h] < N_h[h] and c_h[h] <= left]
+        if not fits:
+            return tuple(n_h)
+        h = max(fits, key=lambda j: (weight[j] / math.sqrt(n_h[j] * (n_h[j] + 1)), N_h[j], -j))
+        n_h[h] += 1
+
+
+problems = st.integers(2, 5).flatmap(lambda H: st.tuples(
+    st.lists(st.integers(1, 300), min_size=H, max_size=H),
+    st.lists(st.floats(0, 10), min_size=H, max_size=H),
+    st.lists(st.floats(0.5, 5), min_size=H, max_size=H),
+    st.floats(0, 1), st.floats(0.05, 0.95)))
+
+METHODS = {
+    "proportional": sk.proportional_allocation,
+    "neyman": sk.optimal_allocation,
+    "power": lambda prob: sk.power_allocation(prob, 0.5),
+}
+
+
+class TestProblem:
+    @pytest.mark.parametrize("n", [103, 2, 0, 2.5, math.nan, math.inf])
+    def test_n_outside_the_strata_and_their_units(self, n):
+        # proportional gave (101, 1, 1) with variance -99 at n = 103, Neyman
+        # divided by zero, and power gave (0, 1, 1) at n = 2
+        with pytest.raises(ValueError, match=r"^n must be a whole number between the 3 "
+                                             r"strata and their 102 units, got "):
+            sk.AllocationProblem(SKEWED, n=n)
+
+    @pytest.mark.parametrize("n", [3, 102, 50.0, np.int64(7)])
+    def test_n_at_and_inside_the_range(self, n):
+        prob = sk.AllocationProblem(SKEWED, n=n)
+        assert prob.n == n and type(prob.n) is int
+
+    @pytest.mark.parametrize("budget, fixed_cost", [
+        (5.9, 0.0), (7.0, 1.5), (math.inf, 0.0), (math.nan, 0.0), (10.0, math.nan)])
+    def test_budget_must_pay_for_one_unit_per_stratum(self, budget, fixed_cost):
+        with pytest.raises(ValueError, match=r"^budget - fixed_cost must be finite and pay "
+                                             r"for one unit per stratum \(6.0\)"):
+            sk.AllocationProblem([5, 5, 5], c_h=[1, 2, 3], budget=budget, fixed_cost=fixed_cost)
+
+    def test_budget_for_exactly_one_unit_per_stratum(self):
+        prob = sk.AllocationProblem([5, 5, 5], [1, 2, 3], [1, 2, 3], budget=7.5, fixed_cost=1.5)
+        assert sk.optimal_allocation(prob).n_h == (1, 1, 1)
+
+    @pytest.mark.parametrize("method", ["proportional", "power"])
+    def test_fixed_size_methods_need_n(self, method):
+        # a TypeError on the missing n before
+        with pytest.raises(ValueError, match=f"^{method} allocation needs the sample size n"):
+            METHODS[method](sk.AllocationProblem([5, 5], budget=10.0))
+
+
+class TestSeating:
+    @given(problems, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_method_fills_n_within_1_to_N_h(self, problem, data):
+        N_h, S_h, _, _, _ = problem
+        n = data.draw(st.integers(len(N_h), sum(N_h)))
+        prob = sk.AllocationProblem(N_h, S_h, n=n)
+        for name, method in METHODS.items():
+            if name == "neyman" and not any(S_h):
+                continue
+            out = method(prob)
+            assert out.n == n, name
+            assert all(1 <= a <= N for a, N in zip(out.n_h, N_h)), name
+            assert out.variance >= 0, name
+            assert sum(out.raw_n_h) == n, name
+            assert out.capped == tuple(h for h, (r, N) in enumerate(zip(out.raw_n_h, N_h))
+                                       if r > N), name
+
+    @given(problems, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_seating_is_the_unit_by_unit_rule(self, problem, data):
+        # the seating starts past the units every threshold gives; the
+        # result must be the one-by-one greedy's, for n and for a budget
+        N_h, S_h, c_h, spend, alpha = problem
+        n = data.draw(st.integers(len(N_h), sum(N_h)))
+        prob = sk.AllocationProblem(N_h, S_h, n=n)
+        assert sk.proportional_allocation(prob).n_h == seat_one_by_one(N_h, N_h, money=n)
+        assert sk.power_allocation(prob, alpha).n_h == seat_one_by_one(
+            [N ** alpha for N in N_h], N_h, money=n)
+        if any(S_h):
+            budget = math.fsum(c_h) + spend * sum(c * N for c, N in zip(c_h, N_h))
+            prob = sk.AllocationProblem(N_h, S_h, c_h, budget=budget)
+            weight = [N * S / math.sqrt(c) for N, S, c in zip(N_h, S_h, c_h)]
+            assert sk.optimal_allocation(prob).n_h == seat_one_by_one(weight, N_h, c_h, budget)
+
+    @pytest.mark.parametrize("N_h", [(4, 3), (2, 5, 3), (6, 1, 6), (9, 4, 2)])
+    def test_neyman_is_the_whole_number_minimum(self, N_h):
+        # Wright (2012): Huntington-Hill seating on N_h S_h is the exact
+        # integer Neyman allocation within [1, N_h]
+        rng = np.random.default_rng(sum(N_h))
+        for _ in range(10):
+            S_h = rng.uniform(0, 10, len(N_h)).tolist()
+            for n in range(len(N_h), min(15, sum(N_h)) + 1):
+                best = min(sk.allocation._stratified_total_variance(N_h, S_h, a)
+                           for a in itertools.product(*(range(1, N + 1) for N in N_h))
+                           if sum(a) == n)
+                got = sk.optimal_allocation(sk.AllocationProblem(N_h, S_h, n=n))
+                assert got.variance == pytest.approx(best, rel=1e-12, abs=1e-9)
+
+    @given(problems)
+    @settings(max_examples=100, deadline=None)
+    def test_budget_allocation_spends_within_the_budget(self, problem):
+        N_h, S_h, c_h, spend, _ = problem
+        if not any(S_h):
+            return
+        budget = math.fsum(c_h) + spend * sum(c * N for c, N in zip(c_h, N_h))
+        out = sk.optimal_allocation(sk.AllocationProblem(N_h, S_h, c_h, budget=budget))
+        left = budget - math.fsum(c * a for c, a in zip(c_h, out.n_h))
+        assert left >= -1e-12 * budget  # up to the rounding of the cost sum
+        # no stratum below its cap could take one more unit
+        assert all(a == N or c > left for a, N, c in zip(out.n_h, N_h, c_h))
+
+    def test_budget_example_no_longer_overspends(self):
+        # gave (58, 9, 4), which costs 102 against a budget of 100
+        prob = sk.AllocationProblem([100, 110, 120], [50, 10, 5], [1, 2, 4],
+                                    budget=100.0, fixed_cost=10.0)
+        out = sk.optimal_allocation(prob)
+        assert 10 + sum(c * a for c, a in zip([1, 2, 4], out.n_h)) <= 100
+        assert out.n_h == (60, 9, 3)
+
+    def test_large_problem_seats_in_one_step(self):
+        # the greedy starts near the threshold, so a huge budget needs no
+        # unit-by-unit loop over billions of units
+        prob = sk.AllocationProblem([100, 110, 120], [50, 10, 5], budget=1e12)
+        out = sk.optimal_allocation(prob)
+        assert out.n_h == (100, 110, 120) and out.capped == (0, 1, 2)
+        assert sum(out.raw_n_h) == 10 ** 12
 
 
 class TestProportional:
@@ -70,6 +215,11 @@ class TestOptimal:
         prop = sk.proportional_allocation(sk.AllocationProblem([100, 50, 40, 20], n=21))
         assert opt.n_h == prop.n_h
 
+    def test_skewed_table_fits(self):
+        # raised "sample size cannot give every free stratum one unit"
+        out = sk.optimal_allocation(sk.AllocationProblem(SKEWED, [10, 0.001, 0.001], n=101))
+        assert out.n_h == (99, 1, 1) and out.capped == ()
+
     def test_zero_variance_stratum_keeps_minimum(self):
         prob = sk.AllocationProblem([50, 50], [1.0, 0.0], n=10)
         out = sk.optimal_allocation(prob)
@@ -89,7 +239,7 @@ class TestOptimal:
             prob = sk.AllocationProblem(N_h, S_h, n=n)
             v_opt = sk.optimal_allocation(prob).variance
             v_prop = sk.proportional_allocation(prob).variance
-            assert v_opt <= v_prop * (1 + 5e-2) + 1e-9  # integerization slack
+            assert v_opt <= v_prop * (1 + 1e-12)  # the whole-number minimum
 
     def test_integerization_preserves_total(self):
         rng = np.random.default_rng(1)
@@ -100,10 +250,7 @@ class TestOptimal:
                 rng.uniform(0, 10, H).tolist() if rng.random() > 0.1 else [1.0] * H,
                 n=int(rng.integers(H, 50)),
             )
-            try:
-                out = sk.optimal_allocation(prob)
-            except ValueError:
-                continue
+            out = sk.optimal_allocation(prob)
             assert out.n == prob.n
             assert all(1 <= a <= Nh for a, Nh in zip(out.n_h, prob.N_h))
 
@@ -118,6 +265,11 @@ class TestPower:
         prob = sk.AllocationProblem([100, 400], n=9)
         out = sk.power_allocation(prob, 0.5)
         assert out.n_h == (3, 6)  # sqrt ratio 1:2
+
+    def test_skewed_table_fits(self):
+        # raised "allocation does not fit under the stratum caps"
+        out = sk.power_allocation(sk.AllocationProblem(SKEWED, n=100), 0.5)
+        assert out.n_h == (98, 1, 1) and out.capped == (1, 2)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):

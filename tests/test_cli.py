@@ -359,6 +359,17 @@ class TestAllocate:
         assert code == 0
         assert json.loads(out)["n_h"] == [100, 26, 14]
 
+    @pytest.mark.parametrize("method, n, n_h", [("power", "100", [98, 1, 1]),
+                                                ("neyman", "101", [99, 1, 1])])
+    def test_skewed_strata_fit(self, method, n, n_h, tmp_path, capsys):
+        # power exited 4 ("does not fit under the stratum caps"), and Neyman
+        # could not give every free stratum one unit
+        p = tmp_path / "strata.csv"
+        p.write_text("N_h,S_h\n100,10\n1,0.001\n1,0.001\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--strata", str(p),
+                                 "--method", method, "--n", n)
+        assert (code, err) == (0, "") and json.loads(out)["n_h"] == n_h
+
     def test_blank_sd_and_cost_read_as_1(self, tmp_path, capsys):
         outs = []
         for text in (STRATA_CSV, "N_h,S_h,c_h\n100,50,\n110,10,1\n120,5,1\n",
@@ -531,6 +542,25 @@ class TestVariance:
         code, out, err = run_cli(capsys, "variance", "--frame", str(p),
                                  "--method", "random_group", "--replicates", "3")
         assert (code, err) == (0, "") and math.isfinite(json.loads(out)["value"])
+
+    def test_random_groups_average_to_the_ht_total(self, tmp_path, capsys, monkeypatch):
+        # each group scored mean(y_g) * sum w, whose average is not sum w y
+        from surveykit import variance
+        rng = np.random.default_rng(3)
+        w = rng.uniform(1, 10, 200)
+        y = 2 * w + rng.normal(0, 1, 200)
+        p = tmp_path / "frame.csv"
+        p.write_text("id,mos,y\n" + "".join(f"u{i},{a},{b}\n" for i, (a, b) in
+                                            enumerate(zip(w, y))), encoding="utf-8")
+        seen = []
+        real = variance.random_group_variance
+        monkeypatch.setattr(variance, "random_group_variance",
+                            lambda reps: seen.append(reps) or real(reps))
+        code, out, err = run_cli(capsys, "variance", "--frame", str(p),
+                                 "--method", "random_group", "--replicates", "10")
+        assert (code, err) == (0, "")
+        assert np.mean(seen[0]) == pytest.approx(np.sum(w * y), rel=1e-12)
+        assert json.loads(out)["value"] == real(seen[0]).value
 
 
 WEIGHED_COMMANDS = [

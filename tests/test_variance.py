@@ -547,6 +547,15 @@ class TestTwoPhaseVariance:
         expected = np.var(y, ddof=1) / 3
         assert est.value == pytest.approx(expected, rel=0.5)
 
+    @pytest.mark.parametrize("labels, flags", [
+        (("g", "g", "g"), ()), (("g", "g", "h"), ("single_unit_phase2_stratum",))])
+    def test_single_unit_phase2_stratum_flagged(self, farm_frame, labels, flags):
+        # a stratum with one phase-2 unit contributes s2_h = 0, an understatement
+        s = sk.select_two_phase(farm_frame, sk.SRS(3), sk.KeepAll(), RngStream(137))
+        s.psu_labels = s.phase1_labels = labels
+        est = sk.two_phase_variance(s, s.y_values(), mode="stratified")
+        assert est.flags == flags and est.value >= 0
+
     def test_stratified_mode_tracks_mc_variance(self):
         # the formula ignores the phase-1 finite-population correction, so
         # keep the sampling fraction small
